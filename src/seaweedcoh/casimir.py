@@ -15,7 +15,8 @@ from fractions import Fraction
 from .chevalley import LieAlgebra
 from .cochain import (Cochain, coboundary, full_context, invariant_cochains,
                       nilradical_context, reductive_generators)
-from .exactlin import Matrix, sparse_kernel_basis, sparse_rank
+from .exactlin import (Echelon, Matrix, sparse_kernel_basis, sparse_rank,
+                       vec_add)
 from .rootsystem import RootSystem
 
 CASIMIR_READING = "value_action"
@@ -85,22 +86,10 @@ def homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
             sign = -1 if pos % 2 else 1
             contrib = {}
             for k, c in vec.items():
-                b = amb.bracket_vec(octx.dual[j], {k: 1})
-                if b:
-                    for kk, vv in b.items():
-                        nv = contrib.get(kk, 0) + sign * c * vv
-                        if nv == 0:
-                            contrib.pop(kk, None)
-                        else:
-                            contrib[kk] = nv
+                vec_add(contrib, amb.bracket_vec(octx.dual[j], {k: 1}),
+                        sign * c)
             if contrib:
-                acc = out.setdefault(rest, {})
-                for kk, vv in contrib.items():
-                    nv = acc.get(kk, 0) + vv
-                    if nv == 0:
-                        acc.pop(kk, None)
-                    else:
-                        acc[kk] = nv
+                vec_add(out.setdefault(rest, {}), contrib)
     return Cochain(octx.gg, F.degree - 1, out)
 
 
@@ -120,14 +109,7 @@ def casimir_action(octx: OperatorContext, F: Cochain) -> Cochain:
         for j in range(amb.dim):
             inner = amb.bracket_vec({j: Fraction(1)}, vec)
             if inner:
-                b = amb.bracket_vec(octx.dual[j], inner)
-                if b:
-                    for k, v in b.items():
-                        nv = acc.get(k, 0) + v
-                        if nv == 0:
-                            acc.pop(k, None)
-                        else:
-                            acc[k] = nv
+                vec_add(acc, amb.bracket_vec(octx.dual[j], inner))
         if acc:
             out[tup] = acc
     return Cochain(octx.gg, F.degree, out)
@@ -213,8 +195,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
     gens = reductive_generators(sw)
     inv = invariant_cochains(ns, q, gens)
     cocycles = []
-    cols = [dict(coboundary(f).items()) for f in inv]
-    for coeffs in sparse_kernel_basis(cols):
+    for coeffs in sparse_kernel_basis([coboundary(f) for f in inv]):
         f = ns.zero(q)
         for g, c in zip(inv, coeffs):
             if c != 0:
@@ -226,8 +207,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
         return cert
 
     inv_prev = invariant_cochains(ns, q - 1, gens) if q > 0 else []
-    b_cols = [dict(coboundary(g).items()) for g in inv_prev]
-    b_rank = sparse_rank(b_cols)
+    b_span = Echelon(coboundary(g) for g in inv_prev)
 
     images = []
     for idx, f in enumerate(cocycles):
@@ -258,7 +238,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
         uniform = proportional and len(set(scalars)) <= 1
         eigenvalue = scalars[0] if uniform and scalars else None
         positive = all(s > 0 for s in scalars)
-        in_b = sparse_rank(b_cols + [dict(image.items())]) == b_rank
+        in_b = b_span.contains(image)
         predicted = predicted_entry_scalars(octx, f)
         matches = predicted is not None and predicted == scalars
         cert.witnesses.append(CocycleWitness(
@@ -266,8 +246,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
             predicted, matches))
         if not in_b:
             cert.success = False
-    image_cols = [dict(im.items()) for im in images]
-    cert.injective = sparse_rank(image_cols) == len(cocycles)
+    cert.injective = sparse_rank(images) == len(cocycles)
     # the actual matrix of delta k psi on Z^q(n,s)^r, and its spectrum sign
     try:
         mat = _map_matrix(cocycles, images)

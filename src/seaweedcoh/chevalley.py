@@ -13,22 +13,12 @@ from itertools import combinations
 from pathlib import Path
 
 from . import rootsystem
-from .exactlin import Matrix
+from .exactlin import Matrix, vec_add
 from .rootsystem import RootSystem
 
 
 class JacobiError(ValueError):
     pass
-
-
-def _vec_add(acc, other, scale=1):
-    for k, v in other.items():
-        nv = acc.get(k, 0) + scale * v
-        if nv == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = nv
-    return acc
 
 
 def _num(x):
@@ -103,7 +93,7 @@ class LieAlgebra:
                     continue
                 b = self.bracket(i, j)
                 if b:
-                    _vec_add(acc, b, ci * cj)
+                    vec_add(acc, b, ci * cj)
         return acc
 
     def ad(self, i):
@@ -121,9 +111,9 @@ class LieAlgebra:
     def check_jacobi(self):
         for i, j, k in combinations(range(self.dim), 3):
             acc = {}
-            _vec_add(acc, self.bracket_vec(self.bracket(i, j), {k: 1}))
-            _vec_add(acc, self.bracket_vec(self.bracket(j, k), {i: 1}))
-            _vec_add(acc, self.bracket_vec(self.bracket(k, i), {j: 1}))
+            vec_add(acc, self.bracket_vec(self.bracket(i, j), {k: 1}))
+            vec_add(acc, self.bracket_vec(self.bracket(j, k), {i: 1}))
+            vec_add(acc, self.bracket_vec(self.bracket(k, i), {j: 1}))
             if acc:
                 raise JacobiError(
                     f"Jacobi identity fails on basis triple "

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from functools import lru_cache
 
 from . import chevalley, rootsystem
@@ -262,9 +263,7 @@ def _enumerate_one(packed):
     type_label, rank, pi1, pi2, max_degree, strict = packed
     spec = SeaweedSpec(type_label, rank, frozenset(pi1), frozenset(pi2))
     sw = build_seaweed(_ambient(type_label, rank), spec)
-    report = verify_report(sw, spec, max_degree=max_degree,
-                           strict_paper=strict)
-    return json.dumps(report)
+    return verify_report(sw, spec, max_degree=max_degree, strict_paper=strict)
 
 
 def cmd_enumerate(args):
@@ -272,20 +271,20 @@ def cmd_enumerate(args):
     packed = [(s.type_label, s.rank, tuple(sorted(s.pi1)),
                tuple(sorted(s.pi2)), args.max_degree, args.strict_paper)
               for s in specs]
-    if args.jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
-            lines = pool.map(_enumerate_one, packed)
-    else:
-        lines = [_enumerate_one(p) for p in packed]
     summary = {"schema_version": SCHEMA_VERSION, "type": args.type,
-               "max_rank": args.max_rank, "total": len(lines),
+               "max_rank": args.max_rank, "total": len(packed),
                "indecomposable": 0, "decomposable": 0,
                "rigid_verified": 0, "cg_verified": 0, "failures": 0}
-    out = open(args.out, "w") if args.out else None
-    try:
-        for line in lines:
-            rec = json.loads(line)
+    with ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w")) if args.out else None
+        if args.jobs > 1:
+            import multiprocessing
+            pool = stack.enter_context(multiprocessing.Pool(args.jobs))
+            records = pool.imap(_enumerate_one, packed)
+        else:
+            records = map(_enumerate_one, packed)
+        # each record is written as soon as it (and those before it) finish
+        for rec in records:
             if rec["indecomposable"]:
                 summary["indecomposable"] += 1
                 if rec["ok"]:
@@ -297,10 +296,7 @@ def cmd_enumerate(args):
             if not rec["ok"]:
                 summary["failures"] += 1
             if out:
-                out.write(line + "\n")
-    finally:
-        if out:
-            out.close()
+                out.write(json.dumps(rec) + "\n")
     print(json.dumps(summary, indent=2))
     return 0 if summary["failures"] == 0 else 1
 

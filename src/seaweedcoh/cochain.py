@@ -19,18 +19,8 @@ from itertools import combinations
 from math import comb
 
 from .chevalley import LieAlgebra
-from .exactlin import (Matrix, sparse_kernel_basis, sparse_rank,
-                       sparse_rank_modp)
-
-
-def _vec_add(acc, other, scale=1):
-    for k, v in other.items():
-        nv = acc.get(k, 0) + scale * v
-        if nv == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = nv
-    return acc
+from .exactlin import (Echelon, InvariantError, Matrix, sparse_kernel_basis,
+                       sparse_rank, vec_add)
 
 
 class ComplexContext:
@@ -189,65 +179,31 @@ class ComplexContext:
         basis = self.basis_by_grade(q).get(grade, [])
         return [dict(self.delta_column(tup, k)) for tup, k in basis]
 
-    def _block_rank(self, q, grade, exact=False):
-        """Rank of delta_q on one weight block; [value, certified] cached.
-
-        The first pass works modulo a large prime, which can only
-        underestimate; `exact=True` (or the certificate in cohomology_dims)
-        upgrades the entry with the fraction-free elimination.
-        """
-        if q < 0 or q > self.n:
-            return [0, True]
-        key = (q, grade)
-        entry = self._rank_cache.get(key)
-        if entry is None:
-            cols = self._block_columns(q, grade)
-            try:
-                entry = [sparse_rank_modp(cols), False]
-            except ZeroDivisionError:
-                entry = [sparse_rank(cols), True]
-            self._rank_cache[key] = entry
-        if exact and not entry[1]:
-            entry[0] = sparse_rank(self._block_columns(q, grade))
-            entry[1] = True
-        return entry
-
-    def rank_delta(self, q):
-        """Rank of delta_q : C^q -> C^{q+1}, exact."""
+    def _block_rank(self, q, grade):
+        """Rank of delta_q on one weight block (cached)."""
         if q < 0 or q > self.n:
             return 0
-        return sum(self._block_rank(q, g, exact=True)[0]
-                   for g in self.basis_by_grade(q))
+        key = (q, grade)
+        rk = self._rank_cache.get(key)
+        if rk is None:
+            rk = self._rank_cache[key] = sparse_rank(
+                self._block_columns(q, grade))
+        return rk
 
     def cohomology_dims(self, q):
-        """(dim Z^q, dim B^q, dim H^q).
-
-        Blockwise ranks are certified exact whenever the modular lower bounds
-        already fill the block (rank delta_q + rank delta_{q-1} = dim C^q on
-        the block, which pins both from below and above); anything short of
-        that is recomputed exactly.
-        """
+        """(dim Z^q, dim B^q, dim H^q), summed over the weight blocks."""
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
         grades = set(self.basis_by_grade(q))
-        if 0 < q <= self.n + 1:
+        if q > 0:
             grades |= set(self.basis_by_grade(q - 1))
         z = b = 0
-        for g in sorted(grades):
-            dim_g = len(self.basis_by_grade(q).get(g, []))
-            rq = self._block_rank(q, g)
-            rp = self._block_rank(q - 1, g) if q > 0 else [0, True]
-            if not (rq[1] and rp[1]):
-                if rq[0] + rp[0] == dim_g:
-                    rq[1] = rp[1] = True
-                else:
-                    rq = self._block_rank(q, g, exact=True)
-                    rp = (self._block_rank(q - 1, g, exact=True)
-                          if q > 0 else [0, True])
-            z += dim_g - rq[0]
-            b += rp[0]
+        for g in grades:
+            z += len(self.basis_by_grade(q).get(g, [])) - self._block_rank(q, g)
+            b += self._block_rank(q - 1, g)
         h = z - b
-        assert h >= 0
+        if h < 0:
+            raise InvariantError(f"negative cohomology dimension at q={q}")
         return CohomologyDims(z, b, h)
 
     def cocycle_basis(self, q):
@@ -269,29 +225,12 @@ class ComplexContext:
             return []
         out = []
         for grade, basis in sorted(self.basis_by_grade(q - 1).items()):
-            pivot_rows = {}
+            span = Echelon()
             for tup, k in basis:
                 col = dict(self.delta_column(tup, k))
-                vec = dict(col)
-                while vec:
-                    r = min(vec, key=_rowkey)
-                    piv = pivot_rows.get(r)
-                    if piv is None:
-                        pivot_rows[r] = vec
-                        out.append(Cochain(self, q, _to_data(col)))
-                        break
-                    f = vec[r] / piv[r]
-                    for pr, pv in piv.items():
-                        nv = vec.get(pr, 0) - f * pv
-                        if nv == 0:
-                            vec.pop(pr, None)
-                        else:
-                            vec[pr] = nv
+                if span.add(col):
+                    out.append(Cochain(self, q, _to_data(col)))
         return out
-
-
-def _rowkey(row):
-    return row
 
 
 def _to_data(col):
@@ -364,16 +303,12 @@ class Cochain:
             for k, c in vec.items():
                 yield (tup, k), c
 
-    def copy(self):
-        return Cochain(self.context, self.degree,
-                       {t: dict(v) for t, v in self.data.items()})
-
     def add(self, other, scale=1):
         if other.context is not self.context or other.degree != self.degree:
             raise ValueError("cochain mismatch")
         out = {t: dict(v) for t, v in self.data.items()}
         for t, vec in other.data.items():
-            _vec_add(out.setdefault(t, {}), vec, scale)
+            vec_add(out.setdefault(t, {}), vec, scale)
         return Cochain(self.context, self.degree, out)
 
     def scale(self, c):
@@ -404,16 +339,10 @@ class Cochain:
         _eval_rec(self, list(vecs), [], Fraction(1), acc)
         return acc
 
-    def as_dense(self):
-        out = {}
-        for tup, vec in self.data.items():
-            out[tup] = [vec.get(k, 0) for k in range(self.context.m)]
-        return out
-
 
 def _eval_rec(f, vecs, chosen, coeff, acc):
     if not vecs:
-        _vec_add(acc, f.evaluate(chosen), coeff)
+        vec_add(acc, f.evaluate(chosen), coeff)
         return
     head, rest = vecs[0], vecs[1:]
     for i, c in head.items():
@@ -422,46 +351,16 @@ def _eval_rec(f, vecs, chosen, coeff, acc):
 
 
 def coboundary(f: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential.
+    """Chevalley-Eilenberg differential: `delta_column`, extended linearly.
 
     (delta f)(x_0..x_q) = sum_i (-1)^i x_i . f(..x^_i..)
                         + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..x^_i..x^_j..)
     """
     ctx = f.context
-    q = f.degree
-    out = {}
-    for tup, vec in f.data.items():
-        tset = set(tup)
-        # action terms: S = tup + {m}
-        for mdx in range(ctx.n):
-            if mdx in tset:
-                continue
-            acted = {}
-            for k, c in vec.items():
-                a = ctx.act[mdx].get(k)
-                if a:
-                    _vec_add(acted, a, c)
-            if not acted:
-                continue
-            s, pos = _insert(tup, mdx)
-            sign = -1 if pos % 2 else 1
-            _vec_add(out.setdefault(s, {}), acted, sign)
-        # bracket terms: replace t in tup by a pair (a, b)
-        for tpos, t in enumerate(tup):
-            hits = ctx.pairs_hitting.get(t)
-            if not hits:
-                continue
-            rest = tup[:tpos] + tup[tpos + 1:]
-            rset = set(rest)
-            sigma = -1 if tpos % 2 else 1
-            for a, b, c in hits:
-                if a in rset or b in rset:
-                    continue
-                s, ia = _insert(rest, a)
-                s, ib = _insert(s, b)
-                sign = -1 if (ia + ib) % 2 else 1
-                _vec_add(out.setdefault(s, {}), vec, sign * sigma * c)
-    return Cochain(ctx, q + 1, out)
+    acc = {}
+    for (tup, k), c in f.items():
+        vec_add(acc, dict(ctx.delta_column(tup, k)), c)
+    return Cochain(ctx, f.degree + 1, _to_data(acc))
 
 
 def _insert(tup, x):
@@ -484,9 +383,9 @@ def lie_derivative(x_vec, f: Cochain, acting=None) -> Cochain:
         for k, c in vec.items():
             col = a_mod.get(k)
             if col:
-                _vec_add(mu, col, c)
+                vec_add(mu, col, c)
         if mu:
-            _vec_add(out.setdefault(tup, {}), mu)
+            vec_add(out.setdefault(tup, {}), mu)
         for tpos, t in enumerate(tup):
             rest = tup[:tpos] + tup[tpos + 1:]
             rset = set(rest)
@@ -498,12 +397,12 @@ def lie_derivative(x_vec, f: Cochain, acting=None) -> Cochain:
                 if c == 0 or u in rset:
                     continue
                 if u == t:
-                    _vec_add(out.setdefault(tup, {}), vec, -c)
+                    vec_add(out.setdefault(tup, {}), vec, -c)
                     continue
                 s, pu = _insert(rest, u)
                 pt = tpos
                 sign = -1 if (pt + pu) % 2 else 1
-                _vec_add(out.setdefault(s, {}), vec, -sign * c)
+                vec_add(out.setdefault(s, {}), vec, -sign * c)
     return Cochain(ctx, f.degree, out)
 
 
@@ -595,36 +494,28 @@ def invariant_cohomology_dims(ctx: ComplexContext, q, generators,
     """
     inv_q = invariant_cochains(ctx, q, generators)
     inv_prev = invariant_cochains(ctx, q - 1, generators) if q > 0 else []
-    z_cols = [dict(coboundary(f).items()) for f in inv_q]
-    z_dim = len(inv_q) - sparse_rank(z_cols)
-    b_cols = [dict(coboundary(f).items()) for f in inv_prev]
-    b_dim = sparse_rank(b_cols)
+    z_dim = len(inv_q) - sparse_rank([coboundary(f) for f in inv_q])
+    b_dim = sparse_rank([coboundary(f) for f in inv_prev])
     consistent = True
     if check_consistency and q > 0:
-        consistent = _coboundary_consistency(ctx, q, inv_q, b_cols, b_dim)
+        consistent = _coboundary_consistency(ctx, q, inv_q, b_dim)
     h = z_dim - b_dim
-    assert h >= 0
+    if h < 0:
+        raise InvariantError(f"negative invariant cohomology at q={q}")
     return InvariantCohomologyDims(z_dim, b_dim, h, consistent)
 
 
-def _coboundary_consistency(ctx, q, inv_q, b_cols, b_dim):
+def _coboundary_consistency(ctx, q, inv_q, b_dim):
     """dim(B^q cap invariants) == dim delta(invariant (q-1)-cochains)?"""
-    inv_cols = [dict(f.items()) for f in inv_q]
-    if not inv_cols:
+    if not inv_q:
         return b_dim == 0
     grades = {ctx.grade(tup, k) for f in inv_q for (tup, k), _ in f.items()}
-    full_cols = []
-    for grade in sorted(grades):
-        for tup, k in ctx.basis_by_grade(q - 1).get(grade, []):
-            full_cols.append(dict(ctx.delta_column(tup, k)))
-    r_b0 = sparse_rank(full_cols)
-    r_i = sparse_rank(inv_cols)
-    r_union = sparse_rank(full_cols + inv_cols)
-    return (r_b0 + r_i - r_union) == b_dim
-
-
-def cohomology_dims(ctx: ComplexContext, q):
-    return ctx.cohomology_dims(q)
+    span = Echelon(dict(ctx.delta_column(tup, k)) for grade in sorted(grades)
+                   for tup, k in ctx.basis_by_grade(q - 1).get(grade, []))
+    r_b0 = span.rank
+    for f in inv_q:
+        span.add(f)
+    return r_b0 + sparse_rank(inv_q) - span.rank == b_dim
 
 
 def _units(indices):

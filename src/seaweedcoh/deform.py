@@ -14,11 +14,8 @@ from itertools import combinations
 
 from .chevalley import LieAlgebra
 from .cochain import Cochain, coboundary
+from .exactlin import Echelon, vec_add
 from .seaweed import Seaweed, center, seaweed_from_algebra
-
-
-def _member_algebra(sw: Seaweed) -> LieAlgebra:
-    return sw.algebra()
 
 
 def _f2_member_table(sw: Seaweed, f2: Cochain):
@@ -51,13 +48,7 @@ def _materialize(base: LieAlgebra, table, t) -> LieAlgebra:
     brackets = {}
     for i in range(base.dim):
         for j in range(i + 1, base.dim):
-            vec = dict(base.bracket(i, j))
-            for k, v in table.get((i, j), {}).items():
-                nv = vec.get(k, 0) + t * v
-                if nv == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
+            vec = vec_add(dict(base.bracket(i, j)), table.get((i, j), {}), t)
             if vec:
                 brackets[(i, j)] = vec
     return LieAlgebra(base.dim, brackets, base.labels, base.cartan,
@@ -68,7 +59,7 @@ def deform(sw: Seaweed, f2: Cochain, t) -> DeformedAlgebra:
     """Materialize the deformed structure constants; Jacobi is NOT assumed."""
     if f2.degree != 2:
         raise ValueError("deformation direction must have degree 2")
-    base = _member_algebra(sw)
+    base = sw.algebra()
     out = DeformedAlgebra(base, f2, Fraction(t))
     out._table = _f2_member_table(sw, f2)
     return out
@@ -92,12 +83,7 @@ def jacobi_in_t(sw: Seaweed, f2: Cochain):
             # values live in the module = s; feed them back as arguments
             outer = f2.evaluate_vectors([_module_to_domain(f2.context, inner),
                                          {c: Fraction(1)}])
-            for kk, vv in outer.items():
-                nv = acc.get(kk, 0) + vv
-                if nv == 0:
-                    acc.pop(kk, None)
-                else:
-                    acc[kk] = nv
+            vec_add(acc, outer)
         if acc:
             quadratic = False
             break
@@ -108,12 +94,7 @@ def _module_to_domain(ctx, vec):
     """Convert module coordinates to domain coordinates (same span for (s,s))."""
     amb = {}
     for k, c in vec.items():
-        for i, v in ctx.module[k].items():
-            nv = amb.get(i, 0) + c * v
-            if nv == 0:
-                amb.pop(i, None)
-            else:
-                amb[i] = nv
+        vec_add(amb, ctx.module[k], c)
     out = ctx._dom_solver.coords(amb)
     if out is None:
         raise ValueError("deformation direction leaves the domain span")
@@ -142,28 +123,11 @@ def invariant_profile(L: LieAlgebra) -> InvariantProfile:
 
 def _span_brackets(L, vectors):
     """Independent spanning set of [span(vectors), span(vectors)]."""
-    cols = []
+    span = Echelon()
+    basis = []
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             b = L.bracket_vec(vectors[i], vectors[j])
-            if b:
-                cols.append(b)
-    pivots = {}
-    basis = []
-    for col in cols:
-        vec = dict(col)
-        while vec:
-            r = min(vec)
-            piv = pivots.get(r)
-            if piv is None:
-                pivots[r] = vec
-                basis.append(col)
-                break
-            f = vec[r] / piv[r]
-            for pr, pv in piv.items():
-                nv = vec.get(pr, 0) - f * pv
-                if nv == 0:
-                    vec.pop(pr, None)
-                else:
-                    vec[pr] = nv
+            if span.add(b):
+                basis.append(b)
     return basis

@@ -1,8 +1,10 @@
-"""Exact rational dense linear algebra: rank, kernel, membership.
+"""Exact linear algebra over the rationals.
 
-All entries are `fractions.Fraction`, so every result is exact.  Pivoting is
-deterministic (first nonzero entry in column order), which makes kernel bases
-reproducible across runs.
+`Matrix` is a dense Fraction matrix (rank, kernel, solve, inverse) for the
+small dense systems and as the reference the sparse engine is tested
+against.  `Echelon` is the one sparse elimination engine: incremental,
+fraction-free over the integers, with optional kernel relations.  Pivoting
+is deterministic in both, so kernel bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
 
-Vector = list  # list of Fraction
+class InvariantError(ValueError):
+    """An internal invariant of an exact computation does not hold."""
 
 
 def _frac(x) -> Fraction:
@@ -64,11 +66,6 @@ class Matrix:
         return [sum((self.data[i][j] * v[j] for j in range(self.ncols)), Fraction(0))
                 for i in range(self.nrows)]
 
-    def stack(self, other):
-        if other.ncols != self.ncols:
-            raise ValueError("column mismatch")
-        return Matrix(self.data + other.data)
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.data == other.data
 
@@ -112,7 +109,8 @@ class Matrix:
                 v[pc] = -red.data[r][fc]
             lead = next(x for x in v if x != 0)
             basis.append([x / lead for x in v])
-        assert len(basis) == self.ncols - len(pivots)
+        if len(basis) != self.ncols - len(pivots):
+            raise InvariantError("kernel dimension disagrees with the rank")
         return basis
 
     def solve(self, v):
@@ -140,17 +138,15 @@ class Matrix:
         return Matrix([row[n:] for row in red.data])
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix):
-    return m.kernel_basis()
-
-
-def membership(m: Matrix, v):
-    """Coefficients c with m @ c == v exactly, or None when v is not in the span."""
-    return m.solve(v)
+def vec_add(acc, other, scale=1):
+    """acc += scale * other for sparse {key: value} dicts, dropping zeros."""
+    for k, v in other.items():
+        nv = acc.get(k, 0) + scale * v
+        if nv == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = nv
+    return acc
 
 
 # Sparse elimination over column dictionaries.  This is the workhorse behind
@@ -163,7 +159,7 @@ _CONTENT_LIMIT = 1 << 128
 
 
 def _integerize(col):
-    """Integer-valued copy of a column, scaled by the denominator lcm."""
+    """(integer copy of a column, the denominator lcm it was scaled by)."""
     vec = {}
     scale = 1
     for r, v in col.items():
@@ -179,110 +175,115 @@ def _integerize(col):
     else:
         for r, v in vec.items():
             vec[r] = int(v)
-    return vec
+    return vec, scale
 
 
-def _reduce_content(vec):
+def _reduce_content(vec, comb=None):
+    """Divide a column (and its combination) by their common content."""
+    parts = (vec,) if comb is None else (vec, comb)
     g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    for part in parts:
+        for v in part.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
     if g > 1:
-        for r in vec:
-            vec[r] //= g
+        for part in parts:
+            for r in part:
+                part[r] //= g
 
 
-def sparse_rank(columns) -> int:
-    """Rank of a matrix given as an iterable of {row: value} columns."""
-    pivot_rows = {}
-    rk = 0
-    for col in columns:
-        vec = _integerize(col)
+class Echelon:
+    """Incremental echelon form of {row: value} columns, exact.
+
+    Each column is reduced against the stored pivots, the pivot row of a
+    stored column being its smallest row key.  With `track=True` every pivot
+    also carries its combination of the input columns, and `kernel()` gives
+    one relation per dependent column.  Columns may be anything with an
+    `items()` of (row, value) pairs whose values are ints or Fractions.
+    """
+
+    def __init__(self, columns=(), track=False):
+        self._pivots = {}      # pivot row -> integer column
+        self._combs = {} if track else None   # pivot row -> combination
+        self._relations = []
+        self.count = 0         # columns added
+        for col in columns:
+            self.add(col)
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def _reduce(self, vec, comb):
+        """Reduce `vec` in place; its new pivot row, or None if it vanished."""
+        pivots, combs = self._pivots, self._combs
         while vec:
             r = min(vec)
-            piv = pivot_rows.get(r)
+            piv = pivots.get(r)
             if piv is None:
-                _reduce_content(vec)
-                pivot_rows[r] = vec
-                rk += 1
-                break
+                return r
             a, b = vec[r], piv[r]
             if b != 1:
                 for k in vec:
                     vec[k] *= b
-            for pr, pv in piv.items():
-                nv = vec.get(pr, 0) - a * pv
-                if nv == 0:
-                    vec.pop(pr, None)
-                else:
-                    vec[pr] = nv
+            vec_add(vec, piv, -a)
+            if comb is not None:
+                if b != 1:
+                    for k in comb:
+                        comb[k] *= b
+                vec_add(comb, combs[r], -a)
             if abs(a) > _CONTENT_LIMIT or abs(b) > _CONTENT_LIMIT:
-                _reduce_content(vec)
-        # empty vec: dependent column
-    return rk
+                _reduce_content(vec, comb)
+        return None
+
+    def add(self, col) -> bool:
+        """Add a column; True when it was independent of those before."""
+        vec, scale = _integerize(col)
+        comb = {self.count: scale} if self._combs is not None else None
+        self.count += 1
+        r = self._reduce(vec, comb)
+        if r is None:
+            if comb is not None:
+                self._relations.append(comb)
+            return False
+        _reduce_content(vec, comb)
+        self._pivots[r] = vec
+        if comb is not None:
+            self._combs[r] = comb
+        return True
+
+    def contains(self, col) -> bool:
+        """Whether `col` lies in the span of the columns added so far."""
+        return self._reduce(_integerize(col)[0], None) is None
+
+    def kernel(self):
+        """One {column index: coefficient} relation per dependent column.
+
+        The relation of column j is supported on j and the independent
+        columns before it, and its first nonzero coefficient is 1: exactly
+        the kernel vector that `Matrix.kernel_basis` builds for that column.
+        """
+        out = []
+        for comb in self._relations:
+            lead = comb[min(comb)]
+            out.append({c: Fraction(v, lead) for c, v in sorted(comb.items())})
+        return out
 
 
-_RANK_PRIME = (1 << 61) - 1
-_INV_CACHE = {}
-
-
-def _inv_modp(den, p):
-    key = (den, p)
-    cached = _INV_CACHE.get(key)
-    if cached is None:
-        cached = _INV_CACHE[key] = pow(den, p - 2, p)
-    return cached
-
-
-def sparse_rank_modp(columns, p=_RANK_PRIME) -> int:
-    """Rank over GF(p): a lower bound for the rational rank.
-
-    Used as a fast first pass; callers certify exactness against a dimension
-    bound (rank can only drop modulo p) and rerun `sparse_rank` otherwise.
-    """
-    pivot_rows = {}
-    rk = 0
-    for col in columns:
-        vec = {}
-        for r, v in col.items():
-            if isinstance(v, Fraction):
-                den = v.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError("denominator divisible by p")
-                val = v.numerator % p * _inv_modp(den, p) % p
-            else:
-                val = v % p
-            if val:
-                vec[r] = val
-        while vec:
-            r = min(vec)
-            piv = pivot_rows.get(r)
-            if piv is None:
-                inv = pow(vec[r], p - 2, p)
-                pivot_rows[r] = {k: v * inv % p for k, v in vec.items()}
-                rk += 1
-                break
-            f = vec.pop(r)
-            for pr, pv in piv.items():
-                if pr == r:
-                    continue
-                nv = (vec.get(pr, 0) - f * pv) % p
-                if nv:
-                    vec[pr] = nv
-                else:
-                    vec.pop(pr, None)
-    return rk
+def sparse_rank(columns) -> int:
+    """Rank of a matrix given as an iterable of {row: value} columns."""
+    return Echelon(columns).rank
 
 
 def sparse_kernel_basis(columns):
-    """Kernel basis for sparse columns; returns dense coefficient vectors."""
-    cols = [{r: v for r, v in c.items() if v != 0} for c in columns]
-    n = len(cols)
-    rows = sorted({r for c in cols for r in c})
-    if not rows:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                for i in range(n)]
-    dense = Matrix.from_columns(
-        [[c.get(r, 0) for r in rows] for c in cols], nrows=len(rows))
-    return dense.kernel_basis()
+    """Kernel basis of sparse columns as dense coefficient vectors, in the
+    order and normalization of `Matrix.kernel_basis`."""
+    ech = Echelon(columns, track=True)
+    out = []
+    for rel in ech.kernel():
+        v = [Fraction(0)] * ech.count
+        for c, x in rel.items():
+            v[c] = x
+        out.append(v)
+    return out

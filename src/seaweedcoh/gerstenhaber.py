@@ -14,7 +14,7 @@ from math import comb
 
 from .cochain import (Cochain, ComplexContext, adjoint_context, coboundary,
                       quotient_context)
-from .exactlin import sparse_rank
+from .exactlin import Echelon, InvariantError, vec_add
 from .seaweed import CenterSplit, split_over_center
 
 
@@ -44,18 +44,11 @@ def quotient_cohomology(sw, j, split=None, want_representatives=None):
 
 
 def _class_representatives(ctx, q, expect):
-    cocycles = ctx.cocycle_basis(q)
-    boundaries = [dict(b.items()) for b in ctx.coboundary_basis(q)]
-    reps = []
-    rank = sparse_rank(boundaries)
-    current = list(boundaries)
-    for z in cocycles:
-        trial = current + [dict(z.items())]
-        r = sparse_rank(trial)
-        if r > rank:
-            reps.append(z)
-            current, rank = trial, r
-    assert len(reps) == expect
+    span = Echelon(ctx.coboundary_basis(q))
+    reps = [z for z in ctx.cocycle_basis(q) if span.add(z)]
+    if len(reps) != expect:
+        raise InvariantError(
+            f"{len(reps)} class representatives for dim H^{q} = {expect}")
     return reps
 
 
@@ -157,29 +150,13 @@ def cup_with_center(split: CenterSplit, f1: Cochain, z_functional=None,
     for p in proj:
         val = {}
         for qi, c in p.items():
-            for k, v in f1.data.get((qi,), {}).items():
-                nv = val.get(k, 0) + c * v
-                if nv == 0:
-                    val.pop(k, None)
-                else:
-                    val[k] = nv
+            vec_add(val, f1.data.get((qi,), {}), c)
         f1_on.append(val)
     data = {}
     for a in range(len(member)):
         for b in range(a + 1, len(member)):
-            vec = {}
-            for k, v in f1_on[b].items():
-                nv = vec.get(k, 0) + zstar[a] * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for k, v in f1_on[a].items():
-                nv = vec.get(k, 0) - zstar[b] * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
+            vec = vec_add({}, f1_on[b], zstar[a])
+            vec_add(vec, f1_on[a], -zstar[b])
             if vec:
                 data[(a, b)] = vec
     phi = Cochain(ctx, 2, data)
@@ -190,9 +167,7 @@ def cup_with_center(split: CenterSplit, f1: Cochain, z_functional=None,
 
 def is_coboundary(ctx: ComplexContext, f: Cochain) -> bool:
     """Membership of f in B^q, decided exactly."""
-    cols = [dict(b.items()) for b in ctx.coboundary_basis(f.degree)]
-    base = sparse_rank(cols)
-    return sparse_rank(cols + [dict(f.items())]) == base
+    return Echelon(ctx.coboundary_basis(f.degree)).contains(f)
 
 
 def cohomologous(ctx: ComplexContext, f: Cochain, g: Cochain) -> bool:

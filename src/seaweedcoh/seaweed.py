@@ -15,7 +15,7 @@ from itertools import permutations
 
 from . import rootsystem
 from .chevalley import LieAlgebra, subalgebra
-from .exactlin import Matrix, sparse_kernel_basis
+from .exactlin import InvariantError, Matrix, sparse_kernel_basis
 
 _cached_build = lru_cache(maxsize=None)(rootsystem.build)
 
@@ -53,9 +53,6 @@ class SeaweedSpec:
     @classmethod
     def make(cls, type_label, rank, pi1, pi2):
         return cls(type_label, rank, frozenset(pi1), frozenset(pi2))
-
-    def sorted_pi(self):
-        return sorted(self.pi1), sorted(self.pi2)
 
 
 def is_indecomposable(spec: SeaweedSpec) -> bool:
@@ -131,7 +128,8 @@ def _partition(g, spec, member):
             dual.append(opp)
     rest = tuple(sorted(set(range(g.dim)) - member_set - set(dual)))
     sw = Seaweed(g, spec, member, tuple(red), tuple(nil), tuple(dual), rest)
-    assert not set(dual) & member_set
+    if set(dual) & member_set:
+        raise InvariantError("a dual partner of n lies inside s")
     return sw
 
 
@@ -150,7 +148,8 @@ def center(sw: Seaweed):
     for coeffs in kernel:
         vec = _primitive({i: c for i, c in zip(sw.member, coeffs) if c != 0})
         cartan_like = set(sw.ambient.cartan) | (set(sw.member) - set(sw.ambient.root_of))
-        assert set(vec) <= cartan_like, "central vector outside the Cartan"
+        if not set(vec) <= cartan_like:
+            raise InvariantError("central vector outside the Cartan")
         out.append(vec)
     return out
 
@@ -272,7 +271,8 @@ def quotient_components(spec: SeaweedSpec):
         pi2 = frozenset(relabel[i] for i in spec.pi2 if i in relabel)
         out.append(SeaweedSpec(type_label, len(comp), pi1, pi2))
     for sub in out:
-        assert is_indecomposable(sub)
+        if not is_indecomposable(sub):
+            raise InvariantError(f"component {sub} is not indecomposable")
     return out
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seaweedcoh.exactlin import (Matrix, kernel_basis, membership, rank,
-                                 sparse_kernel_basis, sparse_rank)
+from seaweedcoh.exactlin import (Echelon, Matrix, sparse_kernel_basis,
+                                 sparse_rank)
 
 
 def cofactor_det(rows):
@@ -23,22 +23,22 @@ def cofactor_det(rows):
 
 
 def test_rank_identity_and_zero():
-    assert rank(Matrix.identity(3)) == 3
-    assert rank(Matrix.zero(4, 6)) == 0
+    assert Matrix.identity(3).rank() == 3
+    assert Matrix.zero(4, 6).rank() == 0
 
 
 def test_rank_killing_a2(a2_fixture):
     k = a2_fixture.killing_matrix()
-    assert rank(k) == 8
+    assert k.rank() == 8
     assert cofactor_det(k.data) != 0
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(3)) == []
+    assert Matrix.identity(3).kernel_basis() == []
 
 
 def test_kernel_single_relation():
-    basis = kernel_basis(Matrix([[2, 3]]))
+    basis = Matrix([[2, 3]]).kernel_basis()
     assert len(basis) == 1
     v = basis[0]
     assert 2 * v[0] + 3 * v[1] == 0
@@ -54,7 +54,7 @@ def test_kernel_g2_constrained_system():
         [0, 0, 4, 0, 0, 6, 0, 0, 0],
     ]
     m = Matrix(rows)
-    basis = kernel_basis(m)
+    basis = m.kernel_basis()
     assert len(basis) == 6
     for v in basis:
         assert all(x == 0 for x in m.matvec(v))
@@ -62,45 +62,45 @@ def test_kernel_g2_constrained_system():
 
 def test_membership_zero_vector():
     m = Matrix([[1, 2], [3, 4]])
-    c = membership(m, [0, 0])
+    c = m.solve([0, 0])
     assert c == [0, 0]
 
 
 def test_membership_witness_and_outside():
     m = Matrix([[1], [2]])  # rank 1 column
-    assert membership(m, [2, 4]) == [2]
-    assert membership(m, [1, 3]) is None
+    assert m.solve([2, 4]) == [2]
+    assert m.solve([1, 3]) is None
 
 
 def test_membership_a2_invariant_coboundary():
     # delta of the diagonal invariant 1-cochains hits 2(c4 + c5 - c6) e6;
     # columns are the images of the three diagonal generators
     m = Matrix([[2, 2, -2]])
-    witness = membership(m, [1])
+    witness = m.solve([1])
     assert witness is not None
     c4, c5, c6 = witness
     assert 2 * (c4 + c5 - c6) == 1
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, scale=1):
     nrows = draw(st.integers(1, 5))
     ncols = draw(st.integers(1, 5))
     vals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    rows = [[draw(vals) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[draw(vals) * scale for _ in range(ncols)] for _ in range(nrows)]
     return Matrix(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
+    assert m.rank() + len(m.kernel_basis()) == m.ncols
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m):
+    for v in m.kernel_basis():
         assert all(x == 0 for x in m.matvec(v))
 
 
@@ -111,14 +111,19 @@ def test_membership_exact_witness(m, data):
                                      max_denominator=2))
               for _ in range(m.ncols)]
     v = m.matvec(coeffs)
-    witness = membership(m, v)
+    witness = m.solve(v)
     assert witness is not None
     assert m.matvec(witness) == v
 
 
+# entries near 2**130 exceed the content limit of the sparse elimination,
+# so its content reduction runs while kernel relations are tracked
 @settings(max_examples=40, deadline=None)
-@given(small_matrices())
+@given(st.one_of(small_matrices(), small_matrices(scale=2**130 + 1)))
 def test_sparse_matches_dense(m):
     cols = [{i: v for i, v in enumerate(col) if v != 0} for col in m.columns()]
     assert sparse_rank(cols) == m.rank()
-    assert len(sparse_kernel_basis(cols)) == len(m.kernel_basis())
+    assert sparse_kernel_basis(cols) == m.kernel_basis()
+    head = Matrix.from_columns(m.columns()[:-1], nrows=m.nrows)
+    in_span = head.solve(m.column(m.ncols - 1)) is not None
+    assert Echelon(cols[:-1]).contains(cols[-1]) == in_span

@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from seaweedcoh.cli import _all_specs, _ambient
+from seaweedcoh import seaweed
+from seaweedcoh.cli import _all_specs, _ambient, main
 from seaweedcoh.cochain import adjoint_context
+from seaweedcoh.exactlin import InvariantError
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 is_indecomposable, quotient_components,
                                 render_split_dynkin, seaweed_from_algebra,
@@ -183,3 +185,16 @@ def test_h0_equals_center(g2_fixture):
     sw = seaweed_from_algebra(g2_fixture)
     ctx = adjoint_context(sw)
     assert ctx.cohomology_dims(0).cohomology == len(center(sw))
+
+
+def test_broken_invariant_raises_and_exits_2(monkeypatch, capsys):
+    # a kernel engine that returns a root-vector direction as "central"
+    g = _ambient("A", 2)
+    sw = build_seaweed(g, spec("A", 2, [1], []))
+    pos = next(p for p, i in enumerate(sw.member) if i not in g.cartan)
+    direction = [F(int(p == pos)) for p in range(sw.dim)]
+    monkeypatch.setattr(seaweed, "sparse_kernel_basis", lambda cols: [direction])
+    with pytest.raises(InvariantError, match="outside the Cartan"):
+        center(sw)
+    assert main(["info", "--type", "A", "--rank", "2", "--pi1", "1"]) == 2
+    assert "outside the Cartan" in capsys.readouterr().err
