@@ -324,12 +324,17 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     rs = g.root_system
     if rs is None or not g.root_of:
         return None
-    sw = octx.seaweed
-    outside = [i for i in g.root_of
-               if i not in set(sw.nilradical) and i not in g.cartan]
-    kappa_ratio = _form_ratio(g, rs)
+    kappa_ratio = _form_ratio(g)
     if kappa_ratio is None:
         return None
+    sw = octx.seaweed
+    nil = set(sw.nilradical)
+    outside = []
+    for i, c in g.root_of.items():
+        if i not in nil and i not in g.cartan:
+            gamma = _root_vec(rs, c)
+            outside.append((gamma, tuple(-x for x in gamma),
+                            rs.pairing(gamma, gamma)))
     out = []
     for tup, vec in f.data.items():
         beta_c = None
@@ -340,15 +345,14 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
             return None  # value in the Cartan: the string formula does not apply
         beta = _root_vec(rs, beta_c)
         scalar = rs.pairing(beta, beta)
-        for i in outside:
-            gamma = _root_vec(rs, g.root_of[i])
+        for gamma, minus_gamma, sq in outside:
             if beta == gamma:
-                scalar += rs.pairing(gamma, gamma)
-            elif beta == tuple(-x for x in gamma):
+                scalar += sq
+            elif beta == minus_gamma:
                 continue
             else:
                 r, qq = rs.root_string(gamma, beta)
-                scalar += rs.pairing(gamma, gamma) * r * (qq + 1) / 2
+                scalar += sq * r * (qq + 1) / 2
         out.append(scalar * kappa_ratio)
     return out
 
@@ -361,13 +365,21 @@ def _root_vec(rs, coeffs):
     return v
 
 
-def _form_ratio(g: LieAlgebra, rs: RootSystem):
+def _form_ratio(g: LieAlgebra):
     """Ratio between the dual-basis form on roots and the root-system pairing.
 
     The invariant form B = form_scale * kappa induces a Weyl-invariant form on
     the root space, necessarily proportional to the normalized pairing; the
-    ratio is (theta, theta)_B / 2 for a long root theta.
+    ratio is (theta, theta)_B / 2 for a long root theta.  It depends on the
+    ambient algebra alone, so it is computed once per algebra.
     """
+    if not hasattr(g, "_form_ratio"):
+        g._form_ratio = _compute_form_ratio(g)
+    return g._form_ratio
+
+
+def _compute_form_ratio(g: LieAlgebra):
+    rs = g.root_system
     # (alpha, alpha)_B from the Cartan block: B(t_a, t_a) with B t_a = alpha
     cartan = list(g.cartan)
     if not cartan:

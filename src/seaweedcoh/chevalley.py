@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import rootsystem
-from .exactlin import Matrix, vec_add
+from .exactlin import Matrix, SpanSolver, vec_add
 from .rootsystem import RootSystem
 
 
@@ -424,16 +424,13 @@ def subalgebra(parent: LieAlgebra, vectors, labels=None, check=True) -> tuple:
     """
     vecs = [dict(v) for v in vectors]
     k = len(vecs)
-    mat = Matrix.from_columns(
-        [[v.get(i, 0) for i in range(parent.dim)] for v in vecs],
-        nrows=parent.dim)
+    solver = SpanSolver(parent.dim, vecs)
 
     def coords(vec):
-        dense = [vec.get(i, 0) for i in range(parent.dim)]
-        sol = mat.solve(dense)
-        if sol is None:
+        out = solver.coords(vec)
+        if out is None:
             raise ValueError("vector outside the subalgebra span")
-        return {i: c for i, c in enumerate(sol) if c != 0}
+        return out
 
     brackets = {}
     for i in range(k):

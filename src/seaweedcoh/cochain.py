@@ -6,8 +6,12 @@ Cochains are stored sparsely on strictly increasing index tuples.
 
 Ranks and nullities of the coboundary are computed blockwise: basis cochains
 are graded by their eigenvalues under the domain elements that act diagonally
-(Cartan elements), and the differential preserves that grading.  This keeps
-the eliminations small even when C^q itself is large.
+(Cartan elements), and the differential preserves that grading.  By the
+Cartan formula L_h = delta i_h + i_h delta (as in Hochschild-Serre, Ann. of
+Math. 57, 1953), the Lie derivative of a diagonal h is null-homotopic; on a
+block it is the scalar given by the block's weight, so every block of
+nonzero weight is acyclic and its ranks follow from block dimensions alone.
+Only the weight-zero block is eliminated.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add, sub
 
 from .chevalley import LieAlgebra
-from .exactlin import (Echelon, InvariantError, Matrix, sparse_kernel_basis,
-                       sparse_rank, vec_add)
+from .exactlin import (Echelon, InvariantError, SpanSolver,
+                       sparse_kernel_basis, sparse_rank, vec_add)
 
 
 class ComplexContext:
@@ -32,8 +37,8 @@ class ComplexContext:
         self.module = [dict(v) for v in module]
         self.n = len(self.domain)
         self.m = len(self.module)
-        self._dom_solver = _Solver(ambient.dim, self.domain)
-        self._mod_solver = _Solver(ambient.dim, self.module)
+        self._dom_solver = SpanSolver(ambient.dim, self.domain)
+        self._mod_solver = SpanSolver(ambient.dim, self.module)
         # domain bracket table and domain action on the module
         self.dbr = {}
         for i in range(self.n):
@@ -67,6 +72,8 @@ class ComplexContext:
         self._mod_weights = [self._mod_weight(k) for k in range(self.m)]
         self._rank_cache = {}
         self._basis_cache = {}
+        self._action_cache = {}
+        self._invariant_cache = {}
 
     # -- grading ----------------------------------------------------------
 
@@ -94,21 +101,27 @@ class ComplexContext:
         out = []
         for i in self._diag:
             if i == j:
-                out.append(Fraction(0))
+                out.append(0)
             else:
                 a, b = min(i, j), max(i, j)
                 vec = self.dbr.get((a, b), {})
                 w = vec.get(j, 0)
-                out.append(w if a == i else -w)
+                out.append(_exact(w if a == i else -w))
         return tuple(out)
 
     def _mod_weight(self, k):
-        return tuple(self.act[i].get(k, {}).get(k, 0) for i in self._diag)
+        return tuple(_exact(self.act[i].get(k, {}).get(k, 0))
+                     for i in self._diag)
+
+    def _dom_sum(self, tup):
+        out = (0,) * len(self._diag)
+        for j in tup:
+            out = tuple(map(add, out, self._dom_weights[j]))
+        return out
 
     def grade(self, tup, k):
-        mw = self._mod_weights[k]
-        dws = [self._dom_weights[j] for j in tup]
-        return tuple(m - sum(d[i] for d in dws) for i, m in enumerate(mw))
+        """Eigenvalues of the diagonal domain elements on a basis cochain."""
+        return tuple(map(sub, self._mod_weights[k], self._dom_sum(tup)))
 
     # -- basis bookkeeping --------------------------------------------------
 
@@ -121,9 +134,12 @@ class ComplexContext:
         cached = self._basis_cache.get(q)
         if cached is None:
             cached = {}
+            mod_weights = list(enumerate(self._mod_weights))
             for tup in combinations(range(self.n), q):
-                for k in range(self.m):
-                    cached.setdefault(self.grade(tup, k), []).append((tup, k))
+                dsum = self._dom_sum(tup)
+                for k, mw in mod_weights:
+                    cached.setdefault(tuple(map(sub, mw, dsum)), []).append(
+                        (tup, k))
             self._basis_cache[q] = cached
         return cached
 
@@ -180,14 +196,27 @@ class ComplexContext:
         return [dict(self.delta_column(tup, k)) for tup, k in basis]
 
     def _block_rank(self, q, grade):
-        """Rank of delta_q on one weight block (cached)."""
+        """Rank of delta_q on one weight block (cached).
+
+        A block of nonzero weight is acyclic (Cartan formula), so on it
+        rank delta_q = dim C^q - rank delta_(q-1)
+                     = sum_{i<=q} (-1)^(q-i) dim C^i,
+        with no elimination.  Only weight zero is eliminated.
+        """
         if q < 0 or q > self.n:
             return 0
         key = (q, grade)
         rk = self._rank_cache.get(key)
         if rk is None:
-            rk = self._rank_cache[key] = sparse_rank(
-                self._block_columns(q, grade))
+            if any(grade):
+                rk = (len(self.basis_by_grade(q).get(grade, ()))
+                      - self._block_rank(q - 1, grade))
+                if rk < 0:
+                    raise InvariantError(
+                        f"weight block {grade} at q={q} is not acyclic")
+            else:
+                rk = sparse_rank(self._block_columns(q, grade))
+            self._rank_cache[key] = rk
         return rk
 
     def cohomology_dims(self, q):
@@ -233,42 +262,18 @@ class ComplexContext:
         return out
 
 
+def _exact(x):
+    """An integral weight as a plain int, whose sums are cheap; else the
+    Fraction (weights of a rescaled basis need not be integral)."""
+    return int(x) if x.denominator == 1 else x
+
+
 def _to_data(col):
     data = {}
     for (tup, k), c in col.items():
         if c != 0:
             data.setdefault(tup, {})[k] = c
     return data
-
-
-class _Solver:
-    """Expresses ambient vectors in a fixed spanning list, exactly."""
-
-    def __init__(self, dim, vectors):
-        self.dim = dim
-        self.vectors = vectors
-        self.unit = {}
-        self.mat = None
-        if all(len(v) == 1 and next(iter(v.values())) == 1 for v in vectors):
-            self.unit = {next(iter(v)): i for i, v in enumerate(vectors)}
-        else:
-            self.mat = Matrix.from_columns(
-                [[v.get(i, 0) for i in range(dim)] for v in vectors], nrows=dim)
-
-    def coords(self, vec):
-        if self.mat is None:
-            out = {}
-            for i, c in vec.items():
-                j = self.unit.get(i)
-                if j is None:
-                    return None
-                if c != 0:
-                    out[j] = c
-            return out
-        sol = self.mat.solve([vec.get(i, 0) for i in range(self.dim)])
-        if sol is None:
-            return None
-        return {i: c for i, c in enumerate(sol) if c != 0}
 
 
 @dataclass(frozen=True)
@@ -407,7 +412,16 @@ def lie_derivative(x_vec, f: Cochain, acting=None) -> Cochain:
 
 
 def _action_tables(ctx, x_vec):
-    """Columns of the action of x on the domain and on the module."""
+    """Columns of the action of x on the domain and on the module, built
+    once per context and generator."""
+    key = tuple(sorted(x_vec.items()))
+    tables = ctx._action_cache.get(key)
+    if tables is None:
+        tables = ctx._action_cache[key] = _build_action_tables(ctx, x_vec)
+    return tables
+
+
+def _build_action_tables(ctx, x_vec):
     a_dom, a_mod = {}, {}
     for u in range(ctx.n):
         b = ctx.ambient.bracket_vec(x_vec, ctx.domain[u])
@@ -429,9 +443,21 @@ def _action_tables(ctx, x_vec):
 
 
 def invariant_cochains(ctx: ComplexContext, q, generators):
-    """Basis of the joint kernel of the generators' Lie derivatives on C^q."""
+    """Basis of the joint kernel of the generators' Lie derivatives on C^q.
+
+    Computed once per context, degree and generator list; each call gets a
+    fresh list of the (never mutated) cochains.
+    """
     if q < 0 or q > ctx.n:
         return []
+    key = (q, tuple(tuple(sorted(g.items())) for g in generators))
+    basis = ctx._invariant_cache.get(key)
+    if basis is None:
+        basis = ctx._invariant_cache[key] = _invariant_basis(ctx, q, generators)
+    return list(basis)
+
+
+def _invariant_basis(ctx, q, generators):
     tables = [_action_tables(ctx, g) for g in generators]
     diag, general = [], []
     for (a_dom, a_mod), g in zip(tables, generators):

@@ -3,8 +3,10 @@
 `Matrix` is a dense Fraction matrix (rank, kernel, solve, inverse) for the
 small dense systems and as the reference the sparse engine is tested
 against.  `Echelon` is the one sparse elimination engine: incremental,
-fraction-free over the integers, with optional kernel relations.  Pivoting
-is deterministic in both, so kernel bases are reproducible across runs.
+fraction-free over the integers, with optional kernel relations.
+`SpanSolver` factors a spanning list once and then gives the coordinates
+of many vectors in it.  Pivoting is deterministic throughout, so kernel
+bases and coordinates are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -136,6 +138,62 @@ class Matrix:
         if pivots[:n] != list(range(n)):
             raise ValueError("singular matrix")
         return Matrix([row[n:] for row in red.data])
+
+
+class SpanSolver:
+    """Coordinates of sparse vectors in a fixed spanning list, exactly.
+
+    A list of unit vectors is read off directly.  Otherwise one RREF of
+    [M | I], M having the vectors as columns, gives a left inverse (rows
+    against the pivot columns) and the membership constraints (rows with a
+    zero M-part); each query is then sparse dot products.  The answer is
+    the one `Matrix.solve` gives: free coordinates zero.
+    """
+
+    def __init__(self, dim, vectors):
+        self._unit = None
+        if all(len(v) == 1 and next(iter(v.values())) == 1 for v in vectors):
+            self._unit = {next(iter(v)): i for i, v in enumerate(vectors)}
+            return
+        k = len(vectors)
+        aug = Matrix([[v.get(i, 0) for v in vectors]
+                      + [1 if j == i else 0 for j in range(dim)]
+                      for i in range(dim)])
+        red, pivots = aug.rref()   # [M | I] has full row rank: dim pivots
+        self._rows, self._constraints = [], []
+        for row, pc in zip(red.data, pivots):
+            inv = {i: c for i, c in enumerate(row[k:]) if c != 0}
+            if pc < k:
+                self._rows.append((pc, inv))
+            else:
+                self._constraints.append(inv)
+
+    def coords(self, vec):
+        """{list index: coefficient} with sum = vec, or None outside the span."""
+        if self._unit is not None:
+            out = {}
+            for i, c in vec.items():
+                j = self._unit.get(i)
+                if j is None:
+                    return None
+                if c != 0:
+                    out[j] = c
+            return out
+        for con in self._constraints:
+            if _dot(con, vec) != 0:
+                return None
+        out = {}
+        for pc, inv in self._rows:
+            c = _dot(inv, vec)
+            if c != 0:
+                out[pc] = c
+        return out
+
+
+def _dot(row, vec):
+    if len(vec) < len(row):
+        return sum((c * row[i] for i, c in vec.items() if i in row), Fraction(0))
+    return sum((c * vec[i] for i, c in row.items() if i in vec), Fraction(0))
 
 
 def vec_add(acc, other, scale=1):

@@ -4,13 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from seaweedcoh.cli import _ambient
+from seaweedcoh.cli import _all_specs, _ambient
 from seaweedcoh.cochain import (Cochain, ComplexContext, adjoint_context,
                                 coboundary, invariant_cochains,
                                 invariant_cohomology_dims, lie_derivative,
-                                nilradical_context, reductive_generators)
+                                nilradical_context, quotient_context,
+                                reductive_generators)
+from seaweedcoh.exactlin import sparse_rank
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed,
-                                seaweed_from_algebra)
+                                seaweed_from_algebra, split_over_center)
 
 
 def slow_coboundary(f):
@@ -315,3 +317,70 @@ def test_invariant_vanishing_sweep(sweep_reports):
                 assert row["cohomology"] == 0, (t, r, spec, row)
             assert not any(d["code"] == "invariant_coboundary_mismatch"
                            for d in rep["discrepancies"])
+
+
+# -- the Cartan-formula shortcut: nonzero weight blocks are acyclic ----------
+
+def assert_derived_ranks_exact(ctx, max_degree):
+    """Every nonzero-weight rank `_block_rank` derives equals elimination."""
+    for q in range(max_degree + 1):
+        for grade in ctx.basis_by_grade(q):
+            if any(grade):
+                assert ctx._block_rank(q, grade) == \
+                    sparse_rank(ctx._block_columns(q, grade)), (q, grade)
+
+
+def test_only_weight_zero_is_eliminated(monkeypatch):
+    eliminated = []
+    block_columns = ComplexContext._block_columns
+
+    def recording(self, q, grade):
+        eliminated.append(grade)
+        return block_columns(self, q, grade)
+
+    monkeypatch.setattr(ComplexContext, "_block_columns", recording)
+    # decomposable: the (Q,s) context differs from the adjoint one
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1]))
+    for ctx in (adjoint_context(sw), quotient_context(split_over_center(sw))):
+        for q in range(ctx.n + 1):
+            ctx.cohomology_dims(q)
+    assert eliminated and not any(any(grade) for grade in eliminated)
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_derived_block_ranks_sweep(type_label, rank):
+    for spec in _all_specs(type_label, rank):
+        if spec.rank != rank:
+            continue
+        sw = build_seaweed(_ambient(type_label, rank), spec)
+        for ctx in (adjoint_context(sw),
+                    quotient_context(split_over_center(sw))):
+            # all degrees, except for the whole G2 algebra (dim 14, minutes
+            # of elimination): there the degrees verify computes, q <= 3
+            assert_derived_ranks_exact(ctx, ctx.n if ctx.n <= 10 else 3)
+
+
+def test_derived_block_ranks_rescaled_fixture(a2_fixture):
+    # Cartan elements rescaled by p/q: the weights are exact Fractions
+    rng = random.Random(5)
+    scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
+    sw = build_seaweed(a2_fixture.rescaled(scalars),
+                       SeaweedSpec.make("A", 2, [], [1, 2]))
+    ctx = adjoint_context(sw)
+    assert any(isinstance(w, F) for ws in ctx._dom_weights for w in ws)
+    assert_derived_ranks_exact(ctx, ctx.n)
+
+
+def test_euler_characteristic_sweep(sweep_reports):
+    # sum_q (-1)^q dim H^q(s,s) = sum_q (-1)^q dim C^q(s,s) = 0
+    checked = 0
+    for (t, r), rows in sweep_reports.items():
+        for spec, sw, rep in rows:
+            rows_h = rep["cohomology"]
+            if [row["q"] for row in rows_h] != list(range(sw.dim + 1)):
+                continue
+            assert sum((-1) ** row["q"] * row["cohomology"]
+                       for row in rows_h) == 0, (t, r, spec)
+            checked += 1
+    assert checked > 0

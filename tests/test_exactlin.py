@@ -3,8 +3,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seaweedcoh.exactlin import (Echelon, Matrix, sparse_kernel_basis,
-                                 sparse_rank)
+from seaweedcoh.exactlin import (Echelon, Matrix, SpanSolver,
+                                 sparse_kernel_basis, sparse_rank)
 
 
 def cofactor_det(rows):
@@ -127,3 +127,26 @@ def test_sparse_matches_dense(m):
     head = Matrix.from_columns(m.columns()[:-1], nrows=m.nrows)
     in_span = head.solve(m.column(m.ncols - 1)) is not None
     assert Echelon(cols[:-1]).contains(cols[-1]) == in_span
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices(), st.data())
+def test_span_solver_matches_solve(m, data):
+    # one factorization answers every query as Matrix.solve does, members
+    # of the span (free coordinates zero) and vectors outside it (None)
+    vals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    cols = [{i: v for i, v in enumerate(col) if v != 0} for col in m.columns()]
+    solver = SpanSolver(m.nrows, cols)
+    inside = m.matvec([data.draw(vals) for _ in range(m.ncols)])
+    anywhere = [data.draw(vals) for _ in range(m.nrows)]
+    for v in (inside, anywhere):
+        ref = m.solve(v)
+        if ref is not None:
+            ref = {i: c for i, c in enumerate(ref) if c != 0}
+        assert solver.coords({i: c for i, c in enumerate(v) if c != 0}) == ref
+
+
+def test_span_solver_unit_vectors():
+    solver = SpanSolver(4, [{2: 1}, {0: 1}])
+    assert solver.coords({0: F(3), 2: F(-1)}) == {1: F(3), 0: F(-1)}
+    assert solver.coords({1: F(1)}) is None
