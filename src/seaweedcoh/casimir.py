@@ -5,6 +5,13 @@ summing over the whole ambient basis with its dual partners.  The Casimir
 operator acts through the full cochain module structure (value and arguments);
 that reading reproduces the published operator chain and satisfies
 Gamma = delta k + k delta, which the test suite checks coefficient-wise.
+
+What depends on the ambient algebra alone is computed once per algebra and
+kept on it: the complex C^*(g, g) every `OperatorContext` shares, the form
+ratio, and the root-string tables of the predicted entry scalars (squared
+lengths and string terms in integer simple-root coefficients, memoized per
+root pair).  Integral coefficients stay plain ints; every division has a
+Fraction operand, so no result becomes a float.
 """
 
 from __future__ import annotations
@@ -32,10 +39,17 @@ class OperatorContext:
         self.seaweed = sw
         dual = ambient.dual_basis()
         self.dual = [{i: c for i, c in enumerate(col) if c != 0} for col in dual]
-        self.gg = full_context(ambient)
+        self.gg = _ambient_context(ambient)
         self.ns = nilradical_context(sw)
         self._nil_pos = {idx: p for p, idx in enumerate(sw.nilradical)}
         self._mem_pos = {idx: p for p, idx in enumerate(sw.member)}
+
+
+def _ambient_context(g: LieAlgebra):
+    """C^*(g, g), which depends on the ambient alone: built once per algebra."""
+    if not hasattr(g, "_full_context"):
+        g._full_context = full_context(g)
+    return g._full_context
 
 
 def extend_by_zero(octx: OperatorContext, f: Cochain) -> Cochain:
@@ -107,7 +121,7 @@ def casimir_action(octx: OperatorContext, F: Cochain) -> Cochain:
     for tup, vec in F.data.items():
         acc = {}
         for j in range(amb.dim):
-            inner = amb.bracket_vec({j: Fraction(1)}, vec)
+            inner = amb.bracket_vec({j: 1}, vec)
             if inner:
                 vec_add(acc, amb.bracket_vec(octx.dual[j], inner))
         if acc:
@@ -183,17 +197,10 @@ class RigidityCertificate:
         }
 
 
-def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
-    """Replay the injection Z^q(n,s)^r -> B^q(n,s)^r through delta k psi.
-
-    For each basis cocycle f the certificate records the entrywise scaling of
-    restrict(delta k psi(f)) against f, its positivity, and membership in the
-    invariant coboundaries; success means the composite map is injective.
-    """
-    sw = octx.seaweed
+def invariant_cocycles(octx: OperatorContext, q):
+    """Basis of Z^q(n, s)^r, the invariant cocycles the certificate tests."""
     ns = octx.ns
-    gens = reductive_generators(sw)
-    inv = invariant_cochains(ns, q, gens)
+    inv = invariant_cochains(ns, q, reductive_generators(octx.seaweed))
     cocycles = []
     for coeffs in sparse_kernel_basis([coboundary(f) for f in inv]):
         f = ns.zero(q)
@@ -201,12 +208,24 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
             if c != 0:
                 f = f.add(g, c)
         cocycles.append(f)
+    return cocycles
+
+
+def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
+    """Replay the injection Z^q(n,s)^r -> B^q(n,s)^r through delta k psi.
+
+    For each basis cocycle f the certificate records the entrywise scaling of
+    restrict(delta k psi(f)) against f, its positivity, and membership in the
+    invariant coboundaries; success means the composite map is injective.
+    """
+    cocycles = invariant_cocycles(octx, q)
     cert = RigidityCertificate(q, len(cocycles), True, not cocycles, [],
                                True, form_scale=str(octx.ambient.form_scale))
     if not cocycles:
         return cert
 
-    inv_prev = invariant_cochains(ns, q - 1, gens) if q > 0 else []
+    gens = reductive_generators(octx.seaweed)
+    inv_prev = invariant_cochains(octx.ns, q - 1, gens) if q > 0 else []
     b_span = Echelon(coboundary(g) for g in inv_prev)
 
     images = []
@@ -226,7 +245,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
             got = image.data.get(tup, {})
             ratio = None
             for k, c in vec.items():
-                r = got.get(k, 0) / c
+                r = Fraction(got.get(k, 0)) / c
                 if ratio is None:
                     ratio = r
                 elif r != ratio:
@@ -327,34 +346,79 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     kappa_ratio = _form_ratio(g)
     if kappa_ratio is None:
         return None
+    tables = _string_tables(g)
     sw = octx.seaweed
     nil = set(sw.nilradical)
-    outside = []
-    for i, c in g.root_of.items():
-        if i not in nil and i not in g.cartan:
-            gamma = _root_vec(rs, c)
-            outside.append((gamma, tuple(-x for x in gamma),
-                            rs.pairing(gamma, gamma)))
+    outside = [c for i, c in g.root_of.items()
+               if i not in nil and i not in g.cartan]
     out = []
-    for tup, vec in f.data.items():
-        beta_c = None
-        for t in tup:
-            c = g.root_of[sw.nilradical[t]]
-            beta_c = c if beta_c is None else tuple(x + y for x, y in zip(beta_c, c))
-        if all(x == 0 for x in beta_c):
+    for tup in f.data:
+        beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in tup))))
+        if not any(beta):
             return None  # value in the Cartan: the string formula does not apply
-        beta = _root_vec(rs, beta_c)
-        scalar = rs.pairing(beta, beta)
-        for gamma, minus_gamma, sq in outside:
-            if beta == gamma:
-                scalar += sq
-            elif beta == minus_gamma:
-                continue
-            else:
-                r, qq = rs.root_string(gamma, beta)
-                scalar += sq * r * (qq + 1) / 2
+        scalar = tables.sq(beta)
+        for gamma in outside:
+            scalar += tables.term(gamma, beta)
         out.append(scalar * kappa_ratio)
     return out
+
+
+def _string_tables(g: LieAlgebra):
+    if not hasattr(g, "_string_tables"):
+        g._string_tables = _StringTables(g.root_system)
+    return g._string_tables
+
+
+class _StringTables:
+    """Root-string data of one root system in integer simple-root
+    coefficients, memoized: the squared length of each lattice vector and
+    the string term of each (gamma, beta) pair.  Simple roots are linearly
+    independent, so coefficient tuples compare exactly as the root vectors
+    do, and each value is the Fraction the ambient-space formula gives."""
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        positive = set(rs.coeffs.values())
+        self.roots = positive | {tuple(-x for x in c) for c in positive}
+        self._sq = {}
+        self._term = {}
+
+    def sq(self, c):
+        """(v, v) for v = sum_i c_i alpha_i."""
+        val = self._sq.get(c)
+        if val is None:
+            v = _root_vec(self.rs, c)
+            val = self._sq[c] = self.rs.pairing(v, v)
+        return val
+
+    def term(self, gamma, beta):
+        """What the root vectors of +/-gamma add to the scalar at beta:
+        (gamma, gamma) when beta = gamma, 0 when beta = -gamma, and otherwise
+        (gamma, gamma) r (q+1)/2 for the gamma-string beta-r*gamma ..
+        beta+q*gamma."""
+        key = (gamma, beta)
+        val = self._term.get(key)
+        if val is None:
+            if beta == gamma:
+                val = self.sq(gamma)
+            elif all(b == -c for b, c in zip(beta, gamma)):
+                val = Fraction(0)
+            else:
+                r = self._steps(beta, gamma, -1)
+                q = self._steps(beta, gamma, 1)
+                val = self.sq(gamma) * r * (q + 1) / 2
+            self._term[key] = val
+        return val
+
+    def _steps(self, beta, gamma, sign):
+        """How many of beta + sign*gamma, beta + 2*sign*gamma, .. are roots
+        before the first that is not."""
+        n, cur = 0, beta
+        while True:
+            cur = tuple(b + sign * c for b, c in zip(cur, gamma))
+            if cur not in self.roots:
+                return n
+            n += 1
 
 
 def _root_vec(rs, coeffs):

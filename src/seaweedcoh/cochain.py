@@ -12,6 +12,15 @@ Math. 57, 1953), the Lie derivative of a diagonal h is null-homotopic; on a
 block it is the scalar given by the block's weight, so every block of
 nonzero weight is acyclic and its ranks follow from block dimensions alone.
 Only the weight-zero block is eliminated.
+
+Unit vectors, integral structure constants and integral weights stay plain
+ints, so on the unit bases of the adjoint, nilradical and full contexts the
+differential runs in integer arithmetic; Fractions enter only through
+non-unit bases (a center complement, a rescaled fixture).  Per context, the
+grading, the weight blocks, each generator's action tables and the
+invariant cochains are computed once.  Invariant cochains are sought only
+among the basis cochains of weight zero for every diagonally acting
+generator, found by grouping module indices by weight.
 """
 
 from __future__ import annotations
@@ -114,10 +123,7 @@ class ComplexContext:
                      for i in self._diag)
 
     def _dom_sum(self, tup):
-        out = (0,) * len(self._diag)
-        for j in tup:
-            out = tuple(map(add, out, self._dom_weights[j]))
-        return out
+        return _weight_sum(self._dom_weights, tup, len(self._diag))
 
     def grade(self, tup, k):
         """Eigenvalues of the diagonal domain elements on a basis cochain."""
@@ -144,7 +150,7 @@ class ComplexContext:
         return cached
 
     def basis_cochain(self, tup, k):
-        return Cochain(self, len(tup), {tuple(tup): {k: Fraction(1)}})
+        return Cochain(self, len(tup), {tuple(tup): {k: 1}})
 
     def zero(self, q):
         return Cochain(self, q, {})
@@ -266,6 +272,14 @@ def _exact(x):
     """An integral weight as a plain int, whose sums are cheap; else the
     Fraction (weights of a rescaled basis need not be integral)."""
     return int(x) if x.denominator == 1 else x
+
+
+def _weight_sum(weights, tup, width):
+    """Componentwise sum of weights[j] over j in tup (width components)."""
+    out = (0,) * width
+    for j in tup:
+        out = tuple(map(add, out, weights[j]))
+    return out
 
 
 def _to_data(col):
@@ -457,28 +471,39 @@ def invariant_cochains(ctx: ComplexContext, q, generators):
     return list(basis)
 
 
-def _invariant_basis(ctx, q, generators):
-    tables = [_action_tables(ctx, g) for g in generators]
+def _invariant_candidates(ctx, q, generators):
+    """(candidates, general): the basis cochains (tup, k) of C^q, in
+    increasing (tup, k) order, on which every diagonally acting generator
+    acts by weight zero, and the generators that do not act diagonally.
+
+    A cochain is invariant only if its components on all other basis
+    cochains vanish, so the kernel need only be sought among candidates.
+    """
     diag, general = [], []
-    for (a_dom, a_mod), g in zip(tables, generators):
-        dom_ok = all(set(col) == {u} for u, col in a_dom.items())
-        mod_ok = all(set(col) == {k} for k, col in a_mod.items())
-        if dom_ok and mod_ok:
+    for g in generators:
+        a_dom, a_mod = _action_tables(ctx, g)
+        if (all(set(col) == {u} for u, col in a_dom.items())
+                and all(set(col) == {k} for k, col in a_mod.items())):
             diag.append((a_dom, a_mod))
         else:
             general.append(g)
+    # weights as exact ints or Fractions, module indices grouped by weight:
+    # (tup, k) is a candidate when the weight of k is the sum over tup
+    dom_weights = [tuple(_exact(a_dom.get(u, {}).get(u, 0)) for a_dom, _ in diag)
+                   for u in range(ctx.n)]
+    mod_by_weight = {}
+    for k in range(ctx.m):
+        w = tuple(_exact(a_mod.get(k, {}).get(k, 0)) for _, a_mod in diag)
+        mod_by_weight.setdefault(w, []).append(k)
     candidates = []
     for tup in combinations(range(ctx.n), q):
-        for k in range(ctx.m):
-            good = True
-            for a_dom, a_mod in diag:
-                w = a_mod.get(k, {}).get(k, 0) - sum(
-                    a_dom.get(t, {}).get(t, 0) for t in tup)
-                if w != 0:
-                    good = False
-                    break
-            if good:
-                candidates.append((tup, k))
+        for k in mod_by_weight.get(_weight_sum(dom_weights, tup, len(diag)), ()):
+            candidates.append((tup, k))
+    return candidates, general
+
+
+def _invariant_basis(ctx, q, generators):
+    candidates, general = _invariant_candidates(ctx, q, generators)
     if not candidates:
         return []
     cols = []
@@ -545,7 +570,7 @@ def _coboundary_consistency(ctx, q, inv_q, b_dim):
 
 
 def _units(indices):
-    return [{i: Fraction(1)} for i in indices]
+    return [{i: 1} for i in indices]
 
 
 def adjoint_context(sw) -> ComplexContext:

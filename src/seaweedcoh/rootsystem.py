@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 VALID_RANKS = {
@@ -116,9 +117,15 @@ class RootSystem:
         """2(beta, alpha)/(alpha, alpha)."""
         return 2 * self.pairing(beta, alpha) / self.pairing(alpha, alpha)
 
+    @cached_property
+    def _cartan(self):
+        return tuple(tuple(self.cartan_integer(a, b) for b in self.simple_roots)
+                     for a in self.simple_roots)
+
     def cartan_matrix(self):
-        return [[self.cartan_integer(a, b) for b in self.simple_roots]
-                for a in self.simple_roots]
+        """Cartan integers, computed once per root system; each call gets a
+        fresh list of lists."""
+        return [list(row) for row in self._cartan]
 
     def reflect(self, vec, alpha):
         return _add(vec, _scale(alpha, -self.cartan_integer(vec, alpha)))
@@ -185,14 +192,6 @@ def build(type_label: str, rank: int) -> RootSystem:
     positive = sorted(coeffs, key=lambda root: coeffs[root])
     return RootSystem(type_label, rank, tuple(simples), tuple(positive),
                       coeffs, form_scale)
-
-
-def pairing(rs: RootSystem, v, w) -> Fraction:
-    return rs.pairing(v, w)
-
-
-def root_string(rs: RootSystem, alpha, beta):
-    return rs.root_string(alpha, beta)
 
 
 ROOT_COUNTS = {

@@ -205,9 +205,9 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
     roots_in_s = [i for i in sw.member if i not in cartan_like]
 
     if section_indices is not None:
-        comp = [{i: Fraction(1)} for i in sorted(section_indices)]
+        comp = [{i: 1} for i in sorted(section_indices)]
     elif not zs:
-        comp = [{i: Fraction(1)} for i in sw.member]
+        comp = [{i: 1} for i in sw.member]
     else:
         kappa = g.killing_matrix()
         pair = Matrix([[sum((z.get(i, 0) * kappa.data[i][h] for i in z), Fraction(0))
@@ -219,9 +219,9 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
             # pivot coordinates of the center vectors.
             zmat = Matrix([[z.get(h, 0) for h in cartan_like] for z in zs])
             _, pivots = zmat.rref()
-            hbasis = [{cartan_like[c]: Fraction(1)}
+            hbasis = [{cartan_like[c]: 1}
                       for c in range(len(cartan_like)) if c not in pivots]
-        comp = hbasis + [{i: Fraction(1)} for i in roots_in_s]
+        comp = hbasis + [{i: 1} for i in roots_in_s]
 
     full = zs + comp
     dim_ok = len(full) == sw.dim
@@ -284,8 +284,8 @@ def _classify_subdiagram(rs, comp):
     A3/D3 coincidences toward the smaller family.
     """
     k = len(comp)
-    sub = [[rs.cartan_integer(rs.simple_roots[a - 1], rs.simple_roots[b - 1])
-            for b in comp] for a in comp]
+    full = rs.cartan_matrix()
+    sub = [[full[a - 1][b - 1] for b in comp] for a in comp]
     for t, ok in rootsystem.VALID_RANKS.items():
         if not ok(k):
             continue

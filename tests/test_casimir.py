@@ -1,17 +1,19 @@
+import copy
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from seaweedcoh.casimir import (OperatorContext, casimir_action,
-                                extend_by_zero, homotopy, modified_casimir,
+from seaweedcoh.casimir import (OperatorContext, _compute_form_ratio,
+                                casimir_action, extend_by_zero, homotopy,
+                                invariant_cocycles, modified_casimir,
                                 predicted_entry_scalars, restrict,
                                 rigidity_certificate, string_eigenvalue)
 from seaweedcoh.chevalley import construct
-from seaweedcoh.cli import _ambient
-from seaweedcoh.cochain import (Cochain, coboundary, invariant_cochains,
-                                reductive_generators)
+from seaweedcoh.cli import _all_specs, _ambient
+from seaweedcoh.cochain import (Cochain, coboundary, full_context,
+                                invariant_cochains, reductive_generators)
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
 
@@ -258,3 +260,127 @@ def test_certificate_sweep(sweep_reports):
         for spec, sw, rep in rows:
             for cert in rep["certificates"]:
                 assert cert["success"], (t, r, spec, cert["degree"])
+
+
+# -- tables built once per ambient, and exactness with int coefficients -------
+
+# 8 A4 seaweeds: the Borel, the whole algebra, and six mixed splits
+A4_SAMPLE = [((), (1, 2, 3, 4)), ((1, 2, 3, 4), (1, 2, 3, 4)), ((1,), (2, 3, 4)),
+             ((1, 3), (2, 4)), ((2,), (1, 3, 4)), ((1, 2), (3, 4)),
+             ((1, 4), (2, 3)), ((2, 3), (1, 4))]
+
+
+def _sweep_octxs(type_label, rank):
+    g = _ambient(type_label, rank)
+    for spec in _all_specs(type_label, rank):
+        if spec.rank == rank:
+            yield OperatorContext(g, build_seaweed(g, spec))
+
+
+def _a4_orbit_octxs():
+    """One A4 seaweed per orbit of (pi1|pi2) -> (pi2|pi1) and the diagram
+    flip i -> 5 - i, the least pair of each orbit."""
+    g = _ambient("A", 4)
+    flip = lambda pi: frozenset(5 - i for i in pi)
+    key = lambda p: (sorted(p[0]), sorted(p[1]))
+    for spec in _all_specs("A", 4):
+        if spec.rank != 4:
+            continue
+        pair = (spec.pi1, spec.pi2)
+        orbit = [pair, pair[::-1], (flip(pair[0]), flip(pair[1])),
+                 (flip(pair[1]), flip(pair[0]))]
+        if key(pair) == min(map(key, orbit)):
+            yield OperatorContext(g, build_seaweed(g, spec))
+
+
+def _exact_number(x):
+    return isinstance(x, (int, F)) and not isinstance(x, bool)
+
+
+def test_certificates_stay_exact():
+    octxs = [o for t, r in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
+             for o in _sweep_octxs(t, r)]
+    g = _ambient("A", 4)
+    octxs += [OperatorContext(g, build_seaweed(g, SeaweedSpec.make("A", 4, a, b)))
+              for a, b in A4_SAMPLE]
+    seen = 0
+    for octx in octxs:
+        for q in range(1, len(octx.seaweed.nilradical) + 1):
+            cert = rigidity_certificate(octx, q)
+            assert all(map(_exact_number, cert.char_poly or []))
+            for w in cert.witnesses:
+                seen += 1
+                assert all(map(_exact_number, w.entry_scalars)), w
+                assert w.eigenvalue is None or _exact_number(w.eigenvalue)
+                assert w.predicted_scalars is not None
+                assert all(map(_exact_number, w.predicted_scalars)), w
+    assert seen > 100
+
+
+def reference_entry_scalars(octx, f, kappa_ratio):
+    """The string prediction in ambient root coordinates: rs.pairing and
+    rs.root_string on every entry and outside root, with no memo."""
+    g, sw = octx.ambient, octx.seaweed
+    rs = g.root_system
+
+    def vec(c):
+        return tuple(sum(ci * a[x] for ci, a in zip(c, rs.simple_roots))
+                     for x in range(len(rs.simple_roots[0])))
+    outside = [vec(c) for i, c in g.root_of.items()
+               if i not in sw.nilradical and i not in g.cartan]
+    out = []
+    for tup in f.data:
+        beta = vec([sum(col) for col in zip(
+            *(g.root_of[sw.nilradical[t]] for t in tup))])
+        if not any(beta):
+            return None
+        scalar = rs.pairing(beta, beta)
+        for gamma in outside:
+            if beta == gamma:
+                scalar += rs.pairing(gamma, gamma)
+            elif beta != tuple(-x for x in gamma):
+                r, qq = rs.root_string(gamma, beta)
+                scalar += rs.pairing(gamma, gamma) * r * (qq + 1) / 2
+        out.append(scalar * kappa_ratio)
+    return out
+
+
+def test_predicted_scalars_match_ambient_reference():
+    octxs = [o for t, r in [("A", 2), ("B", 2), ("G", 2)]
+             for o in _sweep_octxs(t, r)]
+    octxs += list(_a4_orbit_octxs())
+    ratios = {}
+    compared = 0
+    for octx in octxs:
+        g = octx.ambient
+        if g not in ratios:
+            ratios[g] = _compute_form_ratio(g)
+        for q in range(1, len(octx.seaweed.nilradical) + 1):
+            for f in invariant_cocycles(octx, q):
+                got = predicted_entry_scalars(octx, f)
+                assert got == reference_entry_scalars(octx, f, ratios[g])
+                compared += got is not None
+    assert compared > 100
+
+
+def test_operator_contexts_share_one_ambient_context(a2_fixture):
+    g2 = _ambient("G", 2)
+    cases = [(a2_fixture, ("A", 2, [], [1, 2])), (g2, ("G", 2, [1], [])),
+             (_ambient("A", 4), ("A", 4, [1, 3], [2, 4])),
+             (g2, ("G", 2, [], [1, 2])), (_ambient("B", 2), ("B", 2, [2], [1]))]
+    for g, spec in cases:
+        sw = build_seaweed(g, SeaweedSpec.make(*spec))
+        octx, again = OperatorContext(g, sw), OperatorContext(g, sw)
+        assert octx.gg is again.gg and octx.gg.ambient is g
+        fresh = copy.copy(octx)
+        fresh.gg = full_context(g)
+        chains = 0
+        for q in range(1, len(sw.nilradical) + 1):
+            for f in invariant_cochains(octx.ns, q, reductive_generators(sw)):
+                got = restrict(octx, coboundary(homotopy(
+                    octx, extend_by_zero(octx, f))))
+                want = restrict(fresh, coboundary(homotopy(
+                    fresh, extend_by_zero(fresh, f))))
+                assert got == want and got.degree == want.degree
+                chains += 1
+        assert chains > 0, spec

@@ -67,6 +67,9 @@ CARTAN_TABLES = {
 def test_cartan_matrices(key):
     rs = build(*key)
     assert rs.cartan_matrix() == CARTAN_TABLES[key]
+    # the matrix is cached: a caller's edit must not reach the next caller
+    rs.cartan_matrix()[0][0] = 99
+    assert rs.cartan_matrix() == CARTAN_TABLES[key]
 
 
 def test_long_roots_have_square_two():
