@@ -346,7 +346,6 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     kappa_ratio = _form_ratio(g)
     if kappa_ratio is None:
         return None
-    tables = _string_tables(g)
     sw = octx.seaweed
     nil = set(sw.nilradical)
     outside = [c for i, c in g.root_of.items()
@@ -356,69 +355,51 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
         beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in tup))))
         if not any(beta):
             return None  # value in the Cartan: the string formula does not apply
-        scalar = tables.sq(beta)
+        scalar = _sq_length(g, beta)
         for gamma in outside:
-            scalar += tables.term(gamma, beta)
+            scalar += _string_term(g, gamma, beta)
         out.append(scalar * kappa_ratio)
     return out
 
 
-def _string_tables(g: LieAlgebra):
-    if not hasattr(g, "_string_tables"):
-        g._string_tables = _StringTables(g.root_system)
-    return g._string_tables
+def _string_memo(g: LieAlgebra):
+    """Per-ambient memo of the root-string data, keyed by integer simple-root
+    coefficient tuples: squared lengths by vector, string terms by
+    (gamma, beta).  Simple roots are linearly independent, so coefficient
+    tuples compare exactly as the root vectors do."""
+    if not hasattr(g, "_string_memo"):
+        g._string_memo = ({}, {})
+    return g._string_memo
 
 
-class _StringTables:
-    """Root-string data of one root system in integer simple-root
-    coefficients, memoized: the squared length of each lattice vector and
-    the string term of each (gamma, beta) pair.  Simple roots are linearly
-    independent, so coefficient tuples compare exactly as the root vectors
-    do, and each value is the Fraction the ambient-space formula gives."""
+def _sq_length(g: LieAlgebra, c):
+    """(v, v) for v = sum_i c_i alpha_i."""
+    sq = _string_memo(g)[0]
+    val = sq.get(c)
+    if val is None:
+        v = _root_vec(g.root_system, c)
+        val = sq[c] = g.root_system.pairing(v, v)
+    return val
 
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        positive = set(rs.coeffs.values())
-        self.roots = positive | {tuple(-x for x in c) for c in positive}
-        self._sq = {}
-        self._term = {}
 
-    def sq(self, c):
-        """(v, v) for v = sum_i c_i alpha_i."""
-        val = self._sq.get(c)
-        if val is None:
-            v = _root_vec(self.rs, c)
-            val = self._sq[c] = self.rs.pairing(v, v)
-        return val
-
-    def term(self, gamma, beta):
-        """What the root vectors of +/-gamma add to the scalar at beta:
-        (gamma, gamma) when beta = gamma, 0 when beta = -gamma, and otherwise
-        (gamma, gamma) r (q+1)/2 for the gamma-string beta-r*gamma ..
-        beta+q*gamma."""
-        key = (gamma, beta)
-        val = self._term.get(key)
-        if val is None:
-            if beta == gamma:
-                val = self.sq(gamma)
-            elif all(b == -c for b, c in zip(beta, gamma)):
-                val = Fraction(0)
-            else:
-                r = self._steps(beta, gamma, -1)
-                q = self._steps(beta, gamma, 1)
-                val = self.sq(gamma) * r * (q + 1) / 2
-            self._term[key] = val
-        return val
-
-    def _steps(self, beta, gamma, sign):
-        """How many of beta + sign*gamma, beta + 2*sign*gamma, .. are roots
-        before the first that is not."""
-        n, cur = 0, beta
-        while True:
-            cur = tuple(b + sign * c for b, c in zip(cur, gamma))
-            if cur not in self.roots:
-                return n
-            n += 1
+def _string_term(g: LieAlgebra, gamma, beta):
+    """What the root vectors of +/-gamma add to the scalar at beta:
+    (gamma, gamma) when beta = gamma, 0 when beta = -gamma, and otherwise
+    (gamma, gamma) r (q+1)/2 for the gamma-string beta-r*gamma .. beta+q*gamma."""
+    terms = _string_memo(g)[1]
+    val = terms.get((gamma, beta))
+    if val is None:
+        rs = g.root_system
+        gamma_v, beta_v = _root_vec(rs, gamma), _root_vec(rs, beta)
+        if beta_v == gamma_v:
+            val = _sq_length(g, gamma)
+        elif beta_v == tuple(-x for x in gamma_v):
+            val = Fraction(0)
+        else:
+            r, q = rs.root_string(gamma_v, beta_v)
+            val = _sq_length(g, gamma) * r * (q + 1) / 2
+        terms[(gamma, beta)] = val
+    return val
 
 
 def _root_vec(rs, coeffs):
