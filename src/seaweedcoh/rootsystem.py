@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
+from .exactlin import InvariantError
+
 VALID_RANKS = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,
@@ -119,12 +121,20 @@ class RootSystem:
 
     @cached_property
     def _cartan(self):
-        return tuple(tuple(self.cartan_integer(a, b) for b in self.simple_roots)
-                     for a in self.simple_roots)
+        rows = []
+        for a in self.simple_roots:
+            row = []
+            for b in self.simple_roots:
+                c = self.cartan_integer(a, b)
+                if c.denominator != 1:
+                    raise InvariantError(f"non-integral Cartan entry {c}")
+                row.append(int(c))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def cartan_matrix(self):
-        """Cartan integers, computed once per root system; each call gets a
-        fresh list of lists."""
+        """Cartan integers as ints, computed once per root system; each call
+        gets a fresh list of lists."""
         return [list(row) for row in self._cartan]
 
     def reflect(self, vec, alpha):
@@ -212,5 +222,5 @@ def dynkin_edges(rs: RootSystem):
     for i, j in combinations(range(rs.rank), 2):
         m = cm[i][j] * cm[j][i]
         if m != 0:
-            edges.append((i, j, int(m)))
+            edges.append((i, j, m))
     return edges

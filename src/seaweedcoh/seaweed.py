@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from . import rootsystem
 from .chevalley import LieAlgebra, subalgebra
-from .exactlin import InvariantError, Matrix, sparse_kernel_basis
+from .exactlin import InvariantError, Matrix, sparse_kernel_basis, sparse_rank
 
 _cached_build = lru_cache(maxsize=None)(rootsystem.build)
 
@@ -224,10 +223,7 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
         comp = hbasis + [{i: 1} for i in roots_in_s]
 
     full = zs + comp
-    dim_ok = len(full) == sw.dim
-    mat = Matrix.from_columns([[v.get(i, 0) for i in range(g.dim)] for v in full],
-                              nrows=g.dim)
-    if not dim_ok or mat.rank() != sw.dim:
+    if len(full) != sw.dim or sparse_rank(full) != sw.dim:
         raise ValueError("complement does not complement the center in s")
     quotient, coords = subalgebra(g, comp, check=False)
     split = CenterSplit(sw, zs, comp, quotient, coords)
@@ -281,7 +277,10 @@ def _classify_subdiagram(rs, comp):
 
     Matches the severed diagram's Cartan matrix against the canonical one of
     each candidate type; searching types in A..G order resolves the B2/C2 and
-    A3/D3 coincidences toward the smaller family.
+    A3/D3 coincidences toward the smaller family.  Within a type the relabeling
+    is the lexicographically first node order that matches (see
+    `_first_embedding`), which fixes the choice among diagram automorphisms
+    (the A_n and E6 flips, D4 triality).
     """
     k = len(comp)
     full = rs.cartan_matrix()
@@ -289,12 +288,43 @@ def _classify_subdiagram(rs, comp):
     for t, ok in rootsystem.VALID_RANKS.items():
         if not ok(k):
             continue
-        cm = _cached_build(t, k).cartan_matrix()
-        for perm in permutations(range(k)):
-            if all(cm[p][q] == sub[perm[p]][perm[q]]
-                   for p in range(k) for q in range(k)):
-                return t, {comp[perm[p]]: p + 1 for p in range(k)}
+        perm = _first_embedding(_cached_build(t, k).cartan_matrix(), sub)
+        if perm is not None:
+            return t, {comp[perm[p]]: p + 1 for p in range(k)}
     raise ValueError(f"cannot classify sub-diagram on nodes {comp}")
+
+
+def _first_embedding(cm, sub):
+    """Lexicographically first perm with cm[p][q] == sub[perm[p]][perm[q]]
+    for all p, q, or None.
+
+    Depth-first: canonical positions are filled in order 0..k-1, each with
+    the unused nodes in increasing order, and a branch is cut at the first
+    entry against an already-placed position that disagrees.  Trying
+    candidates in increasing order visits complete assignments in lex order,
+    and a cut branch has no valid completion, so the first complete
+    assignment is the first valid permutation in `itertools.permutations`
+    order.
+    """
+    k = len(cm)
+    perm = []
+
+    def extend(p):
+        if p == k:
+            return True
+        row = cm[p]
+        for c in range(k):
+            if c in perm or sub[c][c] != row[p]:
+                continue
+            if all(row[q] == sub[c][perm[q]] and cm[q][p] == sub[perm[q]][c]
+                   for q in range(p)):
+                perm.append(c)
+                if extend(p + 1):
+                    return True
+                perm.pop()
+        return False
+
+    return perm if extend(0) else None
 
 
 def render_split_dynkin(spec: SeaweedSpec) -> str:

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from seaweedcoh.rootsystem import ROOT_COUNTS, build, dynkin_edges
+from seaweedcoh.exactlin import InvariantError
+from seaweedcoh.rootsystem import ROOT_COUNTS, RootSystem, build, dynkin_edges
 
 
 def reflection_closure_oracle(simples, pairing):
@@ -70,6 +71,18 @@ def test_cartan_matrices(key):
     # the matrix is cached: a caller's edit must not reach the next caller
     rs.cartan_matrix()[0][0] = 99
     assert rs.cartan_matrix() == CARTAN_TABLES[key]
+
+
+@pytest.mark.parametrize("key", sorted(CARTAN_TABLES) + [("E", 8)])
+def test_cartan_entries_are_ints(key):
+    assert all(type(c) is int for row in build(*key).cartan_matrix() for c in row)
+
+
+def test_non_integral_cartan_entry_raises():
+    # 2(a, b)/(b, b) = 2/5 for a = (1, 0), b = (1, 2): not a root system
+    rs = RootSystem("A", 2, ((F(1), F(0)), (F(1), F(2))), (), {})
+    with pytest.raises(InvariantError, match="non-integral"):
+        rs.cartan_matrix()
 
 
 def test_long_roots_have_square_two():

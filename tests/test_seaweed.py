@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 
-from seaweedcoh import seaweed
+from seaweedcoh import rootsystem, seaweed
 from seaweedcoh.cli import _all_specs, _ambient, main
 from seaweedcoh.cochain import adjoint_context
 from seaweedcoh.exactlin import InvariantError
@@ -138,6 +139,69 @@ def test_quotient_components_bc_types():
     assert [(c.type_label, c.rank) for c in comps] == [("B", 3)]
     comps = quotient_components(spec("C", 3, [2, 3], [3, 2]))  # omit node 1
     assert [(c.type_label, c.rank) for c in comps] == [("B", 2)]
+
+
+@pytest.mark.parametrize("t,r,omit,expected", [
+    ("E", 6, 1, [("D", 5, {4, 5})]),
+    ("E", 6, 4, [("A", 2, {1}), ("A", 1, {1}), ("A", 2, set())]),
+    ("E", 7, 7, [("E", 6, {1, 2})]),
+    ("E", 7, 1, [("D", 6, {5, 6})]),
+    ("E", 8, 1, [("D", 7, {6, 7})]),
+    ("E", 8, 2, [("A", 7, {1, 2})]),
+    ("E", 8, 8, [("E", 7, {1, 2})]),
+])
+def test_quotient_components_e_types(t, r, omit, expected):
+    # pi1 keeps every node but `omit`, pi2 the first two kept nodes; the
+    # relabeling decides where pi2 lands in each component
+    kept = [i for i in range(1, r + 1) if i != omit]
+    comps = quotient_components(spec(t, r, kept, kept[:2]))
+    assert [(c.type_label, c.rank, set(c.pi2)) for c in comps] == expected
+    for c in comps:
+        assert c.pi1 == frozenset(range(1, c.rank + 1))
+
+
+def _permutation_search(rs, comp):
+    """Reference classifier: every node order of every candidate type."""
+    k = len(comp)
+    full = rs.cartan_matrix()
+    sub = [[full[a - 1][b - 1] for b in comp] for a in comp]
+    for t, ok in rootsystem.VALID_RANKS.items():
+        if not ok(k):
+            continue
+        cm = rootsystem.build(t, k).cartan_matrix()
+        for perm in permutations(range(k)):
+            if all(cm[p][q] == sub[perm[p]][perm[q]]
+                   for p in range(k) for q in range(k)):
+                return t, {comp[perm[p]]: p + 1 for p in range(k)}
+    raise ValueError(f"cannot classify sub-diagram on nodes {comp}")
+
+
+def _connected_subdiagrams(rs):
+    adj = {i: set() for i in range(1, rs.rank + 1)}
+    for i, j, _ in rootsystem.dynkin_edges(rs):
+        adj[i + 1].add(j + 1)
+        adj[j + 1].add(i + 1)
+    for k in range(1, rs.rank + 1):
+        for nodes in combinations(range(1, rs.rank + 1), k):
+            seen, stack = {nodes[0]}, [nodes[0]]
+            while stack:
+                for w in adj[stack.pop()] & set(nodes) - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if len(seen) == k:
+                yield list(nodes)
+
+
+@pytest.mark.parametrize("t,r", [
+    ("A", 5), ("B", 4), ("C", 4), ("D", 4), ("D", 5), ("D", 6),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_classify_matches_permutation_search(t, r):
+    # the pruned search must pick the same type and the same relabeling
+    # (the first valid permutation) wherever automorphisms allow several
+    rs = rootsystem.build(t, r)
+    for comp in _connected_subdiagrams(rs):
+        assert seaweed._classify_subdiagram(rs, comp) == \
+            _permutation_search(rs, comp), comp
 
 
 def test_render_split_dynkin_golden():
