@@ -4,12 +4,17 @@ Two sources: a canonical Chevalley-basis construction from a root system
 (extraspecial-pair sign convention, so tables are deterministic), and verbatim
 structure-constant files for reproducing published bases that use their own
 normalizations.
+
+The construction works on coefficient tuples over the simple roots: Cartan
+pairings come from the integer Cartan matrix and squared lengths from the
+simple-root Gram matrix, so no ambient root vector is rebuilt.  Every table
+is checked for the Jacobi identity on all basis triples by
+`jacobi_violation`, which sums only the products of nonzero brackets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 from . import rootsystem
@@ -27,6 +32,53 @@ def _num(x):
         return x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
+
+
+def jacobi_violation(dim, table):
+    """Lexicographically first basis triple (i, j, k), i < j < k, on which
+    the Jacobi identity fails, or None.
+
+    `table` maps index pairs i < j to the sparse vector [e_i, e_j];
+    antisymmetry supplies the rest.  With i the smallest index,
+
+        J(i,j,k) = [[e_i,e_j],e_k] - [[e_i,e_k],e_j] - [e_i,[e_j,e_k]],
+
+    the cyclic sum rearranged by antisymmetry.  For each i the first two
+    terms come from the adjoint column of i and then the columns of each l
+    in [e_i, e_x]; the last from the pairs (j, k) whose bracket has an e_l
+    component, for each l with [e_i, e_l] != 0.  Every triple is covered
+    and only products with a zero bracket factor are skipped, so each sum
+    is the exact sum of the triple loop; one i-slice is held at a time.
+    """
+    cols = [{} for _ in range(dim)]     # cols[l][y] = [e_l, e_y]
+    hits = [[] for _ in range(dim)]     # hits[l]: (j, k, c) with c e_l in [e_j, e_k]
+    for (j, k), vec in table.items():
+        cols[j][k] = vec
+        cols[k][j] = {t: -c for t, c in vec.items()}
+        for t, c in vec.items():
+            hits[t].append((j, k, c))
+    for i in range(dim):
+        acc = {}
+        adi = cols[i]
+        for x, bx in adi.items():
+            if x < i:
+                continue
+            for l, a in bx.items():
+                for y, by in cols[l].items():
+                    if y <= i or y == x:
+                        continue
+                    if x < y:
+                        vec_add(acc.setdefault((x, y), {}), by, a)
+                    else:
+                        vec_add(acc.setdefault((y, x), {}), by, -a)
+        for l, bl in adi.items():
+            for j, k, c in hits[l]:
+                if j > i:
+                    vec_add(acc.setdefault((j, k), {}), bl, -c)
+        bad = [key for key, vec in acc.items() if vec]
+        if bad:
+            return (i,) + min(bad)
+    return None
 
 
 class LieAlgebra:
@@ -109,15 +161,12 @@ class LieAlgebra:
         return cached
 
     def check_jacobi(self):
-        for i, j, k in combinations(range(self.dim), 3):
-            acc = {}
-            vec_add(acc, self.bracket_vec(self.bracket(i, j), {k: 1}))
-            vec_add(acc, self.bracket_vec(self.bracket(j, k), {i: 1}))
-            vec_add(acc, self.bracket_vec(self.bracket(k, i), {j: 1}))
-            if acc:
-                raise JacobiError(
-                    f"Jacobi identity fails on basis triple "
-                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
+        bad = jacobi_violation(self.dim, self.brackets)
+        if bad is not None:
+            i, j, k = bad
+            raise JacobiError(
+                f"Jacobi identity fails on basis triple "
+                f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
 
     # -- Killing form and dual basis ----------------------------------------
 
@@ -204,10 +253,11 @@ def construct(rs: RootSystem, check=True) -> LieAlgebra:
     for c, i in index_of.items():
         root_at[i] = c
 
+    cartan = rs.cartan_matrix()
+
     def cartan_int(beta_c, i):
-        # <beta, alpha_i^vee> from coefficient tuples
-        beta = consts.vec_of(beta_c)
-        return rs.cartan_integer(beta, rs.simple_roots[i])
+        # <beta, alpha_i^vee> = sum_j c_j <alpha_j, alpha_i^vee>, in ints
+        return sum(c * row[i] for c, row in zip(beta_c, cartan) if c)
 
     brackets = {}
     for i in range(dim):
@@ -227,7 +277,7 @@ def construct(rs: RootSystem, check=True) -> LieAlgebra:
                 h = j - 2 * m
                 c = cartan_int(root_at[i], h)
                 if c != 0:
-                    brackets[(i, j)] = {i: _num(-c)}
+                    brackets[(i, j)] = {i: -c}
     labels = ([f"x{i+1}" for i in range(m)] + [f"y{i+1}" for i in range(m)]
               + [f"h{i+1}" for i in range(rank)])
     root_of = {i: root_at[i] for i in root_at}
@@ -239,20 +289,14 @@ class _ChevalleyConstants:
     """Structure constants N(a, b) via the extraspecial-pair recursion."""
 
     def __init__(self, rs: RootSystem):
-        self.rs = rs
         self.pos = {rs.coefficients(b): b for b in rs.positive_roots}
-        self.simple_sq = [rs.pairing(a, a) for a in rs.simple_roots]
+        self.gram = [[rs.pairing(a, b) for b in rs.simple_roots]
+                     for a in rs.simple_roots]
+        self._sq = {}
         order = sorted(self.pos, key=lambda c: (sum(c), c))
         self.order = {c: i for i, c in enumerate(order)}
         self._memo = {}
         self._extra = {}
-
-    def vec_of(self, c):
-        v = None
-        for ci, a in zip(c, self.rs.simple_roots):
-            term = tuple(ci * x for x in a)
-            v = term if v is None else tuple(p + q for p, q in zip(v, term))
-        return v
 
     def is_root(self, c):
         return c in self.pos or tuple(-x for x in c) in self.pos
@@ -261,8 +305,18 @@ class _ChevalleyConstants:
         return c in self.pos
 
     def sq(self, c):
-        v = self.vec_of(c)
-        return self.rs.pairing(v, v)
+        """(beta, beta) = c^T G c over the simple-root Gram matrix G."""
+        val = self._sq.get(c)
+        if val is None:
+            val = Fraction(0)
+            for a, ca in enumerate(c):
+                if ca:
+                    row = self.gram[a]
+                    for b, cb in enumerate(c):
+                        if cb:
+                            val += ca * cb * row[b]
+            self._sq[c] = val
+        return val
 
     def down_string(self, beta, alpha):
         r = 0
@@ -291,7 +345,7 @@ class _ChevalleyConstants:
         out = {}
         for i, ci in enumerate(c):
             if ci != 0:
-                out[offset + i] = _num(Fraction(ci) * self.simple_sq[i] / sq)
+                out[offset + i] = _num(Fraction(ci) * self.gram[i][i] / sq)
         return out
 
     def N(self, a, b):

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .chevalley import LieAlgebra
+from .chevalley import LieAlgebra, jacobi_violation
 from .cochain import Cochain, coboundary
 from .exactlin import Echelon, vec_add
 from .seaweed import Seaweed, center, seaweed_from_algebra
@@ -74,19 +73,11 @@ def jacobi_in_t(sw: Seaweed, f2: Cochain):
     if f2.degree != 2:
         raise ValueError("need a 2-cochain")
     linear = coboundary(f2).is_zero()
-    quadratic = True
-    n = len(f2.context.domain)
-    for i, j, k in combinations(range(n), 3):
-        acc = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = f2.evaluate((a, b))
-            # values live in the module = s; feed them back as arguments
-            outer = f2.evaluate_vectors([_module_to_domain(f2.context, inner),
-                                         {c: Fraction(1)}])
-            vec_add(acc, outer)
-        if acc:
-            quadratic = False
-            break
+    # values live in the module = s; in domain coordinates f2 is a bracket
+    # table whose Jacobi sums are the t^2 coefficients
+    table = {pair: _module_to_domain(f2.context, vec)
+             for pair, vec in f2.data.items()}
+    quadratic = jacobi_violation(len(f2.context.domain), table) is None
     return linear, quadratic
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .exactlin import InvariantError
@@ -86,6 +86,27 @@ def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def _cartan_rows(simples):
+    """Cartan integers 2(a, b)/(b, b) as int rows; the form's scale cancels."""
+    rows = []
+    for a in simples:
+        row = []
+        for b in simples:
+            c = 2 * _dot(a, b) / _dot(b, b)
+            if c.denominator != 1:
+                raise InvariantError(f"non-integral Cartan entry {c}")
+            row.append(int(c))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def canonical_cartan(type_label, rank):
+    """Cartan matrix of a simple type from its simple roots alone, without
+    the root closure of `build`; rows are int tuples."""
+    return _cartan_rows(_simple_roots(type_label, rank))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     type_label: str
@@ -121,16 +142,7 @@ class RootSystem:
 
     @cached_property
     def _cartan(self):
-        rows = []
-        for a in self.simple_roots:
-            row = []
-            for b in self.simple_roots:
-                c = self.cartan_integer(a, b)
-                if c.denominator != 1:
-                    raise InvariantError(f"non-integral Cartan entry {c}")
-                row.append(int(c))
-            rows.append(tuple(row))
-        return tuple(rows)
+        return _cartan_rows(self.simple_roots)
 
     def cartan_matrix(self):
         """Cartan integers as ints, computed once per root system; each call

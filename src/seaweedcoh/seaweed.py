@@ -288,7 +288,7 @@ def _classify_subdiagram(rs, comp):
     for t, ok in rootsystem.VALID_RANKS.items():
         if not ok(k):
             continue
-        perm = _first_embedding(_cached_build(t, k).cartan_matrix(), sub)
+        perm = _first_embedding(rootsystem.canonical_cartan(t, k), sub)
         if perm is not None:
             return t, {comp[perm[p]]: p + 1 for p in range(k)}
     raise ValueError(f"cannot classify sub-diagram on nodes {comp}")

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from seaweedcoh import rootsystem
-from seaweedcoh.chevalley import (JacobiError, construct, direct_sum,
-                                  loads_fixture, subalgebra)
-from seaweedcoh.exactlin import Matrix
+from seaweedcoh.chevalley import (JacobiError, LieAlgebra, construct,
+                                  direct_sum, jacobi_violation, loads_fixture,
+                                  subalgebra)
+from seaweedcoh.exactlin import Matrix, vec_add
 
 
 def test_construct_a1():
@@ -35,6 +38,31 @@ def test_construct_exceptional_types():
     assert construct(rootsystem.build("E", 6)).dim == 78
     assert construct(rootsystem.build("E", 7)).dim == 133
     assert construct(rootsystem.build("E", 8)).dim == 248
+
+
+@pytest.mark.parametrize("t,r", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                 ("B", 2), ("B", 3), ("C", 3), ("D", 4),
+                                 ("F", 4), ("G", 2), ("E", 6), ("E", 7),
+                                 ("E", 8)])
+def test_construct_matches_ambient_reference(t, r):
+    # the integer Cartan and Gram arithmetic of `construct` against the
+    # same quantities computed on ambient root vectors
+    rs = rootsystem.build(t, r)
+    L = construct(rs, check=False)
+    m = len(rs.positive_roots)
+    simple_sq = [rs.pairing(a, a) for a in rs.simple_roots]
+    for i, c in L.root_of.items():
+        beta = sum_root(rs, c)
+        for pos, h in enumerate(L.cartan):
+            expect = -rs.cartan_integer(beta, rs.simple_roots[pos])
+            assert L.bracket(i, h) == ({i: expect} if expect else {})
+        if i < m:
+            sq = rs.pairing(beta, beta)
+            coroot = {L.cartan[k]: ck * simple_sq[k] / sq
+                      for k, ck in enumerate(c) if ck}
+            assert L.bracket(i, i + m) == coroot
+    values = [v for vec in L.brackets.values() for v in vec.values()]
+    assert all(type(v) is int for v in values)
 
 
 def test_weight_vectors_and_cartan_action():
@@ -174,7 +202,58 @@ bracket 1 3 : 1 1
 """
     with pytest.raises(JacobiError) as err:
         loads_fixture(bad)
-    assert "e1" in str(err.value)
+    assert "(e1, e2, e3)" in str(err.value)
+
+
+def brute_force_violation(L):
+    """First i < j < k whose cyclic Jacobi sum is nonzero, term by term."""
+    for i, j, k in combinations(range(L.dim), 3):
+        acc = {}
+        vec_add(acc, L.bracket_vec(L.bracket(i, j), {k: 1}))
+        vec_add(acc, L.bracket_vec(L.bracket(j, k), {i: 1}))
+        vec_add(acc, L.bracket_vec(L.bracket(k, i), {j: 1}))
+        if acc:
+            return (i, j, k)
+    return None
+
+
+def perturbed(table, dim, rng):
+    """A copy of the table with one changed coefficient, wrong target or
+    dropped entry."""
+    table = {key: dict(vec) for key, vec in table.items()}
+    key = rng.choice(sorted(table))
+    vec = table[key]
+    target = rng.choice(sorted(vec))
+    kind = rng.randrange(3)
+    if kind == 0:
+        vec[target] += rng.choice([-2, -1, 1, 2])
+    elif kind == 1:
+        vec[rng.choice([t for t in range(dim) if t != target])] = vec.pop(target)
+    else:
+        del table[key]
+    return table
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("G", 2), ("B", 3), ("A", 4),
+                                 ("C", 3), ("D", 4)])
+def test_jacobi_first_failure_matches_brute_force(t, r):
+    base = construct(rootsystem.build(t, r))
+    assert jacobi_violation(base.dim, base.brackets) is None
+    rng = random.Random(f"{t}{r}")
+    failing = 0
+    for _ in range(12):
+        table = perturbed(base.brackets, base.dim, rng)
+        L = LieAlgebra(base.dim, table, base.labels, check=False)
+        want = brute_force_violation(L)
+        assert jacobi_violation(L.dim, L.brackets) == want
+        if want is None:
+            continue
+        failing += 1
+        with pytest.raises(JacobiError) as err:
+            L.check_jacobi()
+        names = ", ".join(L.labels[i] for i in want)
+        assert str(err.value).endswith(f"({names})")
+    assert failing >= 9
 
 
 def test_parse_errors():

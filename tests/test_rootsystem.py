@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from seaweedcoh.exactlin import InvariantError
-from seaweedcoh.rootsystem import ROOT_COUNTS, RootSystem, build, dynkin_edges
+from seaweedcoh.rootsystem import (ROOT_COUNTS, RootSystem, build,
+                                   canonical_cartan, dynkin_edges)
 
 
 def reflection_closure_oracle(simples, pairing):
@@ -76,6 +77,15 @@ def test_cartan_matrices(key):
 @pytest.mark.parametrize("key", sorted(CARTAN_TABLES) + [("E", 8)])
 def test_cartan_entries_are_ints(key):
     assert all(type(c) is int for row in build(*key).cartan_matrix() for c in row)
+
+
+@pytest.mark.parametrize("t,r,npos", CASES + [("D", 5, 20), ("E", 7, 63),
+                                              ("E", 8, 120)])
+def test_canonical_cartan_matches_build(t, r, npos):
+    # the simple roots alone give the Cartan matrix of the full root system
+    cm = canonical_cartan(t, r)
+    assert [list(row) for row in cm] == build(t, r).cartan_matrix()
+    assert all(type(c) is int for row in cm for c in row)
 
 
 def test_non_integral_cartan_entry_raises():
