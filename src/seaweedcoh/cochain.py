@@ -20,7 +20,9 @@ non-unit bases (a center complement, a rescaled fixture).  Per context, the
 grading, the weight blocks, each generator's action tables and the
 invariant cochains are computed once.  Invariant cochains are sought only
 among the basis cochains of weight zero for every diagonally acting
-generator, found by grouping module indices by weight.
+generator, found by grouping module indices by weight; the coboundaries
+that can meet them are spanned from the same weight-zero cochains one
+degree down.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class ComplexContext:
         self._basis_cache = {}
         self._action_cache = {}
         self._invariant_cache = {}
+        self._candidate_cache = {}
 
     # -- grading ----------------------------------------------------------
 
@@ -124,10 +127,6 @@ class ComplexContext:
 
     def _dom_sum(self, tup):
         return _weight_sum(self._dom_weights, tup, len(self._diag))
-
-    def grade(self, tup, k):
-        """Eigenvalues of the diagonal domain elements on a basis cochain."""
-        return tuple(map(sub, self._mod_weights[k], self._dom_sum(tup)))
 
     # -- basis bookkeeping --------------------------------------------------
 
@@ -245,8 +244,7 @@ class ComplexContext:
         """Basis of Z^q as Cochain objects (per-grade kernels)."""
         out = []
         for grade, basis in sorted(self.basis_by_grade(q).items()):
-            cols = [dict(self.delta_column(tup, k)) for tup, k in basis]
-            for coeffs in sparse_kernel_basis(cols):
+            for coeffs in sparse_kernel_basis(self._block_columns(q, grade)):
                 data = {}
                 for (tup, k), c in zip(basis, coeffs):
                     if c != 0:
@@ -464,11 +462,15 @@ def invariant_cochains(ctx: ComplexContext, q, generators):
     """
     if q < 0 or q > ctx.n:
         return []
-    key = (q, tuple(tuple(sorted(g.items())) for g in generators))
+    key = _cache_key(q, generators)
     basis = ctx._invariant_cache.get(key)
     if basis is None:
         basis = ctx._invariant_cache[key] = _invariant_basis(ctx, q, generators)
     return list(basis)
+
+
+def _cache_key(q, generators):
+    return (q, tuple(tuple(sorted(g.items())) for g in generators))
 
 
 def _invariant_candidates(ctx, q, generators):
@@ -478,7 +480,17 @@ def _invariant_candidates(ctx, q, generators):
 
     A cochain is invariant only if its components on all other basis
     cochains vanish, so the kernel need only be sought among candidates.
+    Computed once per context, degree and generator list; callers must not
+    mutate the lists.
     """
+    key = _cache_key(q, generators)
+    found = ctx._candidate_cache.get(key)
+    if found is None:
+        found = ctx._candidate_cache[key] = _find_candidates(ctx, q, generators)
+    return found
+
+
+def _find_candidates(ctx, q, generators):
     diag, general = [], []
     for g in generators:
         a_dom, a_mod = _action_tables(ctx, g)
@@ -549,20 +561,28 @@ def invariant_cohomology_dims(ctx: ComplexContext, q, generators,
     b_dim = sparse_rank([coboundary(f) for f in inv_prev])
     consistent = True
     if check_consistency and q > 0:
-        consistent = _coboundary_consistency(ctx, q, inv_q, b_dim)
+        consistent = _coboundary_consistency(ctx, q, inv_q, b_dim, generators)
     h = z_dim - b_dim
     if h < 0:
         raise InvariantError(f"negative invariant cohomology at q={q}")
     return InvariantCohomologyDims(z_dim, b_dim, h, consistent)
 
 
-def _coboundary_consistency(ctx, q, inv_q, b_dim):
-    """dim(B^q cap invariants) == dim delta(invariant (q-1)-cochains)?"""
+def _coboundary_consistency(ctx, q, inv_q, b_dim, generators):
+    """dim(B^q cap invariants) == dim delta(invariant (q-1)-cochains)?
+
+    B^q is spanned from weight zero only.  Let h run over the generators
+    that act diagonally.  Each L_h commutes with delta, so delta maps the
+    joint h-weight spaces C^(q-1)_lambda into C^q_lambda.  The invariants
+    lie in weight zero; if delta(c) is invariant, its components of nonzero
+    weight, delta(c_lambda), vanish, so delta(c) = delta(c_0).  Hence
+    B^q cap invariants = delta(C^(q-1)_0) cap invariants, and C^(q-1)_0 is
+    spanned by the invariant candidates of degree q-1.
+    """
     if not inv_q:
         return b_dim == 0
-    grades = {ctx.grade(tup, k) for f in inv_q for (tup, k), _ in f.items()}
-    span = Echelon(dict(ctx.delta_column(tup, k)) for grade in sorted(grades)
-                   for tup, k in ctx.basis_by_grade(q - 1).get(grade, []))
+    candidates = _invariant_candidates(ctx, q - 1, generators)[0]
+    span = Echelon(dict(ctx.delta_column(tup, k)) for tup, k in candidates)
     r_b0 = span.rank
     for f in inv_q:
         span.add(f)

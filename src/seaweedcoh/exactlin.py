@@ -3,15 +3,18 @@
 `Matrix` is a dense Fraction matrix (rank, kernel, solve, inverse) for the
 small dense systems and as the reference the sparse engine is tested
 against.  `Echelon` is the one sparse elimination engine: incremental,
-fraction-free over the integers, with optional kernel relations.
-`SpanSolver` factors a spanning list once and then gives the coordinates
-of many vectors in it.  Pivoting is deterministic throughout, so kernel
-bases and coordinates are reproducible across runs.
+fraction-free over the integers, with optional kernel relations.  It
+pivots in the rows that the fewest columns touch, which keeps fill-in low;
+its outputs depend only on the order of the columns, never on the row
+order.  `SpanSolver` factors a spanning list once and then gives the
+coordinates of many vectors in it.  Pivoting is deterministic throughout,
+so kernel bases and coordinates are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 
@@ -216,23 +219,26 @@ def vec_add(acc, other, scale=1):
 _CONTENT_LIMIT = 1 << 128
 
 
-def _integerize(col):
-    """(integer copy of a column, the denominator lcm it was scaled by)."""
+def _integerize(col, pos):
+    """(integer copy of a column with its rows renamed by `pos`, the
+    denominator lcm it was scaled by).  A row new to `pos` gets the next
+    free position."""
     vec = {}
-    scale = 1
+    scale = 0       # stays 0 while every value is an int
     for r, v in col.items():
         if v == 0:
             continue
-        if isinstance(v, Fraction):
+        p = pos.get(r)
+        if p is None:
+            p = pos[r] = len(pos)
+        vec[p] = v
+        if not isinstance(v, int):
             d = v.denominator
-            scale = scale * d // gcd(scale, d)
-        vec[r] = v
-    if scale != 1:
-        for r, v in vec.items():
-            vec[r] = int(v * scale)
-    else:
-        for r, v in vec.items():
-            vec[r] = int(v)
+            scale = scale * d // gcd(scale, d) if scale else d
+    if not scale:
+        return vec, 1
+    for p, v in vec.items():
+        vec[p] = int(v * scale)
     return vec, scale
 
 
@@ -254,18 +260,36 @@ def _reduce_content(vec, comb=None):
 class Echelon:
     """Incremental echelon form of {row: value} columns, exact.
 
-    Each column is reduced against the stored pivots, the pivot row of a
-    stored column being its smallest row key.  With `track=True` every pivot
+    Rows are renamed to integer positions, rarest first: a row that fewer
+    of the constructor's columns touch gets a lower position, ties going to
+    the row seen first, and a row first seen later (through `add` or
+    `contains`) gets the next free position.  Each column is reduced
+    against the stored pivots, the pivot row of a stored column being its
+    least position, so pivots fall in sparse rows and fill-in stays low
+    (Markowitz, Management Science 3, 1957).  With `track=True` every pivot
     also carries its combination of the input columns, and `kernel()` gives
     one relation per dependent column.  Columns may be anything with an
     `items()` of (row, value) pairs whose values are ints or Fractions.
+
+    No output depends on the row order: whether a column is independent of
+    those before it, `rank`, `contains`, and the relation of a dependent
+    column (the unique one over it and the independent columns before it,
+    first nonzero coefficient 1) are properties of the column sequence
+    alone.  The row order changes only the stored pivots.
     """
 
     def __init__(self, columns=(), track=False):
-        self._pivots = {}      # pivot row -> integer column
-        self._combs = {} if track else None   # pivot row -> combination
+        self._pivots = {}      # pivot position -> integer column
+        self._combs = {} if track else None   # pivot position -> combination
         self._relations = []
         self.count = 0         # columns added
+        columns = [c if isinstance(c, dict) else dict(c.items())
+                   for c in columns]
+        counts = {}     # a plain dict beats Counter on the many tiny inputs
+        for r in chain.from_iterable(columns):
+            counts[r] = counts.get(r, 0) + 1
+        self._pos = {r: p for p, r in
+                     enumerate(sorted(counts, key=counts.__getitem__))}
         for col in columns:
             self.add(col)
 
@@ -297,7 +321,7 @@ class Echelon:
 
     def add(self, col) -> bool:
         """Add a column; True when it was independent of those before."""
-        vec, scale = _integerize(col)
+        vec, scale = _integerize(col, self._pos)
         comb = {self.count: scale} if self._combs is not None else None
         self.count += 1
         r = self._reduce(vec, comb)
@@ -313,7 +337,7 @@ class Echelon:
 
     def contains(self, col) -> bool:
         """Whether `col` lies in the span of the columns added so far."""
-        return self._reduce(_integerize(col)[0], None) is None
+        return self._reduce(_integerize(col, self._pos)[0], None) is None
 
     def kernel(self):
         """One {column index: coefficient} relation per dependent column.

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seaweedcoh.cochain import Cochain
 from seaweedcoh.exactlin import (Echelon, Matrix, SpanSolver,
                                  sparse_kernel_basis, sparse_rank)
 
@@ -116,17 +117,42 @@ def test_membership_exact_witness(m, data):
     assert m.matvec(witness) == v
 
 
+def echelon_outputs(cols, as_input=list):
+    """Everything an Echelon reports on a column list: verdicts, rank and
+    relations column by column, then rank, membership of the last column,
+    its verdict and the relations with the others given at construction."""
+    one_by_one = Echelon(track=True)
+    verdicts = [one_by_one.add(c) for c in cols]
+    ech = Echelon(as_input(cols[:-1]), track=True)
+    return (verdicts, one_by_one.rank, one_by_one.kernel(), ech.rank,
+            ech.contains(cols[-1]), ech.add(cols[-1]), ech.kernel())
+
+
 # entries near 2**130 exceed the content limit of the sparse elimination,
 # so its content reduction runs while kernel relations are tracked
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(small_matrices(), small_matrices(scale=2**130 + 1)))
-def test_sparse_matches_dense(m):
+@given(st.one_of(small_matrices(), small_matrices(scale=2**130 + 1)),
+       st.randoms(use_true_random=False))
+def test_sparse_matches_dense(m, rng):
     cols = [{i: v for i, v in enumerate(col) if v != 0} for col in m.columns()]
     assert sparse_rank(cols) == m.rank()
     assert sparse_kernel_basis(cols) == m.kernel_basis()
     head = Matrix.from_columns(m.columns()[:-1], nrows=m.nrows)
     in_span = head.solve(m.column(m.ncols - 1)) is not None
     assert Echelon(cols[:-1]).contains(cols[-1]) == in_span
+    # the pivot order follows the rows; the outputs follow the columns only:
+    # rows renamed by a seeded permutation, columns passed as a generator,
+    # and non-dict columns with items() (Cochain) report the same
+    perm = list(range(m.nrows))
+    rng.shuffle(perm)
+    renamed = [{perm[i]: v for i, v in c.items()} for c in cols]
+    cochains = [Cochain(None, 1, {(perm[i],): {0: v} for i, v in c.items()})
+                for c in cols]
+    expected = echelon_outputs(cols)
+    assert echelon_outputs(renamed) == expected
+    assert echelon_outputs(cols, as_input=iter) == expected
+    assert echelon_outputs(cochains) == expected
+    assert sparse_rank(renamed) == sparse_rank(cochains) == m.rank()
 
 
 @settings(max_examples=60, deadline=None)
