@@ -36,7 +36,7 @@ for n in range(4):
 
 h1, reps = quotient_cohomology(sw, 1, split=split)
 print(f"\nquotient cohomology: dim H^1(Q,s) = {h1}")
-rep = cg_dims(sw, 2, split=split, adjoint_ctx=ctx)
+rep = cg_dims(sw, 2, split=split)
 print(f"degree-2 formula: terms {rep.term_dims} -> total {rep.formula_total}, "
       f"direct {rep.direct_total}, match={rep.match}")
 print(f"h2 components (central, mixed): {tuple(h2_report(sw, split=split))}")
@@ -44,7 +44,7 @@ print(f"h3 components: {tuple(h3_report(sw, split=split))}")
 
 f1 = reps[0].scale(Fraction(2) / reps[0].data[(1,)][1])
 zstar = split.center_functional(0, vector=z)
-phi = cup_with_center(split, f1, z_functional=zstar, adjoint_ctx=ctx)
+phi = cup_with_center(split, f1, z_functional=zstar)
 print("\ncup product z* with f1:")
 print("  phi(e13, e14) =", {L.labels[k]: str(v) for k, v in phi.data[(1, 2)].items()})
 

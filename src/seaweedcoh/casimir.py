@@ -202,12 +202,15 @@ def invariant_cocycles(octx: OperatorContext, q):
     ns = octx.ns
     inv = invariant_cochains(ns, q, reductive_generators(octx.seaweed))
     cocycles = []
-    for coeffs in sparse_kernel_basis([coboundary(f) for f in inv]):
-        f = ns.zero(q)
-        for g, c in zip(inv, coeffs):
-            if c != 0:
-                f = f.add(g, c)
-        cocycles.append(f)
+    for rel in sparse_kernel_basis([coboundary(f) for f in inv]):
+        # a tuple that cancels is dropped at once, giving the tuple order
+        # (reported by entry_scalars) of adding the terms with Cochain.add
+        data = {}
+        for p, c in rel.items():
+            for tup, vec in inv[p].data.items():
+                if not vec_add(data.setdefault(tup, {}), vec, c):
+                    del data[tup]
+        cocycles.append(Cochain(ns, q, data))
     return cocycles
 
 

@@ -106,19 +106,31 @@ def info_fragment(sw: Seaweed, spec):
     return frag
 
 
+def _report_head(sw, spec, fixture):
+    """The schema version, the spec and the info fragment of a report."""
+    report = {"schema_version": SCHEMA_VERSION, "spec": _spec_json(spec, fixture)}
+    report.update(info_fragment(sw, spec))
+    return report
+
+
+def _dims_row(q, dims):
+    return {"q": q, "cocycles": dims.cocycles,
+            "coboundaries": dims.coboundaries, "cohomology": dims.cohomology}
+
+
 def cohomology_rows(sw, max_degree):
     ctx = adjoint_context(sw)
-    rows = []
-    for q in range(max_degree + 1):
-        dims = ctx.cohomology_dims(q)
-        rows.append({"q": q, "cocycles": dims.cocycles,
-                     "coboundaries": dims.coboundaries,
-                     "cohomology": dims.cohomology})
-    return rows
+    return [_dims_row(q, ctx.cohomology_dims(q)) for q in range(max_degree + 1)]
+
+
+def _cg_reports(sw, top):
+    """Formula vs direct H^n(s, s) for n = 0..top, over one center split."""
+    split = split_over_center(sw)
+    return [cg_dims(sw, n, split=split) for n in range(top + 1)]
 
 
 def verify_report(sw, spec, max_degree=None, strict_paper=False,
-                  with_certificates=True, fixture=None):
+                  fixture=None):
     """The full check battery for one seaweed; used by verify and enumerate."""
     discrepancies = []
 
@@ -126,8 +138,7 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
         discrepancies.append({"code": code, "severity": severity,
                               "detail": detail})
 
-    report = {"schema_version": SCHEMA_VERSION, "spec": _spec_json(spec, fixture)}
-    report.update(info_fragment(sw, spec))
+    report = _report_head(sw, spec, fixture)
     zdim = report["dims"]["center"]
 
     if spec is not None:
@@ -156,9 +167,7 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
     inv_rows = []
     for q in range(1, len(sw.nilradical) + 1):
         dims = invariant_cohomology_dims(nctx, q, gens)
-        inv_rows.append({"q": q, "cocycles": dims.cocycles,
-                         "coboundaries": dims.coboundaries,
-                         "cohomology": dims.cohomology})
+        inv_rows.append(_dims_row(q, dims))
         if dims.cohomology != 0:
             flag("invariant_cohomology_nonzero",
                  f"H^{q}(n,s)^r = {dims.cohomology}")
@@ -169,32 +178,29 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
 
     # rigidity certificates, where the ambient admits dual bases
     certs = []
-    if with_certificates:
-        try:
-            octx = OperatorContext(sw.ambient, sw)
-        except ValueError:
-            octx = None
-        if octx is not None:
-            for q in range(1, len(sw.nilradical) + 1):
-                cert = rigidity_certificate(octx, q)
-                certs.append(cert.as_dict())
-                if not cert.success:
-                    flag("certificate_failure",
-                         f"rigidity certificate failed at q={q}: {cert.failure}")
+    try:
+        octx = OperatorContext(sw.ambient, sw)
+    except ValueError:
+        octx = None
+    if octx is not None:
+        for q in range(1, len(sw.nilradical) + 1):
+            cert = rigidity_certificate(octx, q)
+            certs.append(cert.as_dict())
+            if not cert.success:
+                flag("certificate_failure",
+                     f"rigidity certificate failed at q={q}: {cert.failure}")
     report["certificates"] = certs
 
     # formula vs direct for the decomposable case
-    cg = []
-    split = split_over_center(sw)
-    for n in range(0, min(cap, 3) + 1):
-        rep = cg_dims(sw, n, split=split, adjoint_ctx=adjoint_context(sw))
-        cg.append(rep.as_dict())
+    cg_reports = _cg_reports(sw, min(cap, 3))
+    cg = [rep.as_dict() for rep in cg_reports]
+    for rep in cg_reports:
         if not rep.match:
             flag("cg_mismatch",
                  f"CG formula {rep.formula_total} != direct "
-                 f"{rep.direct_total} at n={n}")
+                 f"{rep.direct_total} at n={rep.n}")
         if not rep.h0_equals_center:
-            flag("quotient_h0_not_center", f"H^0(Q,s) != Z(s) at n={n}")
+            flag("quotient_h0_not_center", f"H^0(Q,s) != Z(s) at n={rep.n}")
     report["cg"] = cg
     if zdim > 0:
         for n in range(1, min(cap, 3) + 1):
@@ -213,9 +219,7 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
 
 def cmd_info(args):
     sw, spec, fixture = build_from_args(args)
-    report = {"schema_version": SCHEMA_VERSION, "spec": _spec_json(spec, fixture)}
-    report.update(info_fragment(sw, spec))
-    print(json.dumps(report, indent=2))
+    print(json.dumps(_report_head(sw, spec, fixture), indent=2))
     return 0
 
 
@@ -223,14 +227,10 @@ def cmd_cohomology(args):
     sw, spec, fixture = build_from_args(args)
     cap = args.max_degree if args.max_degree is not None else \
         _default_degree_cap(sw.dim)
-    report = {"schema_version": SCHEMA_VERSION, "spec": _spec_json(spec, fixture)}
-    report.update(info_fragment(sw, spec))
+    report = _report_head(sw, spec, fixture)
     report["cohomology"] = cohomology_rows(sw, min(cap, sw.dim))
     if report["dims"]["center"] > 0:
-        split = split_over_center(sw)
-        report["cg"] = [cg_dims(sw, n, split=split,
-                                adjoint_ctx=adjoint_context(sw)).as_dict()
-                        for n in range(0, min(cap, 3) + 1)]
+        report["cg"] = [rep.as_dict() for rep in _cg_reports(sw, min(cap, 3))]
     print(json.dumps(report, indent=2))
     return 0
 

@@ -18,18 +18,20 @@ ints, so on the unit bases of the adjoint, nilradical and full contexts the
 differential runs in integer arithmetic; Fractions enter only through
 non-unit bases (a center complement, a rescaled fixture).  Per context, the
 grading, the weight blocks, each generator's action tables and the
-invariant cochains are computed once.  Invariant cochains are sought only
-among the basis cochains of weight zero for every diagonally acting
-generator, found by grouping module indices by weight; the coboundaries
-that can meet them are spanned from the same weight-zero cochains one
-degree down.
+invariant cochains are computed once.  One grading routine serves both the
+blocks and the invariants: `_weights` reads the weights off the action
+tables of the elements that `_acts_diagonally` accepts, the diagonal domain
+elements for the blocks and the diagonal generators for the invariants.
+Invariant cochains are sought only among the basis cochains of weight zero
+for every diagonally acting generator, found by grouping module indices by
+weight; the coboundaries that can meet them are spanned from the same
+weight-zero cochains one degree down.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import add, sub
@@ -52,81 +54,30 @@ class ComplexContext:
         self._mod_solver = SpanSolver(ambient.dim, self.module)
         # domain bracket table and domain action on the module
         self.dbr = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                b = ambient.bracket_vec(self.domain[i], self.domain[j])
-                if b:
-                    c = self._dom_solver.coords(b)
-                    if c is None:
-                        raise ValueError("domain is not bracket-closed")
-                    if c:
-                        self.dbr[(i, j)] = c
-        self.act = []
-        for i in range(self.n):
-            row = {}
-            for k in range(self.m):
-                b = ambient.bracket_vec(self.domain[i], self.module[k])
-                if b:
-                    c = self._mod_solver.coords(b)
-                    if c is None:
-                        raise ValueError("module is not closed under the domain action")
-                    if c:
-                        row[k] = c
-            self.act.append(row)
-        # bracket pairs by target: which [d_a, d_b] hit d_t, and with what
+        for i, x in enumerate(self.domain):
+            for p, c in _bracket_coords(self, x, self.domain[i + 1:],
+                                        "domain").items():
+                self.dbr[(i, i + 1 + p)] = c
+        self.act = [_bracket_coords(self, x, self.module, "module")
+                    for x in self.domain]
+        # bracket pairs by target: which [d_a, d_b] hit d_t, and with what;
+        # and ad(d_i) on the domain, for the grading
         self.pairs_hitting = {}
+        ad = [{} for _ in range(self.n)]
         for (a, b), vec in self.dbr.items():
             for t, c in vec.items():
                 self.pairs_hitting.setdefault(t, []).append((a, b, c))
-        self._diag = self._diagonal_indices()
-        self._dom_weights = [self._dom_weight(j) for j in range(self.n)]
-        self._mod_weights = [self._mod_weight(k) for k in range(self.m)]
+            ad[a][b] = vec
+            ad[b][a] = {t: -c for t, c in vec.items()}
+        self._diag = [i for i in range(self.n)
+                      if _acts_diagonally(ad[i], self.act[i])]
+        self._dom_weights, self._mod_weights = _weights(
+            self, [(ad[i], self.act[i]) for i in self._diag])
         self._rank_cache = {}
         self._basis_cache = {}
         self._action_cache = {}
         self._invariant_cache = {}
         self._candidate_cache = {}
-
-    # -- grading ----------------------------------------------------------
-
-    def _diagonal_indices(self):
-        diag = []
-        for i in range(self.n):
-            ok = True
-            for (a, b), vec in self.dbr.items():
-                if a == i and set(vec) - {b}:
-                    ok = False
-                elif b == i and set(vec) - {a}:
-                    ok = False
-                if not ok:
-                    break
-            if ok:
-                for k, vec in self.act[i].items():
-                    if set(vec) - {k}:
-                        ok = False
-                        break
-            if ok:
-                diag.append(i)
-        return diag
-
-    def _dom_weight(self, j):
-        out = []
-        for i in self._diag:
-            if i == j:
-                out.append(0)
-            else:
-                a, b = min(i, j), max(i, j)
-                vec = self.dbr.get((a, b), {})
-                w = vec.get(j, 0)
-                out.append(_exact(w if a == i else -w))
-        return tuple(out)
-
-    def _mod_weight(self, k):
-        return tuple(_exact(self.act[i].get(k, {}).get(k, 0))
-                     for i in self._diag)
-
-    def _dom_sum(self, tup):
-        return _weight_sum(self._dom_weights, tup, len(self._diag))
 
     # -- basis bookkeeping --------------------------------------------------
 
@@ -140,8 +91,9 @@ class ComplexContext:
         if cached is None:
             cached = {}
             mod_weights = list(enumerate(self._mod_weights))
+            width = len(self._diag)
             for tup in combinations(range(self.n), q):
-                dsum = self._dom_sum(tup)
+                dsum = _weight_sum(self._dom_weights, tup, width)
                 for k, mw in mod_weights:
                     cached.setdefault(tuple(map(sub, mw, dsum)), []).append(
                         (tup, k))
@@ -244,12 +196,8 @@ class ComplexContext:
         """Basis of Z^q as Cochain objects (per-grade kernels)."""
         out = []
         for grade, basis in sorted(self.basis_by_grade(q).items()):
-            for coeffs in sparse_kernel_basis(self._block_columns(q, grade)):
-                data = {}
-                for (tup, k), c in zip(basis, coeffs):
-                    if c != 0:
-                        data.setdefault(tup, {})[k] = c
-                out.append(Cochain(self, q, data))
+            for rel in sparse_kernel_basis(self._block_columns(q, grade)):
+                out.append(_relation_cochain(self, q, basis, rel))
         return out
 
     def coboundary_basis(self, q):
@@ -264,6 +212,41 @@ class ComplexContext:
                 if span.add(col):
                     out.append(Cochain(self, q, _to_data(col)))
         return out
+
+
+def _bracket_coords(ctx, x, vectors, where):
+    """{position p: coordinates of [x, vectors[p]]} over the brackets that
+    are nonzero, in the span of ctx's `where` ("domain" or "module");
+    ValueError when one leaves it."""
+    solver = ctx._dom_solver if where == "domain" else ctx._mod_solver
+    out = {}
+    for p, v in enumerate(vectors):
+        b = ctx.ambient.bracket_vec(x, v)
+        if b:
+            c = solver.coords(b)
+            if c is None:
+                raise ValueError(f"the {where} is not closed under the bracket")
+            if c:
+                out[p] = c
+    return out
+
+
+def _acts_diagonally(a_dom, a_mod):
+    """Whether an element with these action tables sends every domain and
+    module basis vector to a multiple of itself."""
+    return all(len(col) == 1 and u in col
+               for table in (a_dom, a_mod) for u, col in table.items())
+
+
+def _weights(ctx, tables):
+    """(domain weights, module weights): per domain and module index, its
+    eigenvalues under the diagonally acting elements whose (a_dom, a_mod)
+    tables are given, as exact ints or Fractions."""
+    dom = [tuple(_exact(a_dom[u][u]) if u in a_dom else 0
+                 for a_dom, _ in tables) for u in range(ctx.n)]
+    mod = [tuple(_exact(a_mod[k][k]) if k in a_mod else 0
+                 for _, a_mod in tables) for k in range(ctx.m)]
+    return dom, mod
 
 
 def _exact(x):
@@ -286,6 +269,12 @@ def _to_data(col):
         if c != 0:
             data.setdefault(tup, {})[k] = c
     return data
+
+
+def _relation_cochain(ctx, q, basis, rel):
+    """The q-cochain sum_p rel[p] basis[p] of a kernel relation over a list
+    of (tup, k) basis cochains."""
+    return Cochain(ctx, q, _to_data({basis[p]: c for p, c in rel.items()}))
 
 
 @dataclass(frozen=True)
@@ -350,22 +339,6 @@ class Cochain:
         vec = self.data.get(tuple(sorted(indices)), {})
         return {k: sign * v for k, v in vec.items()}
 
-    def evaluate_vectors(self, vecs):
-        """Multilinear value on domain-coordinate vectors."""
-        acc = {}
-        _eval_rec(self, list(vecs), [], Fraction(1), acc)
-        return acc
-
-
-def _eval_rec(f, vecs, chosen, coeff, acc):
-    if not vecs:
-        vec_add(acc, f.evaluate(chosen), coeff)
-        return
-    head, rest = vecs[0], vecs[1:]
-    for i, c in head.items():
-        if c != 0:
-            _eval_rec(f, rest, chosen + [i], coeff * c, acc)
-
 
 def coboundary(f: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential: `delta_column`, extended linearly.
@@ -386,7 +359,7 @@ def _insert(tup, x):
     return tuple(lst), lst.index(x)
 
 
-def lie_derivative(x_vec, f: Cochain, acting=None) -> Cochain:
+def lie_derivative(x_vec, f: Cochain) -> Cochain:
     """(x . f)(x_1..x_q) = [x, f(..)] - sum_i f(.., [x, x_i], ..).
 
     `x_vec` is an ambient coordinate vector whose action must close on the
@@ -434,24 +407,8 @@ def _action_tables(ctx, x_vec):
 
 
 def _build_action_tables(ctx, x_vec):
-    a_dom, a_mod = {}, {}
-    for u in range(ctx.n):
-        b = ctx.ambient.bracket_vec(x_vec, ctx.domain[u])
-        if b:
-            c = ctx._dom_solver.coords(b)
-            if c is None:
-                raise ValueError("action does not close on the domain")
-            if c:
-                a_dom[u] = c
-    for k in range(ctx.m):
-        b = ctx.ambient.bracket_vec(x_vec, ctx.module[k])
-        if b:
-            c = ctx._mod_solver.coords(b)
-            if c is None:
-                raise ValueError("action does not close on the module")
-            if c:
-                a_mod[k] = c
-    return a_dom, a_mod
+    return (_bracket_coords(ctx, x_vec, ctx.domain, "domain"),
+            _bracket_coords(ctx, x_vec, ctx.module, "module"))
 
 
 def invariant_cochains(ctx: ComplexContext, q, generators):
@@ -493,19 +450,16 @@ def _invariant_candidates(ctx, q, generators):
 def _find_candidates(ctx, q, generators):
     diag, general = [], []
     for g in generators:
-        a_dom, a_mod = _action_tables(ctx, g)
-        if (all(set(col) == {u} for u, col in a_dom.items())
-                and all(set(col) == {k} for k, col in a_mod.items())):
-            diag.append((a_dom, a_mod))
+        tables = _action_tables(ctx, g)
+        if _acts_diagonally(*tables):
+            diag.append(tables)
         else:
             general.append(g)
-    # weights as exact ints or Fractions, module indices grouped by weight:
-    # (tup, k) is a candidate when the weight of k is the sum over tup
-    dom_weights = [tuple(_exact(a_dom.get(u, {}).get(u, 0)) for a_dom, _ in diag)
-                   for u in range(ctx.n)]
+    # module indices grouped by weight: (tup, k) is a candidate when the
+    # weight of k is the sum over tup
+    dom_weights, mod_weights = _weights(ctx, diag)
     mod_by_weight = {}
-    for k in range(ctx.m):
-        w = tuple(_exact(a_mod.get(k, {}).get(k, 0)) for _, a_mod in diag)
+    for k, w in enumerate(mod_weights):
         mod_by_weight.setdefault(w, []).append(k)
     candidates = []
     for tup in combinations(range(ctx.n), q):
@@ -526,29 +480,16 @@ def _invariant_basis(ctx, q, generators):
             for key, c in lie_derivative(g, f).items():
                 col[(gi,) + key] = c
         cols.append(col)
-    basis = []
-    for coeffs in sparse_kernel_basis(cols):
-        data = {}
-        for (tup, k), c in zip(candidates, coeffs):
-            if c != 0:
-                data.setdefault(tup, {})[k] = c
-        basis.append(Cochain(ctx, q, data))
-    return basis
+    return [_relation_cochain(ctx, q, candidates, rel)
+            for rel in sparse_kernel_basis(cols)]
 
 
 @dataclass(frozen=True)
-class InvariantCohomologyDims:
-    cocycles: int
-    coboundaries: int
-    cohomology: int
-    coboundaries_match_full: bool = True
-
-    def __iter__(self):
-        return iter((self.cocycles, self.coboundaries, self.cohomology))
+class InvariantCohomologyDims(CohomologyDims):
+    coboundaries_match_full: bool
 
 
-def invariant_cohomology_dims(ctx: ComplexContext, q, generators,
-                              check_consistency=True):
+def invariant_cohomology_dims(ctx: ComplexContext, q, generators):
     """Dims of the invariant subcomplex at degree q.
 
     Invariant coboundaries are delta of invariant (q-1)-cochains; for a
@@ -560,7 +501,7 @@ def invariant_cohomology_dims(ctx: ComplexContext, q, generators,
     z_dim = len(inv_q) - sparse_rank([coboundary(f) for f in inv_q])
     b_dim = sparse_rank([coboundary(f) for f in inv_prev])
     consistent = True
-    if check_consistency and q > 0:
+    if q > 0:
         consistent = _coboundary_consistency(ctx, q, inv_q, b_dim, generators)
     h = z_dim - b_dim
     if h < 0:

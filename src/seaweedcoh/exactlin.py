@@ -359,13 +359,8 @@ def sparse_rank(columns) -> int:
 
 
 def sparse_kernel_basis(columns):
-    """Kernel basis of sparse columns as dense coefficient vectors, in the
-    order and normalization of `Matrix.kernel_basis`."""
-    ech = Echelon(columns, track=True)
-    out = []
-    for rel in ech.kernel():
-        v = [Fraction(0)] * ech.count
-        for c, x in rel.items():
-            v[c] = x
-        out.append(v)
-    return out
+    """Kernel basis of sparse columns as {column index: coefficient}
+    relations (`Echelon.kernel`), sorted by column index: made dense, they
+    are the vectors of `Matrix.kernel_basis`, in its order and
+    normalization."""
+    return Echelon(columns, track=True).kernel()

@@ -18,12 +18,8 @@ from .exactlin import Echelon, InvariantError, vec_add
 from .seaweed import CenterSplit, split_over_center
 
 
-def _split_of(sw, split=None):
-    if split is not None:
-        return split
-    if isinstance(sw, CenterSplit):
-        return sw
-    return split_over_center(sw)
+def _split_of(sw, split):
+    return split if split is not None else split_over_center(sw)
 
 
 def quotient_cohomology(sw, j, split=None, want_representatives=None):
@@ -74,7 +70,7 @@ class CGReport:
         }
 
 
-def cg_dims(sw, n, split=None, adjoint_ctx=None) -> CGReport:
+def cg_dims(sw, n, split=None) -> CGReport:
     """Formula vs direct computation of dim H^n(s, s)."""
     split = _split_of(sw, split)
     z = len(split.center_basis)
@@ -91,8 +87,7 @@ def cg_dims(sw, n, split=None, adjoint_ctx=None) -> CGReport:
         d = comb(z, i) * qdims.get(j, 0)
         terms.append((i, j, d))
         total += d
-    ctx = adjoint_ctx if adjoint_ctx is not None else adjoint_context(split.seaweed)
-    direct = ctx.cohomology_dims(n).cohomology
+    direct = adjoint_context(split.seaweed).cohomology_dims(n).cohomology
     h0 = qdims.get(0)
     h0_ok = h0 is None or h0 == z
     return CGReport(n, terms, total, direct, total == direct, z, h0_ok)
@@ -113,22 +108,24 @@ class DegreeReport:
 
 def h2_report(sw, split=None) -> DegreeReport:
     """(dim wedge^2 Z* x Z, dim Z* x H^1(Q,s)); their sum is dim H^2(s,s)."""
-    split = _split_of(sw, split)
-    z = len(split.center_basis)
-    h1, _ = quotient_cohomology(sw, 1, split=split, want_representatives=False)
-    return DegreeReport(comb(z, 2) * z, z * h1)
+    return _degree_report(sw, 2, split)
 
 
 def h3_report(sw, split=None) -> DegreeReport:
     """(dim wedge^3 Z* x Z, dim wedge^2 Z* x H^1(Q,s))."""
+    return _degree_report(sw, 3, split)
+
+
+def _degree_report(sw, n, split):
+    """(C(z,n) z, C(z,n-1) dim H^1(Q,s)) for a center of dimension z."""
     split = _split_of(sw, split)
     z = len(split.center_basis)
     h1, _ = quotient_cohomology(sw, 1, split=split, want_representatives=False)
-    return DegreeReport(comb(z, 3) * z, comb(z, 2) * h1)
+    return DegreeReport(comb(z, n) * z, comb(z, n - 1) * h1)
 
 
-def cup_with_center(split: CenterSplit, f1: Cochain, z_functional=None,
-                    adjoint_ctx=None) -> Cochain:
+def cup_with_center(split: CenterSplit, f1: Cochain,
+                    z_functional=None) -> Cochain:
     """The 2-cocycle phi(x, y) = z*(x) f1(y-bar) - z*(y) f1(x-bar).
 
     `f1` is a 1-cocycle over the (Q, s) context; bars project to the quotient
@@ -142,7 +139,6 @@ def cup_with_center(split: CenterSplit, f1: Cochain, z_functional=None,
     sw = split.seaweed
     if z_functional is None:
         z_functional = split.center_functional(0)
-    ctx = adjoint_ctx if adjoint_ctx is not None else adjoint_context(sw)
     member = sw.member
     proj = [split.project_to_quotient({i: Fraction(1)}) for i in member]
     zstar = [z_functional[i] for i in member]
@@ -159,7 +155,7 @@ def cup_with_center(split: CenterSplit, f1: Cochain, z_functional=None,
             vec_add(vec, f1_on[a], -zstar[b])
             if vec:
                 data[(a, b)] = vec
-    phi = Cochain(ctx, 2, data)
+    phi = Cochain(adjoint_context(sw), 2, data)
     if not coboundary(phi).is_zero():
         raise ValueError("cup product failed to be a cocycle")
     return phi

@@ -149,9 +149,6 @@ class RootSystem:
         gets a fresh list of lists."""
         return [list(row) for row in self._cartan]
 
-    def reflect(self, vec, alpha):
-        return _add(vec, _scale(alpha, -self.cartan_integer(vec, alpha)))
-
     def root_string(self, alpha, beta):
         """(r, q) with the alpha-string through beta equal to beta-r*alpha ... beta+q*alpha."""
         if beta == alpha or beta == _scale(alpha, -1):
@@ -167,9 +164,6 @@ class RootSystem:
             q += 1
             cur = _add(cur, alpha)
         return r, q
-
-    def height(self, root):
-        return sum(self.coefficients(root))
 
 
 def build(type_label: str, rank: int) -> RootSystem:

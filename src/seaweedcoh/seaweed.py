@@ -142,10 +142,9 @@ def center(sw: Seaweed):
                 col[(j, k)] = v
         cols.append(col)
     # column per member index i: rows (j, k) give coeff of e_k in [e_i, e_j]
-    kernel = sparse_kernel_basis(cols)
     out = []
-    for coeffs in kernel:
-        vec = _primitive({i: c for i, c in zip(sw.member, coeffs) if c != 0})
+    for rel in sparse_kernel_basis(cols):
+        vec = _primitive({sw.member[p]: c for p, c in rel.items()})
         cartan_like = set(sw.ambient.cartan) | (set(sw.member) - set(sw.ambient.root_of))
         if not set(vec) <= cartan_like:
             raise InvariantError("central vector outside the Cartan")

@@ -105,7 +105,7 @@ def test_criterion_4_g2_decomposable(g2_fixture):
     from seaweedcoh.gerstenhaber import is_coboundary
     assert not is_coboundary(ctx, gen)              # generates the class
     split = split_over_center(sw, section_indices=[0, 1])
-    rep2 = cg_dims(sw, 2, split=split, adjoint_ctx=ctx)
+    rep2 = cg_dims(sw, 2, split=split)
     assert rep2.formula_total == 1 == rep2.direct_total
     assert tuple(h2_report(sw, split=split)) == (0, 1)
     assert ctx.cohomology_dims(3).cohomology == 0
@@ -113,7 +113,7 @@ def test_criterion_4_g2_decomposable(g2_fixture):
     _, reps = quotient_cohomology(sw, 1, split=split)
     f1 = reps[0].scale(F(2) / reps[0].data[(1,)][1])
     zstar = split.center_functional(0, vector={1: F(2), 2: F(3)})
-    phi = cup_with_center(split, f1, z_functional=zstar, adjoint_ctx=ctx)
+    phi = cup_with_center(split, f1, z_functional=zstar)
     assert phi.data == {(1, 2): {1: F(-2, 3), 2: -1}}   # phi = -(1/3) z
     assert cohomologous(ctx, phi.scale(-3), gen)
     elapsed = time.monotonic() - t0

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from seaweedcoh import casimir
 from seaweedcoh.casimir import (OperatorContext, _compute_form_ratio,
                                 casimir_action, extend_by_zero, homotopy,
                                 invariant_cocycles, modified_casimir,
@@ -14,6 +15,7 @@ from seaweedcoh.chevalley import construct
 from seaweedcoh.cli import _all_specs, _ambient
 from seaweedcoh.cochain import (Cochain, coboundary, full_context,
                                 invariant_cochains, reductive_generators)
+from seaweedcoh.exactlin import sparse_kernel_basis
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
 
@@ -315,6 +317,57 @@ def test_certificates_stay_exact():
                 assert w.predicted_scalars is not None
                 assert all(map(_exact_number, w.predicted_scalars)), w
     assert seen > 100
+
+
+def folded_invariant_cocycles(octx, q):
+    """invariant_cocycles as first written: each kernel relation folded
+    into a new Cochain term by term through Cochain.add."""
+    ns = octx.ns
+    inv = invariant_cochains(ns, q, reductive_generators(octx.seaweed))
+    out = []
+    for rel in sparse_kernel_basis([coboundary(f) for f in inv]):
+        f = ns.zero(q)
+        for p, c in rel.items():
+            f = f.add(inv[p], c)
+        out.append(f)
+    return out
+
+
+def ordered_data(f):
+    return [(tup, list(vec.items())) for tup, vec in f.data.items()]
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 2), ("B", 2), ("G", 2), ("A", 4)])
+def test_invariant_cocycles_match_fold(type_label, rank):
+    # the order of f.data is the order of a witness's entry_scalars
+    octxs = (_a4_orbit_octxs() if (type_label, rank) == ("A", 4)
+             else _sweep_octxs(type_label, rank))
+    seen = 0
+    for octx in octxs:
+        for q in range(1, len(octx.seaweed.nilradical) + 1):
+            got = invariant_cocycles(octx, q)
+            ref = folded_invariant_cocycles(octx, q)
+            assert list(map(ordered_data, got)) == \
+                list(map(ordered_data, ref)), (octx.seaweed.spec, q)
+            seen += len(got)
+    assert seen > 0
+
+
+def test_invariant_cocycles_cancellation_order(a2_octx, monkeypatch):
+    # a tuple emptied by cancellation and filled again moves to the end,
+    # as in the fold; no seaweed swept above produces such a relation
+    ns = a2_octx.ns
+    inv = [Cochain(ns, 1, {(0,): {0: 1}}),
+           Cochain(ns, 1, {(0,): {0: -1}, (1,): {0: 1}}),
+           Cochain(ns, 1, {(0,): {0: 1}})]
+    rel = {0: F(1), 1: F(1), 2: F(1)}
+    monkeypatch.setattr(casimir, "invariant_cochains", lambda *a: inv)
+    monkeypatch.setattr(casimir, "sparse_kernel_basis", lambda cols: [rel])
+    (got,) = invariant_cocycles(a2_octx, 1)
+    folded = inv[0].add(inv[1]).add(inv[2])
+    assert ordered_data(got) == ordered_data(folded) == \
+        [((1,), [(0, 1)]), ((0,), [(0, 1)])]
 
 
 def reference_entry_scalars(octx, f, kappa_ratio):

@@ -407,6 +407,85 @@ def test_euler_characteristic_sweep(sweep_reports):
     assert checked > 0
 
 
+# -- the grading: one diagonal test and one weight extraction ------------------
+
+def reference_grading(ctx):
+    """(diagonal indices, domain weights, module weights) as first computed:
+    a domain element is diagonal when every bracket with it stays on the
+    line of the other factor, read off dbr entry by entry, and its weight on
+    d_j is the d_j-coefficient of [d_i, d_j], negated when dbr stores
+    [d_j, d_i]."""
+    def exact(x):
+        return int(x) if x.denominator == 1 else x
+
+    diag = []
+    for i in range(ctx.n):
+        ok = all(not (a == i and set(vec) - {b}) and
+                 not (b == i and set(vec) - {a})
+                 for (a, b), vec in ctx.dbr.items())
+        if ok and all(not set(vec) - {k} for k, vec in ctx.act[i].items()):
+            diag.append(i)
+    dom = []
+    for j in range(ctx.n):
+        w = []
+        for i in diag:
+            a, b = min(i, j), max(i, j)
+            c = 0 if i == j else ctx.dbr.get((a, b), {}).get(j, 0)
+            w.append(exact(c if a == i else -c))
+        dom.append(tuple(w))
+    mod = [tuple(exact(ctx.act[i].get(k, {}).get(k, 0)) for i in diag)
+           for k in range(ctx.m)]
+    return diag, dom, mod
+
+
+def reference_basis_by_grade(ctx, q, grading):
+    """basis_by_grade(q) as first computed: (tup, k) under the weight of k
+    minus the weights summed over tup, in increasing (tup, k) order."""
+    diag, dom, mod = grading
+    out = {}
+    for tup in combinations(range(ctx.n), q):
+        dsum = [sum(dom[j][c] for j in tup) for c in range(len(diag))]
+        for k, mw in enumerate(mod):
+            grade = tuple(m - d for m, d in zip(mw, dsum))
+            out.setdefault(grade, []).append((tup, k))
+    return out
+
+
+def assert_grading_matches_reference(ctx):
+    grading = reference_grading(ctx)
+    assert (ctx._diag, ctx._dom_weights, ctx._mod_weights) == grading
+    for q in range(min(ctx.n, 3) + 1):
+        got = ctx.basis_by_grade(q)
+        ref = reference_basis_by_grade(ctx, q, grading)
+        assert list(got) == list(ref), q       # the order of the grades
+        assert got == ref, q                   # and of each block
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+def test_grading_matches_reference(type_label, rank):
+    for spec in _all_specs(type_label, rank):
+        if spec.rank != rank:
+            continue
+        sw = build_seaweed(_ambient(type_label, rank), spec)
+        for ctx in (adjoint_context(sw), nilradical_context(sw),
+                    quotient_context(split_over_center(sw))):
+            assert_grading_matches_reference(ctx)
+
+
+def test_grading_matches_reference_rescaled_fixture(a2_fixture):
+    rng = random.Random(5)
+    scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
+    L2 = a2_fixture.rescaled(scalars)
+    for pi2 in ([1, 2], [1], []):
+        sw = build_seaweed(L2, SeaweedSpec.make("A", 2, [], pi2))
+        for ctx in (adjoint_context(sw), nilradical_context(sw),
+                    quotient_context(split_over_center(sw))):
+            assert_grading_matches_reference(ctx)
+    ctx = adjoint_context(build_seaweed(L2, SeaweedSpec.make("A", 2, [], [1, 2])))
+    assert any(isinstance(w, F) for ws in ctx._dom_weights for w in ws)
+
+
 # -- the invariant-cochain candidate filter ------------------------------------
 
 def brute_force_candidates(ctx, q, generators):

@@ -136,7 +136,14 @@ def echelon_outputs(cols, as_input=list):
 def test_sparse_matches_dense(m, rng):
     cols = [{i: v for i, v in enumerate(col) if v != 0} for col in m.columns()]
     assert sparse_rank(cols) == m.rank()
-    assert sparse_kernel_basis(cols) == m.kernel_basis()
+    dense = []
+    for rel in sparse_kernel_basis(cols):
+        assert list(rel) == sorted(rel)
+        v = [F(0)] * m.ncols
+        for c, x in rel.items():
+            v[c] = x
+        dense.append(v)
+    assert dense == m.kernel_basis()
     head = Matrix.from_columns(m.columns()[:-1], nrows=m.nrows)
     in_span = head.solve(m.column(m.ncols - 1)) is not None
     assert Echelon(cols[:-1]).contains(cols[-1]) == in_span

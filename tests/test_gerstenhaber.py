@@ -92,7 +92,7 @@ def test_cup_product_published(g2):
     f1 = reps[0].scale(F(2) / reps[0].data[(1,)][1])   # f1(e13-bar) = z
     zstar = split.center_functional(0, vector={1: F(2), 2: F(3)})
     assert zstar[2] == F(1, 3)                          # z*(e14) = 1/3
-    phi = cup_with_center(split, f1, z_functional=zstar, adjoint_ctx=ctx)
+    phi = cup_with_center(split, f1, z_functional=zstar)
     assert phi.data == {(1, 2): {1: F(-2, 3), 2: -1}}   # -(1/3) z at (e13,e14)
     gen = Cochain(ctx, 2, {(1, 2): {1: F(2), 2: F(3)}})
     assert phi.scale(-3) == gen
