@@ -284,26 +284,17 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
 
 
 def _map_matrix(basis, images):
-    keys = sorted({key for f in basis for key, _ in f.items()})
-    idx = {k: i for i, k in enumerate(keys)}
-    cols = []
-    for f in basis:
-        col = [Fraction(0)] * len(keys)
-        for key, c in f.items():
-            col[idx[key]] = c
-        cols.append(col)
-    bmat = Matrix.from_columns(cols, nrows=len(keys))
+    keys = {key for f in basis for key, _ in f.items()}
+    ech = Echelon(basis, track=True)
+    zero = Fraction(0)
     out = []
     for im in images:
-        vec = [Fraction(0)] * len(keys)
-        for key, c in im.items():
-            if key not in idx:
-                raise ValueError("image leaves the invariant cocycle space")
-            vec[idx[key]] = c
-        sol = bmat.solve(vec)
+        if any(key not in keys for key, _ in im.items()):
+            raise ValueError("image leaves the invariant cocycle space")
+        sol = ech.coords(im)
         if sol is None:
             raise ValueError("image is not a combination of the cocycle basis")
-        out.append(sol)
+        out.append([sol.get(j, zero) for j in range(len(basis))])
     return Matrix.from_columns(out, nrows=len(basis))
 
 
@@ -446,11 +437,11 @@ def _compute_form_ratio(g: LieAlgebra):
         b = g.bracket(h, long_root_idx)
         alpha_vals.append(b.get(long_root_idx, 0))
     kappa = g.killing_matrix()
-    block = Matrix([[g.form_scale * kappa.data[a][b] for b in cartan]
-                    for a in cartan])
-    try:
-        t = block.inverse().matvec(alpha_vals)
-    except ValueError:
+    block = Echelon(({p: g.form_scale * kappa.data[a][b]
+                      for p, a in enumerate(cartan)} for b in cartan),
+                    track=True)
+    if block.rank < len(cartan):
         return None
-    sq_b = sum((a * b for a, b in zip(alpha_vals, t)), Fraction(0))
+    t = block.coords(dict(enumerate(alpha_vals)))
+    sq_b = sum((alpha_vals[p] * c for p, c in t.items()), Fraction(0))
     return sq_b / best

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import rootsystem
-from .exactlin import Matrix, SpanSolver, vec_add
+from .exactlin import Echelon, Matrix, SpanSolver, vec_add
 from .rootsystem import RootSystem
 
 
@@ -196,13 +196,17 @@ class LieAlgebra:
         when the published tables normalize the invariant form differently.
         """
         if self._dual is None:
-            kappa = self.killing_matrix()
-            scaled = Matrix([[self.form_scale * x for x in row] for row in kappa.data])
-            try:
-                inv = scaled.inverse()
-            except ValueError:
-                raise ValueError("Killing form is degenerate; no dual basis") from None
-            self._dual = [inv.column(j) for j in range(self.dim)]
+            scale = self.form_scale
+            ech = Echelon(({i: scale * x for i, x in enumerate(col) if x}
+                           for col in self.killing_matrix().columns()),
+                          track=True)
+            if ech.rank < self.dim:
+                raise ValueError("Killing form is degenerate; no dual basis")
+            zero = Fraction(0)
+            self._dual = []
+            for j in range(self.dim):
+                e = ech.coords({j: 1})
+                self._dual.append([e.get(i, zero) for i in range(self.dim)])
         return self._dual
 
     # -- helpers -------------------------------------------------------------
@@ -478,7 +482,7 @@ def subalgebra(parent: LieAlgebra, vectors, labels=None, check=True) -> tuple:
     """
     vecs = [dict(v) for v in vectors]
     k = len(vecs)
-    solver = SpanSolver(parent.dim, vecs)
+    solver = SpanSolver(vecs)
 
     def coords(vec):
         out = solver.coords(vec)

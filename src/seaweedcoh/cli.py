@@ -60,8 +60,12 @@ def _spec_json(spec, fixture=None):
     return out
 
 
-def _default_degree_cap(dim_s):
-    return dim_s if dim_s <= 8 else 3
+def _degree_cap(sw, max_degree):
+    """Top degree of the cohomology rows: `max_degree`, by default dim s up
+    to 8 and 3 above, and never past dim s."""
+    if max_degree is None:
+        max_degree = sw.dim if sw.dim <= 8 else 3
+    return min(max_degree, sw.dim)
 
 
 def build_from_args(args):
@@ -71,6 +75,8 @@ def build_from_args(args):
         L = chevalley.load_fixture(args.fixture)
         fixture_name = str(args.fixture)
         if args.type:
+            if args.rank is None:
+                raise SystemExit("--type needs --rank")
             spec = SeaweedSpec.make(args.type, args.rank, args.pi1, args.pi2)
             if L.root_system is not None and (
                     L.root_system.type_label != args.type
@@ -123,10 +129,11 @@ def cohomology_rows(sw, max_degree):
     return [_dims_row(q, ctx.cohomology_dims(q)) for q in range(max_degree + 1)]
 
 
-def _cg_reports(sw, top):
-    """Formula vs direct H^n(s, s) for n = 0..top, over one center split."""
+def _cg_reports(sw, cap):
+    """Formula vs direct H^n(s, s) for n = 0..min(cap, 3), over one center
+    split."""
     split = split_over_center(sw)
-    return [cg_dims(sw, n, split=split) for n in range(top + 1)]
+    return [cg_dims(sw, n, split=split) for n in range(min(cap, 3) + 1)]
 
 
 def verify_report(sw, spec, max_degree=None, strict_paper=False,
@@ -152,8 +159,7 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
                  f"center dim {zdim}, expected rank - |pi1 u pi2| = {expected}")
     indec = report["indecomposable"]
 
-    cap = max_degree if max_degree is not None else _default_degree_cap(sw.dim)
-    cap = min(cap, sw.dim)
+    cap = _degree_cap(sw, max_degree)
     report["cohomology"] = cohomology_rows(sw, cap)
     if indec:
         for row in report["cohomology"]:
@@ -192,7 +198,7 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
     report["certificates"] = certs
 
     # formula vs direct for the decomposable case
-    cg_reports = _cg_reports(sw, min(cap, 3))
+    cg_reports = _cg_reports(sw, cap)
     cg = [rep.as_dict() for rep in cg_reports]
     for rep in cg_reports:
         if not rep.match:
@@ -203,12 +209,11 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
             flag("quotient_h0_not_center", f"H^0(Q,s) != Z(s) at n={rep.n}")
     report["cg"] = cg
     if zdim > 0:
-        for n in range(1, min(cap, 3) + 1):
-            h = next((t[2] for r in cg if r["n"] == n for t in r["terms"]
-                      if t[0] == 0), 0)
+        for row in cg[1:]:
+            h = next((t[2] for t in row["terms"] if t[0] == 0), 0)
             if h != 0:
                 flag("quotient_cohomology_nonzero",
-                     f"H^{n}(Q,s) = {h}, contradicting the vanishing claim "
+                     f"H^{row['n']}(Q,s) = {h}, contradicting the vanishing claim "
                      f"for n >= 1 (the worked example needs H^1(Q,s) = 1)",
                      ERROR if strict_paper else INFORMATIONAL)
 
@@ -225,12 +230,11 @@ def cmd_info(args):
 
 def cmd_cohomology(args):
     sw, spec, fixture = build_from_args(args)
-    cap = args.max_degree if args.max_degree is not None else \
-        _default_degree_cap(sw.dim)
+    cap = _degree_cap(sw, args.max_degree)
     report = _report_head(sw, spec, fixture)
-    report["cohomology"] = cohomology_rows(sw, min(cap, sw.dim))
+    report["cohomology"] = cohomology_rows(sw, cap)
     if report["dims"]["center"] > 0:
-        report["cg"] = [rep.as_dict() for rep in _cg_reports(sw, min(cap, 3))]
+        report["cg"] = [rep.as_dict() for rep in _cg_reports(sw, cap)]
     print(json.dumps(report, indent=2))
     return 0
 

@@ -50,8 +50,8 @@ class ComplexContext:
         self.module = [dict(v) for v in module]
         self.n = len(self.domain)
         self.m = len(self.module)
-        self._dom_solver = SpanSolver(ambient.dim, self.domain)
-        self._mod_solver = SpanSolver(ambient.dim, self.module)
+        self._dom_solver = SpanSolver(self.domain)
+        self._mod_solver = SpanSolver(self.module)
         # domain bracket table and domain action on the module
         self.dbr = {}
         for i, x in enumerate(self.domain):

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
-`Matrix` is a dense Fraction matrix (rank, kernel, solve, inverse) for the
-small dense systems and as the reference the sparse engine is tested
-against.  `Echelon` is the one sparse elimination engine: incremental,
-fraction-free over the integers, with optional kernel relations.  It
-pivots in the rows that the fewest columns touch, which keeps fill-in low;
-its outputs depend only on the order of the columns, never on the row
-order.  `SpanSolver` factors a spanning list once and then gives the
-coordinates of many vectors in it.  Pivoting is deterministic throughout,
-so kernel bases and coordinates are reproducible across runs.
+`Echelon` is the one elimination engine: sparse, incremental, fraction-free
+over the integers.  It answers rank, kernel relations, span membership and
+coordinates.  It pivots in the rows that the fewest columns touch, which
+keeps fill-in low; its outputs depend only on the order of the columns,
+never on the row order.  `SpanSolver` reads coordinates in a list of unit
+vectors directly and factors any other spanning list once.  `Matrix` is a
+dense Fraction matrix: the reference the tests compare the engine against,
+and the container of the Killing and certificate matrices.  Pivoting is
+deterministic throughout, so kernel bases and coordinates are reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -146,57 +147,30 @@ class Matrix:
 class SpanSolver:
     """Coordinates of sparse vectors in a fixed spanning list, exactly.
 
-    A list of unit vectors is read off directly.  Otherwise one RREF of
-    [M | I], M having the vectors as columns, gives a left inverse (rows
-    against the pivot columns) and the membership constraints (rows with a
-    zero M-part); each query is then sparse dot products.  The answer is
-    the one `Matrix.solve` gives: free coordinates zero.
+    A list of unit vectors is read off directly; any other list is factored
+    once by a tracked `Echelon`.  The answer is the one `Matrix.solve`
+    gives: free coordinates zero.
     """
 
-    def __init__(self, dim, vectors):
+    def __init__(self, vectors):
         self._unit = None
         if all(len(v) == 1 and next(iter(v.values())) == 1 for v in vectors):
             self._unit = {next(iter(v)): i for i, v in enumerate(vectors)}
-            return
-        k = len(vectors)
-        aug = Matrix([[v.get(i, 0) for v in vectors]
-                      + [1 if j == i else 0 for j in range(dim)]
-                      for i in range(dim)])
-        red, pivots = aug.rref()   # [M | I] has full row rank: dim pivots
-        self._rows, self._constraints = [], []
-        for row, pc in zip(red.data, pivots):
-            inv = {i: c for i, c in enumerate(row[k:]) if c != 0}
-            if pc < k:
-                self._rows.append((pc, inv))
-            else:
-                self._constraints.append(inv)
+        else:
+            self._echelon = Echelon(vectors, track=True)
 
     def coords(self, vec):
         """{list index: coefficient} with sum = vec, or None outside the span."""
-        if self._unit is not None:
-            out = {}
-            for i, c in vec.items():
-                j = self._unit.get(i)
-                if j is None:
-                    return None
-                if c != 0:
-                    out[j] = c
-            return out
-        for con in self._constraints:
-            if _dot(con, vec) != 0:
-                return None
+        if self._unit is None:
+            return self._echelon.coords(vec)
         out = {}
-        for pc, inv in self._rows:
-            c = _dot(inv, vec)
+        for i, c in vec.items():
+            j = self._unit.get(i)
+            if j is None:
+                return None
             if c != 0:
-                out[pc] = c
+                out[j] = c
         return out
-
-
-def _dot(row, vec):
-    if len(vec) < len(row):
-        return sum((c * row[i] for i, c in vec.items() if i in row), Fraction(0))
-    return sum((c * vec[i] for i, c in row.items() if i in vec), Fraction(0))
 
 
 def vec_add(acc, other, scale=1):
@@ -338,6 +312,17 @@ class Echelon:
     def contains(self, col) -> bool:
         """Whether `col` lies in the span of the columns added so far."""
         return self._reduce(_integerize(col, self._pos)[0], None) is None
+
+    def coords(self, col):
+        """{column index: coefficient} with sum = `col`, over the independent
+        columns in increasing order, or None outside the span: `Matrix.solve`
+        with free coordinates zero.  Needs `track=True`."""
+        vec, scale = _integerize(col, self._pos)
+        comb = {-1: scale}     # -1 stands for `col` itself
+        if self._reduce(vec, comb) is not None:
+            return None
+        lead = comb.pop(-1)
+        return {c: Fraction(-v, lead) for c, v in sorted(comb.items())}
 
     def kernel(self):
         """One {column index: coefficient} relation per dependent column.

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import rootsystem
 from .chevalley import LieAlgebra, subalgebra
-from .exactlin import InvariantError, Matrix, sparse_kernel_basis, sparse_rank
+from .exactlin import Echelon, InvariantError, sparse_kernel_basis
 
 _cached_build = lru_cache(maxsize=None)(rootsystem.build)
 
@@ -158,17 +158,15 @@ class CenterSplit:
     center_basis: list      # ambient coordinate dicts
     complement_basis: list  # ambient coordinate dicts, bracket-closed
     quotient: LieAlgebra    # structure constants of the complement
-    complement_coords: object  # ambient vector -> quotient coordinates
+    echelon: Echelon        # tracked, over center_basis + complement_basis
 
     def project_to_quotient(self, vec):
         """Quotient coordinates of the projection along the center."""
-        full = self.center_basis + self.complement_basis
-        cols = [[v.get(i, 0) for v in full] for i in range(self.seaweed.ambient.dim)]
-        sol = Matrix(cols).solve([vec.get(i, 0) for i in range(self.seaweed.ambient.dim)])
+        sol = self.echelon.coords(vec)
         if sol is None:
             raise ValueError("vector outside s")
         z = len(self.center_basis)
-        return {i: c for i, c in enumerate(sol[z:]) if c != 0}
+        return {i - z: c for i, c in sol.items() if i >= z}
 
     def center_functional(self, which=0, vector=None):
         """z* with z*(z) = 1 and z* = 0 on the complement.
@@ -179,14 +177,17 @@ class CenterSplit:
         basis = list(self.center_basis)
         if vector is not None:
             basis[which] = dict(vector)
-        full = basis + self.complement_basis
         dim = self.seaweed.ambient.dim
-        mat = Matrix.from_columns(
-            [[v.get(i, 0) for i in range(dim)] for v in full], nrows=dim)
-        sol = mat.transpose().solve([1 if i == which else 0 for i in range(len(full))])
+        # column i holds coordinate i of every basis vector: solving for
+        # {which: 1} gives the values of z* on the ambient basis
+        cols = [{} for _ in range(dim)]
+        for k, v in enumerate(basis + self.complement_basis):
+            for i, c in v.items():
+                cols[i][k] = c
+        sol = Echelon(cols, track=True).coords({which: 1})
         if sol is None:
             raise ValueError("center functional does not extend")
-        return sol  # dense length-dim list over ambient coordinates
+        return [sol.get(i, Fraction(0)) for i in range(dim)]
 
 
 def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
@@ -208,24 +209,24 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
         comp = [{i: 1} for i in sw.member]
     else:
         kappa = g.killing_matrix()
-        pair = Matrix([[sum((z.get(i, 0) * kappa.data[i][h] for i in z), Fraction(0))
-                        for h in cartan_like] for z in zs])
-        hbasis = [_primitive(dict((h, c) for h, c in zip(cartan_like, v) if c != 0))
-                  for v in pair.kernel_basis()]
+        pair = [{k: sum((z.get(i, 0) * kappa.data[i][h] for i in z), Fraction(0))
+                 for k, z in enumerate(zs)} for h in cartan_like]
+        hbasis = [_primitive({cartan_like[p]: c for p, c in rel.items()})
+                  for rel in sparse_kernel_basis(pair)]
         if len(hbasis) != len(cartan_like) - len(zs):
             # Killing form too degenerate here: fall back to dropping the
             # pivot coordinates of the center vectors.
-            zmat = Matrix([[z.get(h, 0) for h in cartan_like] for z in zs])
-            _, pivots = zmat.rref()
-            hbasis = [{cartan_like[c]: 1}
-                      for c in range(len(cartan_like)) if c not in pivots]
+            zech = Echelon()
+            hbasis = [{h: 1} for h in cartan_like
+                      if not zech.add({k: z.get(h, 0) for k, z in enumerate(zs)})]
         comp = hbasis + [{i: 1} for i in roots_in_s]
 
     full = zs + comp
-    if len(full) != sw.dim or sparse_rank(full) != sw.dim:
+    ech = Echelon(full, track=True)
+    if len(full) != sw.dim or ech.rank != sw.dim:
         raise ValueError("complement does not complement the center in s")
-    quotient, coords = subalgebra(g, comp, check=False)
-    split = CenterSplit(sw, zs, comp, quotient, coords)
+    quotient, _ = subalgebra(g, comp, check=False)
+    split = CenterSplit(sw, zs, comp, quotient, ech)
     for z in zs:
         for c in comp:
             if g.bracket_vec(z, c):

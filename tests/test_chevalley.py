@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from seaweedcoh import rootsystem
 from seaweedcoh.chevalley import (JacobiError, LieAlgebra, construct,
-                                  direct_sum, jacobi_violation, loads_fixture,
-                                  subalgebra)
+                                  direct_sum, jacobi_violation, load_fixture,
+                                  loads_fixture, subalgebra)
 from seaweedcoh.exactlin import Matrix, vec_add
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_construct_a1():
@@ -300,6 +303,19 @@ def test_dual_basis_defining_property(a2_fixture):
         for j in range(8):
             val = sum(scaled.data[i][k] * dual[j][k] for k in range(8))
             assert val == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("source", ["a2_table1", "A-2", "B-2", "G-2"])
+def test_dual_basis_matches_dense_inverse(source):
+    # fresh algebras, so the cached duals come from this call
+    if source == "a2_table1":
+        L = load_fixture(FIXTURES / source)
+    else:
+        t, r = source.split("-")
+        L = construct(rootsystem.build(t, int(r)))
+    kappa = L.killing_matrix()
+    scaled = Matrix([[L.form_scale * x for x in row] for row in kappa.data])
+    assert L.dual_basis() == scaled.inverse().columns()
 
 
 def test_dual_basis_degenerate_rejected(g2_fixture):

@@ -78,6 +78,26 @@ def test_cohomology_fixture_as_ambient():
     assert all(r["cohomology"] == 0 for r in rec["cohomology"])
 
 
+def test_cohomology_and_verify_share_the_degree_cap():
+    # s = h of A1 has dim 1: both commands stop the cohomology and the cg
+    # rows at degree 1, past a larger --max-degree
+    args = ["--type", "A", "--rank", "1", "--max-degree", "3"]
+    coh = json.loads(run_cli(["cohomology"] + args).stdout)
+    ver = json.loads(run_cli(["verify"] + args).stdout)
+    assert [r["q"] for r in coh["cohomology"]] == [0, 1]
+    assert [r["n"] for r in coh["cg"]] == [0, 1]
+    assert coh["cohomology"] == ver["cohomology"]
+    assert coh["cg"] == ver["cg"]
+
+
+def test_fixture_type_without_rank_rejected():
+    proc = run_cli(["verify", "--fixture", str(FIXTURES / "a2_table1"),
+                    "--type", "A", "--pi1", "1"], check=False)
+    assert proc.returncode != 0
+    assert "--rank" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_exit_codes():
     proc = run_cli(["verify", "--type", "A", "--rank", "2",
                     "--pi1", "", "--pi2", "1,2"])

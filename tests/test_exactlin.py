@@ -1,11 +1,20 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seaweedcoh import rootsystem
+from seaweedcoh.chevalley import construct, load_fixture
+from seaweedcoh.cli import _all_specs, verify_report
 from seaweedcoh.cochain import Cochain
 from seaweedcoh.exactlin import (Echelon, Matrix, SpanSolver,
                                  sparse_kernel_basis, sparse_rank)
+from seaweedcoh.gerstenhaber import cup_with_center, quotient_cohomology
+from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
+                                seaweed_from_algebra, split_over_center)
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def cofactor_det(rows):
@@ -162,6 +171,53 @@ def test_sparse_matches_dense(m, rng):
     assert sparse_rank(renamed) == sparse_rank(cochains) == m.rank()
 
 
+def dense_coords(m, v):
+    """`Matrix.solve` as a {column: coefficient} dict of its nonzero
+    entries, or None outside the column span."""
+    sol = m.solve(v)
+    return None if sol is None else {j: c for j, c in enumerate(sol) if c != 0}
+
+
+# the queries are every column (dependent ones included), a combination of
+# the columns, an arbitrary vector (usually outside a deficient span) and
+# zero; at 2**130 + 1 scaling content reduction runs on the combinations
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrices(), small_matrices(scale=2**130 + 1)),
+       st.data())
+def test_echelon_coords_matches_solve(m, data):
+    vals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    cols = [{i: v for i, v in enumerate(col) if v != 0} for col in m.columns()]
+    queries = m.columns() + [
+        m.matvec([data.draw(vals) for _ in range(m.ncols)]),
+        [data.draw(vals) for _ in range(m.nrows)],
+        [0] * m.nrows]
+    independent = [j for j, c in enumerate(cols) if Echelon(cols[:j]).add(c)]
+    ech = Echelon(cols, track=True)
+    from_iter = Echelon(iter(cols), track=True)
+    as_cochains = Echelon([Cochain(None, 1, {(i,): {0: v} for i, v in c.items()})
+                           for c in cols], track=True)
+    for v in queries:
+        ref = dense_coords(m, v)
+        vec = {i: c for i, c in enumerate(v) if c != 0}
+        got = ech.coords(vec)
+        assert got == ref
+        if got is not None:
+            assert list(got) == sorted(got)
+            assert set(got) <= set(independent)
+            assert all(type(c) is F for c in got.values())
+        assert from_iter.coords(vec) == ref
+        query = Cochain(None, 1, {(i,): {0: c} for i, c in vec.items()})
+        assert as_cochains.coords(query) == ref
+
+
+def test_echelon_coords_outside_rows():
+    # a row no column touches puts a vector outside the span
+    ech = Echelon([{0: 2}, {0: 1, 1: 1}], track=True)
+    assert ech.coords({0: 1, 1: 3}) == {0: F(-1), 1: F(3)}
+    assert ech.coords({5: 1}) is None
+    assert ech.coords({}) == {}
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrices(), st.data())
 def test_span_solver_matches_solve(m, data):
@@ -169,7 +225,7 @@ def test_span_solver_matches_solve(m, data):
     # of the span (free coordinates zero) and vectors outside it (None)
     vals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
     cols = [{i: v for i, v in enumerate(col) if v != 0} for col in m.columns()]
-    solver = SpanSolver(m.nrows, cols)
+    solver = SpanSolver(cols)
     inside = m.matvec([data.draw(vals) for _ in range(m.ncols)])
     anywhere = [data.draw(vals) for _ in range(m.nrows)]
     for v in (inside, anywhere):
@@ -180,6 +236,37 @@ def test_span_solver_matches_solve(m, data):
 
 
 def test_span_solver_unit_vectors():
-    solver = SpanSolver(4, [{2: 1}, {0: 1}])
+    solver = SpanSolver([{2: 1}, {0: 1}])
     assert solver.coords({0: F(3), 2: F(-1)}) == {1: F(3), 0: F(-1)}
     assert solver.coords({1: F(1)}) is None
+
+
+def test_reports_need_no_dense_elimination(monkeypatch):
+    # Matrix is the reference only: verify reports and the cup product run
+    # with its eliminations disabled.  The algebras are built here, so no
+    # cached dual basis or form ratio hides a call.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense elimination called")
+
+    for name in ("rref", "solve", "inverse", "kernel_basis"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    for t, r in [("A", 2), ("B", 2), ("G", 2)]:
+        g = construct(rootsystem.build(t, r))
+        for sp in _all_specs(t, r):
+            if sp.rank == r:
+                assert verify_report(build_seaweed(g, sp), sp)["ok"]
+    a2 = load_fixture(FIXTURES / "a2_table1")
+    g2 = load_fixture(FIXTURES / "g2_seaweed")
+    a2_spec = SeaweedSpec.make("A", 2, [], [1, 2])
+    assert verify_report(build_seaweed(a2, a2_spec), a2_spec)["ok"]
+    assert verify_report(seaweed_from_algebra(a2), None)["ok"]
+    sw = seaweed_from_algebra(g2)
+    assert verify_report(sw, None)["ok"]
+    # demo 02: the cup product of z* with the quotient 1-cocycle
+    split = split_over_center(sw, section_indices=[0, 1])
+    _, reps = quotient_cohomology(sw, 1, split=split)
+    f1 = reps[0].scale(F(2) / reps[0].data[(1,)][1])
+    zstar = split.center_functional(0, vector=center(sw)[0])
+    phi = cup_with_center(split, f1, z_functional=zstar)
+    assert phi.data == {(1, 2): {1: F(-2, 3), 2: -1}}
+    assert cup_with_center(split, f1).data

@@ -1,15 +1,20 @@
+from fractions import Fraction as F
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from seaweedcoh import rootsystem, seaweed
 from seaweedcoh.cli import _all_specs, _ambient, main
 from seaweedcoh.cochain import adjoint_context
-from seaweedcoh.exactlin import InvariantError
+from seaweedcoh.chevalley import load_fixture
+from seaweedcoh.exactlin import InvariantError, Matrix
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 is_indecomposable, quotient_components,
                                 render_split_dynkin, seaweed_from_algebra,
                                 split_over_center)
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def spec(t, r, p1, p2):
@@ -209,6 +214,64 @@ def test_render_split_dynkin_golden():
     assert render_split_dynkin(spec("A", 1, [1], [1])) == "*\n*"
     d4 = render_split_dynkin(spec("D", 4, [1], [2]))
     assert d4.endswith("branches: 2-4")
+
+
+def dense_projection(split, vec):
+    """Quotient coordinates by one dense solve over the ambient basis."""
+    full = split.center_basis + split.complement_basis
+    dim = split.seaweed.ambient.dim
+    sol = Matrix([[v.get(i, 0) for v in full] for i in range(dim)]).solve(
+        [vec.get(i, 0) for i in range(dim)])
+    if sol is None:
+        return None
+    z = len(split.center_basis)
+    return {i: c for i, c in enumerate(sol[z:]) if c != 0}
+
+
+def dense_center_functional(split, which, vector=None):
+    basis = list(split.center_basis)
+    if vector is not None:
+        basis[which] = vector
+    full = basis + split.complement_basis
+    dim = split.seaweed.ambient.dim
+    return Matrix([[v.get(i, 0) for i in range(dim)] for v in full]).solve(
+        [1 if k == which else 0 for k in range(len(full))])
+
+
+def decomposable_splits():
+    for t, r in [("A", 2), ("B", 2), ("G", 2)]:
+        for sp in _all_specs(t, r):
+            if sp.rank == r and not is_indecomposable(sp):
+                yield build_seaweed(_ambient(t, r), sp), None
+    g2 = seaweed_from_algebra(load_fixture(FIXTURES / "g2_seaweed"))
+    yield g2, None          # the degenerate-Killing fallback
+    yield g2, [0, 1]        # the published section
+
+
+def test_center_split_solves_match_dense():
+    count = 0
+    for sw, section in decomposable_splits():
+        split = split_over_center(sw, section_indices=section)
+        dim = sw.ambient.dim
+        member = set(sw.member)
+        mixed = {i: F(k + 1, 2) for k, i in enumerate(sw.member)}
+        for vec in [{i: 1} for i in range(dim)] + [mixed]:
+            ref = dense_projection(split, vec)
+            if set(vec) <= member:
+                got = split.project_to_quotient(vec)
+                assert got == ref and list(got) == sorted(got)
+            else:
+                assert ref is None
+                with pytest.raises(ValueError, match="vector outside s"):
+                    split.project_to_quotient(vec)
+        for which, z in enumerate(split.center_basis):
+            assert (split.center_functional(which)
+                    == dense_center_functional(split, which))
+            double = {i: 2 * c for i, c in z.items()}
+            assert (split.center_functional(which, vector=double)
+                    == dense_center_functional(split, which, double))
+        count += 1
+    assert count == 23   # 7 specs per type, and the fixture twice
 
 
 SWEPT = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2)]
