@@ -8,10 +8,10 @@ Gamma = delta k + k delta, which the test suite checks coefficient-wise.
 
 What depends on the ambient algebra alone is computed once per algebra and
 kept on it: the complex C^*(g, g) every `OperatorContext` shares, the form
-ratio, and the root-string tables of the predicted entry scalars (squared
-lengths and string terms in integer simple-root coefficients, memoized per
-root pair).  Integral coefficients stay plain ints; every division has a
-Fraction operand, so no result becomes a float.
+ratio, and the string terms of the predicted entry scalars per pair of
+simple-root coefficient tuples, whose squared lengths and root strings the
+`RootSystem` answers.  Integral coefficients stay plain ints; every division
+has a Fraction operand, so no result becomes a float.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import LieAlgebra
-from .cochain import (Cochain, coboundary, full_context, invariant_cochains,
-                      nilradical_context, reductive_generators)
-from .exactlin import (Echelon, Matrix, sparse_kernel_basis, sparse_rank,
-                       vec_add)
+from .cochain import (Cochain, coboundary, full_context, invariant_coboundaries,
+                      invariant_cochains, nilradical_context,
+                      reductive_generators)
+from .exactlin import Echelon, Matrix, sparse_rank, vec_add
 from .rootsystem import RootSystem
 
 CASIMIR_READING = "value_action"
@@ -200,9 +200,10 @@ class RigidityCertificate:
 def invariant_cocycles(octx: OperatorContext, q):
     """Basis of Z^q(n, s)^r, the invariant cocycles the certificate tests."""
     ns = octx.ns
-    inv = invariant_cochains(ns, q, reductive_generators(octx.seaweed))
+    gens = reductive_generators(octx.seaweed)
+    inv = invariant_cochains(ns, q, gens)
     cocycles = []
-    for rel in sparse_kernel_basis([coboundary(f) for f in inv]):
+    for rel in invariant_coboundaries(ns, q, gens).kernel():
         # a tuple that cancels is dropped at once, giving the tuple order
         # (reported by entry_scalars) of adding the terms with Cochain.add
         data = {}
@@ -227,9 +228,8 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
     if not cocycles:
         return cert
 
-    gens = reductive_generators(octx.seaweed)
-    inv_prev = invariant_cochains(octx.ns, q - 1, gens) if q > 0 else []
-    b_span = Echelon(coboundary(g) for g in inv_prev)
+    b_span = invariant_coboundaries(
+        octx.ns, q - 1, reductive_generators(octx.seaweed))
 
     images = []
     for idx, f in enumerate(cocycles):
@@ -349,59 +349,31 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
         beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in tup))))
         if not any(beta):
             return None  # value in the Cartan: the string formula does not apply
-        scalar = _sq_length(g, beta)
+        scalar = rs.sq(beta)
         for gamma in outside:
             scalar += _string_term(g, gamma, beta)
         out.append(scalar * kappa_ratio)
     return out
 
 
-def _string_memo(g: LieAlgebra):
-    """Per-ambient memo of the root-string data, keyed by integer simple-root
-    coefficient tuples: squared lengths by vector, string terms by
-    (gamma, beta).  Simple roots are linearly independent, so coefficient
-    tuples compare exactly as the root vectors do."""
-    if not hasattr(g, "_string_memo"):
-        g._string_memo = ({}, {})
-    return g._string_memo
-
-
-def _sq_length(g: LieAlgebra, c):
-    """(v, v) for v = sum_i c_i alpha_i."""
-    sq = _string_memo(g)[0]
-    val = sq.get(c)
-    if val is None:
-        v = _root_vec(g.root_system, c)
-        val = sq[c] = g.root_system.pairing(v, v)
-    return val
-
-
 def _string_term(g: LieAlgebra, gamma, beta):
     """What the root vectors of +/-gamma add to the scalar at beta:
     (gamma, gamma) when beta = gamma, 0 when beta = -gamma, and otherwise
     (gamma, gamma) r (q+1)/2 for the gamma-string beta-r*gamma .. beta+q*gamma."""
-    terms = _string_memo(g)[1]
-    val = terms.get((gamma, beta))
+    if not hasattr(g, "_string_terms"):
+        g._string_terms = {}
+    val = g._string_terms.get((gamma, beta))
     if val is None:
         rs = g.root_system
-        gamma_v, beta_v = _root_vec(rs, gamma), _root_vec(rs, beta)
-        if beta_v == gamma_v:
-            val = _sq_length(g, gamma)
-        elif beta_v == tuple(-x for x in gamma_v):
+        if beta == gamma:
+            val = rs.sq(gamma)
+        elif beta == tuple(-x for x in gamma):
             val = Fraction(0)
         else:
-            r, q = rs.root_string(gamma_v, beta_v)
-            val = _sq_length(g, gamma) * r * (q + 1) / 2
-        terms[(gamma, beta)] = val
+            r, q = rs.string(gamma, beta)
+            val = rs.sq(gamma) * r * (q + 1) / 2
+        g._string_terms[(gamma, beta)] = val
     return val
-
-
-def _root_vec(rs, coeffs):
-    v = None
-    for c, a in zip(coeffs, rs.simple_roots):
-        term = tuple(c * x for x in a)
-        v = term if v is None else tuple(p + q for p, q in zip(v, term))
-    return v
 
 
 def _form_ratio(g: LieAlgebra):
@@ -424,14 +396,8 @@ def _compute_form_ratio(g: LieAlgebra):
     if not cartan:
         return None
     # alpha as a functional on the Cartan basis, read off the adjoint action
-    long_root_idx = None
-    best = None
-    for i, c in g.root_of.items():
-        v = _root_vec(rs, c)
-        sq = rs.pairing(v, v)
-        if best is None or sq > best:
-            best = sq
-            long_root_idx = i
+    long_root_idx = max(g.root_of, key=lambda i: rs.sq(g.root_of[i]))
+    best = rs.sq(g.root_of[long_root_idx])
     alpha_vals = []
     for h in cartan:
         b = g.bracket(h, long_root_idx)

@@ -5,9 +5,9 @@ Two sources: a canonical Chevalley-basis construction from a root system
 structure-constant files for reproducing published bases that use their own
 normalizations.
 
-The construction works on coefficient tuples over the simple roots: Cartan
-pairings come from the integer Cartan matrix and squared lengths from the
-simple-root Gram matrix, so no ambient root vector is rebuilt.  Every table
+The construction works on integer coefficient tuples over the simple roots,
+whose Cartan pairings, squared lengths and root strings the `RootSystem`
+answers, so no ambient root vector is rebuilt.  Every table
 is checked for the Jacobi identity on all basis triples by
 `jacobi_violation`, which sums only the products of nonzero brackets.
 """
@@ -253,16 +253,9 @@ def construct(rs: RootSystem, check=True) -> LieAlgebra:
     for i, c in enumerate(pos_coeff):
         index_of[c] = i
         index_of[tuple(-x for x in c)] = m + i
-    root_at = {}
-    for c, i in index_of.items():
-        root_at[i] = c
+    root_at = {i: c for c, i in index_of.items()}
 
     cartan = rs.cartan_matrix()
-
-    def cartan_int(beta_c, i):
-        # <beta, alpha_i^vee> = sum_j c_j <alpha_j, alpha_i^vee>, in ints
-        return sum(c * row[i] for c, row in zip(beta_c, cartan) if c)
-
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -273,67 +266,37 @@ def construct(rs: RootSystem, check=True) -> LieAlgebra:
                     brackets[(i, j)] = consts.coroot(x, 2 * m)
                 elif s in index_of:
                     n = _num(consts.N(x, y))
-                    if abs(n) != consts.down_string(y, x) + 1:
+                    if abs(n) != rs.string(x, y)[0] + 1:
                         raise JacobiError(
                             f"structure constant for {x}+{y} is not +/-(p+1)")
                     brackets[(i, j)] = {index_of[s]: n}
             elif i in root_at and j >= 2 * m:
                 h = j - 2 * m
-                c = cartan_int(root_at[i], h)
+                c = rootsystem._coroot_pairing(cartan, root_at[i], h)
                 if c != 0:
                     brackets[(i, j)] = {i: -c}
     labels = ([f"x{i+1}" for i in range(m)] + [f"y{i+1}" for i in range(m)]
               + [f"h{i+1}" for i in range(rank)])
-    root_of = {i: root_at[i] for i in root_at}
     return LieAlgebra(dim, brackets, labels, tuple(range(2 * m, dim)),
-                      root_of, rs, check=check)
+                      root_at, rs, check=check)
 
 
 class _ChevalleyConstants:
     """Structure constants N(a, b) via the extraspecial-pair recursion."""
 
     def __init__(self, rs: RootSystem):
-        self.pos = {rs.coefficients(b): b for b in rs.positive_roots}
-        self.gram = [[rs.pairing(a, b) for b in rs.simple_roots]
-                     for a in rs.simple_roots]
-        self._sq = {}
-        order = sorted(self.pos, key=lambda c: (sum(c), c))
-        self.order = {c: i for i, c in enumerate(order)}
+        self.rs = rs
+        self.pos = set(rs.coeffs.values())
+        # by height, then lexicographically; iterating gives that order
+        self.order = {c: i for i, c in enumerate(
+            sorted(self.pos, key=lambda c: (sum(c), c)))}
         self._memo = {}
         self._extra = {}
-
-    def is_root(self, c):
-        return c in self.pos or tuple(-x for x in c) in self.pos
-
-    def is_positive(self, c):
-        return c in self.pos
-
-    def sq(self, c):
-        """(beta, beta) = c^T G c over the simple-root Gram matrix G."""
-        val = self._sq.get(c)
-        if val is None:
-            val = Fraction(0)
-            for a, ca in enumerate(c):
-                if ca:
-                    row = self.gram[a]
-                    for b, cb in enumerate(c):
-                        if cb:
-                            val += ca * cb * row[b]
-            self._sq[c] = val
-        return val
-
-    def down_string(self, beta, alpha):
-        r = 0
-        cur = tuple(b - a for b, a in zip(beta, alpha))
-        while self.is_root(cur):
-            r += 1
-            cur = tuple(b - a for b, a in zip(cur, alpha))
-        return r
 
     def extraspecial(self, gamma):
         pair = self._extra.get(gamma)
         if pair is None:
-            for a in sorted(self.pos, key=lambda c: self.order[c]):
+            for a in self.order:
                 b = tuple(g - x for g, x in zip(gamma, a))
                 if b in self.pos and self.order[a] < self.order[b]:
                     pair = (a, b)
@@ -345,11 +308,11 @@ class _ChevalleyConstants:
 
     def coroot(self, c, offset):
         """Coordinates of the coroot of the root with coefficients c."""
-        sq = self.sq(c)
+        sq = self.rs.sq(c)
         out = {}
         for i, ci in enumerate(c):
             if ci != 0:
-                out[offset + i] = _num(Fraction(ci) * self.gram[i][i] / sq)
+                out[offset + i] = _num(Fraction(ci) * self.rs.gram[i][i] / sq)
         return out
 
     def N(self, a, b):
@@ -365,7 +328,7 @@ class _ChevalleyConstants:
         return tuple(-x for x in c)
 
     def _compute(self, a, b):
-        apos, bpos = self.is_positive(a), self.is_positive(b)
+        apos, bpos = a in self.pos, b in self.pos
         if apos and bpos:
             return self._positive_pair(a, b)
         if not apos and not bpos:
@@ -374,9 +337,9 @@ class _ChevalleyConstants:
             return -self.N(b, a)
         # a positive, b negative
         s = tuple(x + y for x, y in zip(a, b))
-        if self.is_positive(s):
+        if s in self.pos:
             # rotate a + b + (-s) = 0:  N(a,b) = (s,s)/(a,a) N(b,-s)
-            return -Fraction(self.sq(s), 1) / self.sq(a) * self.N(self._neg(b), s)
+            return -self.rs.sq(s) / self.rs.sq(a) * self.N(self._neg(b), s)
         return -self.N(self._neg(a), self._neg(b))
 
     def _positive_pair(self, a, b):
@@ -385,18 +348,19 @@ class _ChevalleyConstants:
         gamma = tuple(x + y for x, y in zip(a, b))
         a1, b1 = self.extraspecial(gamma)
         if (a, b) == (a1, b1):
-            return Fraction(self.down_string(b, a) + 1)
+            return Fraction(self.rs.string(a, b)[0] + 1)
         # Jacobi on (e_{a1}, e_{b1}, e_{-a}) determines N(a, b) from pairs
         # whose sums have smaller height.
+        roots = self.rs.root_coeffs
         total = Fraction(0)
         d1 = tuple(x - y for x, y in zip(b1, a))
-        if self.is_root(d1):
+        if d1 in roots:
             total += self.N(b1, self._neg(a)) * self.N(d1, a1)
         d2 = tuple(x - y for x, y in zip(a1, a))
-        if self.is_root(d2):
+        if d2 in roots:
             total += self.N(self._neg(a), a1) * self.N(d2, b1)
         n11 = self.N(a1, b1)
-        return total * self.sq(gamma) / (self.sq(b) * n11)
+        return total * self.rs.sq(gamma) / (self.rs.sq(b) * n11)
 
 
 # -- fixture files ----------------------------------------------------------

@@ -83,6 +83,8 @@ def build_from_args(args):
                     or L.root_system.rank != args.rank):
                 raise SystemExit("fixture type does not match --type/--rank")
             return build_seaweed(L, spec), spec, fixture_name
+        if args.pi1 or args.pi2 or args.rank is not None:
+            raise SystemExit("--pi1, --pi2 and --rank need --type")
         return seaweed_from_algebra(L), None, fixture_name
     if not args.type or args.rank is None:
         raise SystemExit("need --type and --rank (or --fixture)")

@@ -17,11 +17,12 @@ Unit vectors, integral structure constants and integral weights stay plain
 ints, so on the unit bases of the adjoint, nilradical and full contexts the
 differential runs in integer arithmetic; Fractions enter only through
 non-unit bases (a center complement, a rescaled fixture).  Per context, the
-grading, the weight blocks, each generator's action tables and the
-invariant cochains are computed once.  One grading routine serves both the
-blocks and the invariants: `_weights` reads the weights off the action
-tables of the elements that `_acts_diagonally` accepts, the diagonal domain
-elements for the blocks and the diagonal generators for the invariants.
+grading, the weight blocks, each generator's action tables, the invariant
+cochains and the echelon of their coboundaries are computed once.  One
+grading routine serves both the blocks and the invariants: `_weights` reads
+the weights off the action tables of the elements that `_acts_diagonally`
+accepts, the diagonal domain elements for the blocks and the diagonal
+generators for the invariants.
 Invariant cochains are sought only among the basis cochains of weight zero
 for every diagonally acting generator, found by grouping module indices by
 weight; the coboundaries that can meet them are spanned from the same
@@ -417,13 +418,28 @@ def invariant_cochains(ctx: ComplexContext, q, generators):
     Computed once per context, degree and generator list; each call gets a
     fresh list of the (never mutated) cochains.
     """
+    return list(_invariant_entry(ctx, q, generators)[0])
+
+
+def invariant_coboundaries(ctx: ComplexContext, q, generators) -> Echelon:
+    """Tracked echelon of delta of the invariant q-cochains, in their order,
+    built once per context, degree and generator list.  Every caller reads
+    the same one (`rank`, `kernel()`, `contains`), so nothing may `add` to it.
+    """
+    entry = _invariant_entry(ctx, q, generators)
+    if entry[1] is None:
+        entry[1] = Echelon((coboundary(f) for f in entry[0]), track=True)
+    return entry[1]
+
+
+def _invariant_entry(ctx, q, generators):
+    """[invariant q-cochains, their coboundary echelon or None until asked]."""
     if q < 0 or q > ctx.n:
-        return []
+        return [[], None]
     key = _cache_key(q, generators)
-    basis = ctx._invariant_cache.get(key)
-    if basis is None:
-        basis = ctx._invariant_cache[key] = _invariant_basis(ctx, q, generators)
-    return list(basis)
+    if key not in ctx._invariant_cache:
+        ctx._invariant_cache[key] = [_invariant_basis(ctx, q, generators), None]
+    return ctx._invariant_cache[key]
 
 
 def _cache_key(q, generators):
@@ -497,9 +513,8 @@ def invariant_cohomology_dims(ctx: ComplexContext, q, generators):
     invariants, and `coboundaries_match_full` records that comparison.
     """
     inv_q = invariant_cochains(ctx, q, generators)
-    inv_prev = invariant_cochains(ctx, q - 1, generators) if q > 0 else []
-    z_dim = len(inv_q) - sparse_rank([coboundary(f) for f in inv_q])
-    b_dim = sparse_rank([coboundary(f) for f in inv_prev])
+    z_dim = len(inv_q) - invariant_coboundaries(ctx, q, generators).rank
+    b_dim = invariant_coboundaries(ctx, q - 1, generators).rank
     consistent = True
     if q > 0:
         consistent = _coboundary_consistency(ctx, q, inv_q, b_dim, generators)

@@ -3,6 +3,11 @@
 Roots live in a standard orthonormal ambient space with rational coordinates.
 The invariant form is the ambient dot product rescaled so that long roots have
 squared length 2 in every type; Cartan integers are independent of that scale.
+
+Root data in integer simple-root coefficient tuples is answered here alone
+(`build`, `RootSystem.sq`, `string`, `root_coeffs`, `gram`); such tuples
+compare exactly as root vectors do.  The vector methods (`pairing`,
+`root_string`, `is_root`, `cartan_integer`) are the tested reference.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import add, mul
 
 from .exactlin import InvariantError
 
@@ -100,6 +106,23 @@ def _cartan_rows(simples):
     return tuple(rows)
 
 
+def _coroot_pairing(cartan, c, i):
+    """<beta, alpha_i^vee> = sum_j c_j <alpha_j, alpha_i^vee> in ints, for
+    beta = sum_j c_j alpha_j and `cartan` rows <alpha_j, alpha_i^vee>."""
+    return sum(cj * row[i] for cj, row in zip(c, cartan) if cj)
+
+
+def _steps(roots, start, step):
+    """How many of start + step, start + 2 step, ... lie in `roots` before
+    the first that does not; coefficient tuples throughout."""
+    n = 0
+    cur = tuple(map(add, start, step))
+    while cur in roots:
+        n += 1
+        cur = tuple(map(add, cur, step))
+    return n
+
+
 @lru_cache(maxsize=None)
 def canonical_cartan(type_label, rank):
     """Cartan matrix of a simple type from its simple roots alone, without
@@ -149,6 +172,41 @@ class RootSystem:
         gets a fresh list of lists."""
         return [list(row) for row in self._cartan]
 
+    @cached_property
+    def gram(self):
+        """(alpha_i, alpha_j) over the simple roots, in the normalized form."""
+        return tuple(tuple(self.pairing(a, b) for b in self.simple_roots)
+                     for a in self.simple_roots)
+
+    @cached_property
+    def root_coeffs(self):
+        """Coefficient tuples of the roots of both signs."""
+        pos = set(self.coeffs.values())
+        return frozenset(pos | {tuple(-x for x in c) for c in pos})
+
+    @cached_property
+    def _sq_memo(self):
+        return {}
+
+    def sq(self, c):
+        """(beta, beta) = c^T G c for beta = sum_i c_i alpha_i over the Gram
+        matrix G; any integer tuple, memoized."""
+        val = self._sq_memo.get(c)
+        if val is None:
+            val = self._sq_memo[c] = sum(
+                (ca * cb * self.gram[a][b] for a, ca in enumerate(c) if ca
+                 for b, cb in enumerate(c) if cb), Fraction(0))
+        return val
+
+    def string(self, alpha, beta):
+        """`root_string` over coefficient tuples: (r, q) with the
+        alpha-string through beta equal to beta-r*alpha ... beta+q*alpha."""
+        down = tuple(-x for x in alpha)
+        if beta == alpha or beta == down:
+            raise ValueError("string through +/-alpha is degenerate")
+        return (_steps(self.root_coeffs, beta, down),
+                _steps(self.root_coeffs, beta, alpha))
+
     def root_string(self, alpha, beta):
         """(r, q) with the alpha-string through beta equal to beta-r*alpha ... beta+q*alpha."""
         if beta == alpha or beta == _scale(alpha, -1):
@@ -172,40 +230,33 @@ def build(type_label: str, rank: int) -> RootSystem:
     if ok is None or not ok(rank):
         raise ValueError(f"invalid simple type ({type_label}, {rank})")
     simples = _simple_roots(type_label, rank)
+    cartan = canonical_cartan(type_label, rank)
 
-    long_sq = max(_dot(a, a) for a in simples)
-    form_scale = Fraction(2) / long_sq
-
-    def pairing(v, w):
-        return form_scale * _dot(v, w)
-
-    coeffs = {}
-    for i, a in enumerate(simples):
-        coeffs[a] = tuple(1 if j == i else 0 for j in range(rank))
-    # Extend by height: beta + alpha is a root iff q > 0, with
-    # q = r - <beta, alpha^vee> known from the part already generated.
-    frontier = list(simples)
+    # Extend by height over coefficient tuples: beta + alpha_i is a root iff
+    # q > 0, with q = r - <beta, alpha_i^vee> and r read off the part
+    # already generated.
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    downs = [tuple(-x for x in e) for e in units]
+    found = dict.fromkeys(units)
+    frontier = units
     while frontier:
         new = []
-        for beta in frontier:
-            for i, alpha in enumerate(simples):
-                cart = 2 * pairing(beta, alpha) / pairing(alpha, alpha)
-                r = 0
-                cur = _add(beta, _scale(alpha, -1))
-                while cur in coeffs:
-                    r += 1
-                    cur = _add(cur, _scale(alpha, -1))
-                q = r - cart
-                if q > 0:
-                    cand = _add(beta, alpha)
-                    if cand not in coeffs:
-                        c = list(coeffs[beta])
-                        c[i] += 1
-                        coeffs[cand] = tuple(c)
+        for c in frontier:
+            for i, e in enumerate(units):
+                if _steps(found, c, downs[i]) > _coroot_pairing(cartan, c, i):
+                    cand = tuple(map(add, c, e))
+                    if cand not in found:
+                        found[cand] = None
                         new.append(cand)
         frontier = new
 
+    # ambient vectors, derived once: simple roots as given, the rest summed
+    cols = list(zip(*simples))
+    coeffs = dict(zip(simples, units))
+    for c in list(found)[rank:]:
+        coeffs[tuple(sum(map(mul, c, col)) for col in cols)] = c
     positive = sorted(coeffs, key=lambda root: coeffs[root])
+    form_scale = Fraction(2) / max(_dot(a, a) for a in simples)
     return RootSystem(type_label, rank, tuple(simples), tuple(positive),
                       coeffs, form_scale)
 

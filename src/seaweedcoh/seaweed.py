@@ -340,10 +340,8 @@ def render_split_dynkin(spec: SeaweedSpec) -> str:
             return "   "
         if m == 1:
             return "---"
-        sq_a = rs.pairing(rs.simple_roots[a - 1], rs.simple_roots[a - 1])
-        sq_b = rs.pairing(rs.simple_roots[b - 1], rs.simple_roots[b - 1])
-        arrow = f"={m}>" if sq_a > sq_b else f"<{m}="
-        return arrow
+        longer = rs.gram[a - 1][a - 1] > rs.gram[b - 1][b - 1]
+        return f"={m}>" if longer else f"<{m}="
 
     def row(pi):
         parts = []

@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,9 @@ from seaweedcoh.casimir import (OperatorContext, _compute_form_ratio,
 from seaweedcoh.chevalley import construct
 from seaweedcoh.cli import _all_specs, _ambient
 from seaweedcoh.cochain import (Cochain, coboundary, full_context,
-                                invariant_cochains, reductive_generators)
+                                invariant_coboundaries, invariant_cochains,
+                                invariant_cohomology_dims,
+                                reductive_generators)
 from seaweedcoh.exactlin import sparse_kernel_basis
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
@@ -363,11 +366,36 @@ def test_invariant_cocycles_cancellation_order(a2_octx, monkeypatch):
            Cochain(ns, 1, {(0,): {0: 1}})]
     rel = {0: F(1), 1: F(1), 2: F(1)}
     monkeypatch.setattr(casimir, "invariant_cochains", lambda *a: inv)
-    monkeypatch.setattr(casimir, "sparse_kernel_basis", lambda cols: [rel])
+    monkeypatch.setattr(casimir, "invariant_coboundaries",
+                        lambda *a: SimpleNamespace(kernel=lambda: [rel]))
     (got,) = invariant_cocycles(a2_octx, 1)
     folded = inv[0].add(inv[1]).add(inv[2])
     assert ordered_data(got) == ordered_data(folded) == \
         [((1,), [(0, 1)]), ((0,), [(0, 1)])]
+
+
+def test_certificates_before_invariant_dims_agree():
+    # the coboundary echelon of each invariant degree is built once, by
+    # whichever read comes first; verify reads the dims first
+    seen = 0
+    for t, r in [("A", 2), ("B", 2), ("G", 2)]:
+        for dims_first, certs_first in zip(_sweep_octxs(t, r),
+                                           _sweep_octxs(t, r)):
+            gens = reductive_generators(dims_first.seaweed)
+            degrees = range(1, len(dims_first.seaweed.nilradical) + 1)
+            dims_a = [invariant_cohomology_dims(dims_first.ns, q, gens)
+                      for q in degrees]
+            certs_a = [rigidity_certificate(dims_first, q) for q in degrees]
+            certs_b = [rigidity_certificate(certs_first, q) for q in degrees]
+            dims_b = [invariant_cohomology_dims(certs_first.ns, q, gens)
+                      for q in degrees]
+            assert dims_a == dims_b and certs_a == certs_b, \
+                certs_first.seaweed.spec
+            for q in degrees:
+                assert invariant_coboundaries(certs_first.ns, q, gens) is \
+                    invariant_coboundaries(certs_first.ns, q, gens)
+            seen += sum(len(c.witnesses) for c in certs_a)
+    assert seen > 0
 
 
 def reference_entry_scalars(octx, f, kappa_ratio):

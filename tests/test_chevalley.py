@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -66,6 +67,47 @@ def test_construct_matches_ambient_reference(t, r):
             assert L.bracket(i, i + m) == coroot
     values = [v for vec in L.brackets.values() for v in vec.values()]
     assert all(type(v) is int for v in values)
+
+
+# sha256 of the root system and the Chevalley table, recorded before the
+# root data moved to integer coefficients; see `root_data_digest`
+ROOT_DATA_DIGESTS = [
+    ("A", 1, "c8b4ad14d3f6cf9572cea3fdceabfced2494f4df47e59d0a85b234f9e381a40a"),
+    ("A", 2, "c4c7fd9306a4a504b67601533cff18b4e9dc11a32c63ec257aa103e587dfef33"),
+    ("A", 3, "18ec804a246d43607c1a1cbdf2a7454e295f5f2e4c4c9282f784509d9b440fe5"),
+    ("A", 4, "ab77b9bf715b60fff07561759566a2597e930273f0e3befae19e6ca93d9aa066"),
+    ("B", 2, "677aac73e4bdc377084370cd814f6fbb09700f3572eadc2a05e87e5779e54253"),
+    ("B", 3, "a523a21c442c307272044f8b1d017bfb9a1472f1c7864cad466f968a721802fe"),
+    ("B", 4, "930aafa2be7d5d67dd407c2ed2234f75ea06a221af6702c113e41ca30cf517b3"),
+    ("C", 3, "c58f7b088ec961f9c03c2c6fd4183df30b9b25a9e4007c83674855ccc2260aa3"),
+    ("C", 4, "203b97579a86c80dc01ea3db4136122f1370fe7612cc1a3a5900dc63a6a5c1ac"),
+    ("D", 4, "8630f1c8ecd1ce2a742257d47d6afee5eb04e833c52a8855053725dccbeae7b3"),
+    ("D", 5, "e90d43fc75b0bde672cfe05ac0935c03c916489e369d03b682b6db8cc5988c94"),
+    ("E", 6, "7791a968903e284cf40dbe86185186873432661ce2384dad44e97025b158c9b3"),
+    ("E", 7, "e75d8a1db0c6357581649e3b688107bb97cbfb03e1335a09eaaec3ddd1c0b81f"),
+    ("E", 8, "c2fa9b61348179ac0b188c8573f24fda6ea7856890c9e34e1efdfa5d44daeb15"),
+    ("F", 4, "ce0ccd43eecd3fab8e607ee42f74fd592cfc1b5db89f47302390f47133fe7ac7"),
+    ("G", 2, "ca78e873599e37c8c79c9b3afc4784c26d029509b0debfecfa154f6957738b7a"),
+]
+
+
+def root_data_digest(t, r):
+    """sha256 over the repr of the simple and positive roots, the root
+    coefficients, and the labels, Cartan indices, root annotations and
+    brackets of the Chevalley table; the repr keeps int and Fraction apart."""
+    rs = rootsystem.build(t, r)
+    L = construct(rs, check=False)
+    data = (rs.simple_roots, rs.positive_roots, sorted(rs.coeffs.items()),
+            L.labels, L.cartan, sorted(L.root_of.items()),
+            sorted((k, sorted(v.items())) for k, v in L.brackets.items()))
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("t,r,digest", [
+    pytest.param(t, r, d, id=f"{t}-{r}") for t, r, d in ROOT_DATA_DIGESTS])
+def test_root_data_digest(t, r, digest):
+    # E8, F4, B4, C4 and D5 reach no report digest
+    assert root_data_digest(t, r) == digest
 
 
 def test_weight_vectors_and_cartan_action():

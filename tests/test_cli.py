@@ -98,6 +98,21 @@ def test_fixture_type_without_rank_rejected():
     assert "Traceback" not in proc.stderr
 
 
+def test_fixture_spec_flags_without_type_rejected():
+    # without --type the fixture is the whole algebra: a spec flag would be
+    # ignored, so it is refused instead
+    fixture = str(FIXTURES / "a2_table1")
+    for flags in (["--pi1", "1", "--rank", "2"], ["--pi2", "1,2"],
+                  ["--rank", "2"]):
+        for cmd in ("info", "cohomology", "verify"):
+            proc = run_cli([cmd, "--fixture", fixture] + flags, check=False)
+            assert proc.returncode == 1, (cmd, flags)
+            assert "--type" in proc.stderr and proc.stdout == ""
+            assert "Traceback" not in proc.stderr
+    proc = run_cli(["info", "--fixture", fixture, "--pi1", "", "--pi2", ""])
+    assert json.loads(proc.stdout)["dims"]["s"] == 8
+
+
 def test_verify_exit_codes():
     proc = run_cli(["verify", "--type", "A", "--rank", "2",
                     "--pi1", "", "--pi2", "1,2"])

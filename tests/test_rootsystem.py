@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from seaweedcoh import rootsystem
 from seaweedcoh.exactlin import InvariantError
 from seaweedcoh.rootsystem import (ROOT_COUNTS, RootSystem, build,
                                    canonical_cartan, dynkin_edges)
@@ -95,6 +96,19 @@ def test_non_integral_cartan_entry_raises():
         rs.cartan_matrix()
 
 
+def test_non_integral_simple_roots_rejected_by_build(monkeypatch):
+    # the integer closure reads its Cartan pairings from canonical_cartan,
+    # whose integrality check must fire before any root is generated
+    monkeypatch.setattr(rootsystem, "_simple_roots",
+                        lambda t, n: [(F(1), F(0)), (F(1), F(2))])
+    canonical_cartan.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="non-integral"):
+            build("A", 2)
+    finally:
+        canonical_cartan.cache_clear()
+
+
 def test_long_roots_have_square_two():
     for t, r, _ in CASES:
         rs = build(t, r)
@@ -120,10 +134,17 @@ def test_string_cartan_identity(t, r):
     rs = build(t, r)
     neg = lambda v: tuple(-x for x in v)
     for alpha in rs.roots:
+        a = rs.coefficients(alpha)
         for beta in rs.roots:
+            b = rs.coefficients(beta)
+            # the coefficient-tuple answers against the vector reference
+            assert rs.sq(b) == rs.pairing(beta, beta)
             if beta in (alpha, neg(alpha)):
+                with pytest.raises(ValueError):
+                    rs.string(a, b)
                 continue
             rr, qq = rs.root_string(alpha, beta)
+            assert rs.string(a, b) == (rr, qq)
             assert rr - qq == rs.cartan_integer(beta, alpha)
             # strings are unbroken
             for j in range(-rr, qq + 1):
