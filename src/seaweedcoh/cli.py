@@ -44,6 +44,13 @@ def _parse_pi(text):
             f"expected comma-separated indices, got {text!r}") from None
 
 
+def _degree(text):
+    """A --max-degree value: a nonnegative int."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"negative degree {text}")
+    return int(text)
+
+
 def _vec_json(L, vec):
     return {L.labels[i]: str(c) for i, c in sorted(vec.items())}
 
@@ -327,12 +334,12 @@ def make_parser():
 
     p_coh = sub.add_parser("cohomology", help="per-degree cohomology dimensions")
     add_spec_flags(p_coh)
-    p_coh.add_argument("--max-degree", type=int, default=None)
+    p_coh.add_argument("--max-degree", type=_degree, default=None)
     p_coh.set_defaults(func=cmd_cohomology)
 
     p_ver = sub.add_parser("verify", help="run every check; exit 1 on discrepancy")
     add_spec_flags(p_ver)
-    p_ver.add_argument("--max-degree", type=int, default=None)
+    p_ver.add_argument("--max-degree", type=_degree, default=None)
     p_ver.add_argument("--strict-paper", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -340,7 +347,7 @@ def make_parser():
     p_enum.add_argument("--type", required=True,
                         choices=sorted(rootsystem.VALID_RANKS))
     p_enum.add_argument("--max-rank", type=int, required=True)
-    p_enum.add_argument("--max-degree", type=int, default=3)
+    p_enum.add_argument("--max-degree", type=_degree, default=3)
     p_enum.add_argument("--out", default=None)
     p_enum.add_argument("--strict-paper", action="store_true")
     p_enum.add_argument("--jobs", type=int, default=1)

@@ -4,14 +4,14 @@ A complex is described by a bracket-closed `domain` and a `module` closed
 under the domain action, both given as vectors in an ambient algebra.
 Cochains are stored sparsely on strictly increasing index tuples.
 
-Ranks and nullities of the coboundary are computed blockwise: basis cochains
-are graded by their eigenvalues under the domain elements that act diagonally
-(Cartan elements), and the differential preserves that grading.  By the
-Cartan formula L_h = delta i_h + i_h delta (as in Hochschild-Serre, Ann. of
-Math. 57, 1953), the Lie derivative of a diagonal h is null-homotopic; on a
-block it is the scalar given by the block's weight, so every block of
-nonzero weight is acyclic and its ranks follow from block dimensions alone.
-Only the weight-zero block is eliminated.
+Cohomology is counted from one weight block: basis cochains are graded by
+their eigenvalues under the domain elements that act diagonally (Cartan
+elements), and the differential preserves that grading.  By the Cartan
+formula L_h = delta i_h + i_h delta (as in Hochschild-Serre, Ann. of Math.
+57, 1953), the Lie derivative of a diagonal h is null-homotopic; on a block
+it is the scalar given by the block's weight, so every block of nonzero
+weight is acyclic.  H^q is therefore read off the weight-zero block, the
+only one eliminated, and Z^q and B^q follow by rank-nullity.
 
 Unit vectors, integral structure constants and integral weights stay plain
 ints, so on the unit bases of the adjoint, nilradical and full contexts the
@@ -24,9 +24,9 @@ the weights off the action tables of the elements that `_acts_diagonally`
 accepts, the diagonal domain elements for the blocks and the diagonal
 generators for the invariants.
 Invariant cochains are sought only among the basis cochains of weight zero
-for every diagonally acting generator, found by grouping module indices by
-weight; the coboundaries that can meet them are spanned from the same
-weight-zero cochains one degree down.
+for every diagonally acting generator; `_weight_matches` lists them, and
+the weight-zero block too.  The coboundaries that can meet them are spanned
+from the same weight-zero cochains one degree down.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ComplexContext:
                       if _acts_diagonally(ad[i], self.act[i])]
         self._dom_weights, self._mod_weights = _weights(
             self, [(ad[i], self.act[i]) for i in self._diag])
-        self._rank_cache = {}
+        self._rank_cache = {}       # q -> `_zero_block(q)`
         self._basis_cache = {}
         self._action_cache = {}
         self._invariant_cache = {}
@@ -153,45 +153,38 @@ class ComplexContext:
         basis = self.basis_by_grade(q).get(grade, [])
         return [dict(self.delta_column(tup, k)) for tup, k in basis]
 
-    def _block_rank(self, q, grade):
-        """Rank of delta_q on one weight block (cached).
-
-        A block of nonzero weight is acyclic (Cartan formula), so on it
-        rank delta_q = dim C^q - rank delta_(q-1)
-                     = sum_{i<=q} (-1)^(q-i) dim C^i,
-        with no elimination.  Only weight zero is eliminated.
-        """
+    def _zero_block(self, q):
+        """(dim C^q_0, rank of delta_q on it) for the weight-zero block
+        (cached)."""
         if q < 0 or q > self.n:
-            return 0
-        key = (q, grade)
-        rk = self._rank_cache.get(key)
-        if rk is None:
-            if any(grade):
-                rk = (len(self.basis_by_grade(q).get(grade, ()))
-                      - self._block_rank(q - 1, grade))
-                if rk < 0:
-                    raise InvariantError(
-                        f"weight block {grade} at q={q} is not acyclic")
-            else:
-                rk = sparse_rank(self._block_columns(q, grade))
-            self._rank_cache[key] = rk
-        return rk
+            return 0, 0
+        block = self._rank_cache.get(q)
+        if block is None:
+            basis = _weight_matches(self.n, q, self._dom_weights,
+                                    self._mod_weights, len(self._diag))
+            block = self._rank_cache[q] = (len(basis), sparse_rank(
+                [dict(self.delta_column(tup, k)) for tup, k in basis]))
+        return block
 
     def cohomology_dims(self, q):
-        """(dim Z^q, dim B^q, dim H^q), summed over the weight blocks."""
+        """(dim Z^q, dim B^q, dim H^q).
+
+        Every block of nonzero weight is acyclic (Cartan formula), so
+        H^q = dim C^q_0 - rank delta_q|_0 - rank delta_(q-1)|_0, and
+        B^q = rank delta_(q-1) = dim C^(q-1) - dim Z^(q-1) by rank-nullity,
+        with Z^i = H^i + B^i from B^0 = 0.
+        """
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
-        grades = set(self.basis_by_grade(q))
-        if q > 0:
-            grades |= set(self.basis_by_grade(q - 1))
-        z = b = 0
-        for g in grades:
-            z += len(self.basis_by_grade(q).get(g, [])) - self._block_rank(q, g)
-            b += self._block_rank(q - 1, g)
-        h = z - b
-        if h < 0:
-            raise InvariantError(f"negative cohomology dimension at q={q}")
-        return CohomologyDims(z, b, h)
+        h = b = 0
+        for i in range(q + 1):
+            b = self.dim_cochains(i - 1) - h - b
+            dim0, rank0 = self._zero_block(i)
+            h = dim0 - rank0 - self._zero_block(i - 1)[1]
+            if h < 0 or not 0 <= b <= self.dim_cochains(i - 1):
+                raise InvariantError(
+                    f"impossible counts at q={i}: dim H = {h}, dim B = {b}")
+        return CohomologyDims(h + b, b, h)
 
     def cocycle_basis(self, q):
         """Basis of Z^q as Cochain objects (per-grade kernels)."""
@@ -262,6 +255,17 @@ def _weight_sum(weights, tup, width):
     for j in tup:
         out = tuple(map(add, out, weights[j]))
     return out
+
+
+def _weight_matches(n, q, dom_weights, mod_weights, width):
+    """The basis cochains (tup, k) of C^q, in increasing (tup, k) order,
+    whose module weight mod_weights[k] is the sum of dom_weights over tup:
+    module indices are grouped by weight and looked up per tuple."""
+    mod_by_weight = {}
+    for k, w in enumerate(mod_weights):
+        mod_by_weight.setdefault(w, []).append(k)
+    return [(tup, k) for tup in combinations(range(n), q)
+            for k in mod_by_weight.get(_weight_sum(dom_weights, tup, width), ())]
 
 
 def _to_data(col):
@@ -457,31 +461,19 @@ def _invariant_candidates(ctx, q, generators):
     mutate the lists.
     """
     key = _cache_key(q, generators)
-    found = ctx._candidate_cache.get(key)
-    if found is None:
-        found = ctx._candidate_cache[key] = _find_candidates(ctx, q, generators)
-    return found
-
-
-def _find_candidates(ctx, q, generators):
-    diag, general = [], []
-    for g in generators:
-        tables = _action_tables(ctx, g)
-        if _acts_diagonally(*tables):
-            diag.append(tables)
-        else:
-            general.append(g)
-    # module indices grouped by weight: (tup, k) is a candidate when the
-    # weight of k is the sum over tup
-    dom_weights, mod_weights = _weights(ctx, diag)
-    mod_by_weight = {}
-    for k, w in enumerate(mod_weights):
-        mod_by_weight.setdefault(w, []).append(k)
-    candidates = []
-    for tup in combinations(range(ctx.n), q):
-        for k in mod_by_weight.get(_weight_sum(dom_weights, tup, len(diag)), ()):
-            candidates.append((tup, k))
-    return candidates, general
+    if key not in ctx._candidate_cache:
+        diag, general = [], []
+        for g in generators:
+            tables = _action_tables(ctx, g)
+            if _acts_diagonally(*tables):
+                diag.append(tables)
+            else:
+                general.append(g)
+        dom_weights, mod_weights = _weights(ctx, diag)
+        ctx._candidate_cache[key] = (
+            _weight_matches(ctx.n, q, dom_weights, mod_weights, len(diag)),
+            general)
+    return ctx._candidate_cache[key]
 
 
 def _invariant_basis(ctx, q, generators):

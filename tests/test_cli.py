@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from seaweedcoh.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -211,3 +213,14 @@ def test_main_entrypoint_in_process(capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["dims"]["s"] == 2
+
+
+def test_negative_max_degree_rejected(capsys):
+    # a negative cap would check no degree at all and still report ok
+    for argv in (["cohomology", "--type", "A", "--rank", "2"],
+                 ["verify", "--type", "A", "--rank", "2"],
+                 ["enumerate", "--type", "A", "--max-rank", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-degree", "-1"])
+        assert exc.value.code == 2, argv
+        assert "negative degree" in capsys.readouterr().err, argv

@@ -7,12 +7,12 @@ import pytest
 from seaweedcoh.cli import _all_specs, _ambient
 from seaweedcoh.cochain import (Cochain, ComplexContext, _action_tables,
                                 _coboundary_consistency,
-                                _invariant_candidates, adjoint_context,
-                                coboundary, invariant_cochains,
+                                _invariant_candidates, _weight_matches,
+                                adjoint_context, coboundary, invariant_cochains,
                                 invariant_cohomology_dims, lie_derivative,
                                 nilradical_context, quotient_context,
                                 reductive_generators)
-from seaweedcoh.exactlin import Echelon, sparse_rank
+from seaweedcoh.exactlin import Echelon, InvariantError, sparse_rank
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed,
                                 seaweed_from_algebra, split_over_center)
 
@@ -323,35 +323,50 @@ def test_invariant_vanishing_sweep(sweep_reports):
 
 # -- the Cartan-formula shortcut: nonzero weight blocks are acyclic ----------
 
-def assert_derived_ranks_exact(ctx, max_degree):
-    """Every nonzero-weight rank `_block_rank` derives equals elimination."""
+def zero_block_basis(ctx, q):
+    return _weight_matches(ctx.n, q, ctx._dom_weights, ctx._mod_weights,
+                           len(ctx._diag))
+
+
+def assert_dims_match_ungraded(ctx, max_degree):
+    """cohomology_dims(q) equals (Z, B, H) eliminated over every delta
+    column of C^q and C^(q-1), with no grading."""
+    ranks = [sparse_rank([dict(ctx.delta_column(tup, k))
+                          for tup in combinations(range(ctx.n), q)
+                          for k in range(ctx.m)])
+             for q in range(max_degree + 1)]
     for q in range(max_degree + 1):
-        for grade in ctx.basis_by_grade(q):
-            if any(grade):
-                assert ctx._block_rank(q, grade) == \
-                    sparse_rank(ctx._block_columns(q, grade)), (q, grade)
+        z = ctx.dim_cochains(q) - ranks[q]
+        b = ranks[q - 1] if q else 0
+        assert tuple(ctx.cohomology_dims(q)) == (z, b, z - b), q
 
 
 def test_only_weight_zero_is_eliminated(monkeypatch):
     eliminated = []
-    block_columns = ComplexContext._block_columns
+    delta_column = ComplexContext.delta_column
 
-    def recording(self, q, grade):
-        eliminated.append(grade)
-        return block_columns(self, q, grade)
+    def recording(self, tup, k):
+        eliminated.append((self, tup, k))
+        return delta_column(self, tup, k)
 
-    monkeypatch.setattr(ComplexContext, "_block_columns", recording)
+    monkeypatch.setattr(ComplexContext, "delta_column", recording)
     # decomposable: the (Q,s) context differs from the adjoint one
     sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1]))
-    for ctx in (adjoint_context(sw), quotient_context(split_over_center(sw))):
+    contexts = {adjoint_context(sw), quotient_context(split_over_center(sw))}
+    for ctx in contexts:
         for q in range(ctx.n + 1):
             ctx.cohomology_dims(q)
-    assert eliminated and not any(any(grade) for grade in eliminated)
+    monkeypatch.undo()
+    assert {ctx for ctx, _, _ in eliminated} == contexts
+    for ctx, tup, k in eliminated:
+        zero = (0,) * len(ctx._diag)
+        assert (tup, k) in ctx.basis_by_grade(len(tup)).get(zero, ()), (tup, k)
 
 
 @pytest.mark.parametrize("type_label,rank",
                          [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_derived_block_ranks_sweep(type_label, rank):
+    # Z and B by rank-nullity from weight zero equal the ungraded elimination
     for spec in _all_specs(type_label, rank):
         if spec.rank != rank:
             continue
@@ -360,7 +375,7 @@ def test_derived_block_ranks_sweep(type_label, rank):
                     quotient_context(split_over_center(sw))):
             # all degrees, except for the whole G2 algebra (dim 14, minutes
             # of elimination): there the degrees verify computes, q <= 3
-            assert_derived_ranks_exact(ctx, ctx.n if ctx.n <= 10 else 3)
+            assert_dims_match_ungraded(ctx, ctx.n if ctx.n <= 10 else 3)
 
 
 def test_derived_block_ranks_rescaled_fixture(a2_fixture):
@@ -371,7 +386,19 @@ def test_derived_block_ranks_rescaled_fixture(a2_fixture):
                        SeaweedSpec.make("A", 2, [], [1, 2]))
     ctx = adjoint_context(sw)
     assert any(isinstance(w, F) for ws in ctx._dom_weights for w in ws)
-    assert_derived_ranks_exact(ctx, ctx.n)
+    assert_dims_match_ungraded(ctx, ctx.n)
+
+
+def test_impossible_zero_block_rank_raises():
+    # a cached weight-zero rank that no complex has: 99 at q = 1 makes
+    # H^1 < 0, -99 at q = 0 makes B^1 = dim C^0 - dim Z^0 < 0.  It is an
+    # InvariantError, not an assert, so it fires under python -O too
+    spec = SeaweedSpec.make("A", 2, [], [1, 2])
+    for q, rank in ((1, 99), (0, -99)):
+        ctx = adjoint_context(build_seaweed(_ambient("A", 2), spec))
+        ctx._rank_cache[q] = (ctx._zero_block(q)[0], rank)
+        with pytest.raises(InvariantError):
+            ctx.cohomology_dims(1)
 
 
 @pytest.mark.parametrize("type_label,rank,max_degree",
@@ -385,12 +412,11 @@ def test_whitehead_whole_algebra(type_label, rank, max_degree):
     sw = build_seaweed(_ambient(type_label, rank),
                        SeaweedSpec.make(type_label, rank, nodes, nodes))
     ctx = adjoint_context(sw)
-    zero = (0,) * len(ctx._diag)
     for q in range(max_degree + 1):
         assert ctx.cohomology_dims(q).cohomology == 0, q
-        euler = sum((-1) ** (q - i) * len(ctx.basis_by_grade(i).get(zero, ()))
+        euler = sum((-1) ** (q - i) * len(zero_block_basis(ctx, i))
                     for i in range(q + 1))
-        assert ctx._block_rank(q, zero) == euler, q
+        assert ctx._zero_block(q) == (len(zero_block_basis(ctx, q)), euler), q
 
 
 def test_euler_characteristic_sweep(sweep_reports):
@@ -454,11 +480,14 @@ def reference_basis_by_grade(ctx, q, grading):
 def assert_grading_matches_reference(ctx):
     grading = reference_grading(ctx)
     assert (ctx._diag, ctx._dom_weights, ctx._mod_weights) == grading
+    zero = (0,) * len(ctx._diag)
     for q in range(min(ctx.n, 3) + 1):
         got = ctx.basis_by_grade(q)
         ref = reference_basis_by_grade(ctx, q, grading)
         assert list(got) == list(ref), q       # the order of the grades
         assert got == ref, q                   # and of each block
+        # the weight-zero block of cohomology_dims, in the same order
+        assert zero_block_basis(ctx, q) == got.get(zero, []), q
 
 
 @pytest.mark.parametrize("type_label,rank",
