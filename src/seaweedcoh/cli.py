@@ -281,6 +281,8 @@ def _enumerate_one(packed):
 
 def cmd_enumerate(args):
     specs = _all_specs(args.type, args.max_rank)
+    if not specs:
+        raise SystemExit(f"no {args.type} seaweeds up to rank {args.max_rank}")
     packed = [(s.type_label, s.rank, tuple(sorted(s.pi1)),
                tuple(sorted(s.pi2)), args.max_degree, args.strict_paper)
               for s in specs]

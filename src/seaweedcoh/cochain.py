@@ -11,7 +11,8 @@ formula L_h = delta i_h + i_h delta (as in Hochschild-Serre, Ann. of Math.
 57, 1953), the Lie derivative of a diagonal h is null-homotopic; on a block
 it is the scalar given by the block's weight, so every block of nonzero
 weight is acyclic.  H^q is therefore read off the weight-zero block, the
-only one eliminated, and Z^q and B^q follow by rank-nullity.
+only one eliminated, and Z^q and B^q follow by rank-nullity; class
+representatives and B^q membership (`gerstenhaber`) come from it too.
 
 Unit vectors, integral structure constants and integral weights stay plain
 ints, so on the unit bases of the adjoint, nilradical and full contexts the
@@ -149,21 +150,24 @@ class ComplexContext:
                     out[key] = nv
         return out.items()
 
-    def _block_columns(self, q, grade):
-        basis = self.basis_by_grade(q).get(grade, [])
-        return [dict(self.delta_column(tup, k)) for tup, k in basis]
+    def zero_basis(self, q):
+        """The weight-zero basis cochains (tup, k) of C^q, in increasing
+        (tup, k) order; [] outside 0..n."""
+        if not 0 <= q <= self.n:
+            return []
+        return _weight_matches(self.n, q, self._dom_weights,
+                               self._mod_weights, len(self._diag))
+
+    def zero_columns(self, q):
+        """delta of each cochain of `zero_basis(q)`, as {(tup, k): coeff}."""
+        return [dict(self.delta_column(tup, k)) for tup, k in self.zero_basis(q)]
 
     def _zero_block(self, q):
-        """(dim C^q_0, rank of delta_q on it) for the weight-zero block
-        (cached)."""
-        if q < 0 or q > self.n:
-            return 0, 0
+        """(dim C^q_0, rank of delta_q on it), cached."""
         block = self._rank_cache.get(q)
         if block is None:
-            basis = _weight_matches(self.n, q, self._dom_weights,
-                                    self._mod_weights, len(self._diag))
-            block = self._rank_cache[q] = (len(basis), sparse_rank(
-                [dict(self.delta_column(tup, k)) for tup, k in basis]))
+            cols = self.zero_columns(q)
+            block = self._rank_cache[q] = (len(cols), sparse_rank(cols))
         return block
 
     def cohomology_dims(self, q):
@@ -185,27 +189,6 @@ class ComplexContext:
                 raise InvariantError(
                     f"impossible counts at q={i}: dim H = {h}, dim B = {b}")
         return CohomologyDims(h + b, b, h)
-
-    def cocycle_basis(self, q):
-        """Basis of Z^q as Cochain objects (per-grade kernels)."""
-        out = []
-        for grade, basis in sorted(self.basis_by_grade(q).items()):
-            for rel in sparse_kernel_basis(self._block_columns(q, grade)):
-                out.append(_relation_cochain(self, q, basis, rel))
-        return out
-
-    def coboundary_basis(self, q):
-        """Independent coboundaries spanning B^q, as Cochain objects."""
-        if q <= 0:
-            return []
-        out = []
-        for grade, basis in sorted(self.basis_by_grade(q - 1).items()):
-            span = Echelon()
-            for tup, k in basis:
-                col = dict(self.delta_column(tup, k))
-                if span.add(col):
-                    out.append(Cochain(self, q, _to_data(col)))
-        return out
 
 
 def _bracket_coords(ctx, x, vectors, where):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cochain import (Cochain, ComplexContext, adjoint_context, coboundary,
-                      quotient_context)
-from .exactlin import Echelon, InvariantError, vec_add
+from .cochain import (Cochain, ComplexContext, _relation_cochain,
+                      adjoint_context, coboundary, quotient_context)
+from .exactlin import Echelon, InvariantError, sparse_kernel_basis, vec_add
 from .seaweed import CenterSplit, split_over_center
 
 
@@ -40,8 +40,19 @@ def quotient_cohomology(sw, j, split=None, want_representatives=None):
 
 
 def _class_representatives(ctx, q, expect):
-    span = Echelon(ctx.coboundary_basis(q))
-    reps = [z for z in ctx.cocycle_basis(q) if span.add(z)]
+    """Cocycles whose classes are a basis of H^q, from weight zero alone.
+
+    delta keeps the weight grading and blocks of nonzero weight are acyclic
+    (see `cochain`).  Blocks have disjoint supports, so a weight-zero cocycle
+    is independent of B^q and the representatives before it iff it is
+    independent of delta(C^(q-1)_0) and them, and a cocycle of nonzero
+    weight, a coboundary, is never kept: screening every block against B^q
+    gives these representatives, in this order.
+    """
+    basis, span = ctx.zero_basis(q), Echelon(ctx.zero_columns(q - 1))
+    cocycles = [_relation_cochain(ctx, q, basis, rel)
+                for rel in sparse_kernel_basis(ctx.zero_columns(q))]
+    reps = [z for z in cocycles if span.add(z)]
     if len(reps) != expect:
         raise InvariantError(
             f"{len(reps)} class representatives for dim H^{q} = {expect}")
@@ -162,8 +173,13 @@ def cup_with_center(split: CenterSplit, f1: Cochain,
 
 
 def is_coboundary(ctx: ComplexContext, f: Cochain) -> bool:
-    """Membership of f in B^q, decided exactly."""
-    return Echelon(ctx.coboundary_basis(f.degree)).contains(f)
+    """f is in B^q iff delta f = 0 and its weight-zero part is in
+    delta(C^(q-1)_0): cocycles of nonzero weight are coboundaries."""
+    if not coboundary(f).is_zero():
+        return False
+    zero = set(ctx.zero_basis(f.degree))
+    return Echelon(ctx.zero_columns(f.degree - 1)).contains(
+        {key: c for key, c in f.items() if key in zero})
 
 
 def cohomologous(ctx: ComplexContext, f: Cochain, g: Cochain) -> bool:

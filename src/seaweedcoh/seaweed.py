@@ -133,23 +133,21 @@ def _partition(g, spec, member):
 
 
 def center(sw: Seaweed):
-    """Basis of Z(s) as ambient coordinate vectors (always inside the Cartan)."""
-    cols = []
-    for i in sw.member:
-        col = {}
-        for pos, j in enumerate(sw.member):
-            for k, v in sw.ambient.bracket(i, j).items():
-                col[(j, k)] = v
-        cols.append(col)
-    # column per member index i: rows (j, k) give coeff of e_k in [e_i, e_j]
-    out = []
-    for rel in sparse_kernel_basis(cols):
-        vec = _primitive({sw.member[p]: c for p, c in rel.items()})
+    """Basis of Z(s) as ambient vectors inside the Cartan (cached per seaweed;
+    each call gets a fresh list)."""
+    if not hasattr(sw, "_center"):
+        # column per member index i: rows (j, k) give coeff of e_k in [e_i, e_j]
+        cols = [{(j, k): v for j in sw.member
+                 for k, v in sw.ambient.bracket(i, j).items()} for i in sw.member]
         cartan_like = set(sw.ambient.cartan) | (set(sw.member) - set(sw.ambient.root_of))
-        if not set(vec) <= cartan_like:
-            raise InvariantError("central vector outside the Cartan")
-        out.append(vec)
-    return out
+        out = []
+        for rel in sparse_kernel_basis(cols):
+            vec = _primitive({sw.member[p]: c for p, c in rel.items()})
+            if not set(vec) <= cartan_like:
+                raise InvariantError("central vector outside the Cartan")
+            out.append(vec)
+        sw._center = out
+    return list(sw._center)
 
 
 @dataclass

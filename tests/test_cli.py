@@ -200,12 +200,23 @@ def test_enumerate_g2_decomposable_count(tmp_path):
 
 
 def test_enumerate_max_rank_zero(tmp_path):
+    # no spec to check: a summary with 0 failures would report a pass after
+    # checking nothing, so the run is refused before any output is written
     out = tmp_path / "empty.jsonl"
     proc = run_cli(["enumerate", "--type", "A", "--max-rank", "0",
-                    "--out", str(out)])
-    summary = json.loads(proc.stdout)
-    assert summary["total"] == 0
-    assert out.read_text() == ""
+                    "--out", str(out)], check=False)
+    assert proc.returncode != 0
+    assert "no A seaweeds up to rank 0" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_enumerate_without_specs_rejected(capsys):
+    # ranks below the least valid one of the type (G2, D4, B2, C3)
+    for type_label, rank in (("G", 1), ("D", 3), ("B", 1), ("C", 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--type", type_label, "--max-rank", str(rank)])
+        assert exc.value.code == f"no {type_label} seaweeds up to rank {rank}"
+    assert capsys.readouterr().out == ""
 
 
 def test_main_entrypoint_in_process(capsys):

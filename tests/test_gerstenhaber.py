@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from seaweedcoh.chevalley import direct_sum
-from seaweedcoh.cli import _ambient
-from seaweedcoh.cochain import Cochain, adjoint_context, quotient_context
-from seaweedcoh.gerstenhaber import (cg_dims, cohomologous, cup_with_center,
+from seaweedcoh.cli import _all_specs, _ambient
+from seaweedcoh.cochain import (Cochain, _relation_cochain, adjoint_context,
+                                coboundary, quotient_context)
+from seaweedcoh.exactlin import Echelon, InvariantError, sparse_kernel_basis
+from seaweedcoh.gerstenhaber import (_class_representatives, cg_dims,
+                                     cohomologous, cup_with_center,
                                      h2_report, h3_report, is_coboundary,
                                      quotient_cohomology)
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed,
@@ -136,3 +141,143 @@ def test_flagged_corollary_discrepancy(sweep_reports):
         for d in rep["discrepancies"]:
             if d["code"] == "quotient_cohomology_nonzero":
                 assert d["severity"] == "informational"
+
+
+def test_wrong_class_count_raises(g2_fixture):
+    # a forged weight-zero rank one short at q = 1 claims dim H^1(Q,s) = 2,
+    # but only one class exists.  It is an InvariantError, not an assert, so
+    # it fires under python -O too
+    sw = seaweed_from_algebra(g2_fixture)
+    split = split_over_center(sw, section_indices=[0, 1])
+    ctx = quotient_context(split)
+    dim1, rank1 = ctx._zero_block(1)
+    ctx._rank_cache[1] = (dim1, rank1 - 1)
+    with pytest.raises(InvariantError,
+                       match="1 class representatives for dim H.1 = 2"):
+        quotient_cohomology(sw, 1, split=split)
+
+
+# -- class representatives and B^q membership against the per-grade code -------
+
+def reference_cocycle_basis(ctx, q):
+    """The deleted ComplexContext.cocycle_basis: the kernel relations of
+    delta on every weight block of C^q, blocks in sorted grade order."""
+    out = []
+    for grade, basis in sorted(ctx.basis_by_grade(q).items()):
+        cols = [dict(ctx.delta_column(tup, k)) for tup, k in basis]
+        out += [_relation_cochain(ctx, q, basis, rel)
+                for rel in sparse_kernel_basis(cols)]
+    return out
+
+
+def reference_coboundary_span(ctx, q):
+    """An echelon of the deleted ComplexContext.coboundary_basis: the
+    independent delta columns of every weight block of C^(q-1)."""
+    span = Echelon()
+    if q > 0:
+        for grade, basis in sorted(ctx.basis_by_grade(q - 1).items()):
+            block = Echelon()
+            for tup, k in basis:
+                col = dict(ctx.delta_column(tup, k))
+                if block.add(col):
+                    span.add(col)
+    return span
+
+
+def reference_class_representatives(ctx, q):
+    span = reference_coboundary_span(ctx, q)
+    return [z for z in reference_cocycle_basis(ctx, q) if span.add(z)]
+
+
+def ordered(z):
+    """A cochain's data with the order of its tuples and module indices."""
+    return [(tup, list(vec.items())) for tup, vec in z.data.items()]
+
+
+def mixed_cochain(ctx, q, rng, density=0.3):
+    """A random q-cochain with components of every weight."""
+    data = {}
+    for tup in combinations(range(ctx.n), q):
+        if rng.random() < density:
+            data[tup] = {rng.randrange(ctx.m): F(rng.randint(-3, 3))}
+    return Cochain(ctx, q, data)
+
+
+def seeded_cochains(ctx, q, reps, rng):
+    """Coboundaries of mixed weight, their nonzero-weight parts, the same
+    plus a unit cochain, random cochains, and representatives plus a
+    coboundary."""
+    zero = set(ctx.zero_basis(q))
+    out = []
+    for _ in range(3):
+        b = coboundary(mixed_cochain(ctx, q - 1, rng)) if q else ctx.zero(q)
+        out.append(b)
+        out.append(Cochain(ctx, q, {tup: {k: c} for (tup, k), c in b.items()
+                                     if (tup, k) not in zero}))
+        if ctx.dim_cochains(q):
+            tup = tuple(sorted(rng.sample(range(ctx.n), q)))
+            out.append(b.add(ctx.basis_cochain(tup, rng.randrange(ctx.m))))
+        out.append(mixed_cochain(ctx, q, rng))
+        out += [z.add(b, rng.randint(1, 3)) for z in reps]
+    return out
+
+
+def assert_weight_zero_matches_reference(ctx, max_degree, seed=0):
+    """Representatives equal the per-grade ones, data and order included,
+    and is_coboundary agrees with the per-grade span; (reps, members,
+    non-members) counted."""
+    rng = random.Random(seed)
+    counts = [0, 0, 0]
+    for q in range(max_degree + 1):
+        reps = _class_representatives(ctx, q,
+                                      ctx.cohomology_dims(q).cohomology)
+        assert list(map(ordered, reps)) == list(
+            map(ordered, reference_class_representatives(ctx, q))), q
+        counts[0] += len(reps)
+        span = reference_coboundary_span(ctx, q)
+        for f in seeded_cochains(ctx, q, reps, rng):
+            verdict = is_coboundary(ctx, f)
+            assert verdict == span.contains(f), (q, f.data)
+            counts[2 - verdict] += 1
+    return counts
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_representatives_match_per_grade_sweep(type_label, rank):
+    counts = [0, 0, 0]
+    for i, spec in enumerate(_all_specs(type_label, rank)):
+        if spec.rank != rank:
+            continue
+        sw = build_seaweed(_ambient(type_label, rank), spec)
+        for ctx in dict.fromkeys([adjoint_context(sw),
+                                  quotient_context(split_over_center(sw))]):
+            got = assert_weight_zero_matches_reference(ctx, min(3, ctx.n), i)
+            counts = [a + b for a, b in zip(counts, got)]
+    assert all(counts), counts   # some classes, members and non-members
+
+
+def test_representatives_match_per_grade_g2_fixture(g2_fixture):
+    sw = seaweed_from_algebra(g2_fixture)
+    for ctx in (adjoint_context(sw),
+                quotient_context(split_over_center(sw, section_indices=[0, 1])),
+                quotient_context(split_over_center(sw))):
+        assert all(assert_weight_zero_matches_reference(ctx, 3))
+
+
+def test_representatives_match_per_grade_rescaled_fixture(a2_fixture):
+    # Cartan elements rescaled by p/q: the weights are exact Fractions
+    rng = random.Random(5)
+    scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
+    L2 = a2_fixture.rescaled(scalars)
+    seaweeds = [build_seaweed(L2, SeaweedSpec.make("A", 2, [], pi2))
+                for pi2 in ([1, 2], [1], [])]
+    assert any(isinstance(w, F)
+               for ws in adjoint_context(seaweeds[0])._dom_weights for w in ws)
+    counts = [0, 0, 0]
+    for sw in seaweeds:
+        for ctx in dict.fromkeys([adjoint_context(sw),
+                                  quotient_context(split_over_center(sw))]):
+            got = assert_weight_zero_matches_reference(ctx, min(3, ctx.n))
+            counts = [a + b for a, b in zip(counts, got)]
+    assert all(counts), counts

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from seaweedcoh import rootsystem, seaweed
-from seaweedcoh.cli import _all_specs, _ambient, main
+from seaweedcoh.cli import _all_specs, _ambient, main, verify_report
 from seaweedcoh.cochain import adjoint_context
 from seaweedcoh.chevalley import load_fixture
 from seaweedcoh.exactlin import InvariantError, Matrix
@@ -323,3 +323,22 @@ def test_broken_invariant_raises_and_exits_2(monkeypatch, capsys):
         center(sw)
     assert main(["info", "--type", "A", "--rank", "2", "--pi1", "1"]) == 2
     assert "outside the Cartan" in capsys.readouterr().err
+
+
+def test_center_computed_once_per_seaweed(monkeypatch):
+    # info and the center split share one elimination of the ad-kernel of s
+    # (the only kernel with dim s columns: the split's has one per Cartan
+    # element); each call still gets a list of its own
+    sizes = []
+    kernel = seaweed.sparse_kernel_basis
+    monkeypatch.setattr(seaweed, "sparse_kernel_basis",
+                        lambda cols: sizes.append(len(cols)) or kernel(cols))
+    sw = build_seaweed(_ambient("A", 3), spec("A", 3, [1], [3]))
+    zs = center(sw)
+    assert len(zs) == 1 and sizes == [sw.dim]
+    zs.append({0: 1})
+    assert center(sw) == zs[:1] and sizes == [sw.dim]
+    report = verify_report(sw, sw.spec)
+    assert report["ok"] and report["dims"]["center"] == 1
+    assert sizes.count(sw.dim) == 1
+    assert split_over_center(sw).center_basis == zs[:1]
