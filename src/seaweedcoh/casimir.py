@@ -7,11 +7,23 @@ that reading reproduces the published operator chain and satisfies
 Gamma = delta k + k delta, which the test suite checks coefficient-wise.
 
 What depends on the ambient algebra alone is computed once per algebra and
-kept on it: the complex C^*(g, g) every `OperatorContext` shares, the form
-ratio, and the string terms of the predicted entry scalars per pair of
-simple-root coefficient tuples, whose squared lengths and root strings the
-`RootSystem` answers.  Integral coefficients stay plain ints; every division
-has a Fraction operand, so no result becomes a float.
+kept on it, on first use (never while the algebra is constructed): the
+complex C^*(g, g) every `OperatorContext` shares, the sparse dual basis, the
+brackets [e^j, e_k] that `homotopy` reads, the Casimir columns
+sum_j [e^j, [e_j, e_k]] that `casimir_action` reads, the form ratio, and
+the string terms of the predicted entry scalars per pair of simple-root
+coefficient tuples, whose squared lengths and root strings the `RootSystem`
+answers.  Per seaweed, the predicted scalar of each root is computed once.
+
+The certificate takes its coboundary in C(n, g), not C(g, g): psi f is
+supported on n-tuples, so k psi f is too, and n is closed under the bracket;
+on an n-tuple both terms of delta(k psi f) then read k psi f only on
+n-tuples and brackets inside n, which is the differential of C(n, g) (n the
+domain, all of g the module).  `restrict` keeps only n-tuples, so the image
+is the same cochain (`_certificate_image`).
+
+Integral coefficients stay plain ints; every division has a Fraction
+operand, so no result becomes a float.
 """
 
 from __future__ import annotations
@@ -21,9 +33,9 @@ from fractions import Fraction
 
 from .chevalley import LieAlgebra
 from .cochain import (Cochain, coboundary, full_context, invariant_coboundaries,
-                      invariant_cochains, nilradical_context,
-                      reductive_generators)
-from .exactlin import Echelon, Matrix, sparse_rank, vec_add
+                      invariant_cochains, nilradical_ambient_context,
+                      nilradical_context, reductive_generators)
+from .exactlin import Echelon, sparse_rank, vec_add
 from .rootsystem import RootSystem
 
 CASIMIR_READING = "value_action"
@@ -37,8 +49,7 @@ class OperatorContext:
             raise ValueError("seaweed does not live in the given ambient algebra")
         self.ambient = ambient
         self.seaweed = sw
-        dual = ambient.dual_basis()
-        self.dual = [{i: c for i, c in enumerate(col) if c != 0} for col in dual]
+        self.dual = _sparse_dual(ambient)
         self.gg = _ambient_context(ambient)
         self.ns = nilradical_context(sw)
         self._nil_pos = {idx: p for p, idx in enumerate(sw.nilradical)}
@@ -50,6 +61,40 @@ def _ambient_context(g: LieAlgebra):
     if not hasattr(g, "_full_context"):
         g._full_context = full_context(g)
     return g._full_context
+
+
+def _sparse_dual(g: LieAlgebra):
+    """The dual basis e^j as sparse {index: coefficient} dicts, built once
+    per algebra; callers must not mutate them."""
+    if not hasattr(g, "_sparse_dual"):
+        g._sparse_dual = [{i: c for i, c in enumerate(col) if c != 0}
+                          for col in g.dual_basis()]
+    return g._sparse_dual
+
+
+def _dual_brackets(g: LieAlgebra):
+    """[e^j, e_k] per j and k, built once per algebra; callers must not
+    mutate them."""
+    if not hasattr(g, "_dual_brackets"):
+        g._dual_brackets = [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
+                            for d in _sparse_dual(g)]
+    return g._dual_brackets
+
+
+def _casimir_columns(g: LieAlgebra):
+    """sum_j [e^j, [e_j, e_k]] per k, built once per algebra from the
+    brackets [e^j, e_i]; callers must not mutate them."""
+    if not hasattr(g, "_casimir_columns"):
+        table = _dual_brackets(g)
+        cols = []
+        for k in range(g.dim):
+            acc = {}
+            for j in range(g.dim):
+                for i, c in g.bracket(j, k).items():
+                    vec_add(acc, table[j][i], c)
+            cols.append(acc)
+        g._casimir_columns = cols
+    return g._casimir_columns
 
 
 def extend_by_zero(octx: OperatorContext, f: Cochain) -> Cochain:
@@ -68,15 +113,17 @@ def restrict(octx: OperatorContext, F: Cochain) -> Cochain:
     """Coordinate restriction C^q(g, g) -> C^q(n, s).
 
     Rejects the input (naming the offending tuple) when some value on an
-    n-tuple escapes the seaweed.
+    n-tuple escapes the seaweed.  Tuples are checked in increasing order,
+    so the tuple named does not depend on how F was computed.
     """
     sw = octx.seaweed
     nil = set(sw.nilradical)
     member = set(sw.member)
     data = {}
-    for tup, vec in F.data.items():
+    for tup in sorted(F.data):
         if not set(tup) <= nil:
             continue
+        vec = F.data[tup]
         outside = set(vec) - member
         if outside:
             labels = [octx.ambient.labels[i] for i in tup]
@@ -92,16 +139,16 @@ def homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
     """(kF)(x_1..x_{q-1}) = sum_j [e^j, F(e_j, x_1, .., x_{q-1})]."""
     if F.degree < 1:
         raise ValueError("homotopy needs degree >= 1")
-    amb = octx.ambient
+    table = _dual_brackets(octx.ambient)
     out = {}
     for tup, vec in F.data.items():
         for pos, j in enumerate(tup):
             rest = tup[:pos] + tup[pos + 1:]
             sign = -1 if pos % 2 else 1
+            row = table[j]
             contrib = {}
             for k, c in vec.items():
-                vec_add(contrib, amb.bracket_vec(octx.dual[j], {k: 1}),
-                        sign * c)
+                vec_add(contrib, row[k], sign * c)
             if contrib:
                 vec_add(out.setdefault(rest, {}), contrib)
     return Cochain(octx.gg, F.degree - 1, out)
@@ -110,20 +157,19 @@ def homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
 def casimir_action(octx: OperatorContext, F: Cochain) -> Cochain:
     """Gamma F: the Casimir element acting on the values of F.
 
-    (Gamma F)(args) = sum_j [e^j, [e_j, F(args)]].  Of the two readings the
-    published computation admits, this one reproduces its numbers and makes
-    Gamma = delta k + k delta an identity; iterating the full Lie derivative
-    instead gives a different operator (twice this one on the adjoint), so
-    that reading is rejected.  See CASIMIR_READING.
+    (Gamma F)(args) = sum_j [e^j, [e_j, F(args)]], read off the per-algebra
+    Casimir columns.  Of the two readings the published computation admits,
+    this one reproduces its numbers and makes Gamma = delta k + k delta an
+    identity; iterating the full Lie derivative instead gives a different
+    operator (twice this one on the adjoint), so that reading is rejected.
+    See CASIMIR_READING.
     """
-    amb = octx.ambient
+    cols = _casimir_columns(octx.ambient)
     out = {}
     for tup, vec in F.data.items():
         acc = {}
-        for j in range(amb.dim):
-            inner = amb.bracket_vec({j: 1}, vec)
-            if inner:
-                vec_add(acc, amb.bracket_vec(octx.dual[j], inner))
+        for k, c in vec.items():
+            vec_add(acc, cols[k], c)
         if acc:
             out[tup] = acc
     return Cochain(octx.gg, F.degree, out)
@@ -233,9 +279,8 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
 
     images = []
     for idx, f in enumerate(cocycles):
-        fbar = extend_by_zero(octx, f)
         try:
-            image = restrict(octx, coboundary(homotopy(octx, fbar)))
+            image = _certificate_image(octx, f)
         except ValueError as exc:
             cert.success = False
             cert.injective = False
@@ -283,33 +328,70 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
     return cert
 
 
+def _certificate_image(octx: OperatorContext, f: Cochain) -> Cochain:
+    """restrict(delta k psi f), with delta taken in C(n, g).
+
+    psi f is supported on n-tuples, so k psi f(x_1..x_{q-1}) =
+    sum_j [e^j, psi f(e_j, x_1, ..)] is supported on n-tuples too, and n is
+    closed under the bracket.  On a q-tuple of n, both terms of
+    delta(k psi f) therefore read k psi f only on n-tuples and brackets
+    inside n: that is the differential of C(n, g), with n the domain and all
+    of g the module.  `restrict` keeps only n-tuples, so this is the cochain
+    restrict(coboundary(homotopy(octx, extend_by_zero(octx, f)))) with no
+    tuple of C(g, g) outside n computed.  `sw.nilradical` is increasing, so
+    both re-indexings keep tuples increasing.
+    """
+    nil = octx.seaweed.nilradical
+    pos = octx._nil_pos
+    kf = homotopy(octx, extend_by_zero(octx, f))
+    ng = nilradical_ambient_context(octx.seaweed)
+    dkf = coboundary(Cochain(ng, kf.degree, {
+        tuple(pos[i] for i in tup): vec for tup, vec in kf.data.items()}))
+    return restrict(octx, Cochain(octx.gg, dkf.degree, {
+        tuple(nil[t] for t in tup): vec for tup, vec in dkf.data.items()}))
+
+
 def _map_matrix(basis, images):
+    """Sparse rows {column: entry} of the matrix whose column j holds the
+    coordinates of images[j] in the basis."""
     keys = {key for f in basis for key, _ in f.items()}
     ech = Echelon(basis, track=True)
-    zero = Fraction(0)
-    out = []
-    for im in images:
+    rows = [{} for _ in basis]
+    for j, im in enumerate(images):
         if any(key not in keys for key, _ in im.items()):
             raise ValueError("image leaves the invariant cocycle space")
         sol = ech.coords(im)
         if sol is None:
             raise ValueError("image is not a combination of the cocycle basis")
-        out.append([sol.get(j, zero) for j in range(len(basis))])
-    return Matrix.from_columns(out, nrows=len(basis))
+        for i, c in sol.items():
+            if c != 0:
+                rows[i][j] = c
+    return rows
 
 
-def _char_poly(m: Matrix):
-    """Coefficients of det(xI - M), leading first (Faddeev-LeVerrier)."""
-    d = m.nrows
+def _char_poly(rows):
+    """Coefficients of det(xI - M), leading first, for the square matrix M
+    given by its sparse rows {column: entry}.
+
+    The Faddeev-LeVerrier recurrence M_k = M M_(k-1) + c_k I,
+    c_k = -tr(M M_(k-1)) / k, on sparse rows: it skips only zero terms of
+    exact sums, so the coefficients are those of the dense recurrence.
+    """
+    d = len(rows)
     coeffs = [Fraction(1)]
-    mk = Matrix.identity(d)
+    mk = [{i: 1} for i in range(d)]
     for k in range(1, d + 1):
-        prod = [[sum((m.data[i][t] * mk.data[t][j] for t in range(d)),
-                     Fraction(0)) for j in range(d)] for i in range(d)]
-        c = -sum((prod[i][i] for i in range(d)), Fraction(0)) / k
+        prod = []
+        for row in rows:
+            acc = {}
+            for t, a in row.items():
+                vec_add(acc, mk[t], a)
+            prod.append(acc)
+        c = -sum((prod[i].get(i, 0) for i in range(d)), Fraction(0)) / k
         coeffs.append(c)
-        mk = Matrix([[prod[i][j] + (c if i == j else 0) for j in range(d)]
-                     for i in range(d)])
+        for i, acc in enumerate(prod):
+            vec_add(acc, {i: c})
+        mk = prod
     return coeffs
 
 
@@ -330,8 +412,8 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     Each entry of an invariant cocycle takes its value in the root space of
     beta = sum of the argument roots; the predicted scalar is (beta,beta) plus
     string terms over the root vectors outside n and the Cartan, all in the
-    invariant form the dual basis uses.  Returns None when root data is
-    missing.
+    invariant form the dual basis uses.  The scalar of each beta is computed
+    once per seaweed.  Returns None when root data is missing.
     """
     g = octx.ambient
     rs = g.root_system
@@ -341,18 +423,23 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     if kappa_ratio is None:
         return None
     sw = octx.seaweed
-    nil = set(sw.nilradical)
-    outside = [c for i, c in g.root_of.items()
-               if i not in nil and i not in g.cartan]
+    if not hasattr(sw, "_entry_scalars"):
+        sw._entry_scalars = {}      # beta -> predicted scalar
+    memo = sw._entry_scalars
     out = []
     for tup in f.data:
         beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in tup))))
         if not any(beta):
             return None  # value in the Cartan: the string formula does not apply
-        scalar = rs.sq(beta)
-        for gamma in outside:
-            scalar += _string_term(g, gamma, beta)
-        out.append(scalar * kappa_ratio)
+        scalar = memo.get(beta)
+        if scalar is None:
+            nil = set(sw.nilradical)
+            scalar = rs.sq(beta)
+            for i, gamma in g.root_of.items():
+                if i not in nil and i not in g.cartan:
+                    scalar += _string_term(g, gamma, beta)
+            scalar = memo[beta] = scalar * kappa_ratio
+        out.append(scalar)
     return out
 
 

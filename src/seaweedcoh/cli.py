@@ -51,6 +51,13 @@ def _degree(text):
     return int(text)
 
 
+def _jobs(text):
+    """An --jobs value: a positive int."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {text}")
+    return int(text)
+
+
 def _vec_json(L, vec):
     return {L.labels[i]: str(c) for i, c in sorted(vec.items())}
 
@@ -352,7 +359,7 @@ def make_parser():
     p_enum.add_argument("--max-degree", type=_degree, default=3)
     p_enum.add_argument("--out", default=None)
     p_enum.add_argument("--strict-paper", action="store_true")
-    p_enum.add_argument("--jobs", type=int, default=1)
+    p_enum.add_argument("--jobs", type=_jobs, default=1)
     p_enum.set_defaults(func=cmd_enumerate)
     return parser
 

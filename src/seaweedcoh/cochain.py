@@ -540,6 +540,15 @@ def nilradical_context(sw) -> ComplexContext:
     return sw._nilradical_ctx
 
 
+def nilradical_ambient_context(sw) -> ComplexContext:
+    """C^*(n, g): the nilradical acting on the whole ambient algebra, which
+    the rigidity certificate differentiates in (cached on the seaweed)."""
+    if not hasattr(sw, "_nilradical_ambient_ctx"):
+        sw._nilradical_ambient_ctx = ComplexContext(
+            sw.ambient, _units(sw.nilradical), _units(range(sw.ambient.dim)))
+    return sw._nilradical_ambient_ctx
+
+
 def full_context(L: LieAlgebra) -> ComplexContext:
     """C^*(g, g) for a whole algebra."""
     units = _units(range(L.dim))
@@ -562,5 +571,23 @@ def quotient_context(split) -> ComplexContext:
 
 
 def reductive_generators(sw):
-    """Basis vectors of r, as ambient coordinate dicts."""
-    return _units(sw.reductive)
+    """Generators of r as ambient coordinate dicts: for a seaweed with a
+    spec, the Cartan and the root vectors of +/-alpha_i for i in pi1 & pi2;
+    otherwise every basis vector of r.
+
+    The Lie derivative is a representation, so the elements killing a
+    cochain form a subalgebra, and a generating set of r has the same joint
+    kernel as all of r.  h and the e_(+/-alpha_i) generate
+    r = h + sum of g_alpha over the roots alpha of pi1 & pi2.  The same
+    kernel gives the same column dependencies, so `sparse_kernel_basis`
+    returns the same invariant cochains, in the same order.
+    """
+    g, spec = sw.ambient, sw.spec
+    if spec is None:
+        return _units(sw.reductive)
+    simple = set()
+    for i in spec.pi1 & spec.pi2:
+        unit = tuple(int(x == i - 1) for x in range(spec.rank))
+        simple |= {unit, tuple(-x for x in unit)}
+    return _units(i for i in sw.reductive
+                  if i in g.cartan or g.root_of.get(i) in simple)

@@ -5,6 +5,8 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seaweedcoh import casimir
 from seaweedcoh.casimir import (OperatorContext, _compute_form_ratio,
@@ -18,7 +20,7 @@ from seaweedcoh.cochain import (Cochain, coboundary, full_context,
                                 invariant_coboundaries, invariant_cochains,
                                 invariant_cohomology_dims,
                                 reductive_generators)
-from seaweedcoh.exactlin import sparse_kernel_basis
+from seaweedcoh.exactlin import sparse_kernel_basis, vec_add
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
 
@@ -71,6 +73,17 @@ def test_restrict_rejects_escaping_values(a2_octx):
     with pytest.raises(ValueError) as err:
         restrict(a2_octx, bad)
     assert "e4" in str(err.value)
+    # with several escaping n-tuples the least one is named, in any data order
+    n0, n1, n2 = a2_octx.seaweed.nilradical
+    named = set()
+    for order in ([(n1, n2), (n0, n2), (n0, n1)], [(n0, n1), (n1, n2)]):
+        bad = Cochain(a2_octx.gg, 2, {tup: {0: F(1)} for tup in order})
+        with pytest.raises(ValueError) as err:
+            restrict(a2_octx, bad)
+        named.add(str(err.value))
+    labels = a2_octx.ambient.labels
+    assert named == {f"value on ({labels[n0]}, {labels[n1]}) lies outside s "
+                     f"(components [0])"}
 
 
 def test_homotopy_values_published(a2_octx, a2_generator):
@@ -465,3 +478,229 @@ def test_operator_contexts_share_one_ambient_context(a2_fixture):
                 assert got == want and got.degree == want.degree
                 chains += 1
         assert chains > 0, spec
+
+
+# -- the certificate's coboundary in C(n, g), and the per-ambient tables ------
+
+
+def gg_certificate_image(octx, f):
+    """restrict(delta k psi f) with delta over the whole C(g, g), as the
+    certificate computed it before the C(n, g) reduction."""
+    return restrict(octx, coboundary(casimir.homotopy(
+        octx, extend_by_zero(octx, f))))
+
+
+def outcome(fn, *args):
+    """("ok", ordered data) of the result, or ("error", message)."""
+    try:
+        return "ok", ordered_data(fn(*args))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _table1_octxs(a2_fixture):
+    return [OperatorContext(a2_fixture, build_seaweed(
+        a2_fixture, SeaweedSpec.make("A", 2, [], pi2))) for pi2 in ([1, 2], [1])]
+
+
+def test_certificate_image_in_ng_matches_gg(a2_fixture):
+    # every invariant cochain, cocycle or not, of every degree
+    octxs = _table1_octxs(a2_fixture) + list(_a4_orbit_octxs())
+    octxs += [o for t, r in [("A", 2), ("B", 2), ("G", 2)]
+              for o in _sweep_octxs(t, r)]
+    compared = 0
+    for octx in octxs:
+        gens = reductive_generators(octx.seaweed)
+        for q in range(1, len(octx.seaweed.nilradical) + 1):
+            for f in invariant_cochains(octx.ns, q, gens):
+                got = outcome(casimir._certificate_image, octx, f)
+                assert got == outcome(gg_certificate_image, octx, f), \
+                    (octx.seaweed.spec, q)
+                compared += 1
+    assert compared > 300
+
+
+def test_certificate_image_forged_escape_same_error(a2_fixture, monkeypatch):
+    # a homotopy value forged outside s: both complexes name the same tuple
+    # and components, and the certificate reports that message
+    real = casimir.homotopy
+    errors = 0
+    for octx in _table1_octxs(a2_fixture):
+        sw, dim = octx.seaweed, octx.ambient.dim
+        for q in range(1, len(sw.nilradical) + 1):
+            for f in invariant_cocycles(octx, q):
+                for tup in combinations(sw.nilradical, q - 1):
+                    for k in range(dim):
+                        def forged(o, F, tup=tup, k=k):
+                            extra = Cochain(o.gg, F.degree - 1, {tup: {k: 1}})
+                            return real(o, F).add(extra)
+                        monkeypatch.setattr(casimir, "homotopy", forged)
+                        got = outcome(casimir._certificate_image, octx, f)
+                        assert got == outcome(gg_certificate_image, octx, f)
+                        if got[0] == "error":
+                            errors += 1
+                            assert "lies outside s" in got[1]
+                            cert = rigidity_certificate(octx, q)
+                            assert not cert.success and cert.failure == got[1]
+    monkeypatch.setattr(casimir, "homotopy", real)
+    assert errors > 5
+
+
+def dense_char_poly(m):
+    """det(xI - M) by the dense Faddeev-LeVerrier recurrence, as first
+    written over a full list of rows."""
+    d = len(m)
+    coeffs = [F(1)]
+    mk = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        prod = [[sum((m[i][t] * mk[t][j] for t in range(d)), F(0))
+                 for j in range(d)] for i in range(d)]
+        c = -sum((prod[i][i] for i in range(d)), F(0)) / k
+        coeffs.append(c)
+        mk = [[prod[i][j] + (c if i == j else 0) for j in range(d)]
+              for i in range(d)]
+    return coeffs
+
+
+def _sparse_rows(m):
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in m]
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def square_matrices(draw):
+    d = draw(st.integers(0, 5))
+    shape = draw(st.sampled_from(["zero", "diagonal", "upper", "lower",
+                                  "full"]))
+    keep = {"zero": lambda i, j: False, "diagonal": lambda i, j: i == j,
+            "upper": lambda i, j: i <= j, "lower": lambda i, j: i >= j,
+            "full": lambda i, j: True}[shape]
+    return [[draw(_fractions) if keep(i, j) else F(0) for j in range(d)]
+            for i in range(d)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_sparse_char_poly_matches_dense(m):
+    got = casimir._char_poly(_sparse_rows(m))
+    assert got == dense_char_poly(m)
+    assert all(isinstance(c, F) for c in got)
+
+
+def test_char_poly_of_diagonal_and_zero():
+    assert casimir._char_poly([]) == [1]
+    assert casimir._char_poly([{}, {}]) == [1, 0, 0]
+    # (x - 2)(x - 1/3) = x^2 - 7/3 x + 2/3
+    assert casimir._char_poly([{0: 2}, {1: F(1, 3)}]) == [1, F(-7, 3), F(2, 3)]
+
+
+TABLES = ("_sparse_dual", "_dual_brackets", "_casimir_columns")
+
+
+def reference_homotopy(octx, Fc):
+    """homotopy as first written: [e^j, e_k] rebuilt for every entry."""
+    amb, dual = octx.ambient, _dense_dual(octx.ambient)
+    out = {}
+    for tup, vec in Fc.data.items():
+        for pos, j in enumerate(tup):
+            rest = tup[:pos] + tup[pos + 1:]
+            sign = -1 if pos % 2 else 1
+            contrib = {}
+            for k, c in vec.items():
+                vec_add(contrib, amb.bracket_vec(dual[j], {k: 1}), sign * c)
+            if contrib:
+                vec_add(out.setdefault(rest, {}), contrib)
+    return Cochain(octx.gg, Fc.degree - 1, out)
+
+
+def reference_casimir_action(octx, Fc):
+    """casimir_action as first written: two brackets per basis index."""
+    amb, dual = octx.ambient, _dense_dual(octx.ambient)
+    out = {}
+    for tup, vec in Fc.data.items():
+        acc = {}
+        for j in range(amb.dim):
+            inner = amb.bracket_vec({j: 1}, vec)
+            if inner:
+                vec_add(acc, amb.bracket_vec(dual[j], inner))
+        if acc:
+            out[tup] = acc
+    return Cochain(octx.gg, Fc.degree, out)
+
+
+def _dense_dual(g):
+    return [{i: c for i, c in enumerate(col) if c != 0}
+            for col in g.dual_basis()]
+
+
+def test_operator_tables_built_per_ambient_on_first_use(a2_fixture):
+    cases = [(a2_fixture, ("A", 2, [], [1, 2]))]
+    for t, r, pi1, pi2 in [("A", 2, [1], [2]), ("B", 2, [2], [1]),
+                           ("G", 2, [1], []), ("A", 4, [1, 3], [2, 4])]:
+        g = _ambient.__wrapped__(t, r)      # a fresh algebra, not the cached one
+        assert not any(hasattr(g, name) for name in TABLES), (t, r)
+        octx = OperatorContext(g, build_seaweed(
+            g, SeaweedSpec.make(t, r, pi1, pi2)))
+        # each table appears with the first operator that reads it
+        assert [hasattr(g, name) for name in TABLES] == [True, False, False]
+        homotopy(octx, random_gg_cochain(octx, 1, 0))
+        assert [hasattr(g, name) for name in TABLES] == [True, True, False]
+        casimir_action(octx, random_gg_cochain(octx, 1, 0))
+        assert all(hasattr(g, name) for name in TABLES)
+        cases.append((g, (t, r, pi1, pi2)))
+    for g, spec in cases:
+        octx = OperatorContext(g, build_seaweed(g, SeaweedSpec.make(*spec)))
+        assert octx.dual is casimir._sparse_dual(g)
+        assert octx.dual == _dense_dual(g)
+        table = casimir._dual_brackets(g)
+        assert table == [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
+                         for d in octx.dual]
+        cols = casimir._casimir_columns(g)
+        unit = octx.gg.basis_cochain
+        assert cols == [reference_casimir_action(octx, unit((0,), k)).data
+                        .get((0,), {}) for k in range(g.dim)]
+        again = OperatorContext(g, octx.seaweed)
+        assert casimir._dual_brackets(g) is table and again.dual is octx.dual
+        for q in (1, 2):
+            for seed in range(3):
+                f = random_gg_cochain(octx, q, seed)
+                assert ordered_data(homotopy(octx, f)) == \
+                    ordered_data(reference_homotopy(octx, f))
+                assert casimir_action(octx, f) == \
+                    reference_casimir_action(octx, f)
+
+
+def all_of_r(sw):
+    """Every basis vector of r, the generator list before the Levi one."""
+    return [{i: 1} for i in sw.reductive]
+
+
+def test_levi_generators_give_the_same_invariants(g2_fixture):
+    octxs = [o for t, r in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
+             for o in _sweep_octxs(t, r)]
+    octxs += list(_a4_orbit_octxs())
+    assert len(octxs) == 4 + 16 + 16 + 16 + 76
+    shorter = compared = 0
+    for octx in octxs:
+        sw, ns = octx.seaweed, octx.ns
+        gens, full = reductive_generators(sw), all_of_r(sw)
+        g = sw.ambient
+        both = sw.spec.pi1 & sw.spec.pi2
+        assert len(gens) == len(g.cartan) + 2 * len(both), sw.spec
+        assert all(v in full for v in gens)
+        shorter += len(gens) < len(full)
+        for q in range(len(sw.nilradical) + 1):
+            got = invariant_cochains(ns, q, gens)
+            want = invariant_cochains(ns, q, full)
+            assert list(map(ordered_data, got)) == \
+                list(map(ordered_data, want)), (sw.spec, q)
+            assert invariant_coboundaries(ns, q, gens).rank == \
+                invariant_coboundaries(ns, q, full).rank
+            compared += len(got)
+    assert shorter > 10 and compared > 300
+    # a seaweed without a spec keeps every basis vector of r
+    from seaweedcoh.seaweed import seaweed_from_algebra
+    sw = seaweed_from_algebra(g2_fixture)
+    assert reductive_generators(sw) == all_of_r(sw)

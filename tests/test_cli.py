@@ -235,3 +235,21 @@ def test_negative_max_degree_rejected(capsys):
             main(argv + ["--max-degree", "-1"])
         assert exc.value.code == 2, argv
         assert "negative degree" in capsys.readouterr().err, argv
+
+
+def test_enumerate_jobs_below_one_rejected(capsys, monkeypatch):
+    # --jobs 0 or below used to run serially without a word; it is refused
+    # while parsing, before any worker pool could start
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--type", "A", "--max-rank", "1",
+                  "--jobs", jobs])
+        assert exc.value.code == 2, jobs
+        err = capsys.readouterr()
+        assert "--jobs must be at least 1" in err.err, jobs
+        assert err.out == "", jobs
