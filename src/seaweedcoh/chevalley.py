@@ -119,6 +119,8 @@ class LieAlgebra:
             if vec:
                 self.brackets[(i, j)] = vec
         self._ad_cache = {}
+        self._ad_shared = {}        # negated brackets by their items
+        self._root_index = None
         self._killing = None
         self._dual = None
         if check:
@@ -149,14 +151,17 @@ class LieAlgebra:
         return acc
 
     def ad(self, i):
-        """Columns of ad(e_i): maps j -> coords of [e_i, e_j]."""
+        """Columns of ad(e_i): maps j -> coords of [e_i, e_j], in increasing
+        j; built on first use and kept, so callers must not mutate them.
+        Equal negated brackets (j < i) share one dict: E7 has 328 of them."""
         cached = self._ad_cache.get(i)
         if cached is None:
             cached = {}
             for j in range(self.dim):
                 b = self.bracket(i, j)
                 if b:
-                    cached[j] = b
+                    cached[j] = (self._ad_shared.setdefault(tuple(b.items()), b)
+                                 if j < i else b)
             self._ad_cache[i] = cached
         return cached
 
@@ -212,15 +217,17 @@ class LieAlgebra:
     # -- helpers -------------------------------------------------------------
 
     def opposite_index(self, i):
-        """Index of the root vector with negated root, if annotated."""
+        """Index of the root vector with negated root, if annotated (the
+        first such index in `root_of` order, from a root -> index map built
+        on first use)."""
         r = self.root_of.get(i)
         if r is None:
             return None
-        neg = tuple(-c for c in r)
-        for j, rj in self.root_of.items():
-            if rj == neg:
-                return j
-        return None
+        if self._root_index is None:
+            self._root_index = {}
+            for j, rj in self.root_of.items():
+                self._root_index.setdefault(rj, j)
+        return self._root_index.get(tuple(-c for c in r))
 
     def rescaled(self, scalars):
         """Same algebra in the basis (scalars[i] * e_i)."""

@@ -14,6 +14,12 @@ weight is acyclic.  H^q is therefore read off the weight-zero block, the
 only one eliminated, and Z^q and B^q follow by rank-nullity; class
 representatives and B^q membership (`gerstenhaber`) come from it too.
 
+The tables of a context (`dbr`, `act` and each generator's action tables)
+re-index the ambient's cached ad(e_i) columns when the domain and module
+are unit bases, as in the adjoint, nilradical, C(n, g) and full contexts
+(decided once per context); a non-unit basis (a center complement)
+brackets with `bracket_vec` and solves in its span.
+
 Unit vectors, integral structure constants and integral weights stay plain
 ints, so on the unit bases of the adjoint, nilradical and full contexts the
 differential runs in integer arithmetic; Fractions enter only through
@@ -54,14 +60,14 @@ class ComplexContext:
         self.m = len(self.module)
         self._dom_solver = SpanSolver(self.domain)
         self._mod_solver = SpanSolver(self.module)
+        # unit bases read their brackets off the ambient's ad columns
+        self._unit = _int_units(self.domain) and _int_units(self.module)
         # domain bracket table and domain action on the module
         self.dbr = {}
         for i, x in enumerate(self.domain):
-            for p, c in _bracket_coords(self, x, self.domain[i + 1:],
-                                        "domain").items():
-                self.dbr[(i, i + 1 + p)] = c
-        self.act = [_bracket_coords(self, x, self.module, "module")
-                    for x in self.domain]
+            for j, c in _bracket_coords(self, x, "domain", i + 1).items():
+                self.dbr[(i, j)] = c
+        self.act = [_bracket_coords(self, x, "module") for x in self.domain]
         # bracket pairs by target: which [d_a, d_b] hit d_t, and with what;
         # and ad(d_i) on the domain, for the grading
         self.pairs_hitting = {}
@@ -191,14 +197,29 @@ class ComplexContext:
         return CohomologyDims(h + b, b, h)
 
 
-def _bracket_coords(ctx, x, vectors, where):
-    """{position p: coordinates of [x, vectors[p]]} over the brackets that
-    are nonzero, in the span of ctx's `where` ("domain" or "module");
-    ValueError when one leaves it."""
-    solver = ctx._dom_solver if where == "domain" else ctx._mod_solver
+def _bracket_coords(ctx, x, where, start=0):
+    """{position p: coordinates of [x, b_p]} over the vectors b_p, p >= start,
+    of ctx's `where` basis ("domain" or "module") whose bracket with x is
+    nonzero, in the span of that basis; ValueError when one leaves it.
+
+    On unit bases a unit x = e_i reads its brackets off the ambient's cached
+    ad(e_i), re-indexed by the solver's unit map.  Both run in increasing
+    ambient index and hold the same values, so the table is the one the
+    `bracket_vec` loop builds, key order included.
+    """
+    if where == "domain":
+        basis, solver = ctx.domain, ctx._dom_solver
+    else:
+        basis, solver = ctx.module, ctx._mod_solver
+    if ctx._unit and _int_units([x]):
+        pos = solver.unit
+        brackets = ((pos[j], b) for j, b in ctx.ambient.ad(next(iter(x))).items()
+                    if pos.get(j, -1) >= start)
+    else:
+        brackets = ((p, ctx.ambient.bracket_vec(x, basis[p]))
+                    for p in range(start, len(basis)))
     out = {}
-    for p, v in enumerate(vectors):
-        b = ctx.ambient.bracket_vec(x, v)
+    for p, b in brackets:
         if b:
             c = solver.coords(b)
             if c is None:
@@ -206,6 +227,20 @@ def _bracket_coords(ctx, x, vectors, where):
             if c:
                 out[p] = c
     return out
+
+
+def _int_units(vectors):
+    """Whether `vectors` are unit vectors e_i with increasing i and int
+    coefficient 1 (Fraction units make `bracket_vec` values Fractions)."""
+    last = -1
+    for v in vectors:
+        if len(v) != 1:
+            return False
+        (i, c), = v.items()
+        if type(c) is not int or c != 1 or i <= last:
+            return False
+        last = i
+    return True
 
 
 def _acts_diagonally(a_dom, a_mod):
@@ -395,8 +430,8 @@ def _action_tables(ctx, x_vec):
 
 
 def _build_action_tables(ctx, x_vec):
-    return (_bracket_coords(ctx, x_vec, ctx.domain, "domain"),
-            _bracket_coords(ctx, x_vec, ctx.module, "module"))
+    return (_bracket_coords(ctx, x_vec, "domain"),
+            _bracket_coords(ctx, x_vec, "module"))
 
 
 def invariant_cochains(ctx: ComplexContext, q, generators):
@@ -558,10 +593,10 @@ def full_context(L: LieAlgebra) -> ComplexContext:
 def quotient_context(split) -> ComplexContext:
     """C^*(Q, s): the center-complement acting on all of s (cached).
 
-    With a trivial center the complement is s itself and the adjoint context
-    is reused rather than rebuilt.
+    When the complement is the unit basis of s (a trivial center), the
+    adjoint context is reused rather than rebuilt.
     """
-    if not split.center_basis:
+    if split.complement_basis == _units(split.seaweed.member):
         return adjoint_context(split.seaweed)
     if not hasattr(split, "_quotient_ctx"):
         split._quotient_ctx = ComplexContext(

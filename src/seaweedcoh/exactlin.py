@@ -147,25 +147,26 @@ class Matrix:
 class SpanSolver:
     """Coordinates of sparse vectors in a fixed spanning list, exactly.
 
-    A list of unit vectors is read off directly; any other list is factored
-    once by a tracked `Echelon`.  The answer is the one `Matrix.solve`
-    gives: free coordinates zero.
+    A list of unit vectors is read off directly through `unit`, the map
+    {index of the unit vector: list index}; any other list is factored once
+    by a tracked `Echelon` (and `unit` is None).  The answer is the one
+    `Matrix.solve` gives: free coordinates zero.
     """
 
     def __init__(self, vectors):
-        self._unit = None
+        self.unit = None
         if all(len(v) == 1 and next(iter(v.values())) == 1 for v in vectors):
-            self._unit = {next(iter(v)): i for i, v in enumerate(vectors)}
+            self.unit = {next(iter(v)): i for i, v in enumerate(vectors)}
         else:
             self._echelon = Echelon(vectors, track=True)
 
     def coords(self, vec):
         """{list index: coefficient} with sum = vec, or None outside the span."""
-        if self._unit is None:
+        if self.unit is None:
             return self._echelon.coords(vec)
         out = {}
         for i, c in vec.items():
-            j = self._unit.get(i)
+            j = self.unit.get(i)
             if j is None:
                 return None
             if c != 0:

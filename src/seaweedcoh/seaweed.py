@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from . import rootsystem
 from .chevalley import LieAlgebra, subalgebra
+from .cochain import quotient_context
 from .exactlin import Echelon, InvariantError, sparse_kernel_basis
 
 _cached_build = lru_cache(maxsize=None)(rootsystem.build)
@@ -136,10 +137,13 @@ def center(sw: Seaweed):
     """Basis of Z(s) as ambient vectors inside the Cartan (cached per seaweed;
     each call gets a fresh list)."""
     if not hasattr(sw, "_center"):
-        # column per member index i: rows (j, k) give coeff of e_k in [e_i, e_j]
-        cols = [{(j, k): v for j in sw.member
-                 for k, v in sw.ambient.bracket(i, j).items()} for i in sw.member]
-        cartan_like = set(sw.ambient.cartan) | (set(sw.member) - set(sw.ambient.root_of))
+        # column per member index i: rows (j, k) give coeff of e_k in
+        # [e_i, e_j], read off the ambient's cached ad(e_i) restricted to s
+        # (its keys and the members both increase)
+        member = set(sw.member)
+        cols = [{(j, k): v for j, b in sw.ambient.ad(i).items() if j in member
+                 for k, v in b.items()} for i in sw.member]
+        cartan_like = set(sw.ambient.cartan) | (member - set(sw.ambient.root_of))
         out = []
         for rel in sparse_kernel_basis(cols):
             vec = _primitive({sw.member[p]: c for p, c in rel.items()})
@@ -223,8 +227,11 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
     ech = Echelon(full, track=True)
     if len(full) != sw.dim or ech.rank != sw.dim:
         raise ValueError("complement does not complement the center in s")
-    quotient, _ = subalgebra(g, comp, check=False)
-    split = CenterSplit(sw, zs, comp, quotient, ech)
+    split = CenterSplit(sw, zs, comp, None, ech)
+    # building the quotient context checks that the complement is closed;
+    # its domain brackets are the complement's structure constants
+    split.quotient = LieAlgebra(len(comp), quotient_context(split).dbr,
+                                check=False)
     for z in zs:
         for c in comp:
             if g.bracket_vec(z, c):

@@ -378,3 +378,46 @@ def test_direct_sum_and_rescale(g2_fixture):
     scaled = g2_fixture.rescaled([2, 3, F(1, 2)])
     scaled.check_jacobi()
     assert scaled.bracket(0, 1) == {0: 6 * 3}
+
+
+def scan_opposite_index(L, i):
+    """opposite_index as first written: a scan of root_of, first match."""
+    r = L.root_of.get(i)
+    if r is None:
+        return None
+    neg = tuple(-c for c in r)
+    return next((j for j, rj in L.root_of.items() if rj == neg), None)
+
+
+@pytest.mark.parametrize("t,r", [("A", 1), ("A", 4), ("B", 3), ("C", 3),
+                                 ("D", 4), ("G", 2), ("F", 4), ("E", 6)])
+def test_opposite_index_matches_scan(t, r):
+    L = construct(rootsystem.build(t, r), check=False)
+    got = [L.opposite_index(i) for i in range(L.dim + 1)]
+    assert got == [scan_opposite_index(L, i) for i in range(L.dim + 1)]
+    assert all(got[h] is None for h in L.cartan) and got[L.dim] is None
+
+
+def test_opposite_index_first_match(a2_fixture, g2_fixture):
+    # a repeated root answers with its first index; a zero root with itself;
+    # an unannotated index with None
+    L = LieAlgebra(5, {}, root_of={0: (1,), 1: (-1,), 2: (-1,), 3: (0,)},
+                   check=False)
+    assert [L.opposite_index(i) for i in range(5)] == [1, 0, 0, 3, None]
+    for M in (a2_fixture, g2_fixture):
+        assert ([M.opposite_index(i) for i in range(M.dim)]
+                == [scan_opposite_index(M, i) for i in range(M.dim)])
+
+
+def test_ad_columns_are_the_brackets(a2_fixture):
+    # values and key order are those of `bracket`; equal negated brackets
+    # share one dict
+    e7 = construct(rootsystem.build("E", 7), check=False)
+    for L in (e7, construct(rootsystem.build("G", 2), check=False),
+              a2_fixture.rescaled([F(k + 1, 2) for k in range(8)])):
+        for i in range(L.dim):
+            ref = [(j, list(L.bracket(i, j).items())) for j in range(L.dim)
+                   if L.bracket(i, j)]
+            assert [(j, list(b.items())) for j, b in L.ad(i).items()] == ref
+    negated = [b for i in range(e7.dim) for j, b in e7.ad(i).items() if j < i]
+    assert len({id(b) for b in negated}) < len(negated) / 5

@@ -1,20 +1,29 @@
 import random
+from copy import deepcopy
 from fractions import Fraction as F
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from seaweedcoh.cli import _all_specs, _ambient
+from seaweedcoh import rootsystem
+from seaweedcoh.chevalley import construct, subalgebra
+from seaweedcoh.cli import _all_specs, _ambient, verify_report
 from seaweedcoh.cochain import (Cochain, ComplexContext, _action_tables,
-                                _coboundary_consistency, _invariant_candidates,
-                                adjoint_context, coboundary, invariant_cochains,
-                                invariant_cohomology_dims, lie_derivative,
+                                _acts_diagonally, _coboundary_consistency,
+                                _int_units, _invariant_candidates, _weights,
+                                adjoint_context, coboundary, full_context,
+                                invariant_cochains, invariant_cohomology_dims,
+                                lie_derivative, nilradical_ambient_context,
                                 nilradical_context, quotient_context,
                                 reductive_generators)
-from seaweedcoh.exactlin import Echelon, InvariantError, sparse_rank
+from seaweedcoh.exactlin import (Echelon, InvariantError, SpanSolver,
+                                 sparse_kernel_basis, sparse_rank)
 from seaweedcoh.gerstenhaber import _class_representatives
-from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed,
-                                seaweed_from_algebra, split_over_center)
+from seaweedcoh.seaweed import (SeaweedSpec, _cached_build,
+                                _classify_subdiagram, _primitive,
+                                build_seaweed, center, seaweed_from_algebra,
+                                split_over_center)
 
 
 def slow_coboundary(f):
@@ -310,6 +319,64 @@ def test_indecomposable_vanishing_sweep(sweep_reports):
             if rep["indecomposable"]:
                 assert all(row["cohomology"] == 0
                            for row in rep["cohomology"]), (t, r, spec)
+
+
+EXPONENTS = {
+    "A": lambda k: range(1, k + 1),
+    "B": lambda k: range(1, 2 * k, 2),
+    "C": lambda k: range(1, 2 * k, 2),
+    "D": lambda k: list(range(1, 2 * k - 2, 2)) + [k - 1],
+    "E": lambda k: {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17),
+                    8: (1, 7, 11, 13, 17, 19, 23, 29)}[k],
+    "F": lambda k: (1, 5, 7, 11),
+    "G": lambda k: (1, 5),
+}
+
+
+def reductive_betti(spec):
+    """Betti numbers of r = h + the Levi factor of pi1 & pi2: the product
+    of (1+t)^(rank - |pi1 & pi2|), for the center of r, and
+    prod (1+t^(2m+1)) over the exponents m of each simple component."""
+    rs = _cached_build(spec.type_label, spec.rank)
+    both = spec.pi1 & spec.pi2
+    edges = {(i + 1, j + 1) for i, j, _ in rootsystem.dynkin_edges(rs)}
+    poly = [1]
+    factors = [1] * (spec.rank - len(both))
+    seen = set()
+    for start in sorted(both):
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            v = stack.pop()
+            if v not in comp:
+                comp.add(v)
+                stack.extend(w for w in both if (min(v, w), max(v, w)) in edges)
+        seen |= comp
+        type_label, _ = _classify_subdiagram(rs, sorted(comp))
+        factors += [2 * m + 1 for m in EXPONENTS[type_label](len(comp))]
+    for d in factors:               # multiply by 1 + t^d
+        poly = [a + (poly[i - d] if i >= d else 0)
+                for i, a in enumerate(poly + [0] * d)]
+    return poly
+
+
+def test_adjoint_cohomology_is_center_times_reductive_betti(sweep_reports):
+    # H^q(s, s) = Z(s) (x) H^q(r): dim Z(s) * b_q(r) at every computed q
+    nonzero = 0
+    for (t, r), rows in sweep_reports.items():
+        for spec, sw, rep in rows:
+            betti = reductive_betti(spec)
+            zdim = rep["dims"]["center"]
+            # rank factors 1 + t^d, and the top degree is dim r
+            assert sum(betti) == 2 ** spec.rank
+            assert len(betti) == len(sw.reductive) + 1
+            for row in rep["cohomology"]:
+                q = row["q"]
+                expect = zdim * (betti[q] if q < len(betti) else 0)
+                assert row["cohomology"] == expect, (t, r, spec, q)
+                nonzero += expect != 0
+    assert nonzero > 100
 
 
 def test_invariant_vanishing_sweep(sweep_reports):
@@ -616,3 +683,185 @@ def test_weight_zero_coboundary_span(type_label, rank):
             inv_q = invariant_cochains(ctx, q, gens)
             full = full_span_coboundaries_in_invariants(ctx, q, inv_q)
             assert _coboundary_consistency(ctx, q, inv_q, full, gens), (spec, q)
+
+
+# -- tables read off the ambient's ad columns ----------------------------------
+
+def reference_bracket_coords(ctx, x, vectors, where):
+    """{p: coordinates of [x, vectors[p]]} as first computed: one
+    `bracket_vec` and one `SpanSolver.coords` per pair."""
+    solver = SpanSolver(ctx.domain if where == "domain" else ctx.module)
+    out = {}
+    for p, v in enumerate(vectors):
+        b = ctx.ambient.bracket_vec(x, v)
+        if b:
+            c = solver.coords(b)
+            if c is None:
+                raise ValueError(f"the {where} is not closed under the bracket")
+            if c:
+                out[p] = c
+    return out
+
+
+def reference_action_tables(ctx, x):
+    return (reference_bracket_coords(ctx, x, ctx.domain, "domain"),
+            reference_bracket_coords(ctx, x, ctx.module, "module"))
+
+
+def reference_tables(ctx):
+    """(dbr, act, pairs_hitting, (domain weights, module weights)) built
+    from the reference brackets."""
+    dbr = {}
+    for i, x in enumerate(ctx.domain):
+        for p, c in reference_bracket_coords(ctx, x, ctx.domain[i + 1:],
+                                             "domain").items():
+            dbr[(i, i + 1 + p)] = c
+    act = [reference_bracket_coords(ctx, x, ctx.module, "module")
+           for x in ctx.domain]
+    hitting, ad = {}, [{} for _ in range(ctx.n)]
+    for (a, b), vec in dbr.items():
+        for t, c in vec.items():
+            hitting.setdefault(t, []).append((a, b, c))
+        ad[a][b] = vec
+        ad[b][a] = {t: -c for t, c in vec.items()}
+    diag = [i for i in range(ctx.n) if _acts_diagonally(ad[i], act[i])]
+    return dbr, act, hitting, _weights(ctx, [(ad[i], act[i]) for i in diag])
+
+
+def identical(a, b):
+    """a == b with the same types and the same dict key order throughout."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(identical(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(identical, a, b))
+    return a == b
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_tables_match_reference(ctx, unit, generators):
+    assert unit is None or ctx._unit == unit
+    dbr, act, hitting, weights = reference_tables(ctx)
+    assert identical(ctx.dbr, dbr)
+    assert identical(ctx.act, act)
+    assert identical(ctx.pairs_hitting, hitting)
+    assert identical((ctx._dom_weights, ctx._mod_weights), weights)
+    # unit generators, and two that keep the general path
+    dim = ctx.ambient.dim
+    extra = [{0: 1, dim - 1: 1}, {dim - 1: 2}]
+    for g in list(generators) + extra:
+        assert identical(outcome(_action_tables, ctx, g),
+                         outcome(reference_action_tables, ctx, g)), g
+
+
+def reference_center(sw):
+    """Z(s) as first computed: kernel columns from `bracket` on every pair
+    of members."""
+    cols = [{(j, k): v for j in sw.member
+             for k, v in sw.ambient.bracket(i, j).items()} for i in sw.member]
+    return [_primitive({sw.member[p]: c for p, c in rel.items()})
+            for rel in sparse_kernel_basis(cols)]
+
+
+def assert_seaweed_tables_match(sw, section=None):
+    """The center, the tables of every context of sw and the split quotient
+    against the replaced code."""
+    assert identical(center(sw), reference_center(sw))
+    gens = reductive_generators(sw)
+    for ctx in (adjoint_context(sw), nilradical_context(sw),
+                nilradical_ambient_context(sw)):
+        assert_tables_match_reference(ctx, True, gens)
+    split = split_over_center(sw, section_indices=section)
+    # the complement is a unit basis only for some centers: either path
+    assert_tables_match_reference(quotient_context(split), None, gens)
+    ref, _ = subalgebra(sw.ambient, split.complement_basis, check=False)
+    assert (split.quotient.dim, split.quotient.labels) == (ref.dim, ref.labels)
+    assert identical(split.quotient.brackets, ref.brackets)
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 4)])
+def test_ad_tables_match_reference(type_label, rank):
+    g = _ambient(type_label, rank)
+    if rank == 4:
+        specs = orbit_representatives("A", 4)
+    else:
+        specs = [s for s in _all_specs(type_label, rank) if s.rank == rank]
+    units = [{i: 1} for i in range(g.dim)]
+    assert_tables_match_reference(full_context(g), True, units)
+    for spec in specs:
+        assert_seaweed_tables_match(build_seaweed(g, spec))
+
+
+def test_ad_tables_match_reference_fixtures(a2_fixture, g2_fixture):
+    sw = seaweed_from_algebra(g2_fixture)
+    for section in (None, [0, 1]):      # degenerate Killing; published
+        assert_seaweed_tables_match(sw, section)
+    assert_tables_match_reference(full_context(g2_fixture), True,
+                                  [{i: 1} for i in range(g2_fixture.dim)])
+    rng = random.Random(5)
+    scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
+    L2 = a2_fixture.rescaled(scalars)
+    for spec in _all_specs("A", 2):
+        if spec.rank == 2:
+            assert_seaweed_tables_match(build_seaweed(L2, spec))
+    assert_tables_match_reference(full_context(L2), True,
+                                  [{i: 1} for i in range(L2.dim)])
+
+
+def test_center_matches_reference_e6_sample():
+    g = _ambient("E", 6)
+    before = deepcopy([g.ad(i) for i in range(g.dim)])
+    rng = random.Random(15)
+    for _ in range(40):
+        pis = [[i for i in range(1, 7) if rng.random() < 0.6] for _ in "12"]
+        sw = build_seaweed(g, SeaweedSpec.make("E", 6, *pis))
+        assert identical(center(sw), reference_center(sw))
+    assert identical([g.ad(i) for i in range(g.dim)], before)
+
+
+def test_unit_closure_errors_match_reference(a2_fixture):
+    # int units read the ad columns; a bracket leaving the basis is refused
+    # with the text of the bracket_vec path
+    g = a2_fixture
+    i, j = next((i, j) for i, j in combinations(range(g.dim), 2)
+                if set(g.bracket(i, j)) - {i, j})
+    for domain, module, where in (([{i: 1}, {j: 1}], [{i: 1}, {j: 1}], "domain"),
+                                  ([{i: 1}], [{j: 1}], "module")):
+        assert _int_units(domain) and _int_units(module)
+        text = f"the {where} is not closed under the bracket"
+        with pytest.raises(ValueError) as exc:
+            ComplexContext(g, domain, module)
+        assert str(exc.value) == text
+        probe = SimpleNamespace(ambient=g, domain=domain, module=module)
+        assert outcome(reference_tables, probe) == ("ValueError", text)
+    # a generator that does not normalize the domain
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1, 2]))
+    ctx = nilradical_context(sw)
+    x = {sw.dual_nilradical[0]: 1}
+    assert outcome(_action_tables, ctx, x) == (
+        "ValueError", "the domain is not closed under the bracket")
+    assert outcome(reference_action_tables, ctx, x) == outcome(
+        _action_tables, ctx, x)
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_sweep_leaves_ad_columns_unchanged(type_label, rank):
+    # the ad columns hold the ambient's own bracket dicts and every table
+    # is read off them; a whole verify sweep must alter neither
+    g = construct(rootsystem.build(type_label, rank))
+    before = deepcopy([g.ad(i) for i in range(g.dim)]), deepcopy(g.brackets)
+    for spec in _all_specs(type_label, rank):
+        if spec.rank == rank:
+            assert verify_report(build_seaweed(g, spec), spec)["ok"]
+    after = [g._ad_cache[i] for i in range(g.dim)], g.brackets
+    assert identical(after, before)

@@ -7,7 +7,7 @@ import pytest
 from seaweedcoh import rootsystem, seaweed
 from seaweedcoh.cli import _all_specs, _ambient, main, verify_report
 from seaweedcoh.cochain import adjoint_context
-from seaweedcoh.chevalley import load_fixture
+from seaweedcoh.chevalley import load_fixture, subalgebra
 from seaweedcoh.exactlin import InvariantError, Matrix
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 is_indecomposable, quotient_components,
@@ -342,3 +342,30 @@ def test_center_computed_once_per_seaweed(monkeypatch):
     assert report["ok"] and report["dims"]["center"] == 1
     assert sizes.count(sw.dim) == 1
     assert split_over_center(sw).center_basis == zs[:1]
+
+
+def test_non_closed_section_rejected():
+    # s = h + g_(+/-alpha_1) in A2: the section e, f, h_2 complements the
+    # center but misses [e, f] = h_1, so the split is refused, as
+    # `subalgebra` refuses that span
+    g = _ambient("A", 2)
+    sw = build_seaweed(g, spec("A", 2, [1], [1]))
+    roots = [i for i in sw.member if i not in g.cartan]
+    section = roots + [g.cartan[1]]
+    assert set(g.bracket(*roots)) == {g.cartan[0]}
+    with pytest.raises(ValueError, match="the domain is not closed"):
+        split_over_center(sw, section_indices=section)
+    with pytest.raises(ValueError):
+        subalgebra(g, [{i: 1} for i in sorted(section)], check=False)
+
+
+def test_section_outside_s_rejected():
+    # the opposite Borel is bracket-closed and has dim s independent
+    # vectors, all the rank check sees, but it lies outside s: it does not
+    # act on s, so the split is refused
+    g = _ambient("A", 2)
+    sw = build_seaweed(g, spec("A", 2, [], [1, 2]))
+    opposite = sorted(set(range(g.dim)) - set(sw.member) | set(g.cartan))
+    assert len(opposite) == sw.dim and not center(sw)
+    with pytest.raises(ValueError, match="the module is not closed"):
+        split_over_center(sw, section_indices=opposite)
