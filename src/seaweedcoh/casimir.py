@@ -490,7 +490,7 @@ def _compute_form_ratio(g: LieAlgebra):
         b = g.bracket(h, long_root_idx)
         alpha_vals.append(b.get(long_root_idx, 0))
     kappa = g.killing_matrix()
-    block = Echelon(({p: g.form_scale * kappa.data[a][b]
+    block = Echelon(({p: g.form_scale * kappa[a][b]
                       for p, a in enumerate(cartan)} for b in cartan),
                     track=True)
     if block.rank < len(cartan):

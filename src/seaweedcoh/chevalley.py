@@ -7,8 +7,8 @@ normalizations.
 
 The construction works on integer coefficient tuples over the simple roots,
 whose Cartan pairings, squared lengths and root strings the `RootSystem`
-answers, so no ambient root vector is rebuilt.  Every table
-is checked for the Jacobi identity on all basis triples by
+answers, so no ambient root vector is rebuilt.  Every constructed or loaded
+table is checked for the Jacobi identity on all basis triples by
 `jacobi_violation`, which sums only the products of nonzero brackets.
 """
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import rootsystem
-from .exactlin import Echelon, Matrix, SpanSolver, vec_add
+from .exactlin import Echelon, SpanSolver, vec_add
 from .rootsystem import RootSystem
 
 
@@ -176,7 +176,9 @@ class LieAlgebra:
     # -- Killing form and dual basis ----------------------------------------
 
     def killing_matrix(self):
-        """kappa(i,j) = Tr(ad e_i . ad e_j), the literal Killing form."""
+        """kappa(i,j) = Tr(ad e_i . ad e_j), the literal Killing form, as a
+        tuple of Fraction row tuples, built once; it is symmetric, so each
+        row is also a column."""
         if self._killing is None:
             ads = [self.ad(i) for i in range(self.dim)]
             m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
@@ -189,9 +191,8 @@ class LieAlgebra:
                             back = adi.get(v)
                             if back:
                                 s += back.get(u, 0) * c
-                    m[i][j] = s
-                    m[j][i] = s
-            self._killing = Matrix(m)
+                    m[i][j] = m[j][i] = s
+            self._killing = tuple(map(tuple, m))
         return self._killing
 
     def dual_basis(self):
@@ -203,7 +204,7 @@ class LieAlgebra:
         if self._dual is None:
             scale = self.form_scale
             ech = Echelon(({i: scale * x for i, x in enumerate(col) if x}
-                           for col in self.killing_matrix().columns()),
+                           for col in self.killing_matrix()),
                           track=True)
             if ech.rank < self.dim:
                 raise ValueError("Killing form is degenerate; no dual basis")
@@ -243,7 +244,7 @@ class LieAlgebra:
                           check=False)
 
 
-def construct(rs: RootSystem, check=True) -> LieAlgebra:
+def construct(rs: RootSystem) -> LieAlgebra:
     """Chevalley basis of the simple Lie algebra with root system `rs`.
 
     Basis layout: positive root vectors in the root system's order, then the
@@ -285,7 +286,7 @@ def construct(rs: RootSystem, check=True) -> LieAlgebra:
     labels = ([f"x{i+1}" for i in range(m)] + [f"y{i+1}" for i in range(m)]
               + [f"h{i+1}" for i in range(rank)])
     return LieAlgebra(dim, brackets, labels, tuple(range(2 * m, dim)),
-                      root_at, rs, check=check)
+                      root_at, rs)
 
 
 class _ChevalleyConstants:
@@ -372,7 +373,7 @@ class _ChevalleyConstants:
 
 # -- fixture files ----------------------------------------------------------
 
-def loads_fixture(text: str, check=True) -> LieAlgebra:
+def loads_fixture(text: str) -> LieAlgebra:
     """Parse a structure-constant document (see `load_fixture`)."""
     dim = None
     labels = None
@@ -421,10 +422,10 @@ def loads_fixture(text: str, check=True) -> LieAlgebra:
     if dim is None:
         raise ValueError("fixture missing 'dim'")
     return LieAlgebra(dim, brackets, labels, cartan, root_of, rs,
-                      form_scale, check=check)
+                      form_scale)
 
 
-def load_fixture(path, check=True) -> LieAlgebra:
+def load_fixture(path) -> LieAlgebra:
     """Load a structure-constant file.
 
     Format (1-based indices, '#' comments):
@@ -440,7 +441,7 @@ def load_fixture(path, check=True) -> LieAlgebra:
     Antisymmetric completion is applied; the Jacobi identity is verified and
     a violation names the offending triple.
     """
-    return loads_fixture(Path(path).read_text(), check=check)
+    return loads_fixture(Path(path).read_text())
 
 
 # -- derived algebras --------------------------------------------------------

@@ -422,16 +422,20 @@ def lie_derivative(x_vec, f: Cochain) -> Cochain:
 def _action_tables(ctx, x_vec):
     """Columns of the action of x on the domain and on the module, built
     once per context and generator."""
-    key = tuple(sorted(x_vec.items()))
+    key = _vec_key(x_vec)
     tables = ctx._action_cache.get(key)
     if tables is None:
-        tables = ctx._action_cache[key] = _build_action_tables(ctx, x_vec)
+        tables = ctx._action_cache[key] = (
+            _bracket_coords(ctx, x_vec, "domain"),
+            _bracket_coords(ctx, x_vec, "module"))
     return tables
 
 
-def _build_action_tables(ctx, x_vec):
-    return (_bracket_coords(ctx, x_vec, "domain"),
-            _bracket_coords(ctx, x_vec, "module"))
+def _vec_key(vec):
+    """Cache key of a coordinate vector.  The value types are part of it:
+    {i: 1} and {i: Fraction(1)} are equal, but their tables are not of one
+    type."""
+    return tuple(sorted((i, type(c), c) for i, c in vec.items()))
 
 
 def invariant_cochains(ctx: ComplexContext, q, generators):
@@ -465,7 +469,7 @@ def _invariant_entry(ctx, q, generators):
 
 
 def _cache_key(q, generators):
-    return (q, tuple(tuple(sorted(g.items())) for g in generators))
+    return (q, tuple(map(_vec_key, generators)))
 
 
 def _invariant_candidates(ctx, q, generators):

@@ -5,11 +5,10 @@ over the integers.  It answers rank, kernel relations, span membership and
 coordinates.  It pivots in the rows that the fewest columns touch, which
 keeps fill-in low; its outputs depend only on the order of the columns,
 never on the row order.  `SpanSolver` reads coordinates in a list of unit
-vectors directly and factors any other spanning list once.  `Matrix` is a
-dense Fraction matrix: the reference the tests compare the engine against,
-and the container of the Killing and certificate matrices.  Pivoting is
-deterministic throughout, so kernel bases and coordinates are reproducible
-across runs.
+vectors directly and factors any other spanning list once.  The tests
+compare both against a dense Gauss-Jordan reference (`tests/dense.py`).
+Pivoting is deterministic throughout, so kernel bases and coordinates are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -23,134 +22,13 @@ class InvariantError(ValueError):
     """An internal invariant of an exact computation does not hold."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-class Matrix:
-    """Dense matrix over the rationals."""
-
-    __slots__ = ("nrows", "ncols", "data")
-
-    def __init__(self, rows):
-        self.data = [[_frac(x) for x in row] for row in rows]
-        self.nrows = len(self.data)
-        self.ncols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns, nrows=None):
-        if not columns:
-            return cls.zero(nrows or 0, 0)
-        nrows = nrows if nrows is not None else len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(nrows)])
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.nrows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self):
-        return Matrix([[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def matvec(self, v):
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        return [sum((self.data[i][j] * v[j] for j in range(self.ncols)), Fraction(0))
-                for i in range(self.nrows)]
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols})"
-
-    def rref(self):
-        """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pr = next((i for i in range(r, self.nrows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(m), pivots
-
-    def rank(self):
-        return len(self.rref()[1])
-
-    def kernel_basis(self):
-        """Basis of the right null space, leading coefficient 1 in each vector."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.data[r][fc]
-            lead = next(x for x in v if x != 0)
-            basis.append([x / lead for x in v])
-        if len(basis) != self.ncols - len(pivots):
-            raise InvariantError("kernel dimension disagrees with the rank")
-        return basis
-
-    def solve(self, v):
-        """One solution of self * x = v, or None if v is outside the column span."""
-        if len(v) != self.nrows:
-            raise ValueError("length mismatch")
-        aug = Matrix([row + [val] for row, val in zip(self.data, [_frac(x) for x in v])])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [Fraction(0)] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.ncols]
-        return x
-
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise ValueError("not square")
-        n = self.nrows
-        aug = Matrix([row + ident for row, ident in
-                      zip(self.data, Matrix.identity(n).data)])
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("singular matrix")
-        return Matrix([row[n:] for row in red.data])
-
-
 class SpanSolver:
     """Coordinates of sparse vectors in a fixed spanning list, exactly.
 
     A list of unit vectors is read off directly through `unit`, the map
     {index of the unit vector: list index}; any other list is factored once
-    by a tracked `Echelon` (and `unit` is None).  The answer is the one
-    `Matrix.solve` gives: free coordinates zero.
+    by a tracked `Echelon` (and `unit` is None).  The answer is the one the
+    dense reference `solve` gives: free coordinates zero.
     """
 
     def __init__(self, vectors):
@@ -316,8 +194,8 @@ class Echelon:
 
     def coords(self, col):
         """{column index: coefficient} with sum = `col`, over the independent
-        columns in increasing order, or None outside the span: `Matrix.solve`
-        with free coordinates zero.  Needs `track=True`."""
+        columns in increasing order, or None outside the span: the dense
+        reference `solve` with free coordinates zero.  Needs `track=True`."""
         vec, scale = _integerize(col, self._pos)
         comb = {-1: scale}     # -1 stands for `col` itself
         if self._reduce(vec, comb) is not None:
@@ -330,7 +208,8 @@ class Echelon:
 
         The relation of column j is supported on j and the independent
         columns before it, and its first nonzero coefficient is 1: exactly
-        the kernel vector that `Matrix.kernel_basis` builds for that column.
+        the kernel vector that the dense reference `kernel_basis` builds for
+        that column.
         """
         out = []
         for comb in self._relations:
@@ -347,6 +226,6 @@ def sparse_rank(columns) -> int:
 def sparse_kernel_basis(columns):
     """Kernel basis of sparse columns as {column index: coefficient}
     relations (`Echelon.kernel`), sorted by column index: made dense, they
-    are the vectors of `Matrix.kernel_basis`, in its order and
+    are the vectors of the dense reference `kernel_basis`, in its order and
     normalization."""
     return Echelon(columns, track=True).kernel()

@@ -211,7 +211,7 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
         comp = [{i: 1} for i in sw.member]
     else:
         kappa = g.killing_matrix()
-        pair = [{k: sum((z.get(i, 0) * kappa.data[i][h] for i in z), Fraction(0))
+        pair = [{k: sum((z.get(i, 0) * kappa[i][h] for i in z), Fraction(0))
                  for k, z in enumerate(zs)} for h in cartan_like]
         hbasis = [_primitive({cartan_like[p]: c for p, c in rel.items()})
                   for rel in sparse_kernel_basis(pair)]

@@ -865,3 +865,30 @@ def test_sweep_leaves_ad_columns_unchanged(type_label, rank):
             assert verify_report(build_seaweed(g, spec), spec)["ok"]
     after = [g._ad_cache[i] for i in range(g.dim)], g.brackets
     assert identical(after, before)
+
+
+
+def test_action_cache_keeps_value_types():
+    # {i: 1} and {i: Fraction(1)} are equal generators whose action tables
+    # differ in value type; a context that served one must give the other
+    # what a fresh context gives it
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1, 2]))
+    as_int = reductive_generators(sw)
+    as_fraction = [{i: F(c) for i, c in g.items()} for g in as_int]
+    assert as_int == as_fraction
+
+    def outputs(ctx, gens):
+        f = ctx.basis_cochain((0,), 0)
+        return ([_action_tables(ctx, g) for g in gens],
+                [lie_derivative(g, f).data for g in gens],
+                [c.data for c in invariant_cochains(ctx, 1, gens)])
+
+    def fresh():
+        return ComplexContext(sw.ambient, [{i: 1} for i in sw.nilradical],
+                              [{i: 1} for i in sw.member])
+
+    assert not identical(outputs(fresh(), as_int), outputs(fresh(), as_fraction))
+    for first, second in ((as_int, as_fraction), (as_fraction, as_int)):
+        ctx = fresh()
+        outputs(ctx, first)
+        assert identical(outputs(ctx, second), outputs(fresh(), second))

@@ -8,11 +8,13 @@ from seaweedcoh import rootsystem, seaweed
 from seaweedcoh.cli import _all_specs, _ambient, main, verify_report
 from seaweedcoh.cochain import adjoint_context
 from seaweedcoh.chevalley import load_fixture, subalgebra
-from seaweedcoh.exactlin import InvariantError, Matrix
+from seaweedcoh.exactlin import InvariantError
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 is_indecomposable, quotient_components,
                                 render_split_dynkin, seaweed_from_algebra,
                                 split_over_center)
+
+import dense
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -220,8 +222,8 @@ def dense_projection(split, vec):
     """Quotient coordinates by one dense solve over the ambient basis."""
     full = split.center_basis + split.complement_basis
     dim = split.seaweed.ambient.dim
-    sol = Matrix([[v.get(i, 0) for v in full] for i in range(dim)]).solve(
-        [vec.get(i, 0) for i in range(dim)])
+    sol = dense.solve([[v.get(i, 0) for v in full] for i in range(dim)],
+                      [vec.get(i, 0) for i in range(dim)])
     if sol is None:
         return None
     z = len(split.center_basis)
@@ -234,8 +236,8 @@ def dense_center_functional(split, which, vector=None):
         basis[which] = vector
     full = basis + split.complement_basis
     dim = split.seaweed.ambient.dim
-    return Matrix([[v.get(i, 0) for i in range(dim)] for v in full]).solve(
-        [1 if k == which else 0 for k in range(len(full))])
+    return dense.solve([[v.get(i, 0) for i in range(dim)] for v in full],
+                       [1 if k == which else 0 for k in range(len(full))])
 
 
 def decomposable_splits():
