@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from contextlib import ExitStack
 from functools import lru_cache
 
@@ -280,10 +281,18 @@ def _all_specs(type_label, max_rank):
 
 
 def _enumerate_one(packed):
+    """The verify report of one spec, or an error record if it raises."""
     type_label, rank, pi1, pi2, max_degree, strict = packed
-    spec = SeaweedSpec(type_label, rank, frozenset(pi1), frozenset(pi2))
-    sw = build_seaweed(_ambient(type_label, rank), spec)
-    return verify_report(sw, spec, max_degree=max_degree, strict_paper=strict)
+    try:
+        spec = SeaweedSpec(type_label, rank, frozenset(pi1), frozenset(pi2))
+        sw = build_seaweed(_ambient(type_label, rank), spec)
+        return verify_report(sw, spec, max_degree=max_degree,
+                             strict_paper=strict)
+    except Exception as exc:
+        traceback.print_exc()
+        return {"spec": {"type": type_label, "rank": rank, "pi1": list(pi1),
+                         "pi2": list(pi2)},
+                "error": f"{type(exc).__name__}: {exc}", "ok": False}
 
 
 def cmd_enumerate(args):
@@ -307,7 +316,10 @@ def cmd_enumerate(args):
             records = map(_enumerate_one, packed)
         # each record is written as soon as it (and those before it) finish
         for rec in records:
-            if rec["indecomposable"]:
+            if "error" in rec:
+                print(f"error: {json.dumps(rec['spec'])}: {rec['error']}",
+                      file=sys.stderr)
+            elif rec["indecomposable"]:
                 summary["indecomposable"] += 1
                 if rec["ok"]:
                     summary["rigid_verified"] += 1

@@ -4,36 +4,44 @@ A complex is described by a bracket-closed `domain` and a `module` closed
 under the domain action, both given as vectors in an ambient algebra.
 Cochains are stored sparsely on strictly increasing index tuples.
 
-Cohomology is counted from one weight block: basis cochains are graded by
-their eigenvalues under the domain elements that act diagonally (Cartan
-elements), and the differential preserves that grading.  By the Cartan
-formula L_h = delta i_h + i_h delta (as in Hochschild-Serre, Ann. of Math.
-57, 1953), the Lie derivative of a diagonal h is null-homotopic; on a block
-it is the scalar given by the block's weight, so every block of nonzero
-weight is acyclic.  H^q is therefore read off the weight-zero block, the
-only one eliminated, and Z^q and B^q follow by rank-nullity; class
-representatives and B^q membership (`gerstenhaber`) come from it too.
+Cohomology is counted on an invariant subcomplex.  Let r act on the complex
+through a, with each C^q a semisimple r-module.  By the Cartan formula
+L_x = delta i_x + i_x delta each isotypic component is a subcomplex; on a
+nontrivial one a central element of r, or the Casimir of [r, r], acts by a
+nonzero scalar and is null-homotopic, so it is acyclic, and
+H^*(a, V) = H^*(C^*(a, V)^r) (Chevalley-Eilenberg, Trans. AMS 63, 1948;
+Hochschild-Serre, Ann. of Math. 57, 1953).  `_invariant_block` counts on
+one of two, with Z^q and B^q by rank-nullity:
+- r = h, the diagonal domain elements: the weight-zero block `zero_basis`,
+  with no kernel step; class representatives and B^q membership
+  (`gerstenhaber`) are read from it too;
+- the Levi factor of a seaweed: the kernel of L_x for the Cartan and the
+  e_(alpha_i) (`reductive_generators`) among the weight-zero cochains.
+`cohomology_dims` takes the Levi path for a whole algebra (s = g) where
+dim C^q_0 >= LEVI_MIN_BLOCK = 200; both are exact, so the rule decides
+speed only.  Median block times in ms (2-core VM, Python 3.11), the Levi
+time with its kernel step:
+    whole  q  dim C^q_0  weight zero  Levi
+    G2     2         68          3.2   6.5
+    B2     3         84          4.9   2.7
+    A4     2        204         22.7  17.5
+    G2     3        212         26.1   5.2
+    D4     2        264         25.2  38.1
+    A3     3        273         32.0  34.3
+    B3, C3 3        654     457, 179  22.5, 15.4
+    D4     3       1416       2299    59.2
+On every other seaweed weight zero won the sum of each dim C^q_0 band, by
+1.25-3.4x, over the A2-A4, B2, B3, C3, D4 and G2 sweeps.
 
 The tables of a context (`dbr`, `act` and each generator's action tables)
 re-index the ambient's cached ad(e_i) columns when the domain and module
-are unit bases, as in the adjoint, nilradical, C(n, g) and full contexts
-(decided once per context); a non-unit basis (a center complement)
-brackets with `bracket_vec` and solves in its span.
-
-Unit vectors, integral structure constants and integral weights stay plain
-ints, so on the unit bases of the adjoint, nilradical and full contexts the
-differential runs in integer arithmetic; Fractions enter only through
-non-unit bases (a center complement, a rescaled fixture).  Per context, the
-grading, the weight blocks, each generator's action tables, the invariant
-cochains and the echelon of their coboundaries are computed once.  One
-grading routine serves both the blocks and the invariants: `_weights` reads
-the weights off the action tables of the elements that `_acts_diagonally`
-accepts, the diagonal domain elements for the blocks and the diagonal
-generators for the invariants.
-Invariant cochains are sought only among the basis cochains of weight zero
-for every diagonally acting generator; `_weight_matches` lists them, and
-the weight-zero block too.  The coboundaries that can meet them are spanned
-from the same weight-zero cochains one degree down.
+are unit bases (decided once per context); a non-unit basis (a center
+complement) brackets with `bracket_vec` and solves in its span.  Integral
+values stay plain ints, so on unit bases the differential runs in integer
+arithmetic; Fractions enter only through non-unit bases.  Per context, the
+grading, each generator's action tables, the invariant cochains and their
+coboundary echelon are computed once.  `_weights` grades both the blocks
+and the invariant candidates, which `_weight_matches` lists.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ from operator import add, sub
 from .chevalley import LieAlgebra
 from .exactlin import (Echelon, InvariantError, SpanSolver,
                        sparse_kernel_basis, sparse_rank, vec_add)
+
+# Whole algebras count H^q on the Levi invariants from this dim C^q_0 up.
+LEVI_MIN_BLOCK = 200
 
 
 class ComplexContext:
@@ -81,7 +92,8 @@ class ComplexContext:
                       if _acts_diagonally(ad[i], self.act[i])]
         self._dom_weights, self._mod_weights = _weights(
             self, [(ad[i], self.act[i]) for i in self._diag])
-        self._rank_cache = {}       # q -> `_zero_block(q)`
+        self.levi = None            # set on the adjoint context of a spec
+        self._rank_cache = {}       # q -> `_invariant_block(self, q)`
         self._basis_cache = {}
         self._action_cache = {}
         self._invariant_cache = {}
@@ -168,29 +180,33 @@ class ComplexContext:
         """delta of each cochain of `zero_basis(q)`, as {(tup, k): coeff}."""
         return [dict(self.delta_column(tup, k)) for tup, k in self.zero_basis(q)]
 
-    def _zero_block(self, q):
-        """(dim C^q_0, rank of delta_q on it), cached."""
-        block = self._rank_cache.get(q)
-        if block is None:
-            cols = self.zero_columns(q)
-            block = self._rank_cache[q] = (len(cols), sparse_rank(cols))
-        return block
+    def _block_generators(self, q):
+        """The generators of the subcomplex H^q is counted on: `levi` for a
+        whole algebra whose C^q_0 (the Levi candidates) has at least
+        LEVI_MIN_BLOCK cochains, else None, weight zero (module docstring)."""
+        if self.levi is None or self.n < self.ambient.dim or len(
+                _invariant_candidates(self, q, self.levi)[0]) < LEVI_MIN_BLOCK:
+            return None
+        return self.levi
 
     def cohomology_dims(self, q):
         """(dim Z^q, dim B^q, dim H^q).
 
-        Every block of nonzero weight is acyclic (Cartan formula), so
-        H^q = dim C^q_0 - rank delta_q|_0 - rank delta_(q-1)|_0, and
-        B^q = rank delta_(q-1) = dim C^(q-1) - dim Z^(q-1) by rank-nullity,
-        with Z^i = H^i + B^i from B^0 = 0.
+        H^q = dim I^q - rank delta_q|I - rank delta_(q-1)|I on one invariant
+        subcomplex I, chosen per degree by `_block_generators` (see the
+        module docstring), and B^q = rank delta_(q-1) = dim C^(q-1) -
+        dim Z^(q-1) by rank-nullity, with Z^i = H^i + B^i from B^0 = 0.
+        Every H^i is exact whichever I it came from, so the choices may
+        differ by degree.
         """
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
         h = b = 0
         for i in range(q + 1):
             b = self.dim_cochains(i - 1) - h - b
-            dim0, rank0 = self._zero_block(i)
-            h = dim0 - rank0 - self._zero_block(i - 1)[1]
+            gens = self._block_generators(i)
+            dim_i, rank_i = _invariant_block(self, i, gens)
+            h = dim_i - rank_i - _invariant_block(self, i - 1, gens)[1]
             if h < 0 or not 0 <= b <= self.dim_cochains(i - 1):
                 raise InvariantError(
                     f"impossible counts at q={i}: dim H = {h}, dim B = {b}")
@@ -383,40 +399,16 @@ def _insert(tup, x):
 
 
 def lie_derivative(x_vec, f: Cochain) -> Cochain:
-    """(x . f)(x_1..x_q) = [x, f(..)] - sum_i f(.., [x, x_i], ..).
+    """(x . f)(x_1..x_q) = [x, f(..)] - sum_i f(.., [x, x_i], ..): the
+    `_lie_columns` of f's basis cochains, extended linearly.
 
     `x_vec` is an ambient coordinate vector whose action must close on the
     domain and the module.
     """
-    ctx = f.context
-    a_dom, a_mod = _action_tables(ctx, x_vec)
-    out = {}
-    for tup, vec in f.data.items():
-        mu = {}
-        for k, c in vec.items():
-            col = a_mod.get(k)
-            if col:
-                vec_add(mu, col, c)
-        if mu:
-            vec_add(out.setdefault(tup, {}), mu)
-        for tpos, t in enumerate(tup):
-            rest = tup[:tpos] + tup[tpos + 1:]
-            rset = set(rest)
-            for u in range(ctx.n):
-                col = a_dom.get(u)
-                if not col:
-                    continue
-                c = col.get(t, 0)
-                if c == 0 or u in rset:
-                    continue
-                if u == t:
-                    vec_add(out.setdefault(tup, {}), vec, -c)
-                    continue
-                s, pu = _insert(rest, u)
-                pt = tpos
-                sign = -1 if (pt + pu) % 2 else 1
-                vec_add(out.setdefault(s, {}), vec, -sign * c)
-    return Cochain(ctx, f.degree, out)
+    acc, cells = {}, dict(f.items())
+    for col, c in zip(_lie_columns(f.context, cells, [x_vec]), cells.values()):
+        vec_add(acc, {(t, k): v for (_, t, k), v in col.items()}, c)
+    return Cochain(f.context, f.degree, _to_data(acc))
 
 
 def _action_tables(ctx, x_vec):
@@ -469,19 +461,24 @@ def _invariant_entry(ctx, q, generators):
 
 
 def _cache_key(q, generators):
-    return (q, tuple(map(_vec_key, generators)))
+    """(q, the generators' `_vec_key`s), read off a `Generators` list."""
+    key = getattr(generators, "key", None)
+    return (q, tuple(map(_vec_key, generators)) if key is None else key)
+
+
+class Generators(list):
+    """A generator list carrying its `_vec_key`s as `key`; never mutated."""
+
+    def __init__(self, vectors):
+        super().__init__(vectors)
+        self.key = tuple(map(_vec_key, self))
 
 
 def _invariant_candidates(ctx, q, generators):
     """(candidates, general): the basis cochains (tup, k) of C^q, in
-    increasing (tup, k) order, on which every diagonally acting generator
-    acts by weight zero, and the generators that do not act diagonally.
-
-    A cochain is invariant only if its components on all other basis
-    cochains vanish, so the kernel need only be sought among candidates.
-    Computed once per context, degree and generator list; callers must not
-    mutate the lists.
-    """
+    increasing (tup, k) order, of weight zero for every diagonally acting
+    generator (only they can carry an invariant), and the generators that
+    do not act diagonally.  Cached; callers must not mutate the lists."""
     key = _cache_key(q, generators)
     if key not in ctx._candidate_cache:
         diag, general = [], []
@@ -502,16 +499,56 @@ def _invariant_basis(ctx, q, generators):
     candidates, general = _invariant_candidates(ctx, q, generators)
     if not candidates:
         return []
+    return [_relation_cochain(ctx, q, candidates, rel) for rel in
+            sparse_kernel_basis(_lie_columns(ctx, candidates, general))]
+
+
+def _lie_columns(ctx, candidates, generators):
+    """L_x of each candidate basis cochain (tup, k), stacked over the
+    generators x as {(generator position, tup', k'): coefficient}, read off
+    the action tables; zero entries may remain (no relation changes)."""
+    tables = []
+    for x in generators:
+        a_dom, a_mod = _action_tables(ctx, x)
+        into = {}       # t -> [(u, c)]: [x, d_u] has coefficient c on d_t
+        for u, col in a_dom.items():
+            for t, c in col.items():
+                into.setdefault(t, []).append((u, c))
+        tables.append((a_mod, into))
     cols = []
     for tup, k in candidates:
-        f = ctx.basis_cochain(tup, k)
         col = {}
-        for gi, g in enumerate(general):
-            for key, c in lie_derivative(g, f).items():
-                col[(gi,) + key] = c
+        for gi, (a_mod, into) in enumerate(tables):
+            for k2, c in a_mod.get(k, {}).items():
+                col[(gi, tup, k2)] = col.get((gi, tup, k2), 0) + c
+            for tpos, t in enumerate(tup):
+                rest = tup[:tpos] + tup[tpos + 1:]
+                for u, c in into.get(t, ()):
+                    if u == t:
+                        s = tup
+                    elif u in rest:
+                        continue
+                    else:
+                        s, pu = _insert(rest, u)
+                        if (tpos + pu) % 2:
+                            c = -c
+                    col[(gi, s, k)] = col.get((gi, s, k), 0) - c
         cols.append(col)
-    return [_relation_cochain(ctx, q, candidates, rel)
-            for rel in sparse_kernel_basis(cols)]
+    return cols
+
+
+def _invariant_block(ctx, q, generators=None):
+    """(dim, rank of delta_q) of an invariant subcomplex in degree q: for
+    None (the context's diagonal domain elements) the weight-zero block,
+    with no kernel step, cached; for generators, `invariant_cochains`."""
+    if generators is not None:
+        return (len(_invariant_entry(ctx, q, generators)[0]),
+                invariant_coboundaries(ctx, q, generators).rank)
+    block = ctx._rank_cache.get(q)
+    if block is None:
+        cols = ctx.zero_columns(q)
+        block = ctx._rank_cache[q] = (len(cols), sparse_rank(cols))
+    return block
 
 
 @dataclass(frozen=True)
@@ -526,12 +563,10 @@ def invariant_cohomology_dims(ctx: ComplexContext, q, generators):
     reductive invariance algebra this agrees with B^q intersected with the
     invariants, and `coboundaries_match_full` records that comparison.
     """
-    inv_q = invariant_cochains(ctx, q, generators)
-    z_dim = len(inv_q) - invariant_coboundaries(ctx, q, generators).rank
-    b_dim = invariant_coboundaries(ctx, q - 1, generators).rank
-    consistent = True
-    if q > 0:
-        consistent = _coboundary_consistency(ctx, q, inv_q, b_dim, generators)
+    dim, rank = _invariant_block(ctx, q, generators)
+    z_dim, b_dim = dim - rank, _invariant_block(ctx, q - 1, generators)[1]
+    consistent = q <= 0 or _coboundary_consistency(
+        ctx, q, invariant_cochains(ctx, q, generators), b_dim, generators)
     h = z_dim - b_dim
     if h < 0:
         raise InvariantError(f"negative invariant cohomology at q={q}")
@@ -564,10 +599,13 @@ def _units(indices):
 
 
 def adjoint_context(sw) -> ComplexContext:
-    """C^*(s, s) for a seaweed (cached on the seaweed)."""
+    """C^*(s, s) for a seaweed (cached on the seaweed), with the Levi
+    generators of a spec; without one (a fixture) r = h throughout."""
     if not hasattr(sw, "_adjoint_ctx"):
         sw._adjoint_ctx = ComplexContext(sw.ambient, _units(sw.member),
                                          _units(sw.member))
+        if sw.spec is not None:
+            sw._adjoint_ctx.levi = reductive_generators(sw)
     return sw._adjoint_ctx
 
 
@@ -611,22 +649,31 @@ def quotient_context(split) -> ComplexContext:
 
 def reductive_generators(sw):
     """Generators of r as ambient coordinate dicts: for a seaweed with a
-    spec, the Cartan and the root vectors of +/-alpha_i for i in pi1 & pi2;
-    otherwise every basis vector of r.
+    spec, the Cartan and the root vectors of the positive simple roots
+    alpha_i, i in pi1 & pi2; otherwise every basis vector of r.  Built once
+    per seaweed, as a `Generators` list with its cache key.
 
     The Lie derivative is a representation, so the elements killing a
     cochain form a subalgebra, and a generating set of r has the same joint
-    kernel as all of r.  h and the e_(+/-alpha_i) generate
-    r = h + sum of g_alpha over the roots alpha of pi1 & pi2.  The same
-    kernel gives the same column dependencies, so `sparse_kernel_basis`
+    kernel as all of r; h and the e_(+/-alpha_i) generate
+    r = h + sum of g_alpha over the roots alpha of pi1 & pi2.  The
+    e_(-alpha_i) are not needed.  r is reductive in g and normalizes n and
+    s, so every C^q(a, s) here is a finite-dimensional semisimple r-module
+    on which h acts diagonally.  A cochain killed by h and by every
+    e_(alpha_i) is a highest-weight vector of weight 0 for [r, r]; the
+    module it generates is irreducible (complete reducibility) of highest
+    weight 0, the trivial one, so every e_(-alpha_i) kills it too.  The
+    same kernel gives the same column dependencies, so `sparse_kernel_basis`
     returns the same invariant cochains, in the same order.
     """
-    g, spec = sw.ambient, sw.spec
-    if spec is None:
-        return _units(sw.reductive)
-    simple = set()
-    for i in spec.pi1 & spec.pi2:
-        unit = tuple(int(x == i - 1) for x in range(spec.rank))
-        simple |= {unit, tuple(-x for x in unit)}
-    return _units(i for i in sw.reductive
-                  if i in g.cartan or g.root_of.get(i) in simple)
+    if not hasattr(sw, "_levi_generators"):
+        g, spec = sw.ambient, sw.spec
+        if spec is None:
+            gens = sw.reductive
+        else:
+            simple = {tuple(int(x == i - 1) for x in range(spec.rank))
+                      for i in spec.pi1 & spec.pi2}
+            gens = (i for i in sw.reductive
+                    if i in g.cartan or g.root_of.get(i) in simple)
+        sw._levi_generators = Generators(_units(gens))
+    return sw._levi_generators

@@ -220,12 +220,22 @@ class Echelon:
 
 def sparse_rank(columns) -> int:
     """Rank of a matrix given as an iterable of {row: value} columns."""
-    return Echelon(columns).rank
+    columns = list(columns)
+    if len(columns) > 1:
+        return Echelon(columns).rank
+    return sum(map(_nonzero, columns))
 
 
 def sparse_kernel_basis(columns):
     """Kernel basis of sparse columns as {column index: coefficient}
     relations (`Echelon.kernel`), sorted by column index: made dense, they
     are the vectors of the dense reference `kernel_basis`, in its order and
-    normalization."""
-    return Echelon(columns, track=True).kernel()
+    normalization.  No column, or one, is answered without the engine."""
+    columns = list(columns)
+    if len(columns) > 1:
+        return Echelon(columns, track=True).kernel()
+    return [{0: Fraction(1)} for col in columns if not _nonzero(col)]
+
+
+def _nonzero(col):
+    return any(v != 0 for _, v in col.items())

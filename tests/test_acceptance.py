@@ -21,6 +21,7 @@ from seaweedcoh.gerstenhaber import (cg_dims, cohomologous, cup_with_center,
                                      h2_report, h3_report,
                                      quotient_cohomology)
 from seaweedcoh.deform import deform, jacobi_in_t
+from seaweedcoh.exactlin import sparse_kernel_basis, sparse_rank
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 seaweed_from_algebra, split_over_center)
 
@@ -224,20 +225,25 @@ def test_criterion_9_property_suites(a2_fixture, g2_fixture, a2_seaweed):
                 assert casimir_action(octx, f) == coboundary(
                     homotopy(octx, f)).add(homotopy(octx, coboundary(f)))
 
-    # rank-nullity on assembled coboundary matrices
+    # rank-nullity of the sparse engine on assembled coboundary matrices,
+    # against the dense reference's rank
     ctx = adjoint_context(a2_seaweed)
+    nullities = []
     for q in (0, 1, 2):
-        rows = sorted({key for tup in combinations(range(ctx.n), q)
-                       for k in range(ctx.m)
-                       for key, _ in ctx.delta_column(tup, k)})
-        index = {key: i for i, key in enumerate(rows)}
         cells = [(tup, k) for tup in combinations(range(ctx.n), q)
                  for k in range(ctx.m)]
+        cols = [dict(ctx.delta_column(tup, k)) for tup, k in cells]
+        rows = sorted({key for col in cols for key in col})
+        index = {key: i for i, key in enumerate(rows)}
         m = [[F(0)] * len(cells) for _ in rows]
-        for j, (tup, k) in enumerate(cells):
-            for key, c in ctx.delta_column(tup, k):
+        for j, col in enumerate(cols):
+            for key, c in col.items():
                 m[index[key]][j] = c
-        assert dense.rank(m) + len(dense.kernel_basis(m)) == len(cells)
+        rank = dense.rank(m)
+        assert sparse_rank(cols) == rank
+        nullities.append(len(sparse_kernel_basis(cols)))
+        assert nullities[-1] == len(cells) - rank
+    assert nullities[0] == 0 < nullities[1] < nullities[2]
     elapsed = time.monotonic() - t0
     assert elapsed < 300
     print(f"\n[criterion 9] PASS Jacobi, delta^2 = 0, Casimir identity, "

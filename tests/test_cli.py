@@ -253,3 +253,35 @@ def test_enumerate_jobs_below_one_rejected(capsys, monkeypatch):
         err = capsys.readouterr()
         assert "--jobs must be at least 1" in err.err, jobs
         assert err.out == "", jobs
+
+
+def test_enumerate_keeps_going_past_a_raising_spec(tmp_path, monkeypatch,
+                                                   capsys):
+    # a spec that raises becomes an error record and a failure (exit 1);
+    # the run goes on, and every other record is the one a clean run
+    # writes, with --jobs 2 too
+    from types import SimpleNamespace
+    from seaweedcoh import cli
+    clean = tmp_path / "clean.jsonl"
+    assert main(["enumerate", "--type", "A", "--max-rank", "2",
+                 "--out", str(clean)]) == 0
+    clean_summary = json.loads(capsys.readouterr().out)
+    specs = cli._all_specs("A", 2)
+    bad = SimpleNamespace(type_label="A", rank=1, pi1=frozenset({5}),
+                          pi2=frozenset())
+    monkeypatch.setattr(cli, "_all_specs",
+                        lambda t, r: specs[:3] + [bad] + specs[3:])
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        assert main(["enumerate", "--type", "A", "--max-rank", "2",
+                     "--out", str(out), "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == dict(clean_summary, total=21,
+                                                failures=1)
+        lines = out.read_text().splitlines()
+        assert lines[:3] + lines[4:] == clean.read_text().splitlines()
+        assert json.loads(lines[3]) == {
+            "spec": {"type": "A", "rank": 1, "pi1": [5], "pi2": []},
+            "error": "ValueError: simple-root index out of range: [5]",
+            "ok": False}
+        assert "simple-root index out of range" in captured.err

@@ -8,17 +8,19 @@ import pytest
 
 from seaweedcoh import rootsystem
 from seaweedcoh.chevalley import construct, subalgebra
-from seaweedcoh.cli import _all_specs, _ambient, verify_report
+from seaweedcoh.cli import _all_specs, _ambient, _degree_cap, verify_report
 from seaweedcoh.cochain import (Cochain, ComplexContext, _action_tables,
                                 _acts_diagonally, _coboundary_consistency,
-                                _int_units, _invariant_candidates, _weights,
+                                _insert, _int_units, _invariant_block,
+                                _invariant_candidates, _invariant_entry,
+                                _lie_columns, _weights,
                                 adjoint_context, coboundary, full_context,
                                 invariant_cochains, invariant_cohomology_dims,
                                 lie_derivative, nilradical_ambient_context,
                                 nilradical_context, quotient_context,
                                 reductive_generators)
 from seaweedcoh.exactlin import (Echelon, InvariantError, SpanSolver,
-                                 sparse_kernel_basis, sparse_rank)
+                                 sparse_kernel_basis, sparse_rank, vec_add)
 from seaweedcoh.gerstenhaber import _class_representatives
 from seaweedcoh.seaweed import (SeaweedSpec, _cached_build,
                                 _classify_subdiagram, _primitive,
@@ -462,27 +464,49 @@ def test_impossible_zero_block_rank_raises():
     spec = SeaweedSpec.make("A", 2, [], [1, 2])
     for q, rank in ((1, 99), (0, -99)):
         ctx = adjoint_context(build_seaweed(_ambient("A", 2), spec))
-        ctx._rank_cache[q] = (ctx._zero_block(q)[0], rank)
+        ctx._rank_cache[q] = (_invariant_block(ctx, q)[0], rank)
         with pytest.raises(InvariantError):
             ctx.cohomology_dims(1)
+
+
+def test_impossible_levi_block_rank_raises():
+    # the same guard on the Levi path: whole G2 counts H^3 on its Levi
+    # invariants, and a forged rank there makes H^3 < 0
+    nodes = (1, 2)
+    spec = SeaweedSpec.make("G", 2, nodes, nodes)
+    ctx = adjoint_context(build_seaweed(_ambient("G", 2), spec))
+    assert ctx._block_generators(3) is ctx.levi
+    entry = _invariant_entry(ctx, 3, ctx.levi)
+    entry[1] = SimpleNamespace(rank=len(entry[0]) + 1)
+    with pytest.raises(InvariantError):
+        ctx.cohomology_dims(3)
 
 
 @pytest.mark.parametrize("type_label,rank,max_degree",
                          [("B", 2, 10), ("A", 3, 4), ("G", 2, 5)])
 def test_whitehead_whole_algebra(type_label, rank, max_degree):
     # Whitehead: H^q(g, g) = 0 in every degree for simple g.  Every block
-    # is then acyclic, the weight-zero one too, so its eliminated rank is
-    # sum_{i<=q} (-1)^(q-i) dim C^i_0: an oracle for the elimination past
-    # q = 3, where verify stops for dim s > 8 (B2 here in every degree)
+    # is then acyclic, the weight-zero one and the Levi-invariant one too,
+    # so the rank eliminated on each is sum_{i<=q} (-1)^(q-i) dim I^i: an
+    # oracle for both paths past q = 3, where verify stops for dim s > 8
+    # (B2 here in every degree)
     nodes = range(1, rank + 1)
     sw = build_seaweed(_ambient(type_label, rank),
                        SeaweedSpec.make(type_label, rank, nodes, nodes))
     ctx = adjoint_context(sw)
     for q in range(max_degree + 1):
         assert ctx.cohomology_dims(q).cohomology == 0, q
-        euler = sum((-1) ** (q - i) * len(ctx.zero_basis(i))
-                    for i in range(q + 1))
-        assert ctx._zero_block(q) == (len(ctx.zero_basis(q)), euler), q
+        for gens in (None, ctx.levi):
+            dims = [_invariant_block(ctx, i, gens)[0] for i in range(q + 1)]
+            euler = sum((-1) ** (q - i) * d for i, d in enumerate(dims))
+            assert _invariant_block(ctx, q, gens) == (dims[q], euler), q
+        assert dims[q] <= len(ctx.zero_basis(q)) == \
+            _invariant_block(ctx, q)[0], q
+    # the rule counts whole G2's H^3 (212 weight-zero cochains) on the
+    # Levi invariants, and H^2 on weight zero
+    if type_label == "G":
+        assert [ctx._block_generators(q) is ctx.levi for q in (2, 3)] == \
+            [False, True]
 
 
 def test_euler_characteristic_sweep(sweep_reports):
@@ -630,6 +654,132 @@ def test_invariant_candidates_rescaled_fixture(a2_fixture):
         for q in range(ctx.n + 1):
             assert _invariant_candidates(ctx, q, gens)[0] == \
                 brute_force_candidates(ctx, q, gens), q
+
+
+def reference_lie_derivative(x_vec, f):
+    """The Lie derivative as first written, a loop over the action tables
+    and every domain index per argument slot."""
+    ctx = f.context
+    a_dom, a_mod = _action_tables(ctx, x_vec)
+    out = {}
+    for tup, vec in f.data.items():
+        mu = {}
+        for k, c in vec.items():
+            if a_mod.get(k):
+                vec_add(mu, a_mod[k], c)
+        if mu:
+            vec_add(out.setdefault(tup, {}), mu)
+        for tpos, t in enumerate(tup):
+            rest = tup[:tpos] + tup[tpos + 1:]
+            for u in range(ctx.n):
+                c = a_dom.get(u, {}).get(t, 0)
+                if c == 0 or u in rest:
+                    continue
+                if u == t:
+                    vec_add(out.setdefault(tup, {}), vec, -c)
+                    continue
+                s, pu = _insert(rest, u)
+                sign = -1 if (tpos + pu) % 2 else 1
+                vec_add(out.setdefault(s, {}), vec, -sign * c)
+    return Cochain(ctx, f.degree, out)
+
+
+def reference_lie_columns(ctx, candidates, generators):
+    """The L_x columns as first built: the Lie derivative of each candidate
+    basis cochain, stacked over the generators."""
+    cols = []
+    for tup, k in candidates:
+        f = ctx.basis_cochain(tup, k)
+        cols.append({(gi, t, k2): c for gi, g in enumerate(generators)
+                     for (t, k2), c in reference_lie_derivative(g, f).items()})
+    return cols
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_lie_columns_match_lie_derivative(type_label, rank):
+    # every basis cochain of C^q, q <= 2, under the Levi generators, all of
+    # r and a non-unit generator: the same nonzero entries and value types
+    # (zero entries may remain; they change no kernel relation)
+    checked = 0
+    for spec in _all_specs(type_label, rank):
+        if spec.rank != rank:
+            continue
+        sw = build_seaweed(_ambient(type_label, rank), spec)
+        mixed = {i: F(2 * j + 1, 3) for j, i in enumerate(sw.reductive)}
+        gens = (list(reductive_generators(sw)) + [{i: 1} for i in sw.reductive]
+                + [mixed])
+        for ctx in (nilradical_context(sw), adjoint_context(sw)):
+            for q in range(min(2, ctx.n) + 1):
+                cells = [(tup, k) for tup in combinations(range(ctx.n), q)
+                         for k in range(ctx.m)]
+                got = [{key: c for key, c in col.items() if c != 0}
+                       for col in _lie_columns(ctx, cells, gens)]
+                want = reference_lie_columns(ctx, cells, gens)
+                assert [sorted(c.items()) for c in got] == \
+                    [sorted(c.items()) for c in want], (spec, q)
+                assert [sorted(map(repr, c.values())) for c in got] == \
+                    [sorted(map(repr, c.values())) for c in want]
+                checked += sum(map(len, got))
+                f = random_cochain(ctx, q, len(cells))
+                for g in gens:
+                    assert lie_derivative(g, f) == reference_lie_derivative(g, f)
+    assert checked > 1000
+
+
+def path_cohomology(ctx, cap, generators):
+    """dim H^q for q <= cap, every degree counted on the invariant block of
+    one generator list (None: weight zero)."""
+    blocks = [_invariant_block(ctx, q, generators) for q in range(cap + 1)]
+    return [dim - rank - (blocks[q - 1][1] if q else 0)
+            for q, (dim, rank) in enumerate(blocks)]
+
+
+@pytest.mark.parametrize("type_label,rank,whole_only,levi_degrees", [
+    ("A", 1, False, 0), ("A", 2, False, 0), ("B", 2, False, 0),
+    ("G", 2, False, 1), ("A", 3, False, 1), ("B", 3, False, 1),
+    ("C", 3, False, 1), ("A", 4, True, 2), ("D", 4, True, 2)])
+def test_levi_rows_match_weight_zero_rows(type_label, rank, whole_only,
+                                          levi_degrees):
+    # H^*(s, s) = H^*(C^*(s, s)^r) (Hochschild-Serre): counted in every
+    # degree up to the cap on the Levi invariants or on weight zero, the
+    # rows agree, and so do the rows cohomology_dims reports, which take
+    # the Levi path where the rule says (whole G2/A3/B3/C3 at q = 3, whole
+    # A4 and D4 at q = 2, 3)
+    g = _ambient(type_label, rank)
+    chosen = 0
+    for spec in _all_specs(type_label, rank):
+        if spec.rank != rank or whole_only and spec.pi1 & spec.pi2 != set(
+                range(1, rank + 1)):
+            continue
+        sw = build_seaweed(g, spec)
+        cap, ctx = _degree_cap(sw, None), adjoint_context(sw)
+        assert ctx.levi is reductive_generators(sw)
+        rows = [tuple(ctx.cohomology_dims(q)) for q in range(cap + 1)]
+        chosen += sum(ctx._block_generators(q) is not None
+                      for q in range(cap + 1))
+        zero = path_cohomology(ctx, cap, None)
+        assert path_cohomology(ctx, cap, ctx.levi) == zero, spec
+        assert [h for _, _, h in rows] == zero, spec
+    assert chosen == levi_degrees
+
+
+def test_levi_path_falls_back_without_a_spec(g2_fixture):
+    # a seaweed without a spec has no Levi generators: even whole G2 at
+    # q = 3, where the rule would take the Levi path, counts on weight zero
+    g = _ambient("G", 2)
+    with_spec = adjoint_context(build_seaweed(
+        g, SeaweedSpec.make("G", 2, [1, 2], [1, 2])))
+    for ctx in (adjoint_context(seaweed_from_algebra(g)),
+                adjoint_context(seaweed_from_algebra(g2_fixture))):
+        assert ctx.levi is None
+        top = min(3, ctx.n)
+        assert not any(ctx._block_generators(q) for q in range(top + 1))
+        dims = [tuple(ctx.cohomology_dims(q)) for q in range(top + 1)]
+        assert ctx._invariant_cache == {}
+        if ctx.n == g.dim:
+            assert dims == [tuple(with_spec.cohomology_dims(q))
+                            for q in range(top + 1)]
+            assert with_spec._block_generators(3) is with_spec.levi
 
 
 # -- B^q cap invariants, spanned from weight zero ------------------------------

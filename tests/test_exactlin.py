@@ -175,6 +175,27 @@ def test_sparse_matches_dense(m, rng):
     assert sparse_rank(renamed) == sparse_rank(cochains) == dense.rank(m)
 
 
+def test_small_inputs_match_the_engine(monkeypatch):
+    # no column or one: sparse_rank and sparse_kernel_basis answer without
+    # building an Echelon, with its outputs, value types and key order
+    cases = [[], [{}], [{0: 0}], [{3: 0, 1: 0}], [{0: 2}], [{0: 0, 5: -1}],
+             [{1: F(1, 3), 2: 0}], [{7: 2**130 + 1}],
+             [Cochain(None, 1, {})], [Cochain(None, 1, {(0,): {2: F(5)}})]]
+    want = [(Echelon(cols).rank, repr(Echelon(cols, track=True).kernel()))
+            for cols in cases]
+    assert [w[0] for w in want] == [0, 0, 0, 0, 1, 1, 1, 1, 0, 1]
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("Echelon built for a 0- or 1-column input")
+
+    monkeypatch.setattr(exactlin, "Echelon", no_engine)
+    for cols, (rank, kernel) in zip(cases, want):
+        for arg in (cols, iter(cols)):
+            assert sparse_rank(arg) == rank, cols
+        for arg in (cols, iter(cols)):
+            assert repr(sparse_kernel_basis(arg)) == kernel, cols
+
+
 def dense_coords(m, v):
     """The dense `solve` as a {column: coefficient} dict of its nonzero
     entries, or None outside the column span."""

@@ -6,8 +6,8 @@ import pytest
 
 from seaweedcoh.chevalley import direct_sum
 from seaweedcoh.cli import _all_specs, _ambient
-from seaweedcoh.cochain import (Cochain, _relation_cochain, adjoint_context,
-                                coboundary, quotient_context)
+from seaweedcoh.cochain import (Cochain, _invariant_block, _relation_cochain,
+                                adjoint_context, coboundary, quotient_context)
 from seaweedcoh.exactlin import Echelon, InvariantError, sparse_kernel_basis
 from seaweedcoh.gerstenhaber import (_class_representatives, cg_dims,
                                      cohomologous, cup_with_center,
@@ -150,7 +150,7 @@ def test_wrong_class_count_raises(g2_fixture):
     sw = seaweed_from_algebra(g2_fixture)
     split = split_over_center(sw, section_indices=[0, 1])
     ctx = quotient_context(split)
-    dim1, rank1 = ctx._zero_block(1)
+    dim1, rank1 = _invariant_block(ctx, 1)
     ctx._rank_cache[1] = (dim1, rank1 - 1)
     with pytest.raises(InvariantError,
                        match="1 class representatives for dim H.1 = 2"):
