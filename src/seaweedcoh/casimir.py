@@ -12,8 +12,9 @@ complex C^*(g, g) every `OperatorContext` shares, the sparse dual basis, the
 brackets [e^j, e_k] that `homotopy` reads, the Casimir columns
 sum_j [e^j, [e_j, e_k]] that `casimir_action` reads, the form ratio, and
 the string terms of the predicted entry scalars per pair of simple-root
-coefficient tuples, whose squared lengths and root strings the `RootSystem`
-answers.  Per seaweed, the predicted scalar of each root is computed once.
+coefficient tuples and their sums over all roots, whose squared lengths
+and root strings the `RootSystem` answers.  Per seaweed, the predicted
+scalar of each root is computed once.
 
 The certificate takes its coboundary in C(n, g), not C(g, g): psi f is
 supported on n-tuples, so k psi f is too, and n is closed under the bracket;
@@ -22,14 +23,20 @@ n-tuples and brackets inside n, which is the differential of C(n, g) (n the
 domain, all of g the module).  `restrict` keeps only n-tuples, so the image
 is the same cochain (`_certificate_image`).
 
-Integral coefficients stay plain ints; every division has a Fraction
-operand, so no result becomes a float.
+The brackets are kept as D [e^j, e_k] in ints, D the lcm of their
+denominators (3 for the published A2 table), so the certificate works on
+D delta k psi f of the primitive int cocycles of Z^q(n, s)^r in integer
+arithmetic; the entry scalars and the map matrix divide by D once.  No
+certificate field changes under a positive rescaling of a cocycle (the
+matrix changes by a similarity).  Integral coefficients stay plain ints;
+every division has a Fraction operand, so no result becomes a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .chevalley import LieAlgebra
 from .cochain import (Cochain, coboundary, full_context, invariant_coboundaries,
@@ -73,11 +80,16 @@ def _sparse_dual(g: LieAlgebra):
 
 
 def _dual_brackets(g: LieAlgebra):
-    """[e^j, e_k] per j and k, built once per algebra; callers must not
+    """(D, D [e^j, e_k] per j and k as ints), D the lcm of the denominators
+    of the brackets [e^j, e_k]; built once per algebra; callers must not
     mutate them."""
     if not hasattr(g, "_dual_brackets"):
-        g._dual_brackets = [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
-                            for d in _sparse_dual(g)]
+        table = [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
+                 for d in _sparse_dual(g)]
+        D = lcm(*(v.denominator
+                  for row in table for b in row for v in b.values()))
+        g._dual_brackets = D, [[{i: int(v * D) for i, v in b.items()}
+                                for b in row] for row in table]
     return g._dual_brackets
 
 
@@ -85,14 +97,14 @@ def _casimir_columns(g: LieAlgebra):
     """sum_j [e^j, [e_j, e_k]] per k, built once per algebra from the
     brackets [e^j, e_i]; callers must not mutate them."""
     if not hasattr(g, "_casimir_columns"):
-        table = _dual_brackets(g)
+        D, table = _dual_brackets(g)
         cols = []
         for k in range(g.dim):
             acc = {}
             for j in range(g.dim):
                 for i, c in g.bracket(j, k).items():
                     vec_add(acc, table[j][i], c)
-            cols.append(acc)
+            cols.append({i: Fraction(v, D) for i, v in acc.items()})
         g._casimir_columns = cols
     return g._casimir_columns
 
@@ -137,9 +149,15 @@ def restrict(octx: OperatorContext, F: Cochain) -> Cochain:
 
 def homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
     """(kF)(x_1..x_{q-1}) = sum_j [e^j, F(e_j, x_1, .., x_{q-1})]."""
+    D = _dual_brackets(octx.ambient)[0]
+    return _scaled_homotopy(octx, F).scale(Fraction(1, D))
+
+
+def _scaled_homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
+    """D kF, read off the integer table of `_dual_brackets`."""
     if F.degree < 1:
         raise ValueError("homotopy needs degree >= 1")
-    table = _dual_brackets(octx.ambient)
+    table = _dual_brackets(octx.ambient)[1]
     out = {}
     for tup, vec in F.data.items():
         for pos, j in enumerate(tup):
@@ -249,7 +267,7 @@ def invariant_cocycles(octx: OperatorContext, q):
     gens = reductive_generators(octx.seaweed)
     inv = invariant_cochains(ns, q, gens)
     cocycles = []
-    for rel in invariant_coboundaries(ns, q, gens).kernel():
+    for rel in invariant_coboundaries(ns, q, gens).kernel(primitive=True):
         # a tuple that cancels is dropped at once, giving the tuple order
         # (reported by entry_scalars) of adding the terms with Cochain.add
         data = {}
@@ -277,6 +295,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
     b_span = invariant_coboundaries(
         octx.ns, q - 1, reductive_generators(octx.seaweed))
 
+    D = _dual_brackets(octx.ambient)[0]     # images are D delta k psi f
     images = []
     for idx, f in enumerate(cocycles):
         try:
@@ -293,7 +312,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
             got = image.data.get(tup, {})
             ratio = None
             for k, c in vec.items():
-                r = Fraction(got.get(k, 0)) / c
+                r = Fraction(got.get(k, 0), c * D)
                 if ratio is None:
                     ratio = r
                 elif r != ratio:
@@ -316,7 +335,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
     cert.injective = sparse_rank(images) == len(cocycles)
     # the actual matrix of delta k psi on Z^q(n,s)^r, and its spectrum sign
     try:
-        mat = _map_matrix(cocycles, images)
+        mat = _map_matrix(cocycles, images, D)
     except ValueError as exc:
         cert.success = False
         cert.positive_spectrum = False
@@ -329,21 +348,22 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
 
 
 def _certificate_image(octx: OperatorContext, f: Cochain) -> Cochain:
-    """restrict(delta k psi f), with delta taken in C(n, g).
+    """D restrict(delta k psi f), with delta taken in C(n, g), for the D of
+    `_dual_brackets`.
 
     psi f is supported on n-tuples, so k psi f(x_1..x_{q-1}) =
     sum_j [e^j, psi f(e_j, x_1, ..)] is supported on n-tuples too, and n is
     closed under the bracket.  On a q-tuple of n, both terms of
     delta(k psi f) therefore read k psi f only on n-tuples and brackets
     inside n: that is the differential of C(n, g), with n the domain and all
-    of g the module.  `restrict` keeps only n-tuples, so this is the cochain
-    restrict(coboundary(homotopy(octx, extend_by_zero(octx, f)))) with no
-    tuple of C(g, g) outside n computed.  `sw.nilradical` is increasing, so
-    both re-indexings keep tuples increasing.
+    of g the module.  `restrict` keeps only n-tuples, so this is D times the
+    cochain restrict(coboundary(homotopy(octx, extend_by_zero(octx, f)))),
+    with no tuple of C(g, g) outside n computed.  `sw.nilradical` is
+    increasing, so both re-indexings keep tuples increasing.
     """
     nil = octx.seaweed.nilradical
     pos = octx._nil_pos
-    kf = homotopy(octx, extend_by_zero(octx, f))
+    kf = _scaled_homotopy(octx, extend_by_zero(octx, f))
     ng = nilradical_ambient_context(octx.seaweed)
     dkf = coboundary(Cochain(ng, kf.degree, {
         tuple(pos[i] for i in tup): vec for tup, vec in kf.data.items()}))
@@ -351,9 +371,9 @@ def _certificate_image(octx: OperatorContext, f: Cochain) -> Cochain:
         tuple(nil[t] for t in tup): vec for tup, vec in dkf.data.items()}))
 
 
-def _map_matrix(basis, images):
+def _map_matrix(basis, images, scale):
     """Sparse rows {column: entry} of the matrix whose column j holds the
-    coordinates of images[j] in the basis."""
+    coordinates of images[j] / scale in the basis."""
     keys = {key for f in basis for key, _ in f.items()}
     ech = Echelon(basis, track=True)
     rows = [{} for _ in basis]
@@ -365,7 +385,7 @@ def _map_matrix(basis, images):
             raise ValueError("image is not a combination of the cocycle basis")
         for i, c in sol.items():
             if c != 0:
-                rows[i][j] = c
+                rows[i][j] = c / scale
     return rows
 
 
@@ -413,7 +433,8 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     beta = sum of the argument roots; the predicted scalar is (beta,beta) plus
     string terms over the root vectors outside n and the Cartan, all in the
     invariant form the dual basis uses.  The scalar of each beta is computed
-    once per seaweed.  Returns None when root data is missing.
+    once per seaweed, as the per-algebra sum over all roots less the terms
+    of n.  Returns None when root data is missing.
     """
     g = octx.ambient
     rs = g.root_system
@@ -426,6 +447,7 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     if not hasattr(sw, "_entry_scalars"):
         sw._entry_scalars = {}      # beta -> predicted scalar
     memo = sw._entry_scalars
+    totals = g.__dict__.setdefault("_string_totals", {})   # over all roots
     out = []
     for tup in f.data:
         beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in tup))))
@@ -433,11 +455,11 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
             return None  # value in the Cartan: the string formula does not apply
         scalar = memo.get(beta)
         if scalar is None:
-            nil = set(sw.nilradical)
-            scalar = rs.sq(beta)
-            for i, gamma in g.root_of.items():
-                if i not in nil and i not in g.cartan:
-                    scalar += _string_term(g, gamma, beta)
+            if beta not in totals:
+                totals[beta] = sum(_string_term(g, gamma, beta) for i, gamma
+                                   in g.root_of.items() if i not in g.cartan)
+            scalar = rs.sq(beta) + totals[beta] - sum(
+                _string_term(g, g.root_of[i], beta) for i in sw.nilradical)
             scalar = memo[beta] = scalar * kappa_ratio
         out.append(scalar)
     return out

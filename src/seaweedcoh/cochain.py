@@ -35,10 +35,14 @@ On every other seaweed weight zero won the sum of each dim C^q_0 band, by
 
 The tables of a context (`dbr`, `act` and each generator's action tables)
 re-index the ambient's cached ad(e_i) columns when the domain and module
-are unit bases (decided once per context); a non-unit basis (a center
-complement) brackets with `bracket_vec` and solves in its span.  Integral
-values stay plain ints, so on unit bases the differential runs in integer
-arithmetic; Fractions enter only through non-unit bases.  Per context, the
+are int unit bases in any order; a basis out of ambient order (the default
+center complement, Cartan first) has them sorted by position, as the
+`bracket_vec` loop that any other basis takes builds them (both decided
+once per context).  Integral values stay plain ints and invariant bases
+come from primitive int kernel relations, so for a spec seaweed every
+complex, C^*(Q, s) included, runs in integer arithmetic; Fractions enter
+only through rescaled or non-unit bases (fixtures) and the class
+representatives, whose relations keep first coefficient 1.  Per context, the
 grading, each generator's action tables, the invariant cochains and their
 coboundary echelon are computed once.  `_weights` grades both the blocks
 and the invariant candidates, which `_weight_matches` lists.
@@ -50,7 +54,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .chevalley import LieAlgebra
 from .exactlin import (Echelon, InvariantError, SpanSolver,
@@ -71,8 +75,12 @@ class ComplexContext:
         self.m = len(self.module)
         self._dom_solver = SpanSolver(self.domain)
         self._mod_solver = SpanSolver(self.module)
-        # unit bases read their brackets off the ambient's ad columns
+        # unit bases read their brackets off the ambient's ad columns; the
+        # tables of a basis out of ambient order are put in position order
         self._unit = _int_units(self.domain) and _int_units(self.module)
+        self._unsorted = {where for where, basis in (
+            ("domain", self.domain), ("module", self.module))
+            if self._unit and basis != sorted(basis, key=min)}
         # domain bracket table and domain action on the module
         self.dbr = {}
         for i, x in enumerate(self.domain):
@@ -219,9 +227,10 @@ def _bracket_coords(ctx, x, where, start=0):
     nonzero, in the span of that basis; ValueError when one leaves it.
 
     On unit bases a unit x = e_i reads its brackets off the ambient's cached
-    ad(e_i), re-indexed by the solver's unit map.  Both run in increasing
-    ambient index and hold the same values, so the table is the one the
-    `bracket_vec` loop builds, key order included.
+    ad(e_i), re-indexed by the solver's unit map and, for a basis out of
+    ambient order, sorted by position.  The values are those of
+    `bracket_vec`, so the table is the one the `bracket_vec` loop builds,
+    key order included.
     """
     if where == "domain":
         basis, solver = ctx.domain, ctx._dom_solver
@@ -229,8 +238,10 @@ def _bracket_coords(ctx, x, where, start=0):
         basis, solver = ctx.module, ctx._mod_solver
     if ctx._unit and _int_units([x]):
         pos = solver.unit
-        brackets = ((pos[j], b) for j, b in ctx.ambient.ad(next(iter(x))).items()
-                    if pos.get(j, -1) >= start)
+        brackets = [(pos[j], b) for j, b in ctx.ambient.ad(next(iter(x))).items()
+                    if pos.get(j, -1) >= start]
+        if where in ctx._unsorted:
+            brackets.sort(key=itemgetter(0))
     else:
         brackets = ((p, ctx.ambient.bracket_vec(x, basis[p]))
                     for p in range(start, len(basis)))
@@ -246,16 +257,16 @@ def _bracket_coords(ctx, x, where, start=0):
 
 
 def _int_units(vectors):
-    """Whether `vectors` are unit vectors e_i with increasing i and int
-    coefficient 1 (Fraction units make `bracket_vec` values Fractions)."""
-    last = -1
+    """Whether `vectors` are distinct unit vectors e_i, in any order, with
+    int coefficient 1 (Fraction units make `bracket_vec` values Fractions)."""
+    seen = set()
     for v in vectors:
         if len(v) != 1:
             return False
         (i, c), = v.items()
-        if type(c) is not int or c != 1 or i <= last:
+        if type(c) is not int or c != 1 or i in seen:
             return False
-        last = i
+        seen.add(i)
     return True
 
 
@@ -496,11 +507,14 @@ def _invariant_candidates(ctx, q, generators):
 
 
 def _invariant_basis(ctx, q, generators):
+    """The invariant q-cochains: one per primitive int kernel relation of
+    the candidates' L_x columns; with no generator acting non-diagonally
+    every candidate is one, its relation {p: 1}."""
     candidates, general = _invariant_candidates(ctx, q, generators)
-    if not candidates:
-        return []
+    if not general or not candidates:
+        return [ctx.basis_cochain(tup, k) for tup, k in candidates]
     return [_relation_cochain(ctx, q, candidates, rel) for rel in
-            sparse_kernel_basis(_lie_columns(ctx, candidates, general))]
+            sparse_kernel_basis(_lie_columns(ctx, candidates, general), True)]
 
 
 def _lie_columns(ctx, candidates, generators):

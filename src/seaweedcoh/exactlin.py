@@ -14,6 +14,7 @@ reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd
 
@@ -203,18 +204,25 @@ class Echelon:
         lead = comb.pop(-1)
         return {c: Fraction(-v, lead) for c, v in sorted(comb.items())}
 
-    def kernel(self):
+    def kernel(self, primitive=False):
         """One {column index: coefficient} relation per dependent column.
 
         The relation of column j is supported on j and the independent
         columns before it, and its first nonzero coefficient is 1: exactly
         the kernel vector that the dense reference `kernel_basis` builds for
-        that column.
+        that column.  With `primitive`, it is the positive multiple of that
+        vector with coprime int coefficients instead.
         """
         out = []
         for comb in self._relations:
             lead = comb[min(comb)]
-            out.append({c: Fraction(v, lead) for c, v in sorted(comb.items())})
+            if primitive:
+                g = reduce(gcd, comb.values())
+                g = g if lead > 0 else -g
+                out.append({c: v // g for c, v in sorted(comb.items())})
+            else:
+                out.append({c: Fraction(v, lead)
+                            for c, v in sorted(comb.items())})
         return out
 
 
@@ -226,15 +234,17 @@ def sparse_rank(columns) -> int:
     return sum(map(_nonzero, columns))
 
 
-def sparse_kernel_basis(columns):
+def sparse_kernel_basis(columns, primitive=False):
     """Kernel basis of sparse columns as {column index: coefficient}
     relations (`Echelon.kernel`), sorted by column index: made dense, they
     are the vectors of the dense reference `kernel_basis`, in its order and
-    normalization.  No column, or one, is answered without the engine."""
+    normalization, or with `primitive` their primitive int multiples.  No
+    column, or one, is answered without the engine."""
     columns = list(columns)
     if len(columns) > 1:
-        return Echelon(columns, track=True).kernel()
-    return [{0: Fraction(1)} for col in columns if not _nonzero(col)]
+        return Echelon(columns, track=True).kernel(primitive)
+    one = 1 if primitive else Fraction(1)
+    return [{0: one} for col in columns if not _nonzero(col)]
 
 
 def _nonzero(col):

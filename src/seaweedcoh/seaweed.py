@@ -20,22 +20,6 @@ from .exactlin import Echelon, InvariantError, sparse_kernel_basis
 _cached_build = lru_cache(maxsize=None)(rootsystem.build)
 
 
-def _primitive(vec):
-    """Scale a rational coordinate dict to a primitive integer vector."""
-    from math import gcd
-    scale = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-    out = {k: int(v * scale) for k, v in vec.items() if v != 0}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out
-
-
 @dataclass(frozen=True)
 class SeaweedSpec:
     """The pair (pi1 | pi2), simple-root indices 1-based."""
@@ -145,8 +129,8 @@ def center(sw: Seaweed):
                  for k, v in b.items()} for i in sw.member]
         cartan_like = set(sw.ambient.cartan) | (member - set(sw.ambient.root_of))
         out = []
-        for rel in sparse_kernel_basis(cols):
-            vec = _primitive({sw.member[p]: c for p, c in rel.items()})
+        for rel in sparse_kernel_basis(cols, primitive=True):
+            vec = {sw.member[p]: c for p, c in rel.items()}
             if not set(vec) <= cartan_like:
                 raise InvariantError("central vector outside the Cartan")
             out.append(vec)
@@ -198,7 +182,11 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
     The Cartan part of s' defaults to the Killing-orthogonal complement of the
     center inside the Cartan of s (which contains [s,s] cap h); a coordinate
     complement is used when the restricted Killing form cannot separate, and
-    `section_indices` picks an explicit complement basis instead.
+    `section_indices` picks an explicit complement basis instead.  For a spec
+    it is span{h_i : i in pi1 u pi2} in unit vectors, Cartan first: the
+    column of h_i vanishes, as kappa(h_i, z) is proportional to
+    alpha_i(z) = 0 on Z(s), and the other dim Z(s) columns have rank
+    dim Z(s), so each kernel relation is the unit of a zero column.
     """
     g = sw.ambient
     zs = center(sw)
@@ -213,8 +201,8 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
         kappa = g.killing_matrix()
         pair = [{k: sum((z.get(i, 0) * kappa[i][h] for i in z), Fraction(0))
                  for k, z in enumerate(zs)} for h in cartan_like]
-        hbasis = [_primitive({cartan_like[p]: c for p, c in rel.items()})
-                  for rel in sparse_kernel_basis(pair)]
+        hbasis = [{cartan_like[p]: c for p, c in rel.items()}
+                  for rel in sparse_kernel_basis(pair, primitive=True)]
         if len(hbasis) != len(cartan_like) - len(zs):
             # Killing form too degenerate here: fall back to dropping the
             # pivot coordinates of the center vectors.

@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +24,8 @@ from seaweedcoh.cochain import (Cochain, coboundary, full_context,
 from seaweedcoh.exactlin import sparse_kernel_basis, vec_add
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
+
+import dense
 
 
 @pytest.fixture(scope="module")
@@ -364,9 +367,36 @@ def test_invariant_cocycles_match_fold(type_label, rank):
         for q in range(1, len(octx.seaweed.nilradical) + 1):
             got = invariant_cocycles(octx, q)
             ref = folded_invariant_cocycles(octx, q)
+            # each cocycle is the fold of its first-coefficient-1 relation
+            # scaled by the first coefficient of its primitive relation
+            scales = [rel[min(rel)] for rel in invariant_coboundaries(
+                octx.ns, q, reductive_generators(octx.seaweed)).kernel(True)]
+            assert len(scales) == len(ref) and all(c > 0 for c in scales)
             assert list(map(ordered_data, got)) == \
-                list(map(ordered_data, ref)), (octx.seaweed.spec, q)
+                [ordered_data(f.scale(c)) for f, c in zip(ref, scales)], \
+                (octx.seaweed.spec, q)
             seen += len(got)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 2), ("B", 2), ("G", 2), ("A", 4)])
+def test_invariant_bases_and_images_are_int_valued(type_label, rank):
+    # primitive relations over int L_x columns, coboundaries and the
+    # D-scaled homotopy table: the certificate path meets no Fraction
+    octxs = (_a4_orbit_octxs() if (type_label, rank) == ("A", 4)
+             else _sweep_octxs(type_label, rank))
+    seen = 0
+    for octx in octxs:
+        gens = reductive_generators(octx.seaweed)
+        for q in range(len(octx.seaweed.nilradical) + 1):
+            inv = invariant_cochains(octx.ns, q, gens)
+            cocycles = invariant_cocycles(octx, q) if q else []
+            images = [casimir._certificate_image(octx, f) for f in cocycles]
+            for f in inv + cocycles + images:
+                assert all(type(c) is int for _, c in f.items()), \
+                    (octx.seaweed.spec, q)
+            seen += len(inv)
     assert seen > 0
 
 
@@ -377,10 +407,10 @@ def test_invariant_cocycles_cancellation_order(a2_octx, monkeypatch):
     inv = [Cochain(ns, 1, {(0,): {0: 1}}),
            Cochain(ns, 1, {(0,): {0: -1}, (1,): {0: 1}}),
            Cochain(ns, 1, {(0,): {0: 1}})]
-    rel = {0: F(1), 1: F(1), 2: F(1)}
+    rel = {0: 1, 1: 1, 2: 1}
     monkeypatch.setattr(casimir, "invariant_cochains", lambda *a: inv)
-    monkeypatch.setattr(casimir, "invariant_coboundaries",
-                        lambda *a: SimpleNamespace(kernel=lambda: [rel]))
+    monkeypatch.setattr(casimir, "invariant_coboundaries", lambda *a:
+                        SimpleNamespace(kernel=lambda primitive: [rel]))
     (got,) = invariant_cocycles(a2_octx, 1)
     folded = inv[0].add(inv[1]).add(inv[2])
     assert ordered_data(got) == ordered_data(folded) == \
@@ -485,9 +515,11 @@ def test_operator_contexts_share_one_ambient_context(a2_fixture):
 
 def gg_certificate_image(octx, f):
     """restrict(delta k psi f) with delta over the whole C(g, g), as the
-    certificate computed it before the C(n, g) reduction."""
+    certificate computed it before the C(n, g) reduction, times the D of
+    the integer homotopy table (`_certificate_image`'s scale)."""
     return restrict(octx, coboundary(casimir.homotopy(
-        octx, extend_by_zero(octx, f))))
+        octx, extend_by_zero(octx, f)))).scale(
+            casimir._dual_brackets(octx.ambient)[0])
 
 
 def outcome(fn, *args):
@@ -520,21 +552,56 @@ def test_certificate_image_in_ng_matches_gg(a2_fixture):
     assert compared > 300
 
 
+def test_certificate_fields_match_unscaled_reference(a2_fixture):
+    # the certificate divides D out of its entry scalars and map matrix;
+    # against the first-coefficient-1 cocycles and the unscaled images
+    # through C(g, g), the scalars agree and the characteristic polynomial
+    # of the (similar) matrix agrees
+    octxs = _table1_octxs(a2_fixture)
+    octxs += [o for t, r in [("A", 2), ("B", 2), ("G", 2)]
+              for o in _sweep_octxs(t, r)]
+    compared = 0
+    for octx in octxs:
+        for q in range(1, len(octx.seaweed.nilradical) + 1):
+            cert = rigidity_certificate(octx, q)
+            ref = folded_invariant_cocycles(octx, q)
+            images = [restrict(octx, coboundary(homotopy(
+                octx, extend_by_zero(octx, f)))) for f in ref]
+            scalars = [[F(im.data.get(tup, {}).get(k, 0)) / vec[k]
+                        for tup, vec in f.data.items() for k in list(vec)[:1]]
+                       for f, im in zip(ref, images)]
+            assert [w.entry_scalars for w in cert.witnesses] == scalars
+            if not ref:
+                continue
+            keys = sorted({key for f in ref for key, _ in f.items()})
+            basis = [[dict(f.items()).get(key, 0) for f in ref] for key in keys]
+            cols = [dense.solve(basis, [dict(im.items()).get(key, 0)
+                                        for key in keys]) for im in images]
+            matrix = [[cols[j][i] for j in range(len(ref))]
+                      for i in range(len(ref))]
+            assert cert.char_poly == dense_char_poly(matrix), \
+                (octx.seaweed.spec, q)
+            compared += 1
+    assert compared > 20
+
+
 def test_certificate_image_forged_escape_same_error(a2_fixture, monkeypatch):
     # a homotopy value forged outside s: both complexes name the same tuple
-    # and components, and the certificate reports that message
-    real = casimir.homotopy
+    # and components, and the certificate reports that message; the forged
+    # D k psi f carries D, so the k psi f that `homotopy` returns carries 1
+    real = casimir._scaled_homotopy
     errors = 0
     for octx in _table1_octxs(a2_fixture):
         sw, dim = octx.seaweed, octx.ambient.dim
+        D = casimir._dual_brackets(octx.ambient)[0]
         for q in range(1, len(sw.nilradical) + 1):
             for f in invariant_cocycles(octx, q):
                 for tup in combinations(sw.nilradical, q - 1):
                     for k in range(dim):
                         def forged(o, F, tup=tup, k=k):
-                            extra = Cochain(o.gg, F.degree - 1, {tup: {k: 1}})
+                            extra = Cochain(o.gg, F.degree - 1, {tup: {k: D}})
                             return real(o, F).add(extra)
-                        monkeypatch.setattr(casimir, "homotopy", forged)
+                        monkeypatch.setattr(casimir, "_scaled_homotopy", forged)
                         got = outcome(casimir._certificate_image, octx, f)
                         assert got == outcome(gg_certificate_image, octx, f)
                         if got[0] == "error":
@@ -542,7 +609,7 @@ def test_certificate_image_forged_escape_same_error(a2_fixture, monkeypatch):
                             assert "lies outside s" in got[1]
                             cert = rigidity_certificate(octx, q)
                             assert not cert.success and cert.failure == got[1]
-    monkeypatch.setattr(casimir, "homotopy", real)
+    monkeypatch.setattr(casimir, "_scaled_homotopy", real)
     assert errors > 5
 
 
@@ -655,8 +722,16 @@ def test_operator_tables_built_per_ambient_on_first_use(a2_fixture):
         assert octx.dual is casimir._sparse_dual(g)
         assert octx.dual == _dense_dual(g)
         table = casimir._dual_brackets(g)
-        assert table == [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
-                         for d in octx.dual]
+        D, rows = table
+        want = [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
+                for d in octx.dual]
+        # D [e^j, e_k] in ints, D the lcm of the denominators
+        assert D == lcm(*(v.denominator for row in want for b in row
+                          for v in b.values()))
+        assert rows == [[{i: v * D for i, v in b.items()} for b in row]
+                        for row in want]
+        assert all(type(v) is int for row in rows for b in row
+                   for v in b.values())
         cols = casimir._casimir_columns(g)
         unit = octx.gg.basis_cochain
         assert cols == [reference_casimir_action(octx, unit((0,), k)).data

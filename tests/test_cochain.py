@@ -23,7 +23,7 @@ from seaweedcoh.exactlin import (Echelon, InvariantError, SpanSolver,
                                  sparse_kernel_basis, sparse_rank, vec_add)
 from seaweedcoh.gerstenhaber import _class_representatives
 from seaweedcoh.seaweed import (SeaweedSpec, _cached_build,
-                                _classify_subdiagram, _primitive,
+                                _classify_subdiagram,
                                 build_seaweed, center, seaweed_from_algebra,
                                 split_over_center)
 
@@ -912,6 +912,24 @@ def assert_tables_match_reference(ctx, unit, generators):
                          outcome(reference_action_tables, ctx, g)), g
 
 
+def _primitive(vec):
+    """A rational coordinate dict scaled to a primitive integer vector, as
+    `seaweed` first made the center and its complement from the
+    first-coefficient-1 kernel relations."""
+    from math import gcd
+    scale = 1
+    for v in vec.values():
+        if isinstance(v, F):
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+    out = {k: int(v * scale) for k, v in vec.items() if v != 0}
+    g = 0
+    for v in out.values():
+        g = gcd(g, v)
+    if g > 1:
+        out = {k: v // g for k, v in out.items()}
+    return out
+
+
 def reference_center(sw):
     """Z(s) as first computed: kernel columns from `bracket` on every pair
     of members."""
@@ -1042,3 +1060,91 @@ def test_action_cache_keeps_value_types():
         ctx = fresh()
         outputs(ctx, first)
         assert identical(outputs(ctx, second), outputs(fresh(), second))
+
+
+# -- unit bases out of ambient order --------------------------------------------
+
+def acceptance_and_a4_seaweeds():
+    """The A1, A2, B2 and G2 sweeps and the A4 orbit representatives."""
+    for t, r in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
+        for spec in _all_specs(t, r):
+            if spec.rank == r:
+                yield build_seaweed(_ambient(t, r), spec)
+    for spec in orbit_representatives("A", 4):
+        yield build_seaweed(_ambient("A", 4), spec)
+
+
+def test_default_split_is_coroots_and_root_vectors():
+    # kappa(h_i, z) is proportional to alpha_i(z) = 0 on Z(s) for i in
+    # pi1 u pi2, and the dimensions agree, so the Killing complement is
+    # span{h_i} and the quotient complex reads the ad columns
+    decomposable = 0
+    for sw in acceptance_and_a4_seaweeds():
+        g, spec = sw.ambient, sw.spec
+        split = split_over_center(sw)
+        roots = [{i: 1} for i in sw.member if i not in g.cartan]
+        coroots = [{g.cartan[i - 1]: 1} for i in sorted(spec.pi1 | spec.pi2)]
+        if split.center_basis:
+            decomposable += 1
+            assert split.complement_basis == coroots + roots, spec
+        else:
+            assert split.complement_basis == [{i: 1} for i in sw.member]
+            assert sorted(map(min, coroots)) == list(g.cartan)
+        ctx = quotient_context(split)
+        assert ctx._unit and _int_units(ctx.domain), spec
+        assert ctx._unsorted == ({"domain"} if split.center_basis
+                                 and coroots and roots else set()), spec
+    assert decomposable == 1 + 7 + 7 + 7 + 51
+
+
+def same_in_order(a, b):
+    """a == b with the same dict key order throughout; values compare by
+    ==, so an int table may equal a Fraction one."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and list(a) == list(b)
+                and all(same_in_order(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)):
+        return (isinstance(b, (list, tuple)) and len(a) == len(b)
+                and all(map(same_in_order, a, b)))
+    return a == b
+
+
+def assert_unit_path_matches_bracket_path(g, domain, module):
+    """The tables and the class representatives of int units in the given
+    order against those of the same basis as Fraction(1) units, which
+    brackets with `bracket_vec`."""
+    fast = ComplexContext(g, [{i: 1} for i in domain], [{i: 1} for i in module])
+    slow = ComplexContext(g, [{i: F(1)} for i in domain],
+                          [{i: F(1)} for i in module])
+    assert fast._unit and not slow._unit
+    for name in ("dbr", "act", "pairs_hitting", "_dom_weights", "_mod_weights"):
+        assert same_in_order(getattr(fast, name), getattr(slow, name)), name
+    for q in range(min(fast.n, 2) + 1):
+        h = fast.cohomology_dims(q).cohomology
+        assert h == slow.cohomology_dims(q).cohomology
+        reps = [[f.data for f in _class_representatives(ctx, q, h)]
+                for ctx in (fast, slow)]
+        assert same_in_order(*reps), q
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_permuted_unit_basis_matches_bracket_path(type_label, rank):
+    g = _ambient(type_label, rank)
+    rng = random.Random(18)
+    seen = 0
+    for spec in _all_specs(type_label, rank):
+        if spec.rank != rank:
+            continue
+        sw = build_seaweed(g, spec)
+        split = split_over_center(sw)
+        # the default complement of a decomposable seaweed, Cartan first
+        comp = [min(v) for v in split.complement_basis]
+        assert_unit_path_matches_bracket_path(g, comp, sw.member)
+        # s and n in a random order, acting on s in another
+        for domain in (sw.member, sw.nilradical):
+            domain, module = list(domain), list(sw.member)
+            rng.shuffle(domain)
+            rng.shuffle(module)
+            assert_unit_path_matches_bracket_path(g, domain, module)
+        seen += domain != sorted(domain)
+    assert seen > 0

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -175,13 +176,36 @@ def test_sparse_matches_dense(m, rng):
     assert sparse_rank(renamed) == sparse_rank(cochains) == dense.rank(m)
 
 
+# content reduction during tracking (entries near 2**130) must leave the
+# primitive relations primitive
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrices(), small_matrices(scale=2**130 + 1)))
+def test_primitive_relations_are_positive_multiples(m):
+    cols = sparse_columns(m)
+    ech = Echelon(cols, track=True)
+    got = sparse_kernel_basis(cols, primitive=True)
+    assert got == ech.kernel(primitive=True)
+    want = ech.kernel()
+    assert len(got) == len(want) == len(dense.kernel_basis(m))
+    for rel, ref, vec in zip(got, want, dense.kernel_basis(m)):
+        assert list(rel) == list(ref)               # same support, in order
+        assert all(type(v) is int for v in rel.values())
+        assert gcd(*rel.values()) == 1              # content 1
+        lead = rel[min(rel)]
+        assert lead > 0
+        assert rel == {c: lead * v for c, v in ref.items()}
+        assert [rel.get(c, 0) for c in range(len(vec))] == \
+            [lead * v for v in vec]
+
+
 def test_small_inputs_match_the_engine(monkeypatch):
     # no column or one: sparse_rank and sparse_kernel_basis answer without
     # building an Echelon, with its outputs, value types and key order
     cases = [[], [{}], [{0: 0}], [{3: 0, 1: 0}], [{0: 2}], [{0: 0, 5: -1}],
              [{1: F(1, 3), 2: 0}], [{7: 2**130 + 1}],
              [Cochain(None, 1, {})], [Cochain(None, 1, {(0,): {2: F(5)}})]]
-    want = [(Echelon(cols).rank, repr(Echelon(cols, track=True).kernel()))
+    want = [(Echelon(cols).rank, repr(Echelon(cols, track=True).kernel()),
+             repr(Echelon(cols, track=True).kernel(primitive=True)))
             for cols in cases]
     assert [w[0] for w in want] == [0, 0, 0, 0, 1, 1, 1, 1, 0, 1]
 
@@ -189,11 +213,13 @@ def test_small_inputs_match_the_engine(monkeypatch):
         raise AssertionError("Echelon built for a 0- or 1-column input")
 
     monkeypatch.setattr(exactlin, "Echelon", no_engine)
-    for cols, (rank, kernel) in zip(cases, want):
+    for cols, (rank, kernel, primitive) in zip(cases, want):
         for arg in (cols, iter(cols)):
             assert sparse_rank(arg) == rank, cols
         for arg in (cols, iter(cols)):
             assert repr(sparse_kernel_basis(arg)) == kernel, cols
+        for arg in (cols, iter(cols)):
+            assert repr(sparse_kernel_basis(arg, True)) == primitive, cols
 
 
 def dense_coords(m, v):

@@ -320,7 +320,8 @@ def test_broken_invariant_raises_and_exits_2(monkeypatch, capsys):
     g = _ambient("A", 2)
     sw = build_seaweed(g, spec("A", 2, [1], []))
     pos = next(p for p, i in enumerate(sw.member) if i not in g.cartan)
-    monkeypatch.setattr(seaweed, "sparse_kernel_basis", lambda cols: [{pos: 1}])
+    monkeypatch.setattr(seaweed, "sparse_kernel_basis",
+                        lambda cols, primitive: [{pos: 1}])
     with pytest.raises(InvariantError, match="outside the Cartan"):
         center(sw)
     assert main(["info", "--type", "A", "--rank", "2", "--pi1", "1"]) == 2
@@ -334,7 +335,8 @@ def test_center_computed_once_per_seaweed(monkeypatch):
     sizes = []
     kernel = seaweed.sparse_kernel_basis
     monkeypatch.setattr(seaweed, "sparse_kernel_basis",
-                        lambda cols: sizes.append(len(cols)) or kernel(cols))
+                        lambda cols, primitive: sizes.append(len(cols))
+                        or kernel(cols, primitive))
     sw = build_seaweed(_ambient("A", 3), spec("A", 3, [1], [3]))
     zs = center(sw)
     assert len(zs) == 1 and sizes == [sw.dim]
