@@ -42,7 +42,7 @@ from .chevalley import LieAlgebra
 from .cochain import (Cochain, coboundary, full_context, invariant_coboundaries,
                       invariant_cochains, nilradical_ambient_context,
                       nilradical_context, reductive_generators)
-from .exactlin import Echelon, sparse_rank, vec_add
+from .exactlin import Echelon, InvariantError, sparse_rank, vec_add
 from .rootsystem import RootSystem
 
 CASIMIR_READING = "value_action"
@@ -395,9 +395,14 @@ def _char_poly(rows):
 
     The Faddeev-LeVerrier recurrence M_k = M M_(k-1) + c_k I,
     c_k = -tr(M M_(k-1)) / k, on sparse rows: it skips only zero terms of
-    exact sums, so the coefficients are those of the dense recurrence.
+    exact sums, so the coefficients are those of the dense recurrence.  It
+    runs in ints on N = L M, L the lcm of the entries' denominators:
+    det(xI - M) = L^-d det(LxI - N) gives c_k(M) = c_k(N) / L^k, and N has
+    an integer characteristic polynomial, so each division by k is exact.
     """
     d = len(rows)
+    L = lcm(*(a.denominator for row in rows for a in row.values()))
+    rows = [{t: int(a * L) for t, a in row.items()} for row in rows]
     coeffs = [Fraction(1)]
     mk = [{i: 1} for i in range(d)]
     for k in range(1, d + 1):
@@ -407,8 +412,10 @@ def _char_poly(rows):
             for t, a in row.items():
                 vec_add(acc, mk[t], a)
             prod.append(acc)
-        c = -sum((prod[i].get(i, 0) for i in range(d)), Fraction(0)) / k
-        coeffs.append(c)
+        c, rem = divmod(-sum(prod[i].get(i, 0) for i in range(d)), k)
+        if rem:
+            raise InvariantError(f"c_{k} of an integer matrix is not integral")
+        coeffs.append(Fraction(c, L ** k))
         for i, acc in enumerate(prod):
             vec_add(acc, {i: c})
         mk = prod

@@ -38,19 +38,25 @@ re-index the ambient's cached ad(e_i) columns when the domain and module
 are int unit bases in any order; a basis out of ambient order (the default
 center complement, Cartan first) has them sorted by position, as the
 `bracket_vec` loop that any other basis takes builds them (both decided
-once per context).  Integral values stay plain ints and invariant bases
-come from primitive int kernel relations, so for a spec seaweed every
-complex, C^*(Q, s) included, runs in integer arithmetic; Fractions enter
-only through rescaled or non-unit bases (fixtures) and the class
-representatives, whose relations keep first coefficient 1.  Per context, the
-grading, each generator's action tables, the invariant cochains and their
-coboundary echelon are computed once.  `_weights` grades both the blocks
-and the invariant candidates, which `_weight_matches` lists.
+once per context).  A seaweed's complexes share these rows: C(a, a) reads
+`dbr` off its `act`, C(n, s) and C(Q, s) on units of s take C(s, s)'s rows
+(their module is s at the same positions), and C(n, g) the ad(e_i) columns
+(its module is g in ambient order).  Each is the table the loop builds, key
+order included, so nothing is approximated; no row is mutated, and every
+context builds its own `dbr`, which checks that its domain is closed.
+Integral values stay plain ints and invariant bases come from primitive int
+kernel relations, so for a spec seaweed every complex runs in integer
+arithmetic; Fractions enter only through rescaled or non-unit bases
+(fixtures) and the class representatives.  Per context, `delta_column`
+reads the rows indexed by module vector, and each generator's action
+tables, the grading per generator list, the invariant cochains and their
+coboundary echelon are computed once; `_weights` grades the blocks and the
+invariant candidates.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -67,7 +73,7 @@ LEVI_MIN_BLOCK = 200
 class ComplexContext:
     """C^*(domain, module) inside an ambient algebra."""
 
-    def __init__(self, ambient: LieAlgebra, domain, module):
+    def __init__(self, ambient: LieAlgebra, domain, module, act=None):
         self.ambient = ambient
         self.domain = [dict(v) for v in domain]
         self.module = [dict(v) for v in module]
@@ -81,12 +87,18 @@ class ComplexContext:
         self._unsorted = {where for where, basis in (
             ("domain", self.domain), ("module", self.module))
             if self._unit and basis != sorted(basis, key=min)}
-        # domain bracket table and domain action on the module
-        self.dbr = {}
-        for i, x in enumerate(self.domain):
-            for j, c in _bracket_coords(self, x, "domain", i + 1).items():
-                self.dbr[(i, j)] = c
-        self.act = [_bracket_coords(self, x, "module") for x in self.domain]
+        # domain bracket table and action rows (see the module docstring)
+        same = self.domain == self.module
+        rows = [_bracket_coords(self, x, "domain", 0 if same else i + 1)
+                for i, x in enumerate(self.domain)]
+        self.dbr = {(i, j): c for i, row in enumerate(rows)
+                    for j, c in row.items() if j > i}
+        self.act = act or (rows if same else [
+            _bracket_coords(self, x, "module") for x in self.domain])
+        self._acting = {}           # module k -> [(mdx, act[mdx][k])]
+        for mdx, row in enumerate(self.act):
+            for k, col in row.items():
+                self._acting.setdefault(k, []).append((mdx, col))
         # bracket pairs by target: which [d_a, d_b] hit d_t, and with what;
         # and ad(d_i) on the domain, for the grading
         self.pairs_hitting = {}
@@ -140,13 +152,11 @@ class ComplexContext:
         """delta of a basis cochain, as {(tuple, module idx): coeff} items."""
         out = {}
         tset = set(tup)
-        for mdx in range(self.n):
+        for mdx, acted in self._acting.get(k, ()):
             if mdx in tset:
                 continue
-            acted = self.act[mdx].get(k)
-            if not acted:
-                continue
-            s, pos = _insert(tup, mdx)
+            pos = bisect_left(tup, mdx)
+            s = tup[:pos] + (mdx,) + tup[pos:]
             sign = -1 if pos % 2 else 1
             for k2, v in acted.items():
                 key = (s, k2)
@@ -165,9 +175,9 @@ class ComplexContext:
             for a, b, c in hits:
                 if a in rset or b in rset:
                     continue
-                s, ia = _insert(rest, a)
-                s, ib = _insert(s, b)
-                sign = sigma * c if (ia + ib) % 2 == 0 else -sigma * c
+                ia, jb = bisect_left(rest, a), bisect_left(rest, b)
+                s = rest[:ia] + (a,) + rest[ia:jb] + (b,) + rest[jb:]
+                sign = sigma * c if (ia + jb) % 2 else -sigma * c
                 key = (s, k)
                 nv = out.get(key, 0) + sign
                 if nv == 0:
@@ -403,12 +413,6 @@ def coboundary(f: Cochain) -> Cochain:
     return Cochain(ctx, f.degree + 1, _to_data(acc))
 
 
-def _insert(tup, x):
-    lst = list(tup)
-    insort(lst, x)
-    return tuple(lst), lst.index(x)
-
-
 def lie_derivative(x_vec, f: Cochain) -> Cochain:
     """(x . f)(x_1..x_q) = [x, f(..)] - sum_i f(.., [x, x_i], ..): the
     `_lie_columns` of f's basis cochains, extended linearly.
@@ -489,9 +493,11 @@ def _invariant_candidates(ctx, q, generators):
     """(candidates, general): the basis cochains (tup, k) of C^q, in
     increasing (tup, k) order, of weight zero for every diagonally acting
     generator (only they can carry an invariant), and the generators that
-    do not act diagonally.  Cached; callers must not mutate the lists."""
-    key = _cache_key(q, generators)
-    if key not in ctx._candidate_cache:
+    do not act diagonally.  Cached, and so is the grading of the generator
+    list, under degree None; callers must not mutate the lists."""
+    cache, key = ctx._candidate_cache, _cache_key(q, generators)
+    grading = _cache_key(None, generators)
+    if grading not in cache:
         diag, general = [], []
         for g in generators:
             tables = _action_tables(ctx, g)
@@ -499,11 +505,12 @@ def _invariant_candidates(ctx, q, generators):
                 diag.append(tables)
             else:
                 general.append(g)
-        dom_weights, mod_weights = _weights(ctx, diag)
-        ctx._candidate_cache[key] = (
-            _weight_matches(ctx.n, q, dom_weights, mod_weights, len(diag)),
-            general)
-    return ctx._candidate_cache[key]
+        cache[grading] = (*_weights(ctx, diag), len(diag), general)
+    if key not in cache:
+        dom_weights, mod_weights, width, general = cache[grading]
+        cache[key] = (_weight_matches(ctx.n, q, dom_weights, mod_weights,
+                                      width), general)
+    return cache[key]
 
 
 def _invariant_basis(ctx, q, generators):
@@ -543,7 +550,8 @@ def _lie_columns(ctx, candidates, generators):
                     elif u in rest:
                         continue
                     else:
-                        s, pu = _insert(rest, u)
+                        pu = bisect_left(rest, u)
+                        s = rest[:pu] + (u,) + rest[pu:]
                         if (tpos + pu) % 2:
                             c = -c
                     col[(gi, s, k)] = col.get((gi, s, k), 0) - c
@@ -623,11 +631,21 @@ def adjoint_context(sw) -> ComplexContext:
     return sw._adjoint_ctx
 
 
+def _adjoint_rows(sw, domain):
+    """C(s, s)'s rows of the domain vectors if they are int units of s,
+    else None (the module docstring)."""
+    adj = adjoint_context(sw)
+    pos = adj._dom_solver.unit
+    if _int_units(domain) and all(min(v) in pos for v in domain):
+        return [adj.act[pos[min(v)]] for v in domain]
+
+
 def nilradical_context(sw) -> ComplexContext:
     """C^*(n, s) for a seaweed (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ctx"):
-        sw._nilradical_ctx = ComplexContext(sw.ambient, _units(sw.nilradical),
-                                            _units(sw.member))
+        domain = _units(sw.nilradical)
+        sw._nilradical_ctx = ComplexContext(sw.ambient, domain, _units(
+            sw.member), _adjoint_rows(sw, domain))
     return sw._nilradical_ctx
 
 
@@ -636,7 +654,8 @@ def nilradical_ambient_context(sw) -> ComplexContext:
     the rigidity certificate differentiates in (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ambient_ctx"):
         sw._nilradical_ambient_ctx = ComplexContext(
-            sw.ambient, _units(sw.nilradical), _units(range(sw.ambient.dim)))
+            sw.ambient, _units(sw.nilradical), _units(range(sw.ambient.dim)),
+            list(map(sw.ambient.ad, sw.nilradical)))
     return sw._nilradical_ambient_ctx
 
 
@@ -652,12 +671,13 @@ def quotient_context(split) -> ComplexContext:
     When the complement is the unit basis of s (a trivial center), the
     adjoint context is reused rather than rebuilt.
     """
-    if split.complement_basis == _units(split.seaweed.member):
-        return adjoint_context(split.seaweed)
+    sw = split.seaweed
+    if split.complement_basis == _units(sw.member):
+        return adjoint_context(sw)
     if not hasattr(split, "_quotient_ctx"):
         split._quotient_ctx = ComplexContext(
-            split.seaweed.ambient, split.complement_basis,
-            _units(split.seaweed.member))
+            sw.ambient, split.complement_basis, _units(sw.member),
+            _adjoint_rows(sw, split.complement_basis))
     return split._quotient_ctx
 
 

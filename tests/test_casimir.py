@@ -21,7 +21,7 @@ from seaweedcoh.cochain import (Cochain, coboundary, full_context,
                                 invariant_coboundaries, invariant_cochains,
                                 invariant_cohomology_dims,
                                 reductive_generators)
-from seaweedcoh.exactlin import sparse_kernel_basis, vec_add
+from seaweedcoh.exactlin import InvariantError, sparse_kernel_basis, vec_add
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
 
@@ -629,6 +629,27 @@ def dense_char_poly(m):
     return coeffs
 
 
+def fraction_char_poly(rows):
+    """det(xI - M) by the sparse Faddeev-LeVerrier recurrence in Fractions,
+    as run before the integer-scaled one."""
+    d = len(rows)
+    coeffs = [F(1)]
+    mk = [{i: 1} for i in range(d)]
+    for k in range(1, d + 1):
+        prod = []
+        for row in rows:
+            acc = {}
+            for t, a in row.items():
+                vec_add(acc, mk[t], a)
+            prod.append(acc)
+        c = -sum((prod[i].get(i, 0) for i in range(d)), F(0)) / k
+        coeffs.append(c)
+        for i, acc in enumerate(prod):
+            vec_add(acc, {i: c})
+        mk = prod
+    return coeffs
+
+
 def _sparse_rows(m):
     return [{j: x for j, x in enumerate(row) if x != 0} for row in m]
 
@@ -653,6 +674,7 @@ def square_matrices(draw):
 def test_sparse_char_poly_matches_dense(m):
     got = casimir._char_poly(_sparse_rows(m))
     assert got == dense_char_poly(m)
+    assert got == fraction_char_poly(_sparse_rows(m))
     assert all(isinstance(c, F) for c in got)
 
 
@@ -661,6 +683,32 @@ def test_char_poly_of_diagonal_and_zero():
     assert casimir._char_poly([{}, {}]) == [1, 0, 0]
     # (x - 2)(x - 1/3) = x^2 - 7/3 x + 2/3
     assert casimir._char_poly([{0: 2}, {1: F(1, 3)}]) == [1, F(-7, 3), F(2, 3)]
+
+
+def test_char_poly_remainder_raises(monkeypatch):
+    # the division by k is exact only for the true recurrence: with the
+    # c_k I term dropped, M = diag(1, 0) gives tr(M M) / 2 = 1/2
+    real = casimir.vec_add
+    monkeypatch.setattr(casimir, "vec_add", lambda acc, other, scale=None:
+                        acc if scale is None else real(acc, other, scale))
+    with pytest.raises(InvariantError, match="c_2 of an integer matrix"):
+        casimir._char_poly([{0: F(1)}, {}])
+
+
+def test_char_poly_matches_fraction_recurrence_on_certificates():
+    # the map matrices of the A4 orbit certificates: the integer-scaled
+    # recurrence gives the Fraction recurrence's coefficients, types too
+    seen = 0
+    for octx in _a4_orbit_octxs():
+        D = casimir._dual_brackets(octx.ambient)[0]
+        for q in (1, 2):
+            cocycles = invariant_cocycles(octx, q)
+            images = [casimir._certificate_image(octx, f) for f in cocycles]
+            mat = casimir._map_matrix(cocycles, images, D)
+            got, want = casimir._char_poly(mat), fraction_char_poly(mat)
+            assert got == want and list(map(type, got)) == [F] * len(got)
+            seen += bool(cocycles)
+    assert seen > 50
 
 
 TABLES = ("_sparse_dual", "_dual_brackets", "_casimir_columns")

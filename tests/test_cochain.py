@@ -1,17 +1,19 @@
 import random
+from bisect import insort
+from collections import Counter
 from copy import deepcopy
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
 
-from seaweedcoh import rootsystem
+from seaweedcoh import cochain, rootsystem
 from seaweedcoh.chevalley import construct, subalgebra
 from seaweedcoh.cli import _all_specs, _ambient, _degree_cap, verify_report
 from seaweedcoh.cochain import (Cochain, ComplexContext, _action_tables,
                                 _acts_diagonally, _coboundary_consistency,
-                                _insert, _int_units, _invariant_block,
+                                _int_units, _invariant_block,
                                 _invariant_candidates, _invariant_entry,
                                 _lie_columns, _weights,
                                 adjoint_context, coboundary, full_context,
@@ -656,6 +658,14 @@ def test_invariant_candidates_rescaled_fixture(a2_fixture):
                 brute_force_candidates(ctx, q, gens), q
 
 
+def _insert(tup, x):
+    """(tup with x inserted in order, the position of x), as the
+    differential and the L_x columns first placed indices."""
+    lst = list(tup)
+    insort(lst, x)
+    return tuple(lst), lst.index(x)
+
+
 def reference_lie_derivative(x_vec, f):
     """The Lie derivative as first written, a loop over the action tables
     and every domain index per argument slot."""
@@ -1022,10 +1032,11 @@ def test_unit_closure_errors_match_reference(a2_fixture):
 
 
 @pytest.mark.parametrize("type_label,rank",
-                         [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+                         [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3)])
 def test_sweep_leaves_ad_columns_unchanged(type_label, rank):
-    # the ad columns hold the ambient's own bracket dicts and every table
-    # is read off them; a whole verify sweep must alter neither
+    # the ad columns hold the ambient's own bracket dicts, every table is
+    # read off them and C(n, g) holds them as its rows; a whole verify sweep
+    # must alter neither
     g = construct(rootsystem.build(type_label, rank))
     before = deepcopy([g.ad(i) for i in range(g.dim)]), deepcopy(g.brackets)
     for spec in _all_specs(type_label, rank):
@@ -1148,3 +1159,110 @@ def test_permuted_unit_basis_matches_bracket_path(type_label, rank):
             assert_unit_path_matches_bracket_path(g, domain, module)
         seen += domain != sorted(domain)
     assert seen > 0
+
+
+# -- contexts on C(s, s)'s rows ------------------------------------------------
+
+def unit_sections(sw):
+    """section_indices of s: the roots of s and each choice of its Cartan
+    units that `split_over_center` accepts."""
+    cartan = [i for i in sw.member if i in sw.ambient.cartan]
+    roots = [i for i in sw.member if i not in cartan]
+    for keep in combinations(cartan, len(cartan) - len(center(sw))):
+        try:
+            split_over_center(sw, section_indices=roots + list(keep))
+        except ValueError:
+            continue
+        yield roots + list(keep)
+
+
+def reference_delta_column(ctx, tup, k):
+    """delta of a basis cochain as first written: a loop over every domain
+    index, placed with `_insert`."""
+    out = {}
+    for mdx in range(ctx.n):
+        acted = ctx.act[mdx].get(k)
+        if mdx in tup or not acted:
+            continue
+        s, pos = _insert(tup, mdx)
+        vec_add(out, {(s, k2): v for k2, v in acted.items()},
+                -1 if pos % 2 else 1)
+    for tpos, t in enumerate(tup):
+        rest = tup[:tpos] + tup[tpos + 1:]
+        for a, b, c in ctx.pairs_hitting.get(t, ()):
+            if a not in rest and b not in rest:
+                s, ia = _insert(rest, a)
+                s, ib = _insert(s, b)
+                sign = -1 if (tpos + ia + ib) % 2 else 1
+                vec_add(out, {(s, k): sign * c})
+    return out
+
+
+def assert_rows_match_generic(ctx, rows):
+    """A context on shared rows: its rows are `rows` themselves, and every
+    table, the grading and the delta index equal those that the generic
+    path builds from the same bases, key order and value types included;
+    its differential on C^q, q <= 2, is the reference loop's, item order
+    included."""
+    assert all(a is b for a, b in zip(ctx.act, rows)) and len(ctx.act) == ctx.n
+    ref = ComplexContext(ctx.ambient, ctx.domain, ctx.module)
+    for name in ("dbr", "act", "pairs_hitting", "_diag", "_dom_weights",
+                 "_mod_weights", "_acting"):
+        assert identical(getattr(ctx, name), getattr(ref, name)), name
+    for q in range(3):
+        for tup, k in product(combinations(range(ctx.n), q), range(ctx.m)):
+            assert identical(dict(ctx.delta_column(tup, k)),
+                             reference_delta_column(ref, tup, k)), (tup, k)
+
+
+def assert_slices_match_generic(sw, sections):
+    adj = adjoint_context(sw)
+    row = {next(iter(v)): r for v, r in zip(adj.domain, adj.act)}
+    assert_rows_match_generic(nilradical_context(sw),
+                              [row[i] for i in sw.nilradical])
+    assert_rows_match_generic(nilradical_ambient_context(sw),
+                              [sw.ambient.ad(i) for i in sw.nilradical])
+    quotients = 0
+    for section in sections:
+        ctx = quotient_context(split_over_center(sw, section_indices=section))
+        if ctx is not adj:
+            assert_rows_match_generic(ctx, [row[min(v)] for v in ctx.domain])
+            quotients += 1
+    return quotients
+
+
+def test_slices_match_generic_contexts(g2_fixture):
+    # after a verify run, so shared rows were read by every check; the A4
+    # orbits also differ in the section of their C(Q, s)
+    quotients = 0
+    for sw in acceptance_and_a4_seaweeds():
+        cap = 1 if sw.spec.rank == 4 else None
+        assert verify_report(sw, sw.spec, max_degree=cap)["ok"]
+        quotients += assert_slices_match_generic(
+            sw, [None] + list(unit_sections(sw)))
+    assert quotients > 2 * (1 + 7 + 7 + 7 + 51)
+    sw = seaweed_from_algebra(g2_fixture)
+    verify_report(sw, None)
+    assert assert_slices_match_generic(sw, (None, [0, 1])) == 2
+
+
+def test_weights_built_once_per_generator_list(monkeypatch):
+    # a context grades its domain once, and each generator list once for
+    # all the degrees its invariant candidates are listed in
+    calls = []
+    real = cochain._weights
+    monkeypatch.setattr(cochain, "_weights", lambda ctx, tables: (
+        calls.append(ctx), real(ctx, tables))[1])
+    g = construct(rootsystem.build("A", 4))
+    for spec in orbit_representatives("A", 4):
+        assert verify_report(build_seaweed(g, spec), spec, max_degree=1)["ok"]
+    contexts = {id(ctx): ctx for ctx in calls}
+    counts = Counter(map(id, calls))
+    assert len(contexts) > 3 * 76
+    graded = listed = 0
+    for i, ctx in contexts.items():
+        degrees = [q for q, _ in ctx._candidate_cache]
+        assert counts[i] == 1 + degrees.count(None)
+        graded += degrees.count(None)
+        listed += len(degrees) - degrees.count(None)
+    assert graded > 60 and listed > 4 * graded
