@@ -14,8 +14,7 @@ from seaweedcoh.casimir import (OperatorContext, casimir_action,
                                 extend_by_zero, homotopy, modified_casimir,
                                 restrict, rigidity_certificate)
 from seaweedcoh.chevalley import load_fixture
-from seaweedcoh.cochain import (adjoint_context, coboundary,
-                                invariant_cochains, reductive_generators)
+from seaweedcoh.cochain import adjoint_context, coboundary, invariant_cochains
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -51,8 +50,7 @@ for q in range(6):
     print(f"  q={q}: dim Z={z:3d} dim B={b:3d} dim H={h}")
 
 octx = OperatorContext(L, sw)
-gens = reductive_generators(sw)
-f2 = invariant_cochains(octx.ns, 2, gens)[0]
+f2 = invariant_cochains(octx.ns, 2)[0]
 print("\nthe invariant 2-cocycle on the nilradical:")
 show("f2", f2, sw.algebra())
 

@@ -41,7 +41,7 @@ from math import lcm
 from .chevalley import LieAlgebra
 from .cochain import (Cochain, coboundary, full_context, invariant_coboundaries,
                       invariant_cochains, nilradical_ambient_context,
-                      nilradical_context, reductive_generators)
+                      nilradical_context)
 from .exactlin import Echelon, InvariantError, sparse_rank, vec_add
 from .rootsystem import RootSystem
 
@@ -264,10 +264,9 @@ class RigidityCertificate:
 def invariant_cocycles(octx: OperatorContext, q):
     """Basis of Z^q(n, s)^r, the invariant cocycles the certificate tests."""
     ns = octx.ns
-    gens = reductive_generators(octx.seaweed)
-    inv = invariant_cochains(ns, q, gens)
+    inv = invariant_cochains(ns, q)
     cocycles = []
-    for rel in invariant_coboundaries(ns, q, gens).kernel(primitive=True):
+    for rel in invariant_coboundaries(ns, q).kernel(primitive=True):
         # a tuple that cancels is dropped at once, giving the tuple order
         # (reported by entry_scalars) of adding the terms with Cochain.add
         data = {}
@@ -292,8 +291,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
     if not cocycles:
         return cert
 
-    b_span = invariant_coboundaries(
-        octx.ns, q - 1, reductive_generators(octx.seaweed))
+    b_span = invariant_coboundaries(octx.ns, q - 1)
 
     D = _dual_brackets(octx.ambient)[0]     # images are D delta k psi f
     images = []
@@ -310,17 +308,10 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
         proportional = True
         for tup, vec in f.data.items():
             got = image.data.get(tup, {})
-            ratio = None
-            for k, c in vec.items():
-                r = Fraction(got.get(k, 0), c * D)
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    proportional = False
-                ratio = ratio if ratio is not None else r
-            if set(got) - set(vec):
+            ratios = [Fraction(got.get(k, 0), c * D) for k, c in vec.items()]
+            if len(set(ratios)) > 1 or set(got) - set(vec):
                 proportional = False
-            scalars.append(ratio if ratio is not None else Fraction(0))
+            scalars.append(ratios[0])
         uniform = proportional and len(set(scalars)) <= 1
         eigenvalue = scalars[0] if uniform and scalars else None
         positive = all(s > 0 for s in scalars)

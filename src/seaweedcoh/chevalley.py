@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import rootsystem
-from .exactlin import Echelon, SpanSolver, vec_add
+from .exactlin import Echelon, vec_add
 from .rootsystem import RootSystem
 
 
@@ -445,32 +445,6 @@ def load_fixture(path) -> LieAlgebra:
 
 
 # -- derived algebras --------------------------------------------------------
-
-def subalgebra(parent: LieAlgebra, vectors, labels=None, check=True) -> tuple:
-    """Structure constants of span(vectors) in the given basis.
-
-    Returns (LieAlgebra, coords) where coords(v) expresses an ambient vector
-    in the new basis.  Raises if the span is not bracket-closed.
-    """
-    vecs = [dict(v) for v in vectors]
-    k = len(vecs)
-    solver = SpanSolver(vecs)
-
-    def coords(vec):
-        out = solver.coords(vec)
-        if out is None:
-            raise ValueError("vector outside the subalgebra span")
-        return out
-
-    brackets = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            b = parent.bracket_vec(vecs[i], vecs[j])
-            if b:
-                brackets[(i, j)] = coords(b)
-    sub = LieAlgebra(k, brackets, labels, check=check)
-    return sub, coords
-
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     brackets = {}

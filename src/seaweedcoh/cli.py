@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import chevalley, rootsystem
 from .casimir import OperatorContext, rigidity_certificate
 from .cochain import (adjoint_context, invariant_cohomology_dims,
-                      nilradical_context, reductive_generators)
+                      nilradical_context)
 from .gerstenhaber import cg_dims
 from .seaweed import (SeaweedSpec, Seaweed, build_seaweed, center,
                       is_indecomposable, quotient_components,
@@ -185,11 +185,9 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
                      f"H^{row['q']}(s,s) = {row['cohomology']}")
 
     # invariant cohomology of the nilradical
-    nctx = nilradical_context(sw)
-    gens = reductive_generators(sw)
     inv_rows = []
     for q in range(1, len(sw.nilradical) + 1):
-        dims = invariant_cohomology_dims(nctx, q, gens)
+        dims = invariant_cohomology_dims(nilradical_context(sw), q)
         inv_rows.append(_dims_row(q, dims))
         if dims.cohomology != 0:
             flag("invariant_cohomology_nonzero",

@@ -15,10 +15,12 @@ one of two, with Z^q and B^q by rank-nullity:
 - r = h, the diagonal domain elements: the weight-zero block `zero_basis`,
   with no kernel step; class representatives and B^q membership
   (`gerstenhaber`) are read from it too;
-- the Levi factor of a seaweed: the kernel of L_x for the Cartan and the
-  e_(alpha_i) (`reductive_generators`) among the weight-zero cochains.
-`cohomology_dims` takes the Levi path for a whole algebra (s = g) where
-dim C^q_0 >= LEVI_MIN_BLOCK = 200; both are exact, so the rule decides
+- the `levi` a context is built with: the kernel of L_x for its generators
+  among the weight-zero cochains of its diagonal ones.
+A seaweed's C(n, s) carries r, and so does C(s, s) of a spec (the Cartan
+and the e_(alpha_i), `reductive_generators`); the other complexes carry
+none.  `cohomology_dims` takes the Levi path for a whole algebra (s = g)
+where dim C^q_0 >= LEVI_MIN_BLOCK = 200; both are exact, so the rule decides
 speed only.  Median block times in ms (2-core VM, Python 3.11), the Levi
 time with its kernel step:
     whole  q  dim C^q_0  weight zero  Levi
@@ -33,7 +35,7 @@ time with its kernel step:
 On every other seaweed weight zero won the sum of each dim C^q_0 band, by
 1.25-3.4x, over the A2-A4, B2, B3, C3, D4 and G2 sweeps.
 
-The tables of a context (`dbr`, `act` and each generator's action tables)
+The tables of a context (`dbr`, `act` and each Levi generator's tables)
 re-index the ambient's cached ad(e_i) columns when the domain and module
 are int unit bases in any order; a basis out of ambient order (the default
 center complement, Cartan first) has them sorted by position, as the
@@ -48,10 +50,10 @@ Integral values stay plain ints and invariant bases come from primitive int
 kernel relations, so for a spec seaweed every complex runs in integer
 arithmetic; Fractions enter only through rescaled or non-unit bases
 (fixtures) and the class representatives.  Per context, `delta_column`
-reads the rows indexed by module vector, and each generator's action
-tables, the grading per generator list, the invariant cochains and their
-coboundary echelon are computed once; `_weights` grades the blocks and the
-invariant candidates.
+reads the rows indexed by module vector; `levi` is graded once, keeping
+the action tables of its generators that do not act diagonally, and the
+invariant cochains and their coboundary echelon are computed once per
+degree; `_weights` grades the blocks and the invariant candidates.
 """
 
 from __future__ import annotations
@@ -71,9 +73,11 @@ LEVI_MIN_BLOCK = 200
 
 
 class ComplexContext:
-    """C^*(domain, module) inside an ambient algebra."""
+    """C^*(domain, module) inside an ambient algebra, with `levi` the
+    generators of r for the invariant API, or None (module docstring)."""
 
-    def __init__(self, ambient: LieAlgebra, domain, module, act=None):
+    def __init__(self, ambient: LieAlgebra, domain, module, act=None,
+                 levi=None):
         self.ambient = ambient
         self.domain = [dict(v) for v in domain]
         self.module = [dict(v) for v in module]
@@ -112,10 +116,10 @@ class ComplexContext:
                       if _acts_diagonally(ad[i], self.act[i])]
         self._dom_weights, self._mod_weights = _weights(
             self, [(ad[i], self.act[i]) for i in self._diag])
-        self.levi = None            # set on the adjoint context of a spec
+        self.levi = levi
+        self._grading = None        # `_levi_grading(self)`
         self._rank_cache = {}       # q -> `_invariant_block(self, q)`
         self._basis_cache = {}
-        self._action_cache = {}
         self._invariant_cache = {}
         self._candidate_cache = {}
 
@@ -198,20 +202,18 @@ class ComplexContext:
         """delta of each cochain of `zero_basis(q)`, as {(tup, k): coeff}."""
         return [dict(self.delta_column(tup, k)) for tup, k in self.zero_basis(q)]
 
-    def _block_generators(self, q):
-        """The generators of the subcomplex H^q is counted on: `levi` for a
-        whole algebra whose C^q_0 (the Levi candidates) has at least
-        LEVI_MIN_BLOCK cochains, else None, weight zero (module docstring)."""
-        if self.levi is None or self.n < self.ambient.dim or len(
-                _invariant_candidates(self, q, self.levi)[0]) < LEVI_MIN_BLOCK:
-            return None
-        return self.levi
+    def _levi_block(self, q):
+        """Whether H^q is counted on the Levi invariants, not on weight
+        zero: for a whole algebra with `levi` whose C^q_0 (the Levi
+        candidates) has at least LEVI_MIN_BLOCK cochains (module docstring)."""
+        return (self.levi is not None and self.n >= self.ambient.dim and len(
+            _invariant_candidates(self, q)) >= LEVI_MIN_BLOCK)
 
     def cohomology_dims(self, q):
         """(dim Z^q, dim B^q, dim H^q).
 
         H^q = dim I^q - rank delta_q|I - rank delta_(q-1)|I on one invariant
-        subcomplex I, chosen per degree by `_block_generators` (see the
+        subcomplex I, chosen per degree by `_levi_block` (see the
         module docstring), and B^q = rank delta_(q-1) = dim C^(q-1) -
         dim Z^(q-1) by rank-nullity, with Z^i = H^i + B^i from B^0 = 0.
         Every H^i is exact whichever I it came from, so the choices may
@@ -222,9 +224,9 @@ class ComplexContext:
         h = b = 0
         for i in range(q + 1):
             b = self.dim_cochains(i - 1) - h - b
-            gens = self._block_generators(i)
-            dim_i, rank_i = _invariant_block(self, i, gens)
-            h = dim_i - rank_i - _invariant_block(self, i - 1, gens)[1]
+            levi = self._levi_block(i)
+            dim_i, rank_i = _invariant_block(self, i, levi)
+            h = dim_i - rank_i - _invariant_block(self, i - 1, levi)[1]
             if h < 0 or not 0 <= b <= self.dim_cochains(i - 1):
                 raise InvariantError(
                     f"impossible counts at q={i}: dim H = {h}, dim B = {b}")
@@ -420,104 +422,75 @@ def lie_derivative(x_vec, f: Cochain) -> Cochain:
     `x_vec` is an ambient coordinate vector whose action must close on the
     domain and the module.
     """
+    ctx = f.context
+    tables = tuple(_bracket_coords(ctx, x_vec, w) for w in ("domain", "module"))
     acc, cells = {}, dict(f.items())
-    for col, c in zip(_lie_columns(f.context, cells, [x_vec]), cells.values()):
+    for col, c in zip(_lie_columns(ctx, cells, [tables]), cells.values()):
         vec_add(acc, {(t, k): v for (_, t, k), v in col.items()}, c)
-    return Cochain(f.context, f.degree, _to_data(acc))
+    return Cochain(ctx, f.degree, _to_data(acc))
 
 
-def _action_tables(ctx, x_vec):
-    """Columns of the action of x on the domain and on the module, built
-    once per context and generator."""
-    key = _vec_key(x_vec)
-    tables = ctx._action_cache.get(key)
-    if tables is None:
-        tables = ctx._action_cache[key] = (
-            _bracket_coords(ctx, x_vec, "domain"),
-            _bracket_coords(ctx, x_vec, "module"))
-    return tables
-
-
-def _vec_key(vec):
-    """Cache key of a coordinate vector.  The value types are part of it:
-    {i: 1} and {i: Fraction(1)} are equal, but their tables are not of one
-    type."""
-    return tuple(sorted((i, type(c), c) for i, c in vec.items()))
-
-
-def invariant_cochains(ctx: ComplexContext, q, generators):
-    """Basis of the joint kernel of the generators' Lie derivatives on C^q.
-
-    Computed once per context, degree and generator list; each call gets a
-    fresh list of the (never mutated) cochains.
+def invariant_cochains(ctx: ComplexContext, q):
+    """Basis of the joint kernel of the Lie derivatives of `ctx.levi` on
+    C^q.  Computed once per context and degree; each call gets a fresh list
+    of the (never mutated) cochains.
     """
-    return list(_invariant_entry(ctx, q, generators)[0])
+    return list(_invariant_entry(ctx, q)[0])
 
 
-def invariant_coboundaries(ctx: ComplexContext, q, generators) -> Echelon:
+def invariant_coboundaries(ctx: ComplexContext, q) -> Echelon:
     """Tracked echelon of delta of the invariant q-cochains, in their order,
-    built once per context, degree and generator list.  Every caller reads
-    the same one (`rank`, `kernel()`, `contains`), so nothing may `add` to it.
+    built once per context and degree.  Every caller reads the same one
+    (`rank`, `kernel()`, `contains`), so nothing may `add` to it.
     """
-    entry = _invariant_entry(ctx, q, generators)
+    entry = _invariant_entry(ctx, q)
     if entry[1] is None:
         entry[1] = Echelon((coboundary(f) for f in entry[0]), track=True)
     return entry[1]
 
 
-def _invariant_entry(ctx, q, generators):
-    """[invariant q-cochains, their coboundary echelon or None until asked]."""
+def _invariant_entry(ctx, q):
+    """[invariant q-cochains, their coboundary echelon or None until asked];
+    ValueError on a context built without `levi`."""
+    if ctx.levi is None:
+        raise ValueError("the complex was built without levi generators")
     if q < 0 or q > ctx.n:
         return [[], None]
-    key = _cache_key(q, generators)
-    if key not in ctx._invariant_cache:
-        ctx._invariant_cache[key] = [_invariant_basis(ctx, q, generators), None]
-    return ctx._invariant_cache[key]
+    if q not in ctx._invariant_cache:
+        ctx._invariant_cache[q] = [_invariant_basis(ctx, q), None]
+    return ctx._invariant_cache[q]
 
 
-def _cache_key(q, generators):
-    """(q, the generators' `_vec_key`s), read off a `Generators` list."""
-    key = getattr(generators, "key", None)
-    return (q, tuple(map(_vec_key, generators)) if key is None else key)
-
-
-class Generators(list):
-    """A generator list carrying its `_vec_key`s as `key`; never mutated."""
-
-    def __init__(self, vectors):
-        super().__init__(vectors)
-        self.key = tuple(map(_vec_key, self))
-
-
-def _invariant_candidates(ctx, q, generators):
-    """(candidates, general): the basis cochains (tup, k) of C^q, in
-    increasing (tup, k) order, of weight zero for every diagonally acting
-    generator (only they can carry an invariant), and the generators that
-    do not act diagonally.  Cached, and so is the grading of the generator
-    list, under degree None; callers must not mutate the lists."""
-    cache, key = ctx._candidate_cache, _cache_key(q, generators)
-    grading = _cache_key(None, generators)
-    if grading not in cache:
+def _levi_grading(ctx):
+    """(domain weights, module weights, width, general): `ctx.levi` graded
+    once per context by its `width` generators that act diagonally, and
+    the (a_dom, a_mod) action tables of the others."""
+    if ctx._grading is None:
         diag, general = [], []
-        for g in generators:
-            tables = _action_tables(ctx, g)
-            if _acts_diagonally(*tables):
-                diag.append(tables)
-            else:
-                general.append(g)
-        cache[grading] = (*_weights(ctx, diag), len(diag), general)
-    if key not in cache:
-        dom_weights, mod_weights, width, general = cache[grading]
-        cache[key] = (_weight_matches(ctx.n, q, dom_weights, mod_weights,
-                                      width), general)
-    return cache[key]
+        for x in ctx.levi:
+            tables = tuple(_bracket_coords(ctx, x, w)
+                           for w in ("domain", "module"))
+            (diag if _acts_diagonally(*tables) else general).append(tables)
+        ctx._grading = (*_weights(ctx, diag), len(diag), general)
+    return ctx._grading
 
 
-def _invariant_basis(ctx, q, generators):
+def _invariant_candidates(ctx, q):
+    """The basis cochains (tup, k) of C^q, in increasing (tup, k) order, of
+    weight zero for every diagonally acting Levi generator (only they can
+    carry an invariant).  Cached per degree; callers must not mutate it."""
+    if q not in ctx._candidate_cache:
+        dom_weights, mod_weights, width, _ = _levi_grading(ctx)
+        ctx._candidate_cache[q] = _weight_matches(ctx.n, q, dom_weights,
+                                                  mod_weights, width)
+    return ctx._candidate_cache[q]
+
+
+def _invariant_basis(ctx, q):
     """The invariant q-cochains: one per primitive int kernel relation of
     the candidates' L_x columns; with no generator acting non-diagonally
     every candidate is one, its relation {p: 1}."""
-    candidates, general = _invariant_candidates(ctx, q, generators)
+    candidates, general = _invariant_candidates(ctx, q), _levi_grading(ctx)[3]
     if not general or not candidates:
         return [ctx.basis_cochain(tup, k) for tup, k in candidates]
     return [_relation_cochain(ctx, q, candidates, rel) for rel in
@@ -526,11 +499,11 @@ def _invariant_basis(ctx, q, generators):
 
 def _lie_columns(ctx, candidates, generators):
     """L_x of each candidate basis cochain (tup, k), stacked over the
-    generators x as {(generator position, tup', k'): coefficient}, read off
-    the action tables; zero entries may remain (no relation changes)."""
+    generators x, given by their (a_dom, a_mod) action tables, as
+    {(generator position, tup', k'): coefficient}; zero entries may remain
+    (no relation changes)."""
     tables = []
-    for x in generators:
-        a_dom, a_mod = _action_tables(ctx, x)
+    for a_dom, a_mod in generators:
         into = {}       # t -> [(u, c)]: [x, d_u] has coefficient c on d_t
         for u, col in a_dom.items():
             for t, c in col.items():
@@ -559,13 +532,13 @@ def _lie_columns(ctx, candidates, generators):
     return cols
 
 
-def _invariant_block(ctx, q, generators=None):
-    """(dim, rank of delta_q) of an invariant subcomplex in degree q: for
-    None (the context's diagonal domain elements) the weight-zero block,
-    with no kernel step, cached; for generators, `invariant_cochains`."""
-    if generators is not None:
-        return (len(_invariant_entry(ctx, q, generators)[0]),
-                invariant_coboundaries(ctx, q, generators).rank)
+def _invariant_block(ctx, q, levi=False):
+    """(dim, rank of delta_q) of an invariant subcomplex in degree q: with
+    `levi`, that of `invariant_cochains`; else the weight-zero block of the
+    context's diagonal domain elements, with no kernel step, cached."""
+    if levi:
+        return (len(_invariant_entry(ctx, q)[0]),
+                invariant_coboundaries(ctx, q).rank)
     block = ctx._rank_cache.get(q)
     if block is None:
         cols = ctx.zero_columns(q)
@@ -578,29 +551,29 @@ class InvariantCohomologyDims(CohomologyDims):
     coboundaries_match_full: bool
 
 
-def invariant_cohomology_dims(ctx: ComplexContext, q, generators):
-    """Dims of the invariant subcomplex at degree q.
+def invariant_cohomology_dims(ctx: ComplexContext, q):
+    """Dims of the `ctx.levi` invariant subcomplex at degree q.
 
     Invariant coboundaries are delta of invariant (q-1)-cochains; for a
     reductive invariance algebra this agrees with B^q intersected with the
     invariants, and `coboundaries_match_full` records that comparison.
     """
-    dim, rank = _invariant_block(ctx, q, generators)
-    z_dim, b_dim = dim - rank, _invariant_block(ctx, q - 1, generators)[1]
+    dim, rank = _invariant_block(ctx, q, True)
+    z_dim, b_dim = dim - rank, _invariant_block(ctx, q - 1, True)[1]
     consistent = q <= 0 or _coboundary_consistency(
-        ctx, q, invariant_cochains(ctx, q, generators), b_dim, generators)
+        ctx, q, invariant_cochains(ctx, q), b_dim)
     h = z_dim - b_dim
     if h < 0:
         raise InvariantError(f"negative invariant cohomology at q={q}")
     return InvariantCohomologyDims(z_dim, b_dim, h, consistent)
 
 
-def _coboundary_consistency(ctx, q, inv_q, b_dim, generators):
+def _coboundary_consistency(ctx, q, inv_q, b_dim):
     """dim(B^q cap invariants) == dim delta(invariant (q-1)-cochains)?
 
-    B^q is spanned from weight zero only.  Let h run over the generators
-    that act diagonally.  Each L_h commutes with delta, so delta maps the
-    joint h-weight spaces C^(q-1)_lambda into C^q_lambda.  The invariants
+    B^q is spanned from weight zero only.  Let h run over the Levi
+    generators that act diagonally.  Each L_h commutes with delta, so delta
+    maps the joint h-weight spaces C^(q-1)_lambda into C^q_lambda.  The invariants
     lie in weight zero; if delta(c) is invariant, its components of nonzero
     weight, delta(c_lambda), vanish, so delta(c) = delta(c_0).  Hence
     B^q cap invariants = delta(C^(q-1)_0) cap invariants, and C^(q-1)_0 is
@@ -608,7 +581,7 @@ def _coboundary_consistency(ctx, q, inv_q, b_dim, generators):
     """
     if not inv_q:
         return b_dim == 0
-    candidates = _invariant_candidates(ctx, q - 1, generators)[0]
+    candidates = _invariant_candidates(ctx, q - 1)
     span = Echelon(dict(ctx.delta_column(tup, k)) for tup, k in candidates)
     r_b0 = span.rank
     for f in inv_q:
@@ -624,10 +597,9 @@ def adjoint_context(sw) -> ComplexContext:
     """C^*(s, s) for a seaweed (cached on the seaweed), with the Levi
     generators of a spec; without one (a fixture) r = h throughout."""
     if not hasattr(sw, "_adjoint_ctx"):
-        sw._adjoint_ctx = ComplexContext(sw.ambient, _units(sw.member),
-                                         _units(sw.member))
-        if sw.spec is not None:
-            sw._adjoint_ctx.levi = reductive_generators(sw)
+        sw._adjoint_ctx = ComplexContext(
+            sw.ambient, _units(sw.member), _units(sw.member),
+            levi=None if sw.spec is None else reductive_generators(sw))
     return sw._adjoint_ctx
 
 
@@ -641,11 +613,12 @@ def _adjoint_rows(sw, domain):
 
 
 def nilradical_context(sw) -> ComplexContext:
-    """C^*(n, s) for a seaweed (cached on the seaweed)."""
+    """C^*(n, s) for a seaweed, carrying r (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ctx"):
         domain = _units(sw.nilradical)
-        sw._nilradical_ctx = ComplexContext(sw.ambient, domain, _units(
-            sw.member), _adjoint_rows(sw, domain))
+        sw._nilradical_ctx = ComplexContext(
+            sw.ambient, domain, _units(sw.member), _adjoint_rows(sw, domain),
+            reductive_generators(sw))
     return sw._nilradical_ctx
 
 
@@ -682,10 +655,10 @@ def quotient_context(split) -> ComplexContext:
 
 
 def reductive_generators(sw):
-    """Generators of r as ambient coordinate dicts: for a seaweed with a
-    spec, the Cartan and the root vectors of the positive simple roots
-    alpha_i, i in pi1 & pi2; otherwise every basis vector of r.  Built once
-    per seaweed, as a `Generators` list with its cache key.
+    """Generators of r as a list of ambient coordinate dicts: for a seaweed
+    with a spec, the Cartan and the root vectors of the positive simple
+    roots alpha_i, i in pi1 & pi2; otherwise every basis vector of r.  They
+    are the `levi` of C(n, s), and of C(s, s) for a spec.
 
     The Lie derivative is a representation, so the elements killing a
     cochain form a subalgebra, and a generating set of r has the same joint
@@ -700,14 +673,10 @@ def reductive_generators(sw):
     same kernel gives the same column dependencies, so `sparse_kernel_basis`
     returns the same invariant cochains, in the same order.
     """
-    if not hasattr(sw, "_levi_generators"):
-        g, spec = sw.ambient, sw.spec
-        if spec is None:
-            gens = sw.reductive
-        else:
-            simple = {tuple(int(x == i - 1) for x in range(spec.rank))
-                      for i in spec.pi1 & spec.pi2}
-            gens = (i for i in sw.reductive
-                    if i in g.cartan or g.root_of.get(i) in simple)
-        sw._levi_generators = Generators(_units(gens))
-    return sw._levi_generators
+    g, spec = sw.ambient, sw.spec
+    if spec is None:
+        return _units(sw.reductive)
+    simple = {tuple(int(x == i - 1) for x in range(spec.rank))
+              for i in spec.pi1 & spec.pi2}
+    return _units(i for i in sw.reductive
+                  if i in g.cartan or g.root_of.get(i) in simple)

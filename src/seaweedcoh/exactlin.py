@@ -26,17 +26,17 @@ class InvariantError(ValueError):
 class SpanSolver:
     """Coordinates of sparse vectors in a fixed spanning list, exactly.
 
-    A list of unit vectors is read off directly through `unit`, the map
-    {index of the unit vector: list index}; any other list is factored once
-    by a tracked `Echelon` (and `unit` is None).  The answer is the one the
-    dense reference `solve` gives: free coordinates zero.
+    A list of distinct unit vectors is read off directly through `unit`,
+    the map {index of the unit vector: list index}; any other list is
+    factored once by a tracked `Echelon` (and `unit` is None).  The answer
+    is the one the dense reference `solve` gives: free coordinates zero.
     """
 
     def __init__(self, vectors):
-        self.unit = None
-        if all(len(v) == 1 and next(iter(v.values())) == 1 for v in vectors):
-            self.unit = {next(iter(v)): i for i, v in enumerate(vectors)}
-        else:
+        self.unit = {next(iter(v)): i for i, v in enumerate(vectors)
+                     if len(v) == 1 and next(iter(v.values())) == 1}
+        if len(self.unit) < len(vectors):
+            self.unit = None
             self._echelon = Echelon(vectors, track=True)
 
     def coords(self, vec):

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rootsystem
-from .chevalley import LieAlgebra, subalgebra
-from .cochain import quotient_context
+from .chevalley import LieAlgebra
+from .cochain import adjoint_context, quotient_context
 from .exactlin import Echelon, InvariantError, sparse_kernel_basis
 
 _cached_build = lru_cache(maxsize=None)(rootsystem.build)
@@ -58,13 +58,12 @@ class Seaweed:
         return len(self.member)
 
     def algebra(self):
-        """s as a standalone algebra in its member basis (cached)."""
+        """s as a standalone algebra in its member basis (cached): the
+        bracket table of C(s, s)."""
         if not hasattr(self, "_algebra"):
-            vecs = [{i: Fraction(1)} for i in self.member]
-            sub, _ = subalgebra(self.ambient, vecs,
-                                labels=[self.ambient.labels[i] for i in self.member],
-                                check=False)
-            self._algebra = sub
+            self._algebra = LieAlgebra(
+                self.dim, adjoint_context(self).dbr,
+                [self.ambient.labels[i] for i in self.member], check=False)
         return self._algebra
 
 

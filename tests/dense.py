@@ -1,7 +1,13 @@
 """Dense Gauss-Jordan elimination over the rationals on lists of rows: the
-reference that the tests compare the sparse `Echelon` against."""
+reference that the tests compare the sparse `Echelon` against; and the
+structure constants of a span, bracket by bracket, the reference for
+`Seaweed.algebra` and the split quotient."""
 
 from fractions import Fraction
+from itertools import combinations
+
+from seaweedcoh.chevalley import LieAlgebra
+from seaweedcoh.exactlin import SpanSolver
 
 
 def rref(rows):
@@ -62,3 +68,16 @@ def solve(rows, v):
 
 def matvec(rows, v):
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
+
+
+def subalgebra(parent, vectors, labels=None, check=True):
+    """The LieAlgebra of span(vectors) in the given basis; ValueError if
+    the span is not bracket-closed."""
+    solver, brackets = SpanSolver(vectors), {}
+    for (i, u), (j, v) in combinations(enumerate(vectors), 2):
+        b = parent.bracket_vec(u, v)
+        if b:
+            brackets[(i, j)] = solver.coords(b)
+            if brackets[(i, j)] is None:
+                raise ValueError("vector outside the subalgebra span")
+    return LieAlgebra(len(vectors), brackets, labels, check=check)

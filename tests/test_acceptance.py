@@ -16,7 +16,7 @@ from seaweedcoh.casimir import (OperatorContext, casimir_action,
 from seaweedcoh.cli import _ambient
 from seaweedcoh.cochain import (Cochain, adjoint_context, coboundary,
                                 invariant_cochains, invariant_cohomology_dims,
-                                nilradical_context, reductive_generators)
+                                nilradical_context)
 from seaweedcoh.gerstenhaber import (cg_dims, cohomologous, cup_with_center,
                                      h2_report, h3_report,
                                      quotient_cohomology)
@@ -57,10 +57,9 @@ def test_criterion_2_a2_rigidity(a2_seaweed):
     for n in range(0, 6):
         assert ctx.cohomology_dims(n).cohomology == 0, f"H^{n}(s,s)"
     nctx = nilradical_context(a2_seaweed)
-    gens = reductive_generators(a2_seaweed)
-    dims = invariant_cohomology_dims(nctx, 2, gens)
+    dims = invariant_cohomology_dims(nctx, 2)
     assert tuple(dims)[:3] == (1, 1, 0)
-    inv = invariant_cochains(nctx, 2, gens)
+    inv = invariant_cochains(nctx, 2)
     cocycles = [f for f in inv if coboundary(f).is_zero()]
     assert len(cocycles) == 1
     assert cocycles[0].data == {(0, 1): {2: 1}}   # f2(e4, e5) = e6
@@ -73,8 +72,7 @@ def test_criterion_2_a2_rigidity(a2_seaweed):
 def test_criterion_3_operator_chain(a2_fixture, a2_seaweed):
     t0 = time.monotonic()
     octx = OperatorContext(a2_fixture, a2_seaweed)
-    gens = reductive_generators(a2_seaweed)
-    f2 = invariant_cochains(octx.ns, 2, gens)[0]
+    f2 = invariant_cochains(octx.ns, 2)[0]
     assert f2.data == {(0, 1): {2: 1}}
     fbar = extend_by_zero(octx, f2)
     kf = homotopy(octx, fbar)

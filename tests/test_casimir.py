@@ -17,10 +17,10 @@ from seaweedcoh.casimir import (OperatorContext, _compute_form_ratio,
                                 rigidity_certificate, string_eigenvalue)
 from seaweedcoh.chevalley import construct
 from seaweedcoh.cli import _all_specs, _ambient
-from seaweedcoh.cochain import (Cochain, coboundary, full_context,
-                                invariant_coboundaries, invariant_cochains,
-                                invariant_cohomology_dims,
-                                reductive_generators)
+from seaweedcoh.cochain import (Cochain, ComplexContext, coboundary,
+                                full_context, invariant_coboundaries,
+                                invariant_cochains, invariant_cohomology_dims,
+                                nilradical_context, reductive_generators)
 from seaweedcoh.exactlin import InvariantError, sparse_kernel_basis, vec_add
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
@@ -36,8 +36,7 @@ def a2_octx(a2_fixture):
 
 @pytest.fixture(scope="module")
 def a2_generator(a2_octx):
-    inv = invariant_cochains(a2_octx.ns, 2,
-                             reductive_generators(a2_octx.seaweed))
+    inv = invariant_cochains(a2_octx.ns, 2)
     assert len(inv) == 1
     return inv[0]
 
@@ -230,8 +229,7 @@ def test_case_analysis_with_remainder(a2_fixture):
     sw = build_seaweed(a2_fixture, SeaweedSpec.make("A", 2, [], [1]))
     assert sw.remainder  # e2, e3, e5, e6 sit outside s and its dual nilradical
     octx = OperatorContext(a2_fixture, sw)
-    gens = reductive_generators(sw)
-    inv = invariant_cochains(octx.ns, 1, gens)
+    inv = invariant_cochains(octx.ns, 1)
     assert inv
     f = inv[0]
     fbar = extend_by_zero(octx, f)
@@ -342,7 +340,7 @@ def folded_invariant_cocycles(octx, q):
     """invariant_cocycles as first written: each kernel relation folded
     into a new Cochain term by term through Cochain.add."""
     ns = octx.ns
-    inv = invariant_cochains(ns, q, reductive_generators(octx.seaweed))
+    inv = invariant_cochains(ns, q)
     out = []
     for rel in sparse_kernel_basis([coboundary(f) for f in inv]):
         f = ns.zero(q)
@@ -369,8 +367,8 @@ def test_invariant_cocycles_match_fold(type_label, rank):
             ref = folded_invariant_cocycles(octx, q)
             # each cocycle is the fold of its first-coefficient-1 relation
             # scaled by the first coefficient of its primitive relation
-            scales = [rel[min(rel)] for rel in invariant_coboundaries(
-                octx.ns, q, reductive_generators(octx.seaweed)).kernel(True)]
+            scales = [rel[min(rel)] for rel in
+                      invariant_coboundaries(octx.ns, q).kernel(True)]
             assert len(scales) == len(ref) and all(c > 0 for c in scales)
             assert list(map(ordered_data, got)) == \
                 [ordered_data(f.scale(c)) for f, c in zip(ref, scales)], \
@@ -388,9 +386,8 @@ def test_invariant_bases_and_images_are_int_valued(type_label, rank):
              else _sweep_octxs(type_label, rank))
     seen = 0
     for octx in octxs:
-        gens = reductive_generators(octx.seaweed)
         for q in range(len(octx.seaweed.nilradical) + 1):
-            inv = invariant_cochains(octx.ns, q, gens)
+            inv = invariant_cochains(octx.ns, q)
             cocycles = invariant_cocycles(octx, q) if q else []
             images = [casimir._certificate_image(octx, f) for f in cocycles]
             for f in inv + cocycles + images:
@@ -424,19 +421,18 @@ def test_certificates_before_invariant_dims_agree():
     for t, r in [("A", 2), ("B", 2), ("G", 2)]:
         for dims_first, certs_first in zip(_sweep_octxs(t, r),
                                            _sweep_octxs(t, r)):
-            gens = reductive_generators(dims_first.seaweed)
             degrees = range(1, len(dims_first.seaweed.nilradical) + 1)
-            dims_a = [invariant_cohomology_dims(dims_first.ns, q, gens)
+            dims_a = [invariant_cohomology_dims(dims_first.ns, q)
                       for q in degrees]
             certs_a = [rigidity_certificate(dims_first, q) for q in degrees]
             certs_b = [rigidity_certificate(certs_first, q) for q in degrees]
-            dims_b = [invariant_cohomology_dims(certs_first.ns, q, gens)
+            dims_b = [invariant_cohomology_dims(certs_first.ns, q)
                       for q in degrees]
             assert dims_a == dims_b and certs_a == certs_b, \
                 certs_first.seaweed.spec
             for q in degrees:
-                assert invariant_coboundaries(certs_first.ns, q, gens) is \
-                    invariant_coboundaries(certs_first.ns, q, gens)
+                assert invariant_coboundaries(certs_first.ns, q) is \
+                    invariant_coboundaries(certs_first.ns, q)
             seen += sum(len(c.witnesses) for c in certs_a)
     assert seen > 0
 
@@ -500,7 +496,7 @@ def test_operator_contexts_share_one_ambient_context(a2_fixture):
         fresh.gg = full_context(g)
         chains = 0
         for q in range(1, len(sw.nilradical) + 1):
-            for f in invariant_cochains(octx.ns, q, reductive_generators(sw)):
+            for f in invariant_cochains(octx.ns, q):
                 got = restrict(octx, coboundary(homotopy(
                     octx, extend_by_zero(octx, f))))
                 want = restrict(fresh, coboundary(homotopy(
@@ -542,9 +538,8 @@ def test_certificate_image_in_ng_matches_gg(a2_fixture):
               for o in _sweep_octxs(t, r)]
     compared = 0
     for octx in octxs:
-        gens = reductive_generators(octx.seaweed)
         for q in range(1, len(octx.seaweed.nilradical) + 1):
-            for f in invariant_cochains(octx.ns, q, gens):
+            for f in invariant_cochains(octx.ns, q):
                 got = outcome(casimir._certificate_image, octx, f)
                 assert got == outcome(gg_certificate_image, octx, f), \
                     (octx.seaweed.spec, q)
@@ -801,6 +796,8 @@ def all_of_r(sw):
 
 
 def test_levi_generators_give_the_same_invariants(g2_fixture):
+    # C(n, s) carries the Levi generators; a second C(n, s) on the same
+    # bases carries all of r
     octxs = [o for t, r in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
              for o in _sweep_octxs(t, r)]
     octxs += list(_a4_orbit_octxs())
@@ -808,22 +805,24 @@ def test_levi_generators_give_the_same_invariants(g2_fixture):
     shorter = compared = 0
     for octx in octxs:
         sw, ns = octx.seaweed, octx.ns
-        gens, full = reductive_generators(sw), all_of_r(sw)
-        g = sw.ambient
+        gens, full = ns.levi, all_of_r(sw)
+        wide = ComplexContext(sw.ambient, ns.domain, ns.module, levi=full)
         both = sw.spec.pi1 & sw.spec.pi2
-        assert len(gens) == len(g.cartan) + len(both), sw.spec
+        assert gens == reductive_generators(sw)
+        assert len(gens) == len(sw.ambient.cartan) + len(both), sw.spec
         assert all(v in full for v in gens)
         shorter += len(gens) < len(full)
         for q in range(len(sw.nilradical) + 1):
-            got = invariant_cochains(ns, q, gens)
-            want = invariant_cochains(ns, q, full)
+            got = invariant_cochains(ns, q)
+            want = invariant_cochains(wide, q)
             assert list(map(ordered_data, got)) == \
                 list(map(ordered_data, want)), (sw.spec, q)
-            assert invariant_coboundaries(ns, q, gens).rank == \
-                invariant_coboundaries(ns, q, full).rank
+            assert invariant_coboundaries(ns, q).rank == \
+                invariant_coboundaries(wide, q).rank
             compared += len(got)
     assert shorter > 10 and compared > 300
     # a seaweed without a spec keeps every basis vector of r
     from seaweedcoh.seaweed import seaweed_from_algebra
     sw = seaweed_from_algebra(g2_fixture)
-    assert reductive_generators(sw) == all_of_r(sw)
+    assert reductive_generators(sw) == nilradical_context(sw).levi == \
+        all_of_r(sw)

@@ -9,16 +9,17 @@ from types import SimpleNamespace
 import pytest
 
 from seaweedcoh import cochain, rootsystem
-from seaweedcoh.chevalley import construct, subalgebra
+from seaweedcoh.chevalley import construct
 from seaweedcoh.cli import _all_specs, _ambient, _degree_cap, verify_report
-from seaweedcoh.cochain import (Cochain, ComplexContext, _action_tables,
-                                _acts_diagonally, _coboundary_consistency,
+from seaweedcoh.cochain import (Cochain, ComplexContext, _acts_diagonally,
+                                _bracket_coords, _coboundary_consistency,
                                 _int_units, _invariant_block,
                                 _invariant_candidates, _invariant_entry,
-                                _lie_columns, _weights,
+                                _levi_grading, _lie_columns, _weights,
                                 adjoint_context, coboundary, full_context,
-                                invariant_cochains, invariant_cohomology_dims,
-                                lie_derivative, nilradical_ambient_context,
+                                invariant_coboundaries, invariant_cochains,
+                                invariant_cohomology_dims, lie_derivative,
+                                nilradical_ambient_context,
                                 nilradical_context, quotient_context,
                                 reductive_generators)
 from seaweedcoh.exactlin import (Echelon, InvariantError, SpanSolver,
@@ -28,6 +29,8 @@ from seaweedcoh.seaweed import (SeaweedSpec, _cached_build,
                                 _classify_subdiagram,
                                 build_seaweed, center, seaweed_from_algebra,
                                 split_over_center)
+
+import dense
 
 
 def slow_coboundary(f):
@@ -243,17 +246,17 @@ def test_coboundary_equivariance(a2_seaweed):
 
 def test_invariant_cochains_examples(a2_seaweed):
     nctx = nilradical_context(a2_seaweed)
-    gens = reductive_generators(a2_seaweed)
-    inv1 = invariant_cochains(nctx, 1, gens)
+    inv1 = invariant_cochains(nctx, 1)
     assert len(inv1) == 3
     for f in inv1:
         for tup, vec in f.data.items():
             assert set(vec) == {tup[0]}   # diagonal: g(e_i) = c_i e_i
-    inv2 = invariant_cochains(nctx, 2, gens)
+    inv2 = invariant_cochains(nctx, 2)
     assert len(inv2) == 1
     assert inv2[0].data == {(0, 1): {2: F(1)}}
-    full = invariant_cochains(nctx, 1, [])
-    assert len(full) == nctx.dim_cochains(1)
+    # with no generators every cochain is invariant
+    bare = ComplexContext(nctx.ambient, nctx.domain, nctx.module, levi=[])
+    assert len(invariant_cochains(bare, 1)) == nctx.dim_cochains(1)
 
 
 def test_cohomology_dims_examples(a2_seaweed, g2_fixture):
@@ -269,17 +272,15 @@ def test_cohomology_dims_examples(a2_seaweed, g2_fixture):
 
 def test_invariant_cohomology_examples(a2_seaweed, g2_fixture):
     nctx = nilradical_context(a2_seaweed)
-    gens = reductive_generators(a2_seaweed)
-    dims2 = invariant_cohomology_dims(nctx, 2, gens)
+    dims2 = invariant_cohomology_dims(nctx, 2)
     assert tuple(dims2) == (1, 1, 0)
     assert dims2.coboundaries_match_full
-    dims0 = invariant_cohomology_dims(nctx, 0, gens)
+    dims0 = invariant_cohomology_dims(nctx, 0)
     assert dims0.cohomology == 0    # = dim Z(s) for this indecomposable
 
     swg = seaweed_from_algebra(g2_fixture)
     gctx = nilradical_context(swg)
-    ggens = reductive_generators(swg)
-    d0 = invariant_cohomology_dims(gctx, 0, ggens)
+    d0 = invariant_cohomology_dims(gctx, 0)
     assert d0.cohomology == 1       # = dim Z(s) for the decomposable example
 
 
@@ -292,11 +293,9 @@ def test_fixture_vs_canonical_dims_agree(a2_fixture):
     for q in range(6):
         assert tuple(adjoint_context(sw_f).cohomology_dims(q)) == \
             tuple(adjoint_context(sw_c).cohomology_dims(q))
-    gens_f = reductive_generators(sw_f)
-    gens_c = reductive_generators(sw_c)
     for q in range(4):
-        df = invariant_cohomology_dims(nilradical_context(sw_f), q, gens_f)
-        dc = invariant_cohomology_dims(nilradical_context(sw_c), q, gens_c)
+        df = invariant_cohomology_dims(nilradical_context(sw_f), q)
+        dc = invariant_cohomology_dims(nilradical_context(sw_c), q)
         assert tuple(df) == tuple(dc)
 
 
@@ -473,13 +472,14 @@ def test_impossible_zero_block_rank_raises():
 
 def test_impossible_levi_block_rank_raises():
     # the same guard on the Levi path: whole G2 counts H^3 on its Levi
-    # invariants, and a forged rank there makes H^3 < 0
+    # invariants, and a forged rank cached for degree 3 makes H^3 < 0
     nodes = (1, 2)
     spec = SeaweedSpec.make("G", 2, nodes, nodes)
     ctx = adjoint_context(build_seaweed(_ambient("G", 2), spec))
-    assert ctx._block_generators(3) is ctx.levi
-    entry = _invariant_entry(ctx, 3, ctx.levi)
-    entry[1] = SimpleNamespace(rank=len(entry[0]) + 1)
+    assert ctx._levi_block(3)
+    cochains = _invariant_entry(ctx, 3)[0]
+    ctx._invariant_cache[3] = [cochains,
+                               SimpleNamespace(rank=len(cochains) + 1)]
     with pytest.raises(InvariantError):
         ctx.cohomology_dims(3)
 
@@ -498,17 +498,16 @@ def test_whitehead_whole_algebra(type_label, rank, max_degree):
     ctx = adjoint_context(sw)
     for q in range(max_degree + 1):
         assert ctx.cohomology_dims(q).cohomology == 0, q
-        for gens in (None, ctx.levi):
-            dims = [_invariant_block(ctx, i, gens)[0] for i in range(q + 1)]
+        for levi in (False, True):
+            dims = [_invariant_block(ctx, i, levi)[0] for i in range(q + 1)]
             euler = sum((-1) ** (q - i) * d for i, d in enumerate(dims))
-            assert _invariant_block(ctx, q, gens) == (dims[q], euler), q
+            assert _invariant_block(ctx, q, levi) == (dims[q], euler), q
         assert dims[q] <= len(ctx.zero_basis(q)) == \
             _invariant_block(ctx, q)[0], q
     # the rule counts whole G2's H^3 (212 weight-zero cochains) on the
     # Levi invariants, and H^2 on weight zero
     if type_label == "G":
-        assert [ctx._block_generators(q) is ctx.levi for q in (2, 3)] == \
-            [False, True]
+        assert [ctx._levi_block(q) for q in (2, 3)] == [False, True]
 
 
 def test_euler_characteristic_sweep(sweep_reports):
@@ -609,12 +608,12 @@ def test_grading_matches_reference_rescaled_fixture(a2_fixture):
 
 # -- the invariant-cochain candidate filter ------------------------------------
 
-def brute_force_candidates(ctx, q, generators):
-    """The filter as first written: per (tup, k) and diagonal generator,
-    the Fraction weight of k minus the Fraction weights summed over tup."""
+def brute_force_candidates(ctx, q):
+    """The filter as first written: per (tup, k) and diagonal generator of
+    `ctx.levi`, the Fraction weight of k minus those summed over tup."""
     diag = []
-    for g in generators:
-        a_dom, a_mod = _action_tables(ctx, g)
+    for g in ctx.levi:
+        a_dom, a_mod = reference_action_tables(ctx, g)
         if (all(set(col) == {u} for u, col in a_dom.items())
                 and all(set(col) == {k} for k, col in a_mod.items())):
             diag.append((a_dom, a_mod))
@@ -635,12 +634,13 @@ def test_invariant_candidates_match_brute_force(type_label, rank):
         if spec.rank != rank:
             continue
         sw = build_seaweed(_ambient(type_label, rank), spec)
-        gens = reductive_generators(sw)
         for ctx in (nilradical_context(sw), adjoint_context(sw)):
+            assert ctx.levi == reductive_generators(sw)
             for q in range(min(3, ctx.n) + 1):
-                got, general = _invariant_candidates(ctx, q, gens)
-                assert got == brute_force_candidates(ctx, q, gens), (spec, q)
-                assert len(general) < len(gens)  # the Cartan acts diagonally
+                got = _invariant_candidates(ctx, q)
+                assert got == brute_force_candidates(ctx, q), (spec, q)
+            # the Cartan acts diagonally
+            assert len(_levi_grading(ctx)[3]) < len(ctx.levi)
 
 
 def test_invariant_candidates_rescaled_fixture(a2_fixture):
@@ -649,13 +649,12 @@ def test_invariant_candidates_rescaled_fixture(a2_fixture):
     scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
     sw = build_seaweed(a2_fixture.rescaled(scalars),
                        SeaweedSpec.make("A", 2, [], [1, 2]))
-    gens = reductive_generators(sw)
     assert any(isinstance(w, F) for ws in adjoint_context(sw)._dom_weights
                for w in ws)
     for ctx in (nilradical_context(sw), adjoint_context(sw)):
         for q in range(ctx.n + 1):
-            assert _invariant_candidates(ctx, q, gens)[0] == \
-                brute_force_candidates(ctx, q, gens), q
+            assert _invariant_candidates(ctx, q) == \
+                brute_force_candidates(ctx, q), q
 
 
 def _insert(tup, x):
@@ -670,7 +669,7 @@ def reference_lie_derivative(x_vec, f):
     """The Lie derivative as first written, a loop over the action tables
     and every domain index per argument slot."""
     ctx = f.context
-    a_dom, a_mod = _action_tables(ctx, x_vec)
+    a_dom, a_mod = reference_action_tables(ctx, x_vec)
     out = {}
     for tup, vec in f.data.items():
         mu = {}
@@ -722,8 +721,9 @@ def test_lie_columns_match_lie_derivative(type_label, rank):
             for q in range(min(2, ctx.n) + 1):
                 cells = [(tup, k) for tup in combinations(range(ctx.n), q)
                          for k in range(ctx.m)]
+                tables = [action_tables(ctx, g) for g in gens]
                 got = [{key: c for key, c in col.items() if c != 0}
-                       for col in _lie_columns(ctx, cells, gens)]
+                       for col in _lie_columns(ctx, cells, tables)]
                 want = reference_lie_columns(ctx, cells, gens)
                 assert [sorted(c.items()) for c in got] == \
                     [sorted(c.items()) for c in want], (spec, q)
@@ -736,10 +736,10 @@ def test_lie_columns_match_lie_derivative(type_label, rank):
     assert checked > 1000
 
 
-def path_cohomology(ctx, cap, generators):
-    """dim H^q for q <= cap, every degree counted on the invariant block of
-    one generator list (None: weight zero)."""
-    blocks = [_invariant_block(ctx, q, generators) for q in range(cap + 1)]
+def path_cohomology(ctx, cap, levi):
+    """dim H^q for q <= cap, every degree counted on one invariant block:
+    the Levi invariants if `levi`, else weight zero."""
+    blocks = [_invariant_block(ctx, q, levi) for q in range(cap + 1)]
     return [dim - rank - (blocks[q - 1][1] if q else 0)
             for q, (dim, rank) in enumerate(blocks)]
 
@@ -763,12 +763,11 @@ def test_levi_rows_match_weight_zero_rows(type_label, rank, whole_only,
             continue
         sw = build_seaweed(g, spec)
         cap, ctx = _degree_cap(sw, None), adjoint_context(sw)
-        assert ctx.levi is reductive_generators(sw)
+        assert ctx.levi == reductive_generators(sw)
         rows = [tuple(ctx.cohomology_dims(q)) for q in range(cap + 1)]
-        chosen += sum(ctx._block_generators(q) is not None
-                      for q in range(cap + 1))
-        zero = path_cohomology(ctx, cap, None)
-        assert path_cohomology(ctx, cap, ctx.levi) == zero, spec
+        chosen += sum(map(ctx._levi_block, range(cap + 1)))
+        zero = path_cohomology(ctx, cap, False)
+        assert path_cohomology(ctx, cap, True) == zero, spec
         assert [h for _, _, h in rows] == zero, spec
     assert chosen == levi_degrees
 
@@ -783,13 +782,59 @@ def test_levi_path_falls_back_without_a_spec(g2_fixture):
                 adjoint_context(seaweed_from_algebra(g2_fixture))):
         assert ctx.levi is None
         top = min(3, ctx.n)
-        assert not any(ctx._block_generators(q) for q in range(top + 1))
+        assert not any(map(ctx._levi_block, range(top + 1)))
         dims = [tuple(ctx.cohomology_dims(q)) for q in range(top + 1)]
         assert ctx._invariant_cache == {}
         if ctx.n == g.dim:
             assert dims == [tuple(with_spec.cohomology_dims(q))
                             for q in range(top + 1)]
-            assert with_spec._block_generators(3) is with_spec.levi
+            assert with_spec._levi_block(3)
+
+
+def test_invariant_api_needs_levi(a2_seaweed):
+    # a complex built without levi carries no invariance algebra: the
+    # invariant API refuses it in every degree with a ValueError, and its
+    # own cohomology still counts on weight zero
+    ns = nilradical_context(a2_seaweed)
+    bare = ComplexContext(ns.ambient, ns.domain, ns.module)
+    for ctx in (bare, nilradical_ambient_context(a2_seaweed)):
+        assert ctx.levi is None
+        for api in (invariant_cochains, invariant_coboundaries,
+                    invariant_cohomology_dims):
+            for q in (-1, 0, 1, ctx.n + 1):
+                with pytest.raises(ValueError, match="without levi"):
+                    api(ctx, q)
+        assert ctx._invariant_cache == {} and ctx._grading is None
+    assert [tuple(bare.cohomology_dims(q)) for q in range(bare.n + 1)] == \
+        [tuple(ns.cohomology_dims(q)) for q in range(ns.n + 1)]
+
+
+def test_levi_tables_built_twice_per_generator(monkeypatch):
+    # once built, a context brackets each generator of its levi with its
+    # domain and with its module once each, over every degree and read of
+    # a verify run; a context whose levi is never graded brackets nothing
+    seaweeds = [build_seaweed(_ambient(t, r), spec) for t, r in (("A", 2),
+                ("G", 2)) for spec in _all_specs(t, r) if spec.rank == r]
+    contexts = [f(sw) for sw in seaweeds for f in (
+        adjoint_context, nilradical_context, nilradical_ambient_context)]
+    calls, real = Counter(), cochain._bracket_coords
+
+    def coords(ctx, x, where, *rest):
+        calls[id(ctx), tuple(x.items()), where] += 1
+        return real(ctx, x, where, *rest)
+
+    monkeypatch.setattr(cochain, "_bracket_coords", coords)
+    for sw in seaweeds:
+        assert verify_report(sw, sw.spec)["ok"]
+    graded = [ctx for ctx in contexts if ctx._grading is not None]
+    for ctx in contexts:
+        want = Counter((id(ctx), tuple(x.items()), w) for x in ctx.levi
+                       for w in ("domain", "module")) if ctx in graded else {}
+        assert {k: c for k, c in calls.items() if k[0] == id(ctx)} == want
+    # C(n, s) of the 12 specs of each type with pi1 != pi2, and C(s, s) of
+    # each whole algebra, whose rule reads its Levi candidates
+    assert len(graded) == 2 * 12 + 2
+    assert sum(ctx.n == ctx.ambient.dim for ctx in graded) == 2
 
 
 # -- B^q cap invariants, spanned from weight zero ------------------------------
@@ -838,11 +883,11 @@ def test_weight_zero_coboundary_span(type_label, rank):
         specs = [s for s in _all_specs(type_label, rank) if s.rank == rank]
     for spec in specs:
         sw = build_seaweed(_ambient(type_label, rank), spec)
-        ctx, gens = nilradical_context(sw), reductive_generators(sw)
+        ctx = nilradical_context(sw)
         for q in range(1, ctx.n + 1):
-            inv_q = invariant_cochains(ctx, q, gens)
+            inv_q = invariant_cochains(ctx, q)
             full = full_span_coboundaries_in_invariants(ctx, q, inv_q)
-            assert _coboundary_consistency(ctx, q, inv_q, full, gens), (spec, q)
+            assert _coboundary_consistency(ctx, q, inv_q, full), (spec, q)
 
 
 # -- tables read off the ambient's ad columns ----------------------------------
@@ -866,6 +911,11 @@ def reference_bracket_coords(ctx, x, vectors, where):
 def reference_action_tables(ctx, x):
     return (reference_bracket_coords(ctx, x, ctx.domain, "domain"),
             reference_bracket_coords(ctx, x, ctx.module, "module"))
+
+
+def action_tables(ctx, x):
+    """(a_dom, a_mod): the action tables of x that a context builds."""
+    return tuple(_bracket_coords(ctx, x, w) for w in ("domain", "module"))
 
 
 def reference_tables(ctx):
@@ -918,7 +968,7 @@ def assert_tables_match_reference(ctx, unit, generators):
     dim = ctx.ambient.dim
     extra = [{0: 1, dim - 1: 1}, {dim - 1: 2}]
     for g in list(generators) + extra:
-        assert identical(outcome(_action_tables, ctx, g),
+        assert identical(outcome(action_tables, ctx, g),
                          outcome(reference_action_tables, ctx, g)), g
 
 
@@ -960,7 +1010,7 @@ def assert_seaweed_tables_match(sw, section=None):
     split = split_over_center(sw, section_indices=section)
     # the complement is a unit basis only for some centers: either path
     assert_tables_match_reference(quotient_context(split), None, gens)
-    ref, _ = subalgebra(sw.ambient, split.complement_basis, check=False)
+    ref = dense.subalgebra(sw.ambient, split.complement_basis, check=False)
     assert (split.quotient.dim, split.quotient.labels) == (ref.dim, ref.labels)
     assert identical(split.quotient.brackets, ref.brackets)
 
@@ -1025,10 +1075,10 @@ def test_unit_closure_errors_match_reference(a2_fixture):
     sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1, 2]))
     ctx = nilradical_context(sw)
     x = {sw.dual_nilradical[0]: 1}
-    assert outcome(_action_tables, ctx, x) == (
+    assert outcome(action_tables, ctx, x) == (
         "ValueError", "the domain is not closed under the bracket")
     assert outcome(reference_action_tables, ctx, x) == outcome(
-        _action_tables, ctx, x)
+        action_tables, ctx, x)
 
 
 @pytest.mark.parametrize("type_label,rank",
@@ -1045,32 +1095,6 @@ def test_sweep_leaves_ad_columns_unchanged(type_label, rank):
     after = [g._ad_cache[i] for i in range(g.dim)], g.brackets
     assert identical(after, before)
 
-
-
-def test_action_cache_keeps_value_types():
-    # {i: 1} and {i: Fraction(1)} are equal generators whose action tables
-    # differ in value type; a context that served one must give the other
-    # what a fresh context gives it
-    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1, 2]))
-    as_int = reductive_generators(sw)
-    as_fraction = [{i: F(c) for i, c in g.items()} for g in as_int]
-    assert as_int == as_fraction
-
-    def outputs(ctx, gens):
-        f = ctx.basis_cochain((0,), 0)
-        return ([_action_tables(ctx, g) for g in gens],
-                [lie_derivative(g, f).data for g in gens],
-                [c.data for c in invariant_cochains(ctx, 1, gens)])
-
-    def fresh():
-        return ComplexContext(sw.ambient, [{i: 1} for i in sw.nilradical],
-                              [{i: 1} for i in sw.member])
-
-    assert not identical(outputs(fresh(), as_int), outputs(fresh(), as_fraction))
-    for first, second in ((as_int, as_fraction), (as_fraction, as_int)):
-        ctx = fresh()
-        outputs(ctx, first)
-        assert identical(outputs(ctx, second), outputs(fresh(), second))
 
 
 # -- unit bases out of ambient order --------------------------------------------
@@ -1247,7 +1271,7 @@ def test_slices_match_generic_contexts(g2_fixture):
 
 
 def test_weights_built_once_per_generator_list(monkeypatch):
-    # a context grades its domain once, and each generator list once for
+    # a context grades its domain once, and its Levi generators once for
     # all the degrees its invariant candidates are listed in
     calls = []
     real = cochain._weights
@@ -1261,8 +1285,9 @@ def test_weights_built_once_per_generator_list(monkeypatch):
     assert len(contexts) > 3 * 76
     graded = listed = 0
     for i, ctx in contexts.items():
-        degrees = [q for q, _ in ctx._candidate_cache]
-        assert counts[i] == 1 + degrees.count(None)
-        graded += degrees.count(None)
-        listed += len(degrees) - degrees.count(None)
+        levi = ctx._grading is not None
+        assert counts[i] == 1 + levi
+        assert levi or not ctx._candidate_cache
+        graded += levi
+        listed += len(ctx._candidate_cache)
     assert graded > 60 and listed > 4 * graded

@@ -289,6 +289,20 @@ def test_span_solver_unit_vectors():
     assert solver.coords({1: F(1)}) is None
 
 
+def test_span_solver_repeated_unit_vectors():
+    # a repeated unit vector has no unit map: the factored list answers as
+    # the dense solve does, free coordinates zero
+    assert SpanSolver([{0: 1}, {0: 1}]).coords({0: 5}) == {0: 5}
+    for vectors in ([{0: 1}, {1: 1}, {0: 1}], [{1: 1}, {0: F(1)}, {1: 1}]):
+        solver, m = SpanSolver(vectors), [[v.get(i, 0) for v in vectors]
+                                          for i in range(2)]
+        assert solver.unit is None and solver.coords({2: 1}) is None
+        for v in ([5, 0], [0, F(1, 2)], [2, -3], [0, 0]):
+            vec = {i: c for i, c in enumerate(v) if c != 0}
+            assert solver.coords(vec) == dense_coords(m, v), (vectors, v)
+    assert SpanSolver([{1: 1}, {0: 1}]).unit == {1: 0, 0: 1}
+
+
 def test_reports_need_no_dense_elimination():
     # the package has one elimination engine: no dense matrix class, and the
     # Killing form is immutable rows, built once per algebra.  Verify

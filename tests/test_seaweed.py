@@ -7,7 +7,7 @@ import pytest
 from seaweedcoh import rootsystem, seaweed
 from seaweedcoh.cli import _all_specs, _ambient, main, verify_report
 from seaweedcoh.cochain import adjoint_context
-from seaweedcoh.chevalley import load_fixture, subalgebra
+from seaweedcoh.chevalley import load_fixture
 from seaweedcoh.exactlin import InvariantError
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 is_indecomposable, quotient_components,
@@ -360,7 +360,7 @@ def test_non_closed_section_rejected():
     with pytest.raises(ValueError, match="the domain is not closed"):
         split_over_center(sw, section_indices=section)
     with pytest.raises(ValueError):
-        subalgebra(g, [{i: 1} for i in sorted(section)], check=False)
+        dense.subalgebra(g, [{i: 1} for i in sorted(section)], check=False)
 
 
 def test_section_outside_s_rejected():
@@ -373,3 +373,19 @@ def test_section_outside_s_rejected():
     assert len(opposite) == sw.dim and not center(sw)
     with pytest.raises(ValueError, match="the module is not closed"):
         split_over_center(sw, section_indices=opposite)
+
+
+def test_algebra_matches_subalgebra_reference(a2_fixture, g2_fixture):
+    # s as a standalone algebra is C(s, s)'s bracket table: the structure
+    # constants of the Fraction(1) units of s, key order and types included
+    pool = [(_ambient(t, r), s) for t, r in [("A", 1), ("A", 2), ("A", 3),
+                                             ("B", 2), ("C", 3), ("G", 2)]
+            for s in _all_specs(t, r) if s.rank == r]
+    seaweeds = [build_seaweed(g, s) for g, s in pool + [
+        (a2_fixture, s) for s in _all_specs("A", 2) if s.rank == 2]]
+    seaweeds += [seaweed_from_algebra(L) for L in (a2_fixture, g2_fixture)]
+    assert len(seaweeds) == 198
+    for sw in seaweeds:
+        ref = dense.subalgebra(sw.ambient, [{i: F(1)} for i in sw.member],
+                               [sw.ambient.labels[i] for i in sw.member], False)
+        assert repr(vars(sw.algebra())) == repr(vars(ref)), sw.spec
