@@ -21,19 +21,29 @@ A seaweed's C(n, s) carries r, and so does C(s, s) of a spec (the Cartan
 and the e_(alpha_i), `reductive_generators`); the other complexes carry
 none.  `cohomology_dims` takes the Levi path for a whole algebra (s = g)
 where dim C^q_0 >= LEVI_MIN_BLOCK = 200; both are exact, so the rule decides
-speed only.  Median block times in ms (2-core VM, Python 3.11), the Levi
-time with its kernel step:
+speed only.  Median block times in ms (2-core VM, Python 3.11), weight
+zero cleared by block q-1, the Levi time with its kernel step:
     whole  q  dim C^q_0  weight zero  Levi
-    G2     2         68          3.2   6.5
-    B2     3         84          4.9   2.7
-    A4     2        204         22.7  17.5
-    G2     3        212         26.1   5.2
-    D4     2        264         25.2  38.1
-    A3     3        273         32.0  34.3
-    B3, C3 3        654     457, 179  22.5, 15.4
-    D4     3       1416       2299    59.2
+    G2     2         68          1.5   2.2
+    B2     3         84          1.3   1.5
+    A4     2        204          5.8   6.0
+    G2     3        212          5.6   3.7
+    D4     2        264         10.1  10.0
+    A3     3        273          8.3  13.0
+    B3, C3 3        654   31.7, 28.3  17.6, 13.7
+    D4     3       1416        136.7  57.9
 On every other seaweed weight zero won the sum of each dim C^q_0 band, by
-1.25-3.4x, over the A2-A4, B2, B3, C3, D4 and G2 sweeps.
+1.25-3.4x before clearing, over the A2-A4, B2, B3, C3, D4 and G2 sweeps.
+
+The weight-zero rank is cleared (Chen-Kerber, "Persistent homology
+computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear
+and compress", 2014).  A stored pivot vector w of the echelon of
+delta_(q-1)|_0 is in im delta, so delta w = 0 (delta^2 = 0: Jacobi, checked
+on every construction and load); w lives on rows at or after its pivot row
+p(w), and the pivots are distinct.  So delta e_p(w) is a combination of the
+delta e_r, r after p(w), and by downward induction lies in the span of the
+columns off the pivot rows, for any row order: rank delta_q|_0 is theirs.
+`zero_columns` keeps every column (for class representatives and B^q).
 
 The tables of a context (`dbr`, `act` and each Levi generator's tables)
 re-index the ambient's cached ad(e_i) columns when the domain and module
@@ -118,7 +128,7 @@ class ComplexContext:
             self, [(ad[i], self.act[i]) for i in self._diag])
         self.levi = levi
         self._grading = None        # `_levi_grading(self)`
-        self._rank_cache = {}       # q -> `_invariant_block(self, q)`
+        self._rank_cache = {}       # q -> weight zero (dim, rank, pivots)
         self._basis_cache = {}
         self._invariant_cache = {}
         self._candidate_cache = {}
@@ -217,7 +227,8 @@ class ComplexContext:
         module docstring), and B^q = rank delta_(q-1) = dim C^(q-1) -
         dim Z^(q-1) by rank-nullity, with Z^i = H^i + B^i from B^0 = 0.
         Every H^i is exact whichever I it came from, so the choices may
-        differ by degree.
+        differ by degree.  Block i-1 is fetched before block i, so a
+        weight-zero block i is cleared by the pivots of block i-1.
         """
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
@@ -225,8 +236,9 @@ class ComplexContext:
         for i in range(q + 1):
             b = self.dim_cochains(i - 1) - h - b
             levi = self._levi_block(i)
+            rank_prev = _invariant_block(self, i - 1, levi)[1]
             dim_i, rank_i = _invariant_block(self, i, levi)
-            h = dim_i - rank_i - _invariant_block(self, i - 1, levi)[1]
+            h = dim_i - rank_i - rank_prev
             if h < 0 or not 0 <= b <= self.dim_cochains(i - 1):
                 raise InvariantError(
                     f"impossible counts at q={i}: dim H = {h}, dim B = {b}")
@@ -248,7 +260,8 @@ def _bracket_coords(ctx, x, where, start=0):
         basis, solver = ctx.domain, ctx._dom_solver
     else:
         basis, solver = ctx.module, ctx._mod_solver
-    if ctx._unit and _int_units([x]):
+    one = len(x) == 1 and next(iter(x.values()))    # False unless one entry
+    if ctx._unit and type(one) is int and one == 1:  # `_int_units([x])`
         pos = solver.unit
         brackets = [(pos[j], b) for j, b in ctx.ambient.ad(next(iter(x))).items()
                     if pos.get(j, -1) >= start]
@@ -535,15 +548,23 @@ def _lie_columns(ctx, candidates, generators):
 def _invariant_block(ctx, q, levi=False):
     """(dim, rank of delta_q) of an invariant subcomplex in degree q: with
     `levi`, that of `invariant_cochains`; else the weight-zero block of the
-    context's diagonal domain elements, with no kernel step, cached."""
+    context's diagonal domain elements, with no kernel step, cached as
+    (dim, rank, pivot rows) and cleared by a cached block q-1 (module
+    docstring); a missing or forged one (no pivot rows) clears nothing."""
     if levi:
         return (len(_invariant_entry(ctx, q)[0]),
                 invariant_coboundaries(ctx, q).rank)
     block = ctx._rank_cache.get(q)
     if block is None:
-        cols = ctx.zero_columns(q)
-        block = ctx._rank_cache[q] = (len(cols), sparse_rank(cols))
-    return block
+        basis, prev = ctx.zero_basis(q), ctx._rank_cache.get(q - 1, ())
+        cleared = set(*prev[2:])        # the pivot rows of block q-1, if any
+        kept = [c for c in basis if c not in cleared]
+        if prev[2:] and not len(cleared) == prev[1] == len(basis) - len(kept):
+            raise InvariantError(f"the pivot rows of delta_{q - 1} are not "
+                                 f"{prev[1]} weight-zero {q}-cochains")
+        span = Echelon(dict(ctx.delta_column(tup, k)) for tup, k in kept)
+        block = ctx._rank_cache[q] = (len(basis), span.rank, span.pivot_rows())
+    return block[:2]
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,11 @@ class Echelon:
     def rank(self):
         return len(self._pivots)
 
+    def pivot_rows(self):
+        """The row keys of the stored pivots (`_pos` lists rows in order)."""
+        rows = list(self._pos)
+        return [rows[p] for p in self._pivots]
+
     def _reduce(self, vec, comb):
         """Reduce `vec` in place; its new pivot row, or None if it vanished."""
         pivots, combs = self._pivots, self._combs

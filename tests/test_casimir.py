@@ -269,6 +269,23 @@ def test_certificate_g2_decomposable(g2_octx):
     assert cert.success
 
 
+def test_certificate_reports_first_ratio_of_a_tuple(monkeypatch):
+    # a witness tuple whose entries scale by different ratios is not
+    # proportional and has no eigenvalue, and its entry scalar is the first
+    # ratio, in the cocycle's entry order.  No swept seaweed has such a
+    # tuple, so the image is forged: A2 p(|1) has the one invariant
+    # 0-cocycle {(): {1: 1, 2: 2}}, whose entries the image scales by 3, 1
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1]))
+    octx = OperatorContext(sw.ambient, sw)
+    (f,) = invariant_cocycles(octx, 0)
+    assert list(f.items()) == [(((), 1), 1), (((), 2), 2)]
+    D = casimir._dual_brackets(octx.ambient)[0]
+    forged = Cochain(octx.ns, 0, {(): {1: 3 * D, 2: 2 * D}})
+    monkeypatch.setattr(casimir, "_certificate_image", lambda *a: forged)
+    (w,) = rigidity_certificate(octx, 0).witnesses
+    assert (w.entry_scalars, w.proportional, w.eigenvalue) == ([3], False, None)
+
+
 def test_predicted_scalar_matches_a2(a2_octx, a2_generator):
     pred = predicted_entry_scalars(a2_octx, a2_generator)
     assert pred == [F(4, 3)]

@@ -432,6 +432,52 @@ def test_only_weight_zero_is_eliminated(monkeypatch):
         assert (tup, k) in ctx.basis_by_grade(len(tup)).get(zero, ()), (tup, k)
 
 
+def test_adjoint_rows_build_only_the_kept_columns(monkeypatch):
+    # cohomology_dims builds delta once for each weight-zero cochain off the
+    # pivot rows of the degree below, sum_q dim C^q_0 - rank delta_(q-1)|_0
+    # columns, over the acceptance pool at verify's degrees (whole G2,
+    # whose H^3 is counted on the Levi invariants, left out)
+    built = Counter()
+    delta_column = ComplexContext.delta_column
+    monkeypatch.setattr(ComplexContext, "delta_column", lambda self, tup, k:
+                        built.update([(tup, k)]) or delta_column(self, tup, k))
+    saved = 0
+    for t, r in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
+        for spec in _all_specs(t, r):
+            if spec.rank != r:
+                continue
+            sw = build_seaweed(_ambient(t, r), spec)
+            ctx, cap = adjoint_context(sw), _degree_cap(sw, None)
+            if any(map(ctx._levi_block, range(cap + 1))):
+                continue
+            built.clear()
+            ctx.cohomology_dims(cap)
+            ranks = [0] + [ctx._rank_cache[q][1] for q in range(cap + 1)]
+            assert set(built.values()) == {1} and len(built) == sum(
+                len(ctx.zero_basis(q)) - ranks[q] for q in range(cap + 1))
+            saved += sum(ranks[:-1])
+    assert saved > 500
+
+
+def test_weight_zero_after_a_levi_degree_is_cleared(monkeypatch):
+    # cohomology_dims fetches block q-1 before block q: after a degree
+    # counted on the Levi invariants (forced at q = 1 here), the weight-zero
+    # block 1 is built first, so block 2 is cleared by its pivots
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1]))
+    ctx = adjoint_context(sw)
+    monkeypatch.setattr(ctx, "_levi_block", lambda q: q == 1)
+    built = Counter()
+    delta_column = ComplexContext.delta_column
+    monkeypatch.setattr(ComplexContext, "delta_column", lambda self, tup, k:
+                        built.update([len(tup)]) or delta_column(self, tup, k))
+    dims = tuple(ctx.cohomology_dims(2))
+    rank1 = ctx._rank_cache[1][1]
+    assert rank1 > 0 and built[2] == len(ctx.zero_basis(2)) - rank1
+    monkeypatch.undo()
+    assert dims == tuple(adjoint_context(build_seaweed(
+        sw.ambient, sw.spec)).cohomology_dims(2))
+
+
 @pytest.mark.parametrize("type_label,rank",
                          [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_derived_block_ranks_sweep(type_label, rank):
@@ -482,6 +528,98 @@ def test_impossible_levi_block_rank_raises():
                                SimpleNamespace(rank=len(cochains) + 1)]
     with pytest.raises(InvariantError):
         ctx.cohomology_dims(3)
+
+
+def test_impossible_cleared_pivot_rows_raise():
+    # the weight-zero rank at q = 2 skips the cochains at the cached pivot
+    # rows of delta_1.  delta keeps the weight, so a pivot row outside
+    # zero_basis(2), or a row count other than the cached rank delta_1,
+    # cannot happen; a forged cache raises an InvariantError, which fires
+    # under python -O too
+    spec = SeaweedSpec.make("A", 2, [], [1, 2])
+    for forge in ("outside", "missing", "repeated"):
+        ctx = adjoint_context(build_seaweed(_ambient("A", 2), spec))
+        dim, rank = _invariant_block(ctx, 1)
+        rows = list(ctx._rank_cache[1][2])
+        assert len(rows) == rank > 1
+        if forge == "outside":
+            rows[0] = next(c for grade, cs in ctx.basis_by_grade(2).items()
+                           if any(grade) for c in cs)
+        else:
+            rows[0] = rows[1] if forge == "repeated" else rows.pop()
+        ctx._rank_cache[1] = (dim, rank, rows)
+        with pytest.raises(InvariantError, match="pivot rows of delta_1"):
+            ctx.cohomology_dims(2)
+
+
+def assert_block_cleared(ctx, q):
+    """The weight-zero block of C^q, built after that of C^(q-1): its
+    cleared cochains are the pivot rows of delta_(q-1), rank delta_(q-1) of
+    them in zero_basis(q); each cleared column lies in the span of the kept
+    ones, and the cleared rank is the rank of all the block's columns."""
+    dim, rank = _invariant_block(ctx, q)
+    basis = ctx.zero_basis(q)
+    cols = [dict(ctx.delta_column(tup, k)) for tup, k in basis]
+    cleared = set(ctx._rank_cache[q - 1][2]) if q else set()
+    assert cleared <= set(basis), q
+    assert len(cleared) == _invariant_block(ctx, q - 1)[1], q
+    kept = Echelon(c for b, c in zip(basis, cols) if b not in cleared)
+    assert not any(kept.add(c) for b, c in zip(basis, cols)
+                   if b in cleared), q
+    assert (dim, rank) == (len(basis), kept.rank) and rank == sparse_rank(
+        cols), q
+
+
+def test_clearing_is_sound_on_sweeps(a2_fixture):
+    # every degree on the acceptance pool (whole B2 included) and the A3
+    # sweep, except whole G2 and whole A3 (dim 14 and 15; whole A3 is the
+    # test below), which take verify's degrees as the B3 and C3 sweeps do;
+    # C^*(s, s) and C^*(Q, s) of each spec, and the rescaled A2 fixture
+    contexts = 0
+    for t, r in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3),
+                 ("B", 3), ("C", 3)]:
+        for spec in _all_specs(t, r):
+            if spec.rank != r:
+                continue
+            sw = build_seaweed(_ambient(t, r), spec)
+            every = (t, r) not in {("B", 3), ("C", 3)} and sw.dim < 14
+            for ctx in (adjoint_context(sw),
+                        quotient_context(split_over_center(sw))):
+                for q in range(ctx.n + 1 if every else
+                               _degree_cap(sw, None) + 1):
+                    assert_block_cleared(ctx, q)
+                contexts += 1
+    assert contexts == 2 * (4 + 3 * 16 + 3 * 64)
+    rng = random.Random(5)
+    scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
+    sw = build_seaweed(a2_fixture.rescaled(scalars),
+                       SeaweedSpec.make("A", 2, [], [1, 2]))
+    ctx = adjoint_context(sw)
+    assert any(isinstance(w, F) for ws in ctx._dom_weights for w in ws)
+    for q in range(ctx.n + 1):
+        assert_block_cleared(ctx, q)
+
+
+@pytest.mark.parametrize("type_label,rank", [("B", 2), ("A", 3)])
+def test_clearing_is_sound_whole_algebra(type_label, rank):
+    # Whitehead: H^q(g, g) = 0, so rank delta_q|_0 = sum_{i<=q} (-1)^(q-i)
+    # dim C^i_0 is the rank of all the block's columns; the cleared rank
+    # equals it in every degree, which puts each cleared column in the span
+    # of the kept ones.  Blocks below 1,000 columns are also eliminated
+    # whole (whole A3's middle degrees take seconds each that way)
+    nodes = range(1, rank + 1)
+    ctx = adjoint_context(build_seaweed(
+        _ambient(type_label, rank),
+        SeaweedSpec.make(type_label, rank, nodes, nodes)))
+    euler = 0
+    for q in range(ctx.n + 1):
+        dim, rank_q = _invariant_block(ctx, q)
+        euler = dim - euler
+        assert rank_q == euler, q
+        assert len(ctx._rank_cache[q][2]) == rank_q, q
+        if dim < 1000:
+            assert_block_cleared(ctx, q)
+    assert euler == 0
 
 
 @pytest.mark.parametrize("type_label,rank,max_degree",
@@ -1095,6 +1233,33 @@ def test_sweep_leaves_ad_columns_unchanged(type_label, rank):
     after = [g._ad_cache[i] for i in range(g.dim)], g.brackets
     assert identical(after, before)
 
+
+
+def test_unit_brackets_do_not_rescan_the_bases(monkeypatch):
+    # _int_units runs when a context is built, never per bracket: whether
+    # x itself is an int unit is tested inline.  An int unit e_i reads the
+    # ad columns; {i: Fraction(1)}, {i: 2}, {i: True} and two entries take
+    # the bracket_vec loop, and every table equals the reference's
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1, 2]))
+    contexts = [adjoint_context(sw), nilradical_context(sw),
+                nilradical_ambient_context(sw)]
+    g = sw.ambient
+    monkeypatch.setattr(cochain, "_int_units", None)    # a call would fail
+    looped = []
+    monkeypatch.setattr(g, "bracket_vec", lambda x, y: looped.append(x) or
+                        type(g).bracket_vec(g, x, y))
+    i, j = sw.reductive[0], sw.reductive[-1]
+    for ctx in contexts:
+        for x, ad in (({i: 1}, True), ({i: F(1)}, False), ({i: 2}, False),
+                      ({i: True}, False), ({i: 1, j: 1}, False)):
+            for where in ("domain", "module"):
+                looped.clear()
+                got = _bracket_coords(ctx, x, where)
+                assert bool(looped) != ad, x
+                basis = ctx.domain if where == "domain" else ctx.module
+                assert identical(got, reference_bracket_coords(
+                    ctx, x, basis, where)), (x, where)
+    assert _levi_grading(nilradical_context(sw))
 
 
 # -- unit bases out of ambient order --------------------------------------------
