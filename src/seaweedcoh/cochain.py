@@ -10,30 +10,18 @@ L_x = delta i_x + i_x delta each isotypic component is a subcomplex; on a
 nontrivial one a central element of r, or the Casimir of [r, r], acts by a
 nonzero scalar and is null-homotopic, so it is acyclic, and
 H^*(a, V) = H^*(C^*(a, V)^r) (Chevalley-Eilenberg, Trans. AMS 63, 1948;
-Hochschild-Serre, Ann. of Math. 57, 1953).  `_invariant_block` counts on
-one of two, with Z^q and B^q by rank-nullity:
+Hochschild-Serre, Ann. of Math. 57, 1953).  Two are used, with Z^q and
+B^q by rank-nullity:
 - r = h, the diagonal domain elements: the weight-zero block `zero_basis`,
-  with no kernel step; class representatives and B^q membership
+  with no kernel step.  `cohomology_dims` counts every complex on it
+  (`_invariant_block`), and class representatives and B^q membership
   (`gerstenhaber`) are read from it too;
 - the `levi` a context is built with: the kernel of L_x for its generators
-  among the weight-zero cochains of its diagonal ones.
-A seaweed's C(n, s) carries r, and so does C(s, s) of a spec (the Cartan
-and the e_(alpha_i), `reductive_generators`); the other complexes carry
-none.  `cohomology_dims` takes the Levi path for a whole algebra (s = g)
-where dim C^q_0 >= LEVI_MIN_BLOCK = 200; both are exact, so the rule decides
-speed only.  Median block times in ms (2-core VM, Python 3.11), weight
-zero cleared by block q-1, the Levi time with its kernel step:
-    whole  q  dim C^q_0  weight zero  Levi
-    G2     2         68          1.5   2.2
-    B2     3         84          1.3   1.5
-    A4     2        204          5.8   6.0
-    G2     3        212          5.6   3.7
-    D4     2        264         10.1  10.0
-    A3     3        273          8.3  13.0
-    B3, C3 3        654   31.7, 28.3  17.6, 13.7
-    D4     3       1416        136.7  57.9
-On every other seaweed weight zero won the sum of each dim C^q_0 band, by
-1.25-3.4x before clearing, over the A2-A4, B2, B3, C3, D4 and G2 sweeps.
+  among the weight-zero cochains of its diagonal ones.  Only a seaweed's
+  C(n, s) carries one, r itself (the Cartan and the e_(alpha_i),
+  `reductive_generators`), for its invariant rows and the certificates.
+Clearing made weight zero win by far above degree 3, also on whole
+algebras, whose Levi invariants are faster only at q <= 3, so it alone counts.
 
 The weight-zero rank is cleared (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear
@@ -77,9 +65,6 @@ from operator import add, itemgetter, sub
 from .chevalley import LieAlgebra
 from .exactlin import (Echelon, InvariantError, SpanSolver,
                        sparse_kernel_basis, sparse_rank, vec_add)
-
-# Whole algebras count H^q on the Levi invariants from this dim C^q_0 up.
-LEVI_MIN_BLOCK = 200
 
 
 class ComplexContext:
@@ -212,33 +197,23 @@ class ComplexContext:
         """delta of each cochain of `zero_basis(q)`, as {(tup, k): coeff}."""
         return [dict(self.delta_column(tup, k)) for tup, k in self.zero_basis(q)]
 
-    def _levi_block(self, q):
-        """Whether H^q is counted on the Levi invariants, not on weight
-        zero: for a whole algebra with `levi` whose C^q_0 (the Levi
-        candidates) has at least LEVI_MIN_BLOCK cochains (module docstring)."""
-        return (self.levi is not None and self.n >= self.ambient.dim and len(
-            _invariant_candidates(self, q)) >= LEVI_MIN_BLOCK)
-
     def cohomology_dims(self, q):
         """(dim Z^q, dim B^q, dim H^q).
 
-        H^q = dim I^q - rank delta_q|I - rank delta_(q-1)|I on one invariant
-        subcomplex I, chosen per degree by `_levi_block` (see the
-        module docstring), and B^q = rank delta_(q-1) = dim C^(q-1) -
-        dim Z^(q-1) by rank-nullity, with Z^i = H^i + B^i from B^0 = 0.
-        Every H^i is exact whichever I it came from, so the choices may
-        differ by degree.  Block i-1 is fetched before block i, so a
-        weight-zero block i is cleared by the pivots of block i-1.
+        H^q = dim C^q_0 - rank delta_q|_0 - rank delta_(q-1)|_0 on the
+        weight-zero block (see the module docstring), and B^q =
+        rank delta_(q-1) = dim C^(q-1) - dim Z^(q-1) by rank-nullity, with
+        Z^i = H^i + B^i from B^0 = 0.  Block i-1 is built before block i,
+        so block i is cleared by its pivots.
         """
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
-        h = b = 0
+        h = b = rank_prev = 0
         for i in range(q + 1):
             b = self.dim_cochains(i - 1) - h - b
-            levi = self._levi_block(i)
-            rank_prev = _invariant_block(self, i - 1, levi)[1]
-            dim_i, rank_i = _invariant_block(self, i, levi)
+            dim_i, rank_i = _invariant_block(self, i)
             h = dim_i - rank_i - rank_prev
+            rank_prev = rank_i
             if h < 0 or not 0 <= b <= self.dim_cochains(i - 1):
                 raise InvariantError(
                     f"impossible counts at q={i}: dim H = {h}, dim B = {b}")
@@ -545,15 +520,11 @@ def _lie_columns(ctx, candidates, generators):
     return cols
 
 
-def _invariant_block(ctx, q, levi=False):
-    """(dim, rank of delta_q) of an invariant subcomplex in degree q: with
-    `levi`, that of `invariant_cochains`; else the weight-zero block of the
-    context's diagonal domain elements, with no kernel step, cached as
+def _invariant_block(ctx, q):
+    """(dim, rank of delta_q) of the weight-zero block of the context's
+    diagonal domain elements in degree q, with no kernel step, cached as
     (dim, rank, pivot rows) and cleared by a cached block q-1 (module
     docstring); a missing or forged one (no pivot rows) clears nothing."""
-    if levi:
-        return (len(_invariant_entry(ctx, q)[0]),
-                invariant_coboundaries(ctx, q).rank)
     block = ctx._rank_cache.get(q)
     if block is None:
         basis, prev = ctx.zero_basis(q), ctx._rank_cache.get(q - 1, ())
@@ -579,10 +550,10 @@ def invariant_cohomology_dims(ctx: ComplexContext, q):
     reductive invariance algebra this agrees with B^q intersected with the
     invariants, and `coboundaries_match_full` records that comparison.
     """
-    dim, rank = _invariant_block(ctx, q, True)
-    z_dim, b_dim = dim - rank, _invariant_block(ctx, q - 1, True)[1]
-    consistent = q <= 0 or _coboundary_consistency(
-        ctx, q, invariant_cochains(ctx, q), b_dim)
+    inv_q = invariant_cochains(ctx, q)
+    z_dim = len(inv_q) - invariant_coboundaries(ctx, q).rank
+    b_dim = invariant_coboundaries(ctx, q - 1).rank
+    consistent = q <= 0 or _coboundary_consistency(ctx, q, inv_q, b_dim)
     h = z_dim - b_dim
     if h < 0:
         raise InvariantError(f"negative invariant cohomology at q={q}")
@@ -615,12 +586,11 @@ def _units(indices):
 
 
 def adjoint_context(sw) -> ComplexContext:
-    """C^*(s, s) for a seaweed (cached on the seaweed), with the Levi
-    generators of a spec; without one (a fixture) r = h throughout."""
+    """C^*(s, s) for a seaweed (cached on the seaweed), counted on weight
+    zero; it carries no `levi` (see the module docstring)."""
     if not hasattr(sw, "_adjoint_ctx"):
         sw._adjoint_ctx = ComplexContext(
-            sw.ambient, _units(sw.member), _units(sw.member),
-            levi=None if sw.spec is None else reductive_generators(sw))
+            sw.ambient, _units(sw.member), _units(sw.member))
     return sw._adjoint_ctx
 
 
@@ -679,7 +649,7 @@ def reductive_generators(sw):
     """Generators of r as a list of ambient coordinate dicts: for a seaweed
     with a spec, the Cartan and the root vectors of the positive simple
     roots alpha_i, i in pi1 & pi2; otherwise every basis vector of r.  They
-    are the `levi` of C(n, s), and of C(s, s) for a spec.
+    are the `levi` of C(n, s).
 
     The Lie derivative is a representation, so the elements killing a
     cochain form a subalgebra, and a generating set of r has the same joint

@@ -2,6 +2,7 @@ import random
 from bisect import insort
 from collections import Counter
 from copy import deepcopy
+from functools import partial
 from fractions import Fraction as F
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -435,8 +436,7 @@ def test_only_weight_zero_is_eliminated(monkeypatch):
 def test_adjoint_rows_build_only_the_kept_columns(monkeypatch):
     # cohomology_dims builds delta once for each weight-zero cochain off the
     # pivot rows of the degree below, sum_q dim C^q_0 - rank delta_(q-1)|_0
-    # columns, over the acceptance pool at verify's degrees (whole G2,
-    # whose H^3 is counted on the Levi invariants, left out)
+    # columns, over the acceptance pool at verify's degrees
     built = Counter()
     delta_column = ComplexContext.delta_column
     monkeypatch.setattr(ComplexContext, "delta_column", lambda self, tup, k:
@@ -448,8 +448,6 @@ def test_adjoint_rows_build_only_the_kept_columns(monkeypatch):
                 continue
             sw = build_seaweed(_ambient(t, r), spec)
             ctx, cap = adjoint_context(sw), _degree_cap(sw, None)
-            if any(map(ctx._levi_block, range(cap + 1))):
-                continue
             built.clear()
             ctx.cohomology_dims(cap)
             ranks = [0] + [ctx._rank_cache[q][1] for q in range(cap + 1)]
@@ -457,25 +455,6 @@ def test_adjoint_rows_build_only_the_kept_columns(monkeypatch):
                 len(ctx.zero_basis(q)) - ranks[q] for q in range(cap + 1))
             saved += sum(ranks[:-1])
     assert saved > 500
-
-
-def test_weight_zero_after_a_levi_degree_is_cleared(monkeypatch):
-    # cohomology_dims fetches block q-1 before block q: after a degree
-    # counted on the Levi invariants (forced at q = 1 here), the weight-zero
-    # block 1 is built first, so block 2 is cleared by its pivots
-    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1]))
-    ctx = adjoint_context(sw)
-    monkeypatch.setattr(ctx, "_levi_block", lambda q: q == 1)
-    built = Counter()
-    delta_column = ComplexContext.delta_column
-    monkeypatch.setattr(ComplexContext, "delta_column", lambda self, tup, k:
-                        built.update([len(tup)]) or delta_column(self, tup, k))
-    dims = tuple(ctx.cohomology_dims(2))
-    rank1 = ctx._rank_cache[1][1]
-    assert rank1 > 0 and built[2] == len(ctx.zero_basis(2)) - rank1
-    monkeypatch.undo()
-    assert dims == tuple(adjoint_context(build_seaweed(
-        sw.ambient, sw.spec)).cohomology_dims(2))
 
 
 @pytest.mark.parametrize("type_label,rank",
@@ -516,18 +495,18 @@ def test_impossible_zero_block_rank_raises():
             ctx.cohomology_dims(1)
 
 
-def test_impossible_levi_block_rank_raises():
-    # the same guard on the Levi path: whole G2 counts H^3 on its Levi
-    # invariants, and a forged rank cached for degree 3 makes H^3 < 0
-    nodes = (1, 2)
-    spec = SeaweedSpec.make("G", 2, nodes, nodes)
-    ctx = adjoint_context(build_seaweed(_ambient("G", 2), spec))
-    assert ctx._levi_block(3)
-    cochains = _invariant_entry(ctx, 3)[0]
-    ctx._invariant_cache[3] = [cochains,
+def test_impossible_invariant_rank_raises():
+    # the guard on the Levi-invariant rows of C(n, s): a rank cached for
+    # degree 2 above the number of invariant 2-cochains makes H^2 < 0.  It
+    # is an InvariantError, not an assert, so it fires under python -O too
+    spec = SeaweedSpec.make("A", 2, [], [1, 2])
+    ctx = nilradical_context(build_seaweed(_ambient("A", 2), spec))
+    cochains = _invariant_entry(ctx, 2)[0]
+    assert len(cochains) == 1
+    ctx._invariant_cache[2] = [cochains,
                                SimpleNamespace(rank=len(cochains) + 1)]
-    with pytest.raises(InvariantError):
-        ctx.cohomology_dims(3)
+    with pytest.raises(InvariantError, match="negative invariant cohomology"):
+        invariant_cohomology_dims(ctx, 2)
 
 
 def test_impossible_cleared_pivot_rows_raise():
@@ -622,30 +601,40 @@ def test_clearing_is_sound_whole_algebra(type_label, rank):
     assert euler == 0
 
 
+def levi_adjoint_context(sw):
+    """C^*(s, s) carrying the Levi generators of sw, which `adjoint_context`
+    does not: the Hochschild-Serre oracle for its weight-zero rows."""
+    units = [{i: 1} for i in sw.member]
+    return ComplexContext(sw.ambient, units, units,
+                          levi=reductive_generators(sw))
+
+
+def levi_block(ctx, q):
+    """(dim, rank of delta_q) of the Levi invariants of ctx in degree q."""
+    return len(invariant_cochains(ctx, q)), invariant_coboundaries(ctx, q).rank
+
+
 @pytest.mark.parametrize("type_label,rank,max_degree",
                          [("B", 2, 10), ("A", 3, 4), ("G", 2, 5)])
 def test_whitehead_whole_algebra(type_label, rank, max_degree):
     # Whitehead: H^q(g, g) = 0 in every degree for simple g.  Every block
-    # is then acyclic, the weight-zero one and the Levi-invariant one too,
-    # so the rank eliminated on each is sum_{i<=q} (-1)^(q-i) dim I^i: an
-    # oracle for both paths past q = 3, where verify stops for dim s > 8
-    # (B2 here in every degree)
+    # is then acyclic, the weight-zero one and the Levi-invariant one of
+    # the oracle context too, so the rank eliminated on each is
+    # sum_{i<=q} (-1)^(q-i) dim I^i: an oracle for both past q = 3, where
+    # verify stops for dim s > 8 (B2 here in every degree)
     nodes = range(1, rank + 1)
     sw = build_seaweed(_ambient(type_label, rank),
                        SeaweedSpec.make(type_label, rank, nodes, nodes))
-    ctx = adjoint_context(sw)
+    ctx, levi = adjoint_context(sw), levi_adjoint_context(sw)
     for q in range(max_degree + 1):
         assert ctx.cohomology_dims(q).cohomology == 0, q
-        for levi in (False, True):
-            dims = [_invariant_block(ctx, i, levi)[0] for i in range(q + 1)]
+        for block in (partial(_invariant_block, ctx),
+                      partial(levi_block, levi)):
+            dims = [block(i)[0] for i in range(q + 1)]
             euler = sum((-1) ** (q - i) * d for i, d in enumerate(dims))
-            assert _invariant_block(ctx, q, levi) == (dims[q], euler), q
+            assert block(q) == (dims[q], euler), q
         assert dims[q] <= len(ctx.zero_basis(q)) == \
             _invariant_block(ctx, q)[0], q
-    # the rule counts whole G2's H^3 (212 weight-zero cochains) on the
-    # Levi invariants, and H^2 on weight zero
-    if type_label == "G":
-        assert [ctx._levi_block(q) for q in (2, 3)] == [False, True]
 
 
 def test_euler_characteristic_sweep(sweep_reports):
@@ -772,7 +761,7 @@ def test_invariant_candidates_match_brute_force(type_label, rank):
         if spec.rank != rank:
             continue
         sw = build_seaweed(_ambient(type_label, rank), spec)
-        for ctx in (nilradical_context(sw), adjoint_context(sw)):
+        for ctx in (nilradical_context(sw), levi_adjoint_context(sw)):
             assert ctx.levi == reductive_generators(sw)
             for q in range(min(3, ctx.n) + 1):
                 got = _invariant_candidates(ctx, q)
@@ -789,7 +778,7 @@ def test_invariant_candidates_rescaled_fixture(a2_fixture):
                        SeaweedSpec.make("A", 2, [], [1, 2]))
     assert any(isinstance(w, F) for ws in adjoint_context(sw)._dom_weights
                for w in ws)
-    for ctx in (nilradical_context(sw), adjoint_context(sw)):
+    for ctx in (nilradical_context(sw), levi_adjoint_context(sw)):
         for q in range(ctx.n + 1):
             assert _invariant_candidates(ctx, q) == \
                 brute_force_candidates(ctx, q), q
@@ -874,59 +863,44 @@ def test_lie_columns_match_lie_derivative(type_label, rank):
     assert checked > 1000
 
 
-def path_cohomology(ctx, cap, levi):
-    """dim H^q for q <= cap, every degree counted on one invariant block:
-    the Levi invariants if `levi`, else weight zero."""
-    blocks = [_invariant_block(ctx, q, levi) for q in range(cap + 1)]
+def levi_cohomology(ctx, cap):
+    """dim H^q for q <= cap, counted on the Levi invariants of ctx."""
+    blocks = [levi_block(ctx, q) for q in range(cap + 1)]
     return [dim - rank - (blocks[q - 1][1] if q else 0)
             for q, (dim, rank) in enumerate(blocks)]
 
 
-@pytest.mark.parametrize("type_label,rank,whole_only,levi_degrees", [
-    ("A", 1, False, 0), ("A", 2, False, 0), ("B", 2, False, 0),
-    ("G", 2, False, 1), ("A", 3, False, 1), ("B", 3, False, 1),
-    ("C", 3, False, 1), ("A", 4, True, 2), ("D", 4, True, 2)])
-def test_levi_rows_match_weight_zero_rows(type_label, rank, whole_only,
-                                          levi_degrees):
-    # H^*(s, s) = H^*(C^*(s, s)^r) (Hochschild-Serre): counted in every
-    # degree up to the cap on the Levi invariants or on weight zero, the
-    # rows agree, and so do the rows cohomology_dims reports, which take
-    # the Levi path where the rule says (whole G2/A3/B3/C3 at q = 3, whole
-    # A4 and D4 at q = 2, 3)
+# the ids keep a fourth field, the degrees that a size rule once sent to
+# the Levi invariants, so that the test names stay the same
+@pytest.mark.parametrize("type_label,rank,whole_only", [
+    ("A", 1, False), ("A", 2, False), ("B", 2, False), ("G", 2, False),
+    ("A", 3, False), ("B", 3, False), ("C", 3, False), ("A", 4, True),
+    ("D", 4, True)], ids=["A-1-False-0", "A-2-False-0", "B-2-False-0",
+                          "G-2-False-1", "A-3-False-1", "B-3-False-1",
+                          "C-3-False-1", "A-4-True-2", "D-4-True-2"])
+def test_levi_rows_match_weight_zero_rows(type_label, rank, whole_only):
+    # H^*(s, s) = H^*(C^*(s, s)^r) (Hochschild-Serre): in every degree up
+    # to the cap (q <= 3 for whole A4 and D4), the rows cohomology_dims
+    # counts on weight zero equal those counted on the Levi invariants of a
+    # C(s, s) built with the Levi generators of the same seaweed
     g = _ambient(type_label, rank)
-    chosen = 0
     for spec in _all_specs(type_label, rank):
         if spec.rank != rank or whole_only and spec.pi1 & spec.pi2 != set(
                 range(1, rank + 1)):
             continue
         sw = build_seaweed(g, spec)
         cap, ctx = _degree_cap(sw, None), adjoint_context(sw)
-        assert ctx.levi == reductive_generators(sw)
-        rows = [tuple(ctx.cohomology_dims(q)) for q in range(cap + 1)]
-        chosen += sum(map(ctx._levi_block, range(cap + 1)))
-        zero = path_cohomology(ctx, cap, False)
-        assert path_cohomology(ctx, cap, True) == zero, spec
-        assert [h for _, _, h in rows] == zero, spec
-    assert chosen == levi_degrees
-
-
-def test_levi_path_falls_back_without_a_spec(g2_fixture):
-    # a seaweed without a spec has no Levi generators: even whole G2 at
-    # q = 3, where the rule would take the Levi path, counts on weight zero
-    g = _ambient("G", 2)
-    with_spec = adjoint_context(build_seaweed(
-        g, SeaweedSpec.make("G", 2, [1, 2], [1, 2])))
-    for ctx in (adjoint_context(seaweed_from_algebra(g)),
-                adjoint_context(seaweed_from_algebra(g2_fixture))):
         assert ctx.levi is None
-        top = min(3, ctx.n)
-        assert not any(map(ctx._levi_block, range(top + 1)))
-        dims = [tuple(ctx.cohomology_dims(q)) for q in range(top + 1)]
-        assert ctx._invariant_cache == {}
-        if ctx.n == g.dim:
-            assert dims == [tuple(with_spec.cohomology_dims(q))
-                            for q in range(top + 1)]
-            assert with_spec._levi_block(3)
+        rows = [ctx.cohomology_dims(q).cohomology for q in range(cap + 1)]
+        assert rows == levi_cohomology(levi_adjoint_context(sw), cap), spec
+    if type_label == "G":
+        # a whole algebra without a spec gives the spec's rows
+        bare = adjoint_context(seaweed_from_algebra(g))
+        whole = adjoint_context(build_seaweed(
+            g, SeaweedSpec.make("G", 2, [1, 2], [1, 2])))
+        assert bare.levi is None and whole.levi is None
+        assert [tuple(bare.cohomology_dims(q)) for q in range(4)] == \
+            [tuple(whole.cohomology_dims(q)) for q in range(4)]
 
 
 def test_invariant_api_needs_levi(a2_seaweed):
@@ -969,10 +943,9 @@ def test_levi_tables_built_twice_per_generator(monkeypatch):
         want = Counter((id(ctx), tuple(x.items()), w) for x in ctx.levi
                        for w in ("domain", "module")) if ctx in graded else {}
         assert {k: c for k, c in calls.items() if k[0] == id(ctx)} == want
-    # C(n, s) of the 12 specs of each type with pi1 != pi2, and C(s, s) of
-    # each whole algebra, whose rule reads its Levi candidates
-    assert len(graded) == 2 * 12 + 2
-    assert sum(ctx.n == ctx.ambient.dim for ctx in graded) == 2
+    # C(n, s) of the 12 specs of each type with pi1 != pi2, and no other
+    nilradicals = [nilradical_context(sw) for sw in seaweeds]
+    assert len(graded) == 2 * 12 and all(ctx in nilradicals for ctx in graded)
 
 
 # -- B^q cap invariants, spanned from weight zero ------------------------------
