@@ -2,7 +2,12 @@
 
 A complex is described by a bracket-closed `domain` and a `module` closed
 under the domain action, both given as vectors in an ambient algebra.
-Cochains are stored sparsely on strictly increasing index tuples.
+Cochains are stored sparsely on strictly increasing index tuples.  Inside
+the complex a basis cochain (tup, k) is one int code mask * m + k, mask the
+bitset of tup (`code`, `cell`).  `delta_column` inserts index i by
+mask | 1 << i, signed by the parity of the bits below i (a bracket term,
+which drops the t-th bit and inserts a < b, by that of t + 1 + the bits
+between a and b), the sign of sorting the arguments.
 
 Cohomology is counted on an invariant subcomplex.  Let r act on the complex
 through a, with each C^q a semisimple r-module.  By the Cartan formula
@@ -20,8 +25,6 @@ B^q by rank-nullity:
   among the weight-zero cochains of its diagonal ones.  Only a seaweed's
   C(n, s) carries one, r itself (the Cartan and the e_(alpha_i),
   `reductive_generators`), for its invariant rows and the certificates.
-Clearing made weight zero win by far above degree 3, also on whole
-algebras, whose Levi invariants are faster only at q <= 3, so it alone counts.
 
 The weight-zero rank is cleared (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear
@@ -31,7 +34,18 @@ on every construction and load); w lives on rows at or after its pivot row
 p(w), and the pivots are distinct.  So delta e_p(w) is a combination of the
 delta e_r, r after p(w), and by downward induction lies in the span of the
 columns off the pivot rows, for any row order: rank delta_q|_0 is theirs.
-`zero_columns` keeps every column (for class representatives and B^q).
+The lemma names rows only to skip them, so it holds on codes, and on any
+block closed under delta, such as the `levi` candidates (L_h commutes with
+delta).  `gerstenhaber` keeps every column (class representatives, B^q).
+
+Weights are packed: scaled by the lcm L of their denominators, w is the int
+sum_c L w_c B^c, so codes add as the vectors do.  If M bounds every
+component of a module weight plus at most n domain weights and B > 2M, two
+such vectors u, v with equal codes have sum_c (u_c - v_c) B^c = 0 and
+|u_c - v_c| < B, so the lowest nonzero term would be divisible by B: u = v.
+A weight-zero test compares two such vectors, and so does a grade
+comparison (m_k - S = m_k' - S' iff m_k + S' = m_k' + S).  `_subset_sums`
+walks every tuple depth first (incremental, not output-sensitive).
 
 The tables of a context (`dbr`, `act` and each Levi generator's tables)
 re-index the ambient's cached ad(e_i) columns when the domain and module
@@ -40,8 +54,9 @@ center complement, Cartan first) has them sorted by position, as the
 `bracket_vec` loop that any other basis takes builds them (both decided
 once per context).  A seaweed's complexes share these rows: C(a, a) reads
 `dbr` off its `act`, C(n, s) and C(Q, s) on units of s take C(s, s)'s rows
-(their module is s at the same positions), and C(n, g) the ad(e_i) columns
-(its module is g in ambient order).  Each is the table the loop builds, key
+(their module is s at the same positions; every C(n, s) and C(Q, s) takes
+its module solver), and C(n, g) the ad(e_i) columns (its module is g in
+ambient order).  Each is the table the loop builds, key
 order included, so nothing is approximated; no row is mutated, and every
 context builds its own `dbr`, which checks that its domain is closed.
 Integral values stay plain ints and invariant bases come from primitive int
@@ -59,8 +74,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
-from operator import add, itemgetter, sub
+from math import comb, lcm
+from operator import attrgetter, itemgetter
 
 from .chevalley import LieAlgebra
 from .exactlin import (Echelon, InvariantError, SpanSolver,
@@ -72,14 +87,14 @@ class ComplexContext:
     generators of r for the invariant API, or None (module docstring)."""
 
     def __init__(self, ambient: LieAlgebra, domain, module, act=None,
-                 levi=None):
+                 levi=None, mod_solver=None):
         self.ambient = ambient
         self.domain = [dict(v) for v in domain]
         self.module = [dict(v) for v in module]
         self.n = len(self.domain)
         self.m = len(self.module)
         self._dom_solver = SpanSolver(self.domain)
-        self._mod_solver = SpanSolver(self.module)
+        self._mod_solver = mod_solver or SpanSolver(self.module)
         # unit bases read their brackets off the ambient's ad columns; the
         # tables of a basis out of ambient order are put in position order
         self._unit = _int_units(self.domain) and _int_units(self.module)
@@ -94,17 +109,19 @@ class ComplexContext:
                     for j, c in row.items() if j > i}
         self.act = act or (rows if same else [
             _bracket_coords(self, x, "module") for x in self.domain])
-        self._acting = {}           # module k -> [(mdx, act[mdx][k])]
+        self._acting = {}           # module k -> [(1 << mdx, act[mdx][k])]
         for mdx, row in enumerate(self.act):
             for k, col in row.items():
-                self._acting.setdefault(k, []).append((mdx, col))
-        # bracket pairs by target: which [d_a, d_b] hit d_t, and with what;
-        # and ad(d_i) on the domain, for the grading
+                self._acting.setdefault(k, []).append((1 << mdx, col))
+        # bracket pairs by target bit 1 << t: which [d_a, d_b] hit d_t, with
+        # what, as (bits a and b, bits a..b-1, c); and ad(d_i) on the
+        # domain, for the grading
         self.pairs_hitting = {}
         ad = [{} for _ in range(self.n)]
         for (a, b), vec in self.dbr.items():
             for t, c in vec.items():
-                self.pairs_hitting.setdefault(t, []).append((a, b, c))
+                self.pairs_hitting.setdefault(1 << t, []).append(
+                    (1 << a | 1 << b, (1 << b) - (1 << a), c))
             ad[a][b] = vec
             ad[b][a] = {t: -c for t, c in vec.items()}
         self._diag = [i for i in range(self.n)
@@ -117,6 +134,7 @@ class ComplexContext:
         self._basis_cache = {}
         self._invariant_cache = {}
         self._candidate_cache = {}
+        self._candidate_ranks = {}  # q -> candidates (dim, rank, pivots)
 
     # -- basis bookkeeping --------------------------------------------------
 
@@ -126,18 +144,24 @@ class ComplexContext:
         return comb(self.n, q) * self.m
 
     def basis_by_grade(self, q):
+        """{packed module weight minus domain weights: codes of its basis
+        cochains of C^q, in increasing (tup, k) order}."""
         cached = self._basis_cache.get(q)
         if cached is None:
-            cached = {}
-            mod_weights = list(enumerate(self._mod_weights))
-            width = len(self._diag)
-            for tup in combinations(range(self.n), q):
-                dsum = _weight_sum(self._dom_weights, tup, width)
-                for k, mw in mod_weights:
-                    cached.setdefault(tuple(map(sub, mw, dsum)), []).append(
-                        (tup, k))
-            self._basis_cache[q] = cached
+            cached = self._basis_cache[q] = {}
+            for mask, total in _subset_sums(self.n, q, self._dom_weights):
+                for k, w in enumerate(self._mod_weights):
+                    cached.setdefault(w - total, []).append(mask * self.m + k)
         return cached
+
+    def code(self, tup, k):
+        """The int code of the basis cochain (tup, k) (module docstring)."""
+        return sum(1 << i for i in tup) * self.m + k
+
+    def cell(self, code):
+        """The basis cochain (tup, k) of an int code."""
+        mask, k = divmod(code, self.m)
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1), k
 
     def basis_cochain(self, tup, k):
         return Cochain(self, len(tup), {tuple(tup): {k: 1}})
@@ -147,55 +171,48 @@ class ComplexContext:
 
     # -- the differential ----------------------------------------------------
 
-    def delta_column(self, tup, k):
-        """delta of a basis cochain, as {(tuple, module idx): coeff} items."""
-        out = {}
-        tset = set(tup)
-        for mdx, acted in self._acting.get(k, ()):
-            if mdx in tset:
+    def delta_column(self, code):
+        """delta of the basis cochain with this code, as {row code: coeff}:
+        bits are inserted by `|` and signed by the parity of the bits below
+        them (module docstring), so no tuple is built."""
+        m, out = self.m, {}
+        mask, k = divmod(code, m)
+        for bit, acted in self._acting.get(k, ()):
+            if mask & bit:
                 continue
-            pos = bisect_left(tup, mdx)
-            s = tup[:pos] + (mdx,) + tup[pos:]
-            sign = -1 if pos % 2 else 1
+            row = (mask | bit) * m
+            odd = (mask & bit - 1).bit_count() & 1
             for k2, v in acted.items():
-                key = (s, k2)
-                nv = out.get(key, 0) + sign * v
+                key = row + k2
+                nv = out.get(key, 0) + (-v if odd else v)
                 if nv == 0:
                     out.pop(key, None)
                 else:
                     out[key] = nv
-        for tpos, t in enumerate(tup):
-            hits = self.pairs_hitting.get(t)
-            if not hits:
-                continue
-            rest = tup[:tpos] + tup[tpos + 1:]
-            rset = set(rest)
-            sigma = -1 if tpos % 2 else 1
-            for a, b, c in hits:
-                if a in rset or b in rset:
+        tpos, bits = 0, mask
+        while bits:
+            t = bits & -bits            # the bits of the mask, increasing
+            bits ^= t
+            rest = mask ^ t
+            for pair, between, c in self.pairs_hitting.get(t, ()):
+                if rest & pair:
                     continue
-                ia, jb = bisect_left(rest, a), bisect_left(rest, b)
-                s = rest[:ia] + (a,) + rest[ia:jb] + (b,) + rest[jb:]
-                sign = sigma * c if (ia + jb) % 2 else -sigma * c
-                key = (s, k)
-                nv = out.get(key, 0) + sign
+                key = (rest | pair) * m + k
+                odd = (tpos + (rest & between).bit_count()) & 1
+                nv = out.get(key, 0) + (c if odd else -c)
                 if nv == 0:
                     out.pop(key, None)
                 else:
                     out[key] = nv
-        return out.items()
+            tpos += 1
+        return out
 
     def zero_basis(self, q):
-        """The weight-zero basis cochains (tup, k) of C^q, in increasing
+        """The codes of the weight-zero basis cochains of C^q, in increasing
         (tup, k) order; [] outside 0..n."""
         if not 0 <= q <= self.n:
             return []
-        return _weight_matches(self.n, q, self._dom_weights,
-                               self._mod_weights, len(self._diag))
-
-    def zero_columns(self, q):
-        """delta of each cochain of `zero_basis(q)`, as {(tup, k): coeff}."""
-        return [dict(self.delta_column(tup, k)) for tup, k in self.zero_basis(q)]
+        return _weight_matches(self.n, q, self._dom_weights, self._mod_weights)
 
     def cohomology_dims(self, q):
         """(dim Z^q, dim B^q, dim H^q).
@@ -280,51 +297,73 @@ def _acts_diagonally(a_dom, a_mod):
 def _weights(ctx, tables):
     """(domain weights, module weights): per domain and module index, its
     eigenvalues under the diagonally acting elements whose (a_dom, a_mod)
-    tables are given, as exact ints or Fractions."""
-    dom = [tuple(_exact(a_dom[u][u]) if u in a_dom else 0
-                 for a_dom, _ in tables) for u in range(ctx.n)]
-    mod = [tuple(_exact(a_mod[k][k]) if k in a_mod else 0
-                 for _, a_mod in tables) for k in range(ctx.m)]
+    tables are given, scaled by the lcm of their denominators and packed by
+    `_pack` in a power of two above 2 (n + 1) max |x| >= 2M."""
+    vals = [col[u] for pair in tables for table in pair
+            for u, col in table.items()]
+    scale = lcm(*map(attrgetter("denominator"), vals))
+    top = int(max(map(abs, vals), default=0) * scale)
+    return _pack(ctx, tables, scale,
+                 1 << top.bit_length() + ctx.n.bit_length() + 1)
+
+
+def _pack(ctx, tables, scale, base):
+    """(domain codes, module codes): the weight w of each index as the int
+    sum_c scale w[c] base^c; InvariantError unless base > 2M with M = scale
+    (n max |domain component| + max |module component|) (module docstring)."""
+    top = [max((abs(col[u]) for pair in tables
+                for u, col in pair[side].items()), default=0) for side in (0, 1)]
+    bound = int(scale * (ctx.n * top[0] + top[1]))
+    if base <= 2 * bound:
+        raise InvariantError(f"weight base {base} is not above 2 * {bound}")
+    dom, mod = [0] * ctx.n, [0] * ctx.m
+    for c, pair in enumerate(tables):
+        unit = scale * base ** c
+        for codes, table in zip((dom, mod), pair):
+            for u, col in table.items():
+                codes[u] += int(col[u] * unit)
     return dom, mod
 
 
-def _exact(x):
-    """An integral weight as a plain int, whose sums are cheap; else the
-    Fraction (weights of a rescaled basis need not be integral)."""
-    return int(x) if x.denominator == 1 else x
+def _subset_sums(n, q, weights, start=0, mask=0, total=0):
+    """(bitset, sum of weights over it) of each q-subset of range(start, n)
+    joined to mask, in increasing tuple order: a depth-first walk over
+    increasing indices that carries the partial int sum."""
+    if q > 1:
+        for j in range(start, n - q + 1):
+            yield from _subset_sums(n, q - 1, weights, j + 1, mask | 1 << j,
+                                    total + weights[j])
+    elif q:
+        for j in range(start, n):
+            yield mask | 1 << j, total + weights[j]
+    else:
+        yield mask, total
 
 
-def _weight_sum(weights, tup, width):
-    """Componentwise sum of weights[j] over j in tup (width components)."""
-    out = (0,) * width
-    for j in tup:
-        out = tuple(map(add, out, weights[j]))
-    return out
-
-
-def _weight_matches(n, q, dom_weights, mod_weights, width):
-    """The basis cochains (tup, k) of C^q, in increasing (tup, k) order,
-    whose module weight mod_weights[k] is the sum of dom_weights over tup:
-    module indices are grouped by weight and looked up per tuple."""
-    mod_by_weight = {}
+def _weight_matches(n, q, dom_weights, mod_weights):
+    """The codes of the basis cochains (tup, k) of C^q, in increasing
+    (tup, k) order, whose packed module weight mod_weights[k] is the sum of
+    dom_weights over tup, looked up per tuple among the module weights."""
+    m, mod_by_weight = len(mod_weights), {}
     for k, w in enumerate(mod_weights):
         mod_by_weight.setdefault(w, []).append(k)
-    return [(tup, k) for tup in combinations(range(n), q)
-            for k in mod_by_weight.get(_weight_sum(dom_weights, tup, width), ())]
+    return [mask * m + k for mask, total in _subset_sums(n, q, dom_weights)
+            for k in mod_by_weight.get(total, ())]
 
 
-def _to_data(col):
+def _decoded(ctx, q, col):
+    """The q-cochain of a {code: coefficient} column."""
     data = {}
-    for (tup, k), c in col.items():
-        if c != 0:
-            data.setdefault(tup, {})[k] = c
-    return data
+    for code, c in col.items():
+        tup, k = ctx.cell(code)
+        data.setdefault(tup, {})[k] = c
+    return Cochain(ctx, q, data)
 
 
 def _relation_cochain(ctx, q, basis, rel):
     """The q-cochain sum_p rel[p] basis[p] of a kernel relation over a list
-    of (tup, k) basis cochains."""
-    return Cochain(ctx, q, _to_data({basis[p]: c for p, c in rel.items()}))
+    of basis cochain codes."""
+    return _decoded(ctx, q, {basis[p]: c for p, c in rel.items()})
 
 
 @dataclass(frozen=True)
@@ -358,6 +397,11 @@ class Cochain:
         for tup, vec in self.data.items():
             for k, c in vec.items():
                 yield (tup, k), c
+
+    def coded(self):
+        """{code: coefficient} over its basis cochains (`code`)."""
+        code = self.context.code
+        return {code(tup, k): c for (tup, k), c in self.items()}
 
     def add(self, other, scale=1):
         if other.context is not self.context or other.degree != self.degree:
@@ -396,11 +440,10 @@ def coboundary(f: Cochain) -> Cochain:
     (delta f)(x_0..x_q) = sum_i (-1)^i x_i . f(..x^_i..)
                         + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..x^_i..x^_j..)
     """
-    ctx = f.context
-    acc = {}
-    for (tup, k), c in f.items():
-        vec_add(acc, dict(ctx.delta_column(tup, k)), c)
-    return Cochain(ctx, f.degree + 1, _to_data(acc))
+    ctx, acc = f.context, {}
+    for code, c in f.coded().items():
+        vec_add(acc, ctx.delta_column(code), c)
+    return _decoded(ctx, f.degree + 1, acc)
 
 
 def lie_derivative(x_vec, f: Cochain) -> Cochain:
@@ -414,8 +457,8 @@ def lie_derivative(x_vec, f: Cochain) -> Cochain:
     tables = tuple(_bracket_coords(ctx, x_vec, w) for w in ("domain", "module"))
     acc, cells = {}, dict(f.items())
     for col, c in zip(_lie_columns(ctx, cells, [tables]), cells.values()):
-        vec_add(acc, {(t, k): v for (_, t, k), v in col.items()}, c)
-    return Cochain(ctx, f.degree, _to_data(acc))
+        vec_add(acc, {ctx.code(t, k): v for (_, t, k), v in col.items()}, c)
+    return _decoded(ctx, f.degree, acc)
 
 
 def invariant_cochains(ctx: ComplexContext, q):
@@ -450,27 +493,28 @@ def _invariant_entry(ctx, q):
 
 
 def _levi_grading(ctx):
-    """(domain weights, module weights, width, general): `ctx.levi` graded
-    once per context by its `width` generators that act diagonally, and
-    the (a_dom, a_mod) action tables of the others."""
+    """(domain weights, module weights, general): `ctx.levi` graded once per
+    context by its generators that act diagonally, and the (a_dom, a_mod)
+    action tables of the others."""
     if ctx._grading is None:
         diag, general = [], []
         for x in ctx.levi:
             tables = tuple(_bracket_coords(ctx, x, w)
                            for w in ("domain", "module"))
             (diag if _acts_diagonally(*tables) else general).append(tables)
-        ctx._grading = (*_weights(ctx, diag), len(diag), general)
+        ctx._grading = (*_weights(ctx, diag), general)
     return ctx._grading
 
 
 def _invariant_candidates(ctx, q):
-    """The basis cochains (tup, k) of C^q, in increasing (tup, k) order, of
-    weight zero for every diagonally acting Levi generator (only they can
-    carry an invariant).  Cached per degree; callers must not mutate it."""
+    """The codes of the basis cochains of C^q, in increasing (tup, k)
+    order, of weight zero for every diagonally acting Levi generator (only
+    they can carry an invariant).  Cached per degree; callers must not
+    mutate it."""
     if q not in ctx._candidate_cache:
-        dom_weights, mod_weights, width, _ = _levi_grading(ctx)
+        dom_weights, mod_weights, _ = _levi_grading(ctx)
         ctx._candidate_cache[q] = _weight_matches(ctx.n, q, dom_weights,
-                                                  mod_weights, width)
+                                                  mod_weights)
     return ctx._candidate_cache[q]
 
 
@@ -478,11 +522,12 @@ def _invariant_basis(ctx, q):
     """The invariant q-cochains: one per primitive int kernel relation of
     the candidates' L_x columns; with no generator acting non-diagonally
     every candidate is one, its relation {p: 1}."""
-    candidates, general = _invariant_candidates(ctx, q), _levi_grading(ctx)[3]
+    candidates, general = _invariant_candidates(ctx, q), _levi_grading(ctx)[2]
+    cells = list(map(ctx.cell, candidates))
     if not general or not candidates:
-        return [ctx.basis_cochain(tup, k) for tup, k in candidates]
+        return [ctx.basis_cochain(tup, k) for tup, k in cells]
     return [_relation_cochain(ctx, q, candidates, rel) for rel in
-            sparse_kernel_basis(_lie_columns(ctx, candidates, general), True)]
+            sparse_kernel_basis(_lie_columns(ctx, cells, general), True)]
 
 
 def _lie_columns(ctx, candidates, generators):
@@ -522,20 +567,28 @@ def _lie_columns(ctx, candidates, generators):
 
 def _invariant_block(ctx, q):
     """(dim, rank of delta_q) of the weight-zero block of the context's
-    diagonal domain elements in degree q, with no kernel step, cached as
-    (dim, rank, pivot rows) and cleared by a cached block q-1 (module
-    docstring); a missing or forged one (no pivot rows) clears nothing."""
-    block = ctx._rank_cache.get(q)
-    if block is None:
-        basis, prev = ctx.zero_basis(q), ctx._rank_cache.get(q - 1, ())
-        cleared = set(*prev[2:])        # the pivot rows of block q-1, if any
-        kept = [c for c in basis if c not in cleared]
-        if prev[2:] and not len(cleared) == prev[1] == len(basis) - len(kept):
-            raise InvariantError(f"the pivot rows of delta_{q - 1} are not "
-                                 f"{prev[1]} weight-zero {q}-cochains")
-        span = Echelon(dict(ctx.delta_column(tup, k)) for tup, k in kept)
-        block = ctx._rank_cache[q] = (len(basis), span.rank, span.pivot_rows())
-    return block[:2]
+    diagonal domain elements in degree q, with no kernel step, cleared by
+    `_cleared_echelon`; a missing or forged block q-1 (no pivot rows) clears
+    nothing."""
+    if q not in ctx._rank_cache:
+        _cleared_echelon(ctx, ctx._rank_cache, q, ctx.zero_basis(q))
+    return ctx._rank_cache[q][:2]
+
+
+def _cleared_echelon(ctx, cache, q, basis):
+    """Echelon of delta over the codes of `basis`, a block of C^q closed
+    under delta with the blocks cached beside it, off the pivot rows of
+    cache[q - 1] (module docstring); cache[q] becomes (dim, rank, pivot
+    rows) before the caller may add to the echelon."""
+    prev = cache.get(q - 1, ())
+    cleared = set(*prev[2:])        # the pivot rows of block q-1, if any
+    kept = [c for c in basis if c not in cleared]
+    if prev[2:] and not len(cleared) == prev[1] == len(basis) - len(kept):
+        raise InvariantError(f"the pivot rows of delta_{q - 1} are not "
+                             f"{prev[1]} block {q}-cochains")
+    span = Echelon(map(ctx.delta_column, kept))
+    cache[q] = (len(basis), span.rank, span.pivot_rows())
+    return span
 
 
 @dataclass(frozen=True)
@@ -569,15 +622,16 @@ def _coboundary_consistency(ctx, q, inv_q, b_dim):
     lie in weight zero; if delta(c) is invariant, its components of nonzero
     weight, delta(c_lambda), vanish, so delta(c) = delta(c_0).  Hence
     B^q cap invariants = delta(C^(q-1)_0) cap invariants, and C^(q-1)_0 is
-    spanned by the invariant candidates of degree q-1.
+    spanned by the candidates of degree q-1, cleared by the pivot rows of
+    degree q-2, cached before inv_q is added (module docstring).
     """
     if not inv_q:
         return b_dim == 0
-    candidates = _invariant_candidates(ctx, q - 1)
-    span = Echelon(dict(ctx.delta_column(tup, k)) for tup, k in candidates)
+    span = _cleared_echelon(ctx, ctx._candidate_ranks, q - 1,
+                            _invariant_candidates(ctx, q - 1))
     r_b0 = span.rank
     for f in inv_q:
-        span.add(f)
+        span.add(f.coded())
     return r_b0 + sparse_rank(inv_q) - span.rank == b_dim
 
 
@@ -609,7 +663,7 @@ def nilradical_context(sw) -> ComplexContext:
         domain = _units(sw.nilradical)
         sw._nilradical_ctx = ComplexContext(
             sw.ambient, domain, _units(sw.member), _adjoint_rows(sw, domain),
-            reductive_generators(sw))
+            reductive_generators(sw), adjoint_context(sw)._mod_solver)
     return sw._nilradical_ctx
 
 
@@ -641,7 +695,8 @@ def quotient_context(split) -> ComplexContext:
     if not hasattr(split, "_quotient_ctx"):
         split._quotient_ctx = ComplexContext(
             sw.ambient, split.complement_basis, _units(sw.member),
-            _adjoint_rows(sw, split.complement_basis))
+            _adjoint_rows(sw, split.complement_basis),
+            mod_solver=adjoint_context(sw)._mod_solver)
     return split._quotient_ctx
 
 

@@ -49,10 +49,11 @@ def _class_representatives(ctx, q, expect):
     weight, a coboundary, is never kept: screening every block against B^q
     gives these representatives, in this order.
     """
-    basis, span = ctx.zero_basis(q), Echelon(ctx.zero_columns(q - 1))
-    cocycles = [_relation_cochain(ctx, q, basis, rel)
-                for rel in sparse_kernel_basis(ctx.zero_columns(q))]
-    reps = [z for z in cocycles if span.add(z)]
+    basis = ctx.zero_basis(q)
+    span = Echelon(map(ctx.delta_column, ctx.zero_basis(q - 1)))
+    cocycles = [_relation_cochain(ctx, q, basis, rel) for rel in
+                sparse_kernel_basis(list(map(ctx.delta_column, basis)))]
+    reps = [z for z in cocycles if span.add(z.coded())]
     if len(reps) != expect:
         raise InvariantError(
             f"{len(reps)} class representatives for dim H^{q} = {expect}")
@@ -178,8 +179,9 @@ def is_coboundary(ctx: ComplexContext, f: Cochain) -> bool:
     if not coboundary(f).is_zero():
         return False
     zero = set(ctx.zero_basis(f.degree))
-    return Echelon(ctx.zero_columns(f.degree - 1)).contains(
-        {key: c for key, c in f.items() if key in zero})
+    span = Echelon(map(ctx.delta_column, ctx.zero_basis(f.degree - 1)))
+    return span.contains({key: c for key, c in f.coded().items()
+                          if key in zero})
 
 
 def cohomologous(ctx: ComplexContext, f: Cochain, g: Cochain) -> bool:

@@ -230,7 +230,7 @@ def test_criterion_9_property_suites(a2_fixture, g2_fixture, a2_seaweed):
     for q in (0, 1, 2):
         cells = [(tup, k) for tup in combinations(range(ctx.n), q)
                  for k in range(ctx.m)]
-        cols = [dict(ctx.delta_column(tup, k)) for tup, k in cells]
+        cols = [ctx.delta_column(ctx.code(tup, k)) for tup, k in cells]
         rows = sorted({key for col in cols for key in col})
         index = {key: i for i, key in enumerate(rows)}
         m = [[F(0)] * len(cells) for _ in rows]

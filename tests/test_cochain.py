@@ -16,7 +16,8 @@ from seaweedcoh.cochain import (Cochain, ComplexContext, _acts_diagonally,
                                 _bracket_coords, _coboundary_consistency,
                                 _int_units, _invariant_block,
                                 _invariant_candidates, _invariant_entry,
-                                _levi_grading, _lie_columns, _weights,
+                                _levi_grading, _lie_columns, _pack,
+                                _weights,
                                 adjoint_context, coboundary, full_context,
                                 invariant_coboundaries, invariant_cochains,
                                 invariant_cohomology_dims, lie_derivative,
@@ -70,6 +71,19 @@ def random_cochain(ctx, q, seed, density=0.4):
     return Cochain(ctx, q, data)
 
 
+def delta_cells(ctx, tup, k):
+    """delta of the basis cochain (tup, k), its row codes decoded: the
+    coded `delta_column` as {(tup', k'): coeff}, item order included."""
+    return {ctx.cell(r): c for r, c in ctx.delta_column(ctx.code(tup, k)).items()}
+
+
+def fraction_weights(ctx):
+    """Whether some weight of the context's grading is a Fraction: the
+    diagonal entry of a diagonal element's action on the module."""
+    return any(isinstance(ctx.act[i][k][k], F) for i in ctx._diag
+               for k in ctx.act[i])
+
+
 @pytest.fixture(scope="module")
 def a2_seaweed(a2_fixture):
     return build_seaweed(a2_fixture, SeaweedSpec.make("A", 2, [], [1, 2]))
@@ -99,7 +113,7 @@ def test_delta_column_matches_coboundary(a2_seaweed):
     for q in (1, 2, 3):
         for tup in combinations(range(ctx.n), q):
             for k in range(ctx.m):
-                col = dict(ctx.delta_column(tup, k))
+                col = delta_cells(ctx, tup, k)
                 ref = {key: c for key, c in
                        coboundary(ctx.basis_cochain(tup, k)).items()}
                 assert col == ref
@@ -397,7 +411,7 @@ def test_invariant_vanishing_sweep(sweep_reports):
 def assert_dims_match_ungraded(ctx, max_degree):
     """cohomology_dims(q) equals (Z, B, H) eliminated over every delta
     column of C^q and C^(q-1), with no grading."""
-    ranks = [sparse_rank([dict(ctx.delta_column(tup, k))
+    ranks = [sparse_rank([ctx.delta_column(ctx.code(tup, k))
                           for tup in combinations(range(ctx.n), q)
                           for k in range(ctx.m)])
              for q in range(max_degree + 1)]
@@ -411,9 +425,9 @@ def test_only_weight_zero_is_eliminated(monkeypatch):
     eliminated = []
     delta_column = ComplexContext.delta_column
 
-    def recording(self, tup, k):
-        eliminated.append((self, tup, k))
-        return delta_column(self, tup, k)
+    def recording(self, code):
+        eliminated.append((self, code))
+        return delta_column(self, code)
 
     monkeypatch.setattr(ComplexContext, "delta_column", recording)
     # decomposable: the (Q,s) context differs from the adjoint one
@@ -427,10 +441,10 @@ def test_only_weight_zero_is_eliminated(monkeypatch):
             classes += len(_class_representatives(ctx, q, h))
     monkeypatch.undo()
     assert classes > 0
-    assert {ctx for ctx, _, _ in eliminated} == contexts
-    for ctx, tup, k in eliminated:
-        zero = (0,) * len(ctx._diag)
-        assert (tup, k) in ctx.basis_by_grade(len(tup)).get(zero, ()), (tup, k)
+    assert {ctx for ctx, _ in eliminated} == contexts
+    for ctx, code in eliminated:
+        tup, k = ctx.cell(code)
+        assert code in ctx.basis_by_grade(len(tup)).get(0, ()), (tup, k)
 
 
 def test_adjoint_rows_build_only_the_kept_columns(monkeypatch):
@@ -439,8 +453,8 @@ def test_adjoint_rows_build_only_the_kept_columns(monkeypatch):
     # columns, over the acceptance pool at verify's degrees
     built = Counter()
     delta_column = ComplexContext.delta_column
-    monkeypatch.setattr(ComplexContext, "delta_column", lambda self, tup, k:
-                        built.update([(tup, k)]) or delta_column(self, tup, k))
+    monkeypatch.setattr(ComplexContext, "delta_column", lambda self, code:
+                        built.update([code]) or delta_column(self, code))
     saved = 0
     for t, r in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
         for spec in _all_specs(t, r):
@@ -479,7 +493,7 @@ def test_derived_block_ranks_rescaled_fixture(a2_fixture):
     sw = build_seaweed(a2_fixture.rescaled(scalars),
                        SeaweedSpec.make("A", 2, [], [1, 2]))
     ctx = adjoint_context(sw)
-    assert any(isinstance(w, F) for ws in ctx._dom_weights for w in ws)
+    assert fraction_weights(ctx)
     assert_dims_match_ungraded(ctx, ctx.n)
 
 
@@ -523,7 +537,7 @@ def test_impossible_cleared_pivot_rows_raise():
         assert len(rows) == rank > 1
         if forge == "outside":
             rows[0] = next(c for grade, cs in ctx.basis_by_grade(2).items()
-                           if any(grade) for c in cs)
+                           if grade for c in cs)
         else:
             rows[0] = rows[1] if forge == "repeated" else rows.pop()
         ctx._rank_cache[1] = (dim, rank, rows)
@@ -538,7 +552,7 @@ def assert_block_cleared(ctx, q):
     ones, and the cleared rank is the rank of all the block's columns."""
     dim, rank = _invariant_block(ctx, q)
     basis = ctx.zero_basis(q)
-    cols = [dict(ctx.delta_column(tup, k)) for tup, k in basis]
+    cols = list(map(ctx.delta_column, basis))
     cleared = set(ctx._rank_cache[q - 1][2]) if q else set()
     assert cleared <= set(basis), q
     assert len(cleared) == _invariant_block(ctx, q - 1)[1], q
@@ -574,7 +588,7 @@ def test_clearing_is_sound_on_sweeps(a2_fixture):
     sw = build_seaweed(a2_fixture.rescaled(scalars),
                        SeaweedSpec.make("A", 2, [], [1, 2]))
     ctx = adjoint_context(sw)
-    assert any(isinstance(w, F) for ws in ctx._dom_weights for w in ws)
+    assert fraction_weights(ctx)
     for q in range(ctx.n + 1):
         assert_block_cleared(ctx, q)
 
@@ -695,17 +709,27 @@ def reference_basis_by_grade(ctx, q, grading):
     return out
 
 
+def same_pattern(codes, weights):
+    """Whether the codes are equal exactly where the weights are."""
+    return ([[a == b for b in codes] for a in codes]
+            == [[a == b for b in weights] for a in weights])
+
+
 def assert_grading_matches_reference(ctx):
     grading = reference_grading(ctx)
-    assert (ctx._diag, ctx._dom_weights, ctx._mod_weights) == grading
-    zero = (0,) * len(ctx._diag)
+    diag, dom, mod = grading
+    assert ctx._diag == diag
+    assert same_pattern(ctx._dom_weights + ctx._mod_weights, dom + mod)
+    zero = (0,) * len(diag)
     for q in range(min(ctx.n, 3) + 1):
         got = ctx.basis_by_grade(q)
         ref = reference_basis_by_grade(ctx, q, grading)
-        assert list(got) == list(ref), q       # the order of the grades
-        assert got == ref, q                   # and of each block
+        # the same blocks, in the order of the grades and within each block
+        assert [list(map(ctx.cell, block)) for block in got.values()] == \
+            list(ref.values()), q
         # the weight-zero block of cohomology_dims, in the same order
-        assert ctx.zero_basis(q) == got.get(zero, []), q
+        assert ctx.zero_basis(q) == got.get(0, []), q
+        assert list(map(ctx.cell, ctx.zero_basis(q))) == ref.get(zero, []), q
 
 
 @pytest.mark.parametrize("type_label,rank",
@@ -730,7 +754,136 @@ def test_grading_matches_reference_rescaled_fixture(a2_fixture):
                     quotient_context(split_over_center(sw))):
             assert_grading_matches_reference(ctx)
     ctx = adjoint_context(build_seaweed(L2, SeaweedSpec.make("A", 2, [], [1, 2])))
-    assert any(isinstance(w, F) for ws in ctx._dom_weights for w in ws)
+    assert fraction_weights(ctx)
+
+
+# -- packed weights and the depth-first walk ----------------------------------
+
+def reference_weight_matches(n, q, dom_weights, mod_weights, width):
+    """`_weight_matches` before the packing: the (tup, k) over
+    combinations(range(n), q), with the weight vectors of tup summed
+    componentwise and looked up among the module weights."""
+    mod_by_weight = {}
+    for k, w in enumerate(mod_weights):
+        mod_by_weight.setdefault(w, []).append(k)
+    out = []
+    for tup in combinations(range(n), q):
+        total = (0,) * width
+        for j in tup:
+            total = tuple(a + b for a, b in zip(total, dom_weights[j]))
+        out += [(tup, k) for k in mod_by_weight.get(total, ())]
+    return out
+
+
+def reference_levi_weights(ctx):
+    """(domain weights, module weights, width) of the diagonally acting
+    generators of ctx.levi, from the reference action tables."""
+    diag = []
+    for g in ctx.levi:
+        a_dom, a_mod = reference_action_tables(ctx, g)
+        if (all(set(col) == {u} for u, col in a_dom.items())
+                and all(set(col) == {k} for k, col in a_mod.items())):
+            diag.append((a_dom, a_mod))
+    dom = [tuple(a_dom.get(u, {}).get(u, 0) for a_dom, _ in diag)
+           for u in range(ctx.n)]
+    mod = [tuple(a_mod.get(k, {}).get(k, 0) for _, a_mod in diag)
+           for k in range(ctx.m)]
+    return dom, mod, len(diag)
+
+
+def assert_walk_matches_reference(sw, max_degree):
+    """zero_basis of C(s, s) and the Levi candidates of C(n, s) equal the
+    combinations walk over the reference weights, order included."""
+    adj, nil = adjoint_context(sw), nilradical_context(sw)
+    diag, dom, mod = reference_grading(adj)
+    levi = reference_levi_weights(nil)
+    for q in range(min(adj.n, max_degree) + 1):
+        assert list(map(adj.cell, adj.zero_basis(q))) == \
+            reference_weight_matches(adj.n, q, dom, mod, len(diag)), q
+    for q in range(nil.n + 1):
+        assert list(map(nil.cell, _invariant_candidates(nil, q))) == \
+            reference_weight_matches(nil.n, q, *levi), q
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                          ("C", 3), ("G", 2)])
+def test_walk_matches_combinations_reference(type_label, rank):
+    # every degree up to verify's cap (q <= 3 once dim s > 8) for C(s, s),
+    # and every degree of C(n, s)
+    for spec in _all_specs(type_label, rank):
+        if spec.rank == rank:
+            sw = build_seaweed(_ambient(type_label, rank), spec)
+            assert_walk_matches_reference(sw, _degree_cap(sw, None))
+
+
+def test_walk_matches_combinations_reference_rescaled_fixture(a2_fixture):
+    rng = random.Random(5)
+    scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
+    L2 = a2_fixture.rescaled(scalars)
+    for pi1, pi2 in (([], [1, 2]), ([1], [1, 2]), ([], [1])):
+        sw = build_seaweed(L2, SeaweedSpec.make("A", 2, pi1, pi2))
+        assert fraction_weights(adjoint_context(sw))
+        assert_walk_matches_reference(sw, sw.dim)
+
+
+def diagonal_tables(dom, mod):
+    """The (a_dom, a_mod) tables of diagonal elements with these weights:
+    element c scales domain index u by dom[u][c], module index k by
+    mod[k][c]."""
+    return [({u: {u: w[c]} for u, w in enumerate(dom) if w[c]},
+             {k: {k: w[c]} for k, w in enumerate(mod) if w[c]})
+            for c in range(len(dom[0]))]
+
+
+def test_packing_is_injective_at_the_bound():
+    # components at +-M: M = n * 3 + 5 with n = 3 domain weights of
+    # components up to 3 in size and module weights up to 5; all three
+    # domain weights and the first module weight reach (M, -M, 1).  With
+    # base 2M + 1 the codes of every module weight plus at most n domain
+    # weights are equal exactly where the vectors are; base 2M is refused
+    dom = [(3, -3, 3), (3, -3, -3), (3, -3, 1)]
+    mod = [(5, -5, 0), (-5, 5, 2), (0, 0, -5), (5, 5, 5)]
+    bound = len(dom) * 3 + 5
+    ctx = SimpleNamespace(n=len(dom), m=len(mod))
+    tables = diagonal_tables(dom, mod)
+    dom_codes, mod_codes = _pack(ctx, tables, 1, 2 * bound + 1)
+    sums = {}
+    for q in range(len(dom) + 1):
+        for tup in combinations(range(len(dom)), q):
+            for k in range(len(mod)):
+                vec = tuple(mod[k][c] + sum(dom[j][c] for j in tup)
+                            for c in range(3))
+                code = mod_codes[k] + sum(dom_codes[j] for j in tup)
+                sums.setdefault(vec, set()).add(code)
+    assert (bound, -bound, 1) in sums
+    assert all(len(codes) == 1 for codes in sums.values())
+    assert len({c for codes in sums.values() for c in codes}) == len(sums)
+    with pytest.raises(InvariantError, match="weight base"):
+        _pack(ctx, tables, 1, 2 * bound)
+    # Fraction weights are scaled to ints first: halves, scale 2
+    halves = [[F(x, 2) for x in w] for w in dom]
+    assert _pack(ctx, diagonal_tables(halves, mod), 2, 2 * (2 * bound) + 1) \
+        != _pack(ctx, tables, 1, 2 * bound + 1)
+    with pytest.raises(InvariantError, match="weight base"):
+        _pack(ctx, diagonal_tables(halves, mod), 2, 2 * bound)
+
+
+def test_impossible_packing_base_raises():
+    # forged weights, a million times the A2 ones, packed with the base
+    # chosen for the real ones: sums of them could collide, so the bound
+    # check raises an InvariantError, which fires under python -O too
+    ctx = adjoint_context(build_seaweed(_ambient("A", 2),
+                                        SeaweedSpec.make("A", 2, [1, 2],
+                                                         [1, 2])))
+    _, dom, mod = reference_grading(ctx)
+    top = max(abs(x) for w in dom + mod for x in w)
+    base = 1 << top.bit_length() + ctx.n.bit_length() + 1
+    tables = diagonal_tables(dom, mod)
+    assert _pack(ctx, tables, 1, base) == (ctx._dom_weights, ctx._mod_weights)
+    forged = diagonal_tables([[x * 10 ** 6 for x in w] for w in dom], mod)
+    with pytest.raises(InvariantError, match="weight base"):
+        _pack(ctx, forged, 1, base)
 
 
 # -- the invariant-cochain candidate filter ------------------------------------
@@ -764,10 +917,10 @@ def test_invariant_candidates_match_brute_force(type_label, rank):
         for ctx in (nilradical_context(sw), levi_adjoint_context(sw)):
             assert ctx.levi == reductive_generators(sw)
             for q in range(min(3, ctx.n) + 1):
-                got = _invariant_candidates(ctx, q)
+                got = list(map(ctx.cell, _invariant_candidates(ctx, q)))
                 assert got == brute_force_candidates(ctx, q), (spec, q)
             # the Cartan acts diagonally
-            assert len(_levi_grading(ctx)[3]) < len(ctx.levi)
+            assert len(_levi_grading(ctx)[2]) < len(ctx.levi)
 
 
 def test_invariant_candidates_rescaled_fixture(a2_fixture):
@@ -776,11 +929,10 @@ def test_invariant_candidates_rescaled_fixture(a2_fixture):
     scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
     sw = build_seaweed(a2_fixture.rescaled(scalars),
                        SeaweedSpec.make("A", 2, [], [1, 2]))
-    assert any(isinstance(w, F) for ws in adjoint_context(sw)._dom_weights
-               for w in ws)
+    assert fraction_weights(adjoint_context(sw))
     for ctx in (nilradical_context(sw), levi_adjoint_context(sw)):
         for q in range(ctx.n + 1):
-            assert _invariant_candidates(ctx, q) == \
+            assert list(map(ctx.cell, _invariant_candidates(ctx, q))) == \
                 brute_force_candidates(ctx, q), q
 
 
@@ -957,14 +1109,14 @@ def full_span_coboundaries_in_invariants(ctx, q, inv_q):
     elements)."""
     if not inv_q:
         return 0
-    grade_of = {tk: g for g, basis in ctx.basis_by_grade(q).items()
-                for tk in basis}
-    grades = {grade_of[tk] for f in inv_q for tk, _ in f.items()}
-    span = Echelon(dict(ctx.delta_column(tup, k)) for g in sorted(grades)
-                   for tup, k in ctx.basis_by_grade(q - 1).get(g, []))
+    grade_of = {code: g for g, basis in ctx.basis_by_grade(q).items()
+                for code in basis}
+    grades = {grade_of[code] for f in inv_q for code in f.coded()}
+    span = Echelon(ctx.delta_column(code) for g in sorted(grades)
+                   for code in ctx.basis_by_grade(q - 1).get(g, []))
     r_b0 = span.rank
     for f in inv_q:
-        span.add(f)
+        span.add(f.coded())
     return r_b0 + sparse_rank(inv_q) - span.rank
 
 
@@ -999,6 +1151,31 @@ def test_weight_zero_coboundary_span(type_label, rank):
             inv_q = invariant_cochains(ctx, q)
             full = full_span_coboundaries_in_invariants(ctx, q, inv_q)
             assert _coboundary_consistency(ctx, q, inv_q, full), (spec, q)
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3),
+                          ("C", 3)])
+def test_candidate_span_is_cleared(type_label, rank):
+    # _coboundary_consistency eliminates delta of the degree-(q-1)
+    # candidates off the pivot rows of degree q-2's echelon; the cleared
+    # rank equals the rank of every candidate column, in every degree
+    cleared = 0
+    for spec in _all_specs(type_label, rank):
+        if spec.rank != rank:
+            continue
+        ctx = nilradical_context(build_seaweed(_ambient(type_label, rank),
+                                               spec))
+        for q in range(1, ctx.n + 1):
+            invariant_cohomology_dims(ctx, q)
+            if q - 1 in ctx._candidate_ranks:
+                dim, rank_q, _ = ctx._candidate_ranks[q - 1]
+                columns = list(map(ctx.delta_column,
+                                   _invariant_candidates(ctx, q - 1)))
+                assert (dim, rank_q) == (len(columns),
+                                         sparse_rank(columns)), (spec, q)
+                cleared += ctx._candidate_ranks.get(q - 2, (0, 0))[1]
+    assert cleared > 0
 
 
 # -- tables read off the ambient's ad columns ----------------------------------
@@ -1042,7 +1219,8 @@ def reference_tables(ctx):
     hitting, ad = {}, [{} for _ in range(ctx.n)]
     for (a, b), vec in dbr.items():
         for t, c in vec.items():
-            hitting.setdefault(t, []).append((a, b, c))
+            hitting.setdefault(1 << t, []).append(
+                (1 << a | 1 << b, (1 << b) - (1 << a), c))
         ad[a][b] = vec
         ad[b][a] = {t: -c for t, c in vec.items()}
     diag = [i for i in range(ctx.n) if _acts_diagonally(ad[i], act[i])]
@@ -1340,7 +1518,12 @@ def unit_sections(sw):
 
 def reference_delta_column(ctx, tup, k):
     """delta of a basis cochain as first written: a loop over every domain
-    index, placed with `_insert`."""
+    index, placed with `_insert`, and over the pairs (a, b) of `dbr` whose
+    bracket hits each argument, in the order of `dbr`."""
+    hitting = {}
+    for (a, b), vec in ctx.dbr.items():
+        for t, c in vec.items():
+            hitting.setdefault(t, []).append((a, b, c))
     out = {}
     for mdx in range(ctx.n):
         acted = ctx.act[mdx].get(k)
@@ -1351,7 +1534,7 @@ def reference_delta_column(ctx, tup, k):
                 -1 if pos % 2 else 1)
     for tpos, t in enumerate(tup):
         rest = tup[:tpos] + tup[tpos + 1:]
-        for a, b, c in ctx.pairs_hitting.get(t, ()):
+        for a, b, c in hitting.get(t, ()):
             if a not in rest and b not in rest:
                 s, ia = _insert(rest, a)
                 s, ib = _insert(s, b)
@@ -1373,7 +1556,7 @@ def assert_rows_match_generic(ctx, rows):
         assert identical(getattr(ctx, name), getattr(ref, name)), name
     for q in range(3):
         for tup, k in product(combinations(range(ctx.n), q), range(ctx.m)):
-            assert identical(dict(ctx.delta_column(tup, k)),
+            assert identical(delta_cells(ctx, tup, k),
                              reference_delta_column(ref, tup, k)), (tup, k)
 
 
@@ -1406,6 +1589,54 @@ def test_slices_match_generic_contexts(g2_fixture):
     sw = seaweed_from_algebra(g2_fixture)
     verify_report(sw, None)
     assert assert_slices_match_generic(sw, (None, [0, 1])) == 2
+
+
+def test_coded_columns_match_reference(a2_fixture, g2_fixture):
+    # the decoded columns of C(s, s) equal the reference loop's, item
+    # order and value types included: the A2, B2 and G2 sweeps in degrees
+    # <= 2, whole B2 and whole G2 in degree 3, and both fixtures
+    contexts = []
+    for t, r in [("A", 2), ("B", 2), ("G", 2)]:
+        for spec in _all_specs(t, r):
+            if spec.rank == r:
+                sw = build_seaweed(_ambient(t, r), spec)
+                contexts.append((adjoint_context(sw),
+                                 3 if spec.pi1 == spec.pi2 == set(
+                                     range(1, r + 1)) else 2))
+    rng = random.Random(5)
+    scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
+    contexts.append((adjoint_context(build_seaweed(
+        a2_fixture.rescaled(scalars), SeaweedSpec.make("A", 2, [], [1, 2]))),
+        3))
+    contexts.append((adjoint_context(seaweed_from_algebra(g2_fixture)), 3))
+    checked = 0
+    for ctx, degree in contexts:
+        for q in range(min(ctx.n, degree) + 1):
+            for tup, k in product(combinations(range(ctx.n), q),
+                                  range(ctx.m)):
+                assert identical(delta_cells(ctx, tup, k),
+                                 reference_delta_column(ctx, tup, k)), (tup, k)
+                checked += 1
+    assert checked > 10000
+
+
+def test_sliced_contexts_share_the_module_solver(g2_fixture):
+    # C(n, s) and C(Q, s) solve in s with C(s, s)'s SpanSolver, unit
+    # complements or not; C(n, g) solves in g with its own
+    seaweeds = list(acceptance_and_a4_seaweeds())
+    seaweeds.append(seaweed_from_algebra(g2_fixture))
+    quotients = 0
+    for sw in seaweeds:
+        solver = adjoint_context(sw)._mod_solver
+        assert nilradical_context(sw)._mod_solver is solver
+        assert nilradical_ambient_context(sw)._mod_solver is not solver
+        sections = [None] + ([[0, 1]] if sw.spec is None else [])
+        for section in sections:
+            ctx = quotient_context(split_over_center(sw,
+                                                     section_indices=section))
+            assert ctx._mod_solver is solver
+            quotients += ctx is not adjoint_context(sw)
+    assert quotients > 50
 
 
 def test_weights_built_once_per_generator_list(monkeypatch):

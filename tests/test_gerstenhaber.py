@@ -164,7 +164,7 @@ def reference_cocycle_basis(ctx, q):
     delta on every weight block of C^q, blocks in sorted grade order."""
     out = []
     for grade, basis in sorted(ctx.basis_by_grade(q).items()):
-        cols = [dict(ctx.delta_column(tup, k)) for tup, k in basis]
+        cols = list(map(ctx.delta_column, basis))
         out += [_relation_cochain(ctx, q, basis, rel)
                 for rel in sparse_kernel_basis(cols)]
     return out
@@ -177,8 +177,8 @@ def reference_coboundary_span(ctx, q):
     if q > 0:
         for grade, basis in sorted(ctx.basis_by_grade(q - 1).items()):
             block = Echelon()
-            for tup, k in basis:
-                col = dict(ctx.delta_column(tup, k))
+            for code in basis:
+                col = ctx.delta_column(code)
                 if block.add(col):
                     span.add(col)
     return span
@@ -186,7 +186,7 @@ def reference_coboundary_span(ctx, q):
 
 def reference_class_representatives(ctx, q):
     span = reference_coboundary_span(ctx, q)
-    return [z for z in reference_cocycle_basis(ctx, q) if span.add(z)]
+    return [z for z in reference_cocycle_basis(ctx, q) if span.add(z.coded())]
 
 
 def ordered(z):
@@ -213,7 +213,7 @@ def seeded_cochains(ctx, q, reps, rng):
         b = coboundary(mixed_cochain(ctx, q - 1, rng)) if q else ctx.zero(q)
         out.append(b)
         out.append(Cochain(ctx, q, {tup: {k: c} for (tup, k), c in b.items()
-                                     if (tup, k) not in zero}))
+                                     if ctx.code(tup, k) not in zero}))
         if ctx.dim_cochains(q):
             tup = tuple(sorted(rng.sample(range(ctx.n), q)))
             out.append(b.add(ctx.basis_cochain(tup, rng.randrange(ctx.m))))
@@ -237,7 +237,7 @@ def assert_weight_zero_matches_reference(ctx, max_degree, seed=0):
         span = reference_coboundary_span(ctx, q)
         for f in seeded_cochains(ctx, q, reps, rng):
             verdict = is_coboundary(ctx, f)
-            assert verdict == span.contains(f), (q, f.data)
+            assert verdict == span.contains(f.coded()), (q, f.data)
             counts[2 - verdict] += 1
     return counts
 
@@ -272,8 +272,9 @@ def test_representatives_match_per_grade_rescaled_fixture(a2_fixture):
     L2 = a2_fixture.rescaled(scalars)
     seaweeds = [build_seaweed(L2, SeaweedSpec.make("A", 2, [], pi2))
                 for pi2 in ([1, 2], [1], [])]
-    assert any(isinstance(w, F)
-               for ws in adjoint_context(seaweeds[0])._dom_weights for w in ws)
+    adj = adjoint_context(seaweeds[0])
+    assert any(isinstance(adj.act[i][k][k], F) for i in adj._diag
+               for k in adj.act[i])
     counts = [0, 0, 0]
     for sw in seaweeds:
         for ctx in dict.fromkeys([adjoint_context(sw),
