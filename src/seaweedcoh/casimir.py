@@ -21,7 +21,9 @@ supported on n-tuples, so k psi f is too, and n is closed under the bracket;
 on an n-tuple both terms of delta(k psi f) then read k psi f only on
 n-tuples and brackets inside n, which is the differential of C(n, g) (n the
 domain, all of g the module).  `restrict` keeps only n-tuples, so the image
-is the same cochain (`_certificate_image`).
+is the same cochain (`_certificate_image`).  The certificate runs on the
+packed codes of `cochain`, from the cocycles to the restricted image;
+`invariant_cocycles`, `homotopy` and `restrict` keep Cochains for callers.
 
 The brackets are kept as D [e^j, e_k] in ints, D the lcm of their
 denominators (3 for the published A2 table), so the certificate works on
@@ -39,9 +41,9 @@ from fractions import Fraction
 from math import lcm
 
 from .chevalley import LieAlgebra
-from .cochain import (Cochain, coboundary, full_context, invariant_coboundaries,
-                      invariant_cochains, nilradical_ambient_context,
-                      nilradical_context)
+from .cochain import (Cochain, _decoded, _delta, _invariant_entry, coboundary,
+                      full_context, invariant_coboundaries,
+                      nilradical_ambient_context, nilradical_context)
 from .exactlin import Echelon, InvariantError, sparse_rank, vec_add
 from .rootsystem import RootSystem
 
@@ -148,27 +150,19 @@ def restrict(octx: OperatorContext, F: Cochain) -> Cochain:
 
 
 def homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
-    """(kF)(x_1..x_{q-1}) = sum_j [e^j, F(e_j, x_1, .., x_{q-1})]."""
-    D = _dual_brackets(octx.ambient)[0]
-    return _scaled_homotopy(octx, F).scale(Fraction(1, D))
-
-
-def _scaled_homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
-    """D kF, read off the integer table of `_dual_brackets`."""
+    """(kF)(x_1..x_{q-1}) = sum_j [e^j, F(e_j, x_1, .., x_{q-1})], read off
+    the integer table D [e^j, e_k] of `_dual_brackets`."""
     if F.degree < 1:
         raise ValueError("homotopy needs degree >= 1")
-    table = _dual_brackets(octx.ambient)[1]
+    D, table = _dual_brackets(octx.ambient)
     out = {}
     for tup, vec in F.data.items():
         for pos, j in enumerate(tup):
-            rest = tup[:pos] + tup[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            row = table[j]
             contrib = {}
             for k, c in vec.items():
-                vec_add(contrib, row[k], sign * c)
+                vec_add(contrib, table[j][k], Fraction(-c if pos % 2 else c, D))
             if contrib:
-                vec_add(out.setdefault(rest, {}), contrib)
+                vec_add(out.setdefault(tup[:pos] + tup[pos + 1:], {}), contrib)
     return Cochain(octx.gg, F.degree - 1, out)
 
 
@@ -263,18 +257,26 @@ class RigidityCertificate:
 
 def invariant_cocycles(octx: OperatorContext, q):
     """Basis of Z^q(n, s)^r, the invariant cocycles the certificate tests."""
+    return [_decoded(octx.ns, q, f) for f in _cocycle_codes(octx, q)]
+
+
+def _cocycle_codes(octx, q):
+    """Z^q(n, s)^r as {code: coefficient}: the invariant codes combined by
+    the primitive kernel relations of their coboundaries, the codes of a
+    tuple together."""
     ns = octx.ns
-    inv = invariant_cochains(ns, q)
+    inv, m = _invariant_entry(ns, q)[0], ns.m
     cocycles = []
     for rel in invariant_coboundaries(ns, q).kernel(primitive=True):
-        # a tuple that cancels is dropped at once, giving the tuple order
+        # a tuple that cancels is dropped after its term: the tuple order
         # (reported by entry_scalars) of adding the terms with Cochain.add
-        data = {}
+        data = {}       # mask -> {k: coefficient}
         for p, c in rel.items():
-            for tup, vec in inv[p].data.items():
-                if not vec_add(data.setdefault(tup, {}), vec, c):
-                    del data[tup]
-        cocycles.append(Cochain(ns, q, data))
+            for code, v in inv[p].items():
+                vec_add(data.setdefault(code // m, {}), {code % m: v}, c)
+            data = {mask: vec for mask, vec in data.items() if vec}
+        cocycles.append({mask * m + k: v for mask, vec in data.items()
+                         for k, v in vec.items()})
     return cocycles
 
 
@@ -284,8 +286,12 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
     For each basis cocycle f the certificate records the entrywise scaling of
     restrict(delta k psi(f)) against f, its positivity, and membership in the
     invariant coboundaries; success means the composite map is injective.
+    When the images lie in the span of the cocycles, images[j] =
+    D sum_i M_ij f_i over the independent f_i, so rank(images) = rank M,
+    full exactly when det M = +/- char_poly[-1] is nonzero; only otherwise
+    are the images eliminated.
     """
-    cocycles = invariant_cocycles(octx, q)
+    cocycles = _cocycle_codes(octx, q)
     cert = RigidityCertificate(q, len(cocycles), True, not cocycles, [],
                                True, form_scale=str(octx.ambient.form_scale))
     if not cocycles:
@@ -304,43 +310,60 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
             cert.failure = str(exc)
             return cert
         images.append(image)
-        scalars = []
-        proportional = True
-        for tup, vec in f.data.items():
-            got = image.data.get(tup, {})
-            ratios = [Fraction(got.get(k, 0), c * D) for k, c in vec.items()]
-            if len(set(ratios)) > 1 or set(got) - set(vec):
-                proportional = False
-            scalars.append(ratios[0])
+        ratios, proportional = _witness_ratios(f, image, octx.ns.m, D)
+        scalars = list(ratios.values())
         uniform = proportional and len(set(scalars)) <= 1
         eigenvalue = scalars[0] if uniform and scalars else None
         positive = all(s > 0 for s in scalars)
         in_b = b_span.contains(image)
-        predicted = predicted_entry_scalars(octx, f)
+        predicted = _predicted_scalars(octx, ratios)
         matches = predicted is not None and predicted == scalars
         cert.witnesses.append(CocycleWitness(
             idx, scalars, proportional, eigenvalue, positive, in_b,
             predicted, matches))
         if not in_b:
             cert.success = False
-    cert.injective = sparse_rank(images) == len(cocycles)
     # the actual matrix of delta k psi on Z^q(n,s)^r, and its spectrum sign
     try:
         mat = _map_matrix(cocycles, images, D)
     except ValueError as exc:
+        cert.injective = sparse_rank(images) == len(cocycles)
         cert.success = False
         cert.positive_spectrum = False
         cert.failure = str(exc)
         return cert
     cert.char_poly = _char_poly(mat)
+    cert.injective = cert.char_poly[-1] != 0
     cert.positive_spectrum = _alternating_signs(cert.char_poly)
     cert.success = cert.success and cert.injective and cert.positive_spectrum
     return cert
 
 
-def _certificate_image(octx: OperatorContext, f: Cochain) -> Cochain:
-    """D restrict(delta k psi f), with delta taken in C(n, g), for the D of
-    `_dual_brackets`.
+def _witness_ratios(f, image, m, D):
+    """({mask: ratio of image to D f at its first entry} over the tuples of
+    f, in f's order, and whether all of a tuple scales by it, with no image
+    entry off f there), by integer cross-multiplication; the codes of a
+    tuple of f are together."""
+    got = {}
+    for code, v in image.items():
+        got.setdefault(code // m, {})[code % m] = v
+    ratios, proportional = {}, True
+    for code, c in f.items():
+        mask, k = divmod(code, m)
+        at = got.get(mask, {})
+        if mask not in ratios:
+            c0, g0 = c, at.get(k, 0)
+            ratios[mask] = Fraction(g0, c0 * D)
+            proportional = proportional and all(mask * m + j in f for j in at)
+        elif at.get(k, 0) * c0 != g0 * c:
+            proportional = False
+    return ratios, proportional
+
+
+def _certificate_image(octx: OperatorContext, f):
+    """D restrict(delta k psi f) for the codes {code: coefficient} of a
+    q-cochain f of C(n, s), q >= 1, as codes of C(n, s), with delta taken in
+    C(n, g), for the D of `_dual_brackets`.
 
     psi f is supported on n-tuples, so k psi f(x_1..x_{q-1}) =
     sum_j [e^j, psi f(e_j, x_1, ..)] is supported on n-tuples too, and n is
@@ -349,27 +372,42 @@ def _certificate_image(octx: OperatorContext, f: Cochain) -> Cochain:
     inside n: that is the differential of C(n, g), with n the domain and all
     of g the module.  `restrict` keeps only n-tuples, so this is D times the
     cochain restrict(coboundary(homotopy(octx, extend_by_zero(octx, f)))),
-    with no tuple of C(g, g) outside n computed.  `sw.nilradical` is
-    increasing, so both re-indexings keep tuples increasing.
+    with no tuple of C(g, g) outside n computed.  C(n, g) and C(n, s) share
+    the domain n, so a mask names the same n-tuple in both, and restricting
+    maps each module index through `_mem_pos`.
     """
-    nil = octx.seaweed.nilradical
-    pos = octx._nil_pos
-    kf = _scaled_homotopy(octx, extend_by_zero(octx, f))
-    ng = nilradical_ambient_context(octx.seaweed)
-    dkf = coboundary(Cochain(ng, kf.degree, {
-        tuple(pos[i] for i in tup): vec for tup, vec in kf.data.items()}))
-    return restrict(octx, Cochain(octx.gg, dkf.degree, {
-        tuple(nil[t] for t in tup): vec for tup, vec in dkf.data.items()}))
+    sw, m, dim = octx.seaweed, octx.ns.m, octx.ambient.dim
+    ng, table = nilradical_ambient_context(sw), _dual_brackets(octx.ambient)[1]
+    kf = {}
+    for code, c in f.items():
+        mask, k = divmod(code, m)
+        if not mask:
+            raise ValueError("homotopy needs degree >= 1")
+        col, tpos, bits = sw.member[k], 0, mask
+        while bits:
+            t = bits & -bits        # the bits of the mask, increasing
+            bits ^= t
+            row, sc = (mask ^ t) * dim, -c if tpos & 1 else c
+            for i, v in table[sw.nilradical[t.bit_length() - 1]][col].items():
+                kf[row + i] = kf.get(row + i, 0) + sc * v
+            tpos += 1
+    dkf, pos = _delta(ng, kf), octx._mem_pos
+    if not all(code % dim in pos for code in dkf):
+        # a value outside s: `restrict` raises, naming the least n-tuple
+        restrict(octx, Cochain(octx.gg, None, {
+            tuple(sw.nilradical[t] for t in tup): vec
+            for tup, vec in _decoded(ng, None, dkf).data.items()}))
+    return {code // dim * m + pos[code % dim]: v for code, v in dkf.items()}
 
 
 def _map_matrix(basis, images, scale):
     """Sparse rows {column: entry} of the matrix whose column j holds the
-    coordinates of images[j] / scale in the basis."""
-    keys = {key for f in basis for key, _ in f.items()}
+    coordinates of images[j] / scale in the basis, all given as codes."""
+    keys = set().union(*basis)
     ech = Echelon(basis, track=True)
     rows = [{} for _ in basis]
     for j, im in enumerate(images):
-        if any(key not in keys for key, _ in im.items()):
+        if not keys.issuperset(im):
             raise ValueError("image leaves the invariant cocycle space")
         sol = ech.coords(im)
         if sol is None:
@@ -434,6 +472,11 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     once per seaweed, as the per-algebra sum over all roots less the terms
     of n.  Returns None when root data is missing.
     """
+    return _predicted_scalars(octx, [sum(1 << t for t in tup) for tup in f.data])
+
+
+def _predicted_scalars(octx, masks):
+    """`predicted_entry_scalars` of the n-tuples with these bit masks."""
     g = octx.ambient
     rs = g.root_system
     if rs is None or not g.root_of:
@@ -447,8 +490,9 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     memo = sw._entry_scalars
     totals = g.__dict__.setdefault("_string_totals", {})   # over all roots
     out = []
-    for tup in f.data:
-        beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in tup))))
+    for mask in masks:
+        beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in
+                                    range(mask.bit_length()) if mask >> t & 1))))
         if not any(beta):
             return None  # value in the Cartan: the string formula does not apply
         scalar = memo.get(beta)

@@ -25,18 +25,22 @@ B^q by rank-nullity:
   among the weight-zero cochains of its diagonal ones.  Only a seaweed's
   C(n, s) carries one, r itself (the Cartan and the e_(alpha_i),
   `reductive_generators`), for its invariant rows and the certificates.
+  Its invariants, L_x columns and coboundary echelon are all on codes;
+  `invariant_cochains` decodes for its caller.
 
 The weight-zero rank is cleared (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear
-and compress", 2014).  A stored pivot vector w of the echelon of
-delta_(q-1)|_0 is in im delta, so delta w = 0 (delta^2 = 0: Jacobi, checked
-on every construction and load); w lives on rows at or after its pivot row
-p(w), and the pivots are distinct.  So delta e_p(w) is a combination of the
-delta e_r, r after p(w), and by downward induction lies in the span of the
-columns off the pivot rows, for any row order: rank delta_q|_0 is theirs.
-The lemma names rows only to skip them, so it holds on codes, and on any
-block closed under delta, such as the `levi` candidates (L_h commutes with
-delta).  `gerstenhaber` keeps every column (class representatives, B^q).
+and compress", 2014).  Let W be vectors in im delta_(q-1)|_0, so delta w = 0
+(delta^2 = 0: Jacobi, checked on every construction and load), and P a set
+of rows with the square minor W|_P invertible.  For p in P some combination
+w' of W has w'|_P = e_p, so e_p = w' - (w' off P) and delta e_p lies in the
+span of the columns off P: rank delta_q|_0 is theirs.  The pivot rows of an
+echelon of delta_(q-1)|_0 give a triangular minor with a nonzero diagonal,
+and one nonzero column w any row p with w_p != 0, so a block of 0 or 1 kept
+columns needs no engine.  The lemma names rows only to skip them, so it
+holds on codes, and on any block closed under delta, such as the `levi`
+candidates (L_h commutes with delta).  `gerstenhaber` keeps every column
+(class representatives, B^q).
 
 Weights are packed: scaled by the lcm L of their denominators, w is the int
 sum_c L w_c B^c, so codes add as the vectors do.  If M bounds every
@@ -71,7 +75,6 @@ degree; `_weights` grades the blocks and the invariant candidates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, lcm
@@ -79,7 +82,7 @@ from operator import attrgetter, itemgetter
 
 from .chevalley import LieAlgebra
 from .exactlin import (Echelon, InvariantError, SpanSolver,
-                       sparse_kernel_basis, sparse_rank, vec_add)
+                       sparse_kernel_basis, vec_add)
 
 
 class ComplexContext:
@@ -131,6 +134,7 @@ class ComplexContext:
         self.levi = levi
         self._grading = None        # `_levi_grading(self)`
         self._rank_cache = {}       # q -> weight zero (dim, rank, pivots)
+        self._dims = []             # `cohomology_dims` of degrees 0, 1, ..
         self._basis_cache = {}
         self._invariant_cache = {}
         self._candidate_cache = {}
@@ -215,26 +219,29 @@ class ComplexContext:
         return _weight_matches(self.n, q, self._dom_weights, self._mod_weights)
 
     def cohomology_dims(self, q):
-        """(dim Z^q, dim B^q, dim H^q).
+        """(dim Z^q, dim B^q, dim H^q), memoized per degree.
 
         H^q = dim C^q_0 - rank delta_q|_0 - rank delta_(q-1)|_0 on the
         weight-zero block (see the module docstring), and B^q =
         rank delta_(q-1) = dim C^(q-1) - dim Z^(q-1) by rank-nullity, with
         Z^i = H^i + B^i from B^0 = 0.  Block i-1 is built before block i,
-        so block i is cleared by its pivots.
+        so block i is cleared by its pivots; each degree is counted, and
+        guarded, once.
         """
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
-        h = b = rank_prev = 0
-        for i in range(q + 1):
+        dims = self._dims
+        while len(dims) <= q:
+            i = len(dims)
+            _, b, h = dims[-1] if dims else (0, 0, 0)
             b = self.dim_cochains(i - 1) - h - b
             dim_i, rank_i = _invariant_block(self, i)
-            h = dim_i - rank_i - rank_prev
-            rank_prev = rank_i
+            h = dim_i - rank_i - (_invariant_block(self, i - 1)[1] if i else 0)
             if h < 0 or not 0 <= b <= self.dim_cochains(i - 1):
                 raise InvariantError(
                     f"impossible counts at q={i}: dim H = {h}, dim B = {b}")
-        return CohomologyDims(h + b, b, h)
+            dims.append(CohomologyDims(h + b, b, h))
+        return dims[q]
 
 
 def _bracket_coords(ctx, x, where, start=0):
@@ -360,12 +367,6 @@ def _decoded(ctx, q, col):
     return Cochain(ctx, q, data)
 
 
-def _relation_cochain(ctx, q, basis, rel):
-    """The q-cochain sum_p rel[p] basis[p] of a kernel relation over a list
-    of basis cochain codes."""
-    return _decoded(ctx, q, {basis[p]: c for p, c in rel.items()})
-
-
 @dataclass(frozen=True)
 class CohomologyDims:
     cocycles: int
@@ -440,10 +441,16 @@ def coboundary(f: Cochain) -> Cochain:
     (delta f)(x_0..x_q) = sum_i (-1)^i x_i . f(..x^_i..)
                         + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..x^_i..x^_j..)
     """
-    ctx, acc = f.context, {}
-    for code, c in f.coded().items():
-        vec_add(acc, ctx.delta_column(code), c)
-    return _decoded(ctx, f.degree + 1, acc)
+    return _decoded(f.context, f.degree + 1, _delta(f.context, f.coded()))
+
+
+def _delta(ctx, f):
+    """delta of a {code: coefficient} cochain, as {row code: coefficient}."""
+    acc = {}
+    for code, c in f.items():
+        if c:
+            vec_add(acc, ctx.delta_column(code), c)
+    return acc
 
 
 def lie_derivative(x_vec, f: Cochain) -> Cochain:
@@ -453,36 +460,36 @@ def lie_derivative(x_vec, f: Cochain) -> Cochain:
     `x_vec` is an ambient coordinate vector whose action must close on the
     domain and the module.
     """
-    ctx = f.context
+    ctx, coded = f.context, f.coded()
     tables = tuple(_bracket_coords(ctx, x_vec, w) for w in ("domain", "module"))
-    acc, cells = {}, dict(f.items())
-    for col, c in zip(_lie_columns(ctx, cells, [tables]), cells.values()):
-        vec_add(acc, {ctx.code(t, k): v for (_, t, k), v in col.items()}, c)
+    acc = {}
+    for col, c in zip(_lie_columns(ctx, coded, [tables]), coded.values()):
+        vec_add(acc, col, c)
     return _decoded(ctx, f.degree, acc)
 
 
 def invariant_cochains(ctx: ComplexContext, q):
     """Basis of the joint kernel of the Lie derivatives of `ctx.levi` on
-    C^q.  Computed once per context and degree; each call gets a fresh list
-    of the (never mutated) cochains.
+    C^q, decoded on each call from the codes computed once per context and
+    degree.
     """
-    return list(_invariant_entry(ctx, q)[0])
+    return [_decoded(ctx, q, f) for f in _invariant_entry(ctx, q)[0]]
 
 
 def invariant_coboundaries(ctx: ComplexContext, q) -> Echelon:
     """Tracked echelon of delta of the invariant q-cochains, in their order,
-    built once per context and degree.  Every caller reads the same one
-    (`rank`, `kernel()`, `contains`), so nothing may `add` to it.
+    on row codes, built once per context and degree.  Every caller reads
+    the same one (`rank`, `kernel()`, `contains`), so nothing may `add`.
     """
     entry = _invariant_entry(ctx, q)
     if entry[1] is None:
-        entry[1] = Echelon((coboundary(f) for f in entry[0]), track=True)
+        entry[1] = Echelon((_delta(ctx, f) for f in entry[0]), track=True)
     return entry[1]
 
 
 def _invariant_entry(ctx, q):
-    """[invariant q-cochains, their coboundary echelon or None until asked];
-    ValueError on a context built without `levi`."""
+    """[invariant q-cochains as {code: int}, their coboundary echelon or
+    None until asked]; ValueError on a context built without `levi`."""
     if ctx.levi is None:
         raise ValueError("the complex was built without levi generators")
     if q < 0 or q > ctx.n:
@@ -519,48 +526,47 @@ def _invariant_candidates(ctx, q):
 
 
 def _invariant_basis(ctx, q):
-    """The invariant q-cochains: one per primitive int kernel relation of
-    the candidates' L_x columns; with no generator acting non-diagonally
-    every candidate is one, its relation {p: 1}."""
+    """The invariant q-cochains as {code: int}: one per primitive int kernel
+    relation of the candidates' L_x columns, over the candidate codes; with
+    no generator acting non-diagonally every candidate is one."""
     candidates, general = _invariant_candidates(ctx, q), _levi_grading(ctx)[2]
-    cells = list(map(ctx.cell, candidates))
     if not general or not candidates:
-        return [ctx.basis_cochain(tup, k) for tup, k in cells]
-    return [_relation_cochain(ctx, q, candidates, rel) for rel in
-            sparse_kernel_basis(_lie_columns(ctx, cells, general), True)]
+        return [{code: 1} for code in candidates]
+    return [{candidates[p]: c for p, c in rel.items()} for rel in
+            sparse_kernel_basis(_lie_columns(ctx, candidates, general), True)]
 
 
 def _lie_columns(ctx, candidates, generators):
-    """L_x of each candidate basis cochain (tup, k), stacked over the
-    generators x, given by their (a_dom, a_mod) action tables, as
-    {(generator position, tup', k'): coefficient}; zero entries may remain
-    (no relation changes)."""
-    tables = []
-    for a_dom, a_mod in generators:
-        into = {}       # t -> [(u, c)]: [x, d_u] has coefficient c on d_t
-        for u, col in a_dom.items():
-            for t, c in col.items():
-                into.setdefault(t, []).append((u, c))
-        tables.append((a_mod, into))
+    """L_x of each candidate code, stacked over the generators x, given by
+    their (a_dom, a_mod) action tables, as {row: coefficient}, the row of
+    code c under generator gi being gi * (m << n) + c.  An index replaces
+    another by `|` and is signed by popcount parity, as in `delta_column`;
+    zero entries may remain (no relation changes)."""
+    m, tables = ctx.m, []
+    for gi, (a_dom, a_mod) in enumerate(generators):
+        into = {}       # bit of t -> [(bit of u, c)]: [x, d_u] has c on d_t
+        for u in sorted(a_dom):
+            for t, c in a_dom[u].items():
+                into.setdefault(1 << t, []).append((1 << u, c))
+        tables.append((gi * (m << ctx.n), a_mod, into))
     cols = []
-    for tup, k in candidates:
+    for code in candidates:
+        mask, k = divmod(code, m)
         col = {}
-        for gi, (a_mod, into) in enumerate(tables):
+        for off, a_mod, into in tables:
             for k2, c in a_mod.get(k, {}).items():
-                col[(gi, tup, k2)] = col.get((gi, tup, k2), 0) + c
-            for tpos, t in enumerate(tup):
-                rest = tup[:tpos] + tup[tpos + 1:]
+                col[off + mask * m + k2] = c
+            tpos, bits = 0, mask
+            while bits:
+                t = bits & -bits
+                bits ^= t
+                rest = mask ^ t
                 for u, c in into.get(t, ()):
-                    if u == t:
-                        s = tup
-                    elif u in rest:
-                        continue
-                    else:
-                        pu = bisect_left(rest, u)
-                        s = rest[:pu] + (u,) + rest[pu:]
-                        if (tpos + pu) % 2:
-                            c = -c
-                    col[(gi, s, k)] = col.get((gi, s, k), 0) - c
+                    if not rest & u:
+                        key = off + (rest | u) * m + k
+                        odd = (tpos + (rest & u - 1).bit_count()) & 1
+                        col[key] = col.get(key, 0) + (c if odd else -c)
+                tpos += 1
         cols.append(col)
     return cols
 
@@ -579,15 +585,22 @@ def _cleared_echelon(ctx, cache, q, basis):
     """Echelon of delta over the codes of `basis`, a block of C^q closed
     under delta with the blocks cached beside it, off the pivot rows of
     cache[q - 1] (module docstring); cache[q] becomes (dim, rank, pivot
-    rows) before the caller may add to the echelon."""
+    rows) before the caller may add to the echelon.  Fewer than two kept
+    columns are answered without the engine, a nonzero column clearing by
+    its first row, and returned as a list."""
     prev = cache.get(q - 1, ())
     cleared = set(*prev[2:])        # the pivot rows of block q-1, if any
     kept = [c for c in basis if c not in cleared]
     if prev[2:] and not len(cleared) == prev[1] == len(basis) - len(kept):
         raise InvariantError(f"the pivot rows of delta_{q - 1} are not "
                              f"{prev[1]} block {q}-cochains")
-    span = Echelon(map(ctx.delta_column, kept))
-    cache[q] = (len(basis), span.rank, span.pivot_rows())
+    cols = list(map(ctx.delta_column, kept))
+    if len(cols) > 1:
+        span = Echelon(cols)
+        rows = span.pivot_rows()
+    else:
+        span, rows = cols, [next(iter(col)) for col in cols if col]
+    cache[q] = (len(basis), len(rows), rows)
     return span
 
 
@@ -603,7 +616,7 @@ def invariant_cohomology_dims(ctx: ComplexContext, q):
     reductive invariance algebra this agrees with B^q intersected with the
     invariants, and `coboundaries_match_full` records that comparison.
     """
-    inv_q = invariant_cochains(ctx, q)
+    inv_q = _invariant_entry(ctx, q)[0]
     z_dim = len(inv_q) - invariant_coboundaries(ctx, q).rank
     b_dim = invariant_coboundaries(ctx, q - 1).rank
     consistent = q <= 0 or _coboundary_consistency(ctx, q, inv_q, b_dim)
@@ -623,16 +636,20 @@ def _coboundary_consistency(ctx, q, inv_q, b_dim):
     weight, delta(c_lambda), vanish, so delta(c) = delta(c_0).  Hence
     B^q cap invariants = delta(C^(q-1)_0) cap invariants, and C^(q-1)_0 is
     spanned by the candidates of degree q-1, cleared by the pivot rows of
-    degree q-2, cached before inv_q is added (module docstring).
+    degree q-2, cached before the invariant codes inv_q are added (module
+    docstring).  inv_q has rank len(inv_q): each kernel relation has its own
+    dependent column, on which the others vanish, and distinct candidates
+    are distinct basis cochains.
     """
     if not inv_q:
         return b_dim == 0
     span = _cleared_echelon(ctx, ctx._candidate_ranks, q - 1,
                             _invariant_candidates(ctx, q - 1))
+    span = span if isinstance(span, Echelon) else Echelon(span)
     r_b0 = span.rank
     for f in inv_q:
-        span.add(f.coded())
-    return r_b0 + sparse_rank(inv_q) - span.rank == b_dim
+        span.add(f)
+    return r_b0 + len(inv_q) - span.rank == b_dim
 
 
 def _units(indices):

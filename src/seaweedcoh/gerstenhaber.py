@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cochain import (Cochain, ComplexContext, _relation_cochain,
-                      adjoint_context, coboundary, quotient_context)
+from .cochain import (Cochain, ComplexContext, _decoded, adjoint_context,
+                      coboundary, quotient_context)
 from .exactlin import Echelon, InvariantError, sparse_kernel_basis, vec_add
 from .seaweed import CenterSplit, split_over_center
 
@@ -51,9 +51,9 @@ def _class_representatives(ctx, q, expect):
     """
     basis = ctx.zero_basis(q)
     span = Echelon(map(ctx.delta_column, ctx.zero_basis(q - 1)))
-    cocycles = [_relation_cochain(ctx, q, basis, rel) for rel in
+    cocycles = [{basis[p]: c for p, c in rel.items()} for rel in
                 sparse_kernel_basis(list(map(ctx.delta_column, basis)))]
-    reps = [z for z in cocycles if span.add(z.coded())]
+    reps = [_decoded(ctx, q, z) for z in cocycles if span.add(z)]
     if len(reps) != expect:
         raise InvariantError(
             f"{len(reps)} class representatives for dim H^{q} = {expect}")

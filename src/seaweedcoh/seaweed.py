@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import rootsystem
 from .chevalley import LieAlgebra
@@ -142,8 +142,13 @@ class CenterSplit:
     seaweed: Seaweed
     center_basis: list      # ambient coordinate dicts
     complement_basis: list  # ambient coordinate dicts, bracket-closed
-    quotient: LieAlgebra    # structure constants of the complement
     echelon: Echelon        # tracked, over center_basis + complement_basis
+
+    @cached_property
+    def quotient(self) -> LieAlgebra:
+        """The complement's structure constants, built on first use."""
+        return LieAlgebra(len(self.complement_basis),
+                          quotient_context(self).dbr, check=False)
 
     def project_to_quotient(self, vec):
         """Quotient coordinates of the projection along the center."""
@@ -214,11 +219,8 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
     ech = Echelon(full, track=True)
     if len(full) != sw.dim or ech.rank != sw.dim:
         raise ValueError("complement does not complement the center in s")
-    split = CenterSplit(sw, zs, comp, None, ech)
-    # building the quotient context checks that the complement is closed;
-    # its domain brackets are the complement's structure constants
-    split.quotient = LieAlgebra(len(comp), quotient_context(split).dbr,
-                                check=False)
+    split = CenterSplit(sw, zs, comp, ech)
+    quotient_context(split)     # checks that the complement is closed
     for z in zs:
         for c in comp:
             if g.bracket_vec(z, c):

@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import lcm
@@ -21,7 +22,8 @@ from seaweedcoh.cochain import (Cochain, ComplexContext, coboundary,
                                 full_context, invariant_coboundaries,
                                 invariant_cochains, invariant_cohomology_dims,
                                 nilradical_context, reductive_generators)
-from seaweedcoh.exactlin import InvariantError, sparse_kernel_basis, vec_add
+from seaweedcoh.exactlin import (InvariantError, sparse_kernel_basis,
+                                 sparse_rank, vec_add)
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
 
@@ -280,7 +282,8 @@ def test_certificate_reports_first_ratio_of_a_tuple(monkeypatch):
     (f,) = invariant_cocycles(octx, 0)
     assert list(f.items()) == [(((), 1), 1), (((), 2), 2)]
     D = casimir._dual_brackets(octx.ambient)[0]
-    forged = Cochain(octx.ns, 0, {(): {1: 3 * D, 2: 2 * D}})
+    code = octx.ns.code
+    forged = {code((), 1): 3 * D, code((), 2): 2 * D}
     monkeypatch.setattr(casimir, "_certificate_image", lambda *a: forged)
     (w,) = rigidity_certificate(octx, 0).witnesses
     assert (w.entry_scalars, w.proportional, w.eigenvalue) == ([3], False, None)
@@ -406,7 +409,8 @@ def test_invariant_bases_and_images_are_int_valued(type_label, rank):
         for q in range(len(octx.seaweed.nilradical) + 1):
             inv = invariant_cochains(octx.ns, q)
             cocycles = invariant_cocycles(octx, q) if q else []
-            images = [casimir._certificate_image(octx, f) for f in cocycles]
+            images = [casimir._certificate_image(octx, f.coded())
+                      for f in cocycles]
             for f in inv + cocycles + images:
                 assert all(type(c) is int for _, c in f.items()), \
                     (octx.seaweed.spec, q)
@@ -422,7 +426,8 @@ def test_invariant_cocycles_cancellation_order(a2_octx, monkeypatch):
            Cochain(ns, 1, {(0,): {0: -1}, (1,): {0: 1}}),
            Cochain(ns, 1, {(0,): {0: 1}})]
     rel = {0: 1, 1: 1, 2: 1}
-    monkeypatch.setattr(casimir, "invariant_cochains", lambda *a: inv)
+    monkeypatch.setattr(casimir, "_invariant_entry",
+                        lambda *a: [[f.coded() for f in inv], None])
     monkeypatch.setattr(casimir, "invariant_coboundaries", lambda *a:
                         SimpleNamespace(kernel=lambda primitive: [rel]))
     (got,) = invariant_cocycles(a2_octx, 1)
@@ -535,10 +540,18 @@ def gg_certificate_image(octx, f):
             casimir._dual_brackets(octx.ambient)[0])
 
 
+def coded_certificate_image(octx, f):
+    """`_certificate_image` of the codes of f, decoded."""
+    return casimir._decoded(octx.ns, f.degree,
+                            casimir._certificate_image(octx, f.coded()))
+
+
 def outcome(fn, *args):
-    """("ok", ordered data) of the result, or ("error", message)."""
+    """("ok", sorted items) of the result, or ("error", message); the
+    image's entry order carries nothing (it is only eliminated and looked
+    up)."""
     try:
-        return "ok", ordered_data(fn(*args))
+        return "ok", sorted(fn(*args).items())
     except ValueError as exc:
         return "error", str(exc)
 
@@ -557,11 +570,151 @@ def test_certificate_image_in_ng_matches_gg(a2_fixture):
     for octx in octxs:
         for q in range(1, len(octx.seaweed.nilradical) + 1):
             for f in invariant_cochains(octx.ns, q):
-                got = outcome(casimir._certificate_image, octx, f)
+                got = outcome(coded_certificate_image, octx, f)
                 assert got == outcome(gg_certificate_image, octx, f), \
                     (octx.seaweed.spec, q)
                 compared += 1
     assert compared > 300
+
+
+def reference_witness_ratios(f, image, D):
+    """(entry scalars, proportional) of a witness as first computed: one
+    Fraction per entry of the cocycle f against the Cochain image."""
+    scalars, proportional = [], True
+    for tup, vec in f.data.items():
+        got = image.data.get(tup, {})
+        ratios = [F(got.get(k, 0), c * D) for k, c in vec.items()]
+        if len(set(ratios)) > 1 or set(got) - set(vec):
+            proportional = False
+        scalars.append(ratios[0])
+    return scalars, proportional
+
+
+def forged_images(f, image, m):
+    """(kind, image) variants of a cocycle's coded image: as computed; D f
+    scaled by 2; that with one entry changed; with the first entry of f
+    missing; and with an entry added at f's first tuple, off f."""
+    first, c0 = next(iter(f.items()))
+    mask = first // m
+    scaled = {code: 2 * c for code, c in f.items()}
+    yield "real", image
+    yield "scaled", scaled
+    if len(f) > 1:
+        yield "changed", {**scaled, list(f)[-1]: 3 * list(f.values())[-1]}
+    yield "missing", {code: v for code, v in scaled.items() if code != first}
+    free = [k for k in range(m) if mask * m + k not in f]
+    if free:
+        yield "extra", {**scaled, mask * m + free[0]: 1}
+
+
+def test_witness_ratios_match_fraction_reference(a2_fixture):
+    # the integer cross-multiplication of `_witness_ratios` against one
+    # Fraction per entry, on the real images of every cocycle of the
+    # sweeps and the A4 orbits and on forged ones (scaled cocycles, a
+    # changed, a missing and an extra entry), and on a tuple of two entries
+    octxs = _table1_octxs(a2_fixture) + list(_a4_orbit_octxs())
+    octxs += [o for t, r in [("A", 2), ("B", 2), ("G", 2)]
+              for o in _sweep_octxs(t, r)]
+    seen, flags = Counter(), Counter()
+    for octx in octxs:
+        ns = octx.ns
+        D = casimir._dual_brackets(octx.ambient)[0]
+        for q in range(1, len(octx.seaweed.nilradical) + 1):
+            for f in casimir._cocycle_codes(octx, q):
+                image = casimir._certificate_image(octx, f)
+                for kind, im in forged_images(f, image, ns.m):
+                    ratios, prop = casimir._witness_ratios(f, im, ns.m, D)
+                    want = reference_witness_ratios(
+                        casimir._decoded(ns, q, f), casimir._decoded(ns, q, im),
+                        D)
+                    assert (list(ratios.values()), prop) == want, kind
+                    assert list(ratios) == list(dict.fromkeys(
+                        code // ns.m for code in f))
+                    seen[kind] += 1
+                    flags[kind, prop] += 1
+    assert min(seen.values()) > 20 and len(seen) == 5
+    assert flags["scaled", True] and flags["extra", False]
+    # a 0-cocycle of two entries on one tuple: A2 p(|1)
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1]))
+    octx = OperatorContext(sw.ambient, sw)
+    (f,) = casimir._cocycle_codes(octx, 0)
+    for im in ({0: 4, 1: 8, 2: 6}, {1: 8, 2: 16}, {1: 3, 2: 2}, {2: 2}):
+        ratios, prop = casimir._witness_ratios(f, im, octx.ns.m, 2)
+        assert (list(ratios.values()), prop) == reference_witness_ratios(
+            casimir._decoded(octx.ns, 0, f), casimir._decoded(octx.ns, 0, im),
+            2), im
+
+
+def test_proven_ranks_match_elimination(monkeypatch):
+    # two ranks the verifier takes from a proof instead of an elimination:
+    # the invariant codes of C(n, s) are independent (each kernel relation
+    # has its own dependent column), and the certificate images have the
+    # rank of the map matrix M (images[j] = D sum_i M_ij f_i), so the
+    # certificate is injective exactly when the images are independent;
+    # every swept certificate is, so images forged dependent check the
+    # other side
+    octxs = [o for t, r in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
+             for o in _sweep_octxs(t, r)] + list(_a4_orbit_octxs())
+    certificates = invariants = 0
+    for octx in octxs:
+        for q in range(len(octx.seaweed.nilradical) + 1):
+            inv = casimir._invariant_entry(octx.ns, q)[0]
+            assert sparse_rank(inv) == len(inv), (octx.seaweed.spec, q)
+            invariants += len(inv)
+            cocycles = casimir._cocycle_codes(octx, q) if q else []
+            if not cocycles:
+                continue
+            D = casimir._dual_brackets(octx.ambient)[0]
+            images = [casimir._certificate_image(octx, f) for f in cocycles]
+            mat = casimir._map_matrix(cocycles, images, D)
+            d = len(cocycles)
+            dense_m = [[row.get(j, 0) for j in range(d)] for row in mat]
+            assert sparse_rank(images) == dense.rank(dense_m)
+            cert = rigidity_certificate(octx, q)
+            assert cert.injective == (sparse_rank(images) == d)
+            certificates += 1
+    assert certificates > 100 and invariants > 500
+    forged, real = 0, casimir._certificate_image
+    for octx in octxs:
+        for q in range(1, len(octx.seaweed.nilradical) + 1):
+            cocycles = casimir._cocycle_codes(octx, q)
+            images = [real(octx, f) for f in cocycles]
+            if len(images) < 2:
+                continue
+            for fake in ([{}] * len(images), [images[0]] * len(images)):
+                monkeypatch.setattr(casimir, "_certificate_image",
+                                    lambda o, f, it=iter(fake): next(it))
+                cert = rigidity_certificate(octx, q)
+                assert cert.char_poly is not None and not cert.injective
+                assert sparse_rank(fake) < len(cocycles)
+                forged += 1
+    assert forged > 10
+
+
+def test_map_matrix_refuses_images_off_the_cocycles(a2_octx, monkeypatch):
+    # an image on a code that no cocycle has leaves the cocycle space, and
+    # one on their codes but off their span is no combination of them; the
+    # certificate then fails with that message, and its injectivity is
+    # read off an elimination of the images
+    assert casimir._map_matrix([{1: 1, 2: 1}], [{1: 2, 2: 2}], 2) == [{0: 1}]
+    for image, text in (({3: 1}, "leaves the invariant cocycle space"),
+                        ({1: 1}, "is not a combination of the cocycle basis")):
+        with pytest.raises(ValueError, match=text):
+            casimir._map_matrix([{1: 1, 2: 1}], [image], 1)
+    def refuse(*args):
+        raise ValueError("forged")
+
+    (f,) = casimir._cocycle_codes(a2_octx, 2)
+    for image, injective in (({max(f) + 1: 1}, True), ({}, False)):
+        monkeypatch.setattr(casimir, "_certificate_image",
+                            lambda o, f, image=image: image)
+        if not image:   # a zero image is in the span; refuse it by force
+            monkeypatch.setattr(casimir, "_map_matrix", refuse)
+        cert = rigidity_certificate(a2_octx, 2)
+        assert not cert.success and not cert.positive_spectrum
+        assert cert.injective == injective and cert.char_poly is None
+        assert cert.failure == ("image leaves the invariant cocycle space"
+                                if image else "forged")
 
 
 def test_certificate_fields_match_unscaled_reference(a2_fixture):
@@ -598,10 +751,12 @@ def test_certificate_fields_match_unscaled_reference(a2_fixture):
 
 
 def test_certificate_image_forged_escape_same_error(a2_fixture, monkeypatch):
-    # a homotopy value forged outside s: both complexes name the same tuple
-    # and components, and the certificate reports that message; the forged
-    # D k psi f carries D, so the k psi f that `homotopy` returns carries 1
-    real = casimir._scaled_homotopy
+    # a homotopy value forged outside s, the same in the C(g, g) reference
+    # and in the codes of C(n, g) that `_certificate_image` differentiates:
+    # both name the same tuple and components, and the certificate reports
+    # that message; the forged k psi f that `homotopy` returns carries 1,
+    # so the coded D k psi f carries D
+    real, real_delta = casimir.homotopy, casimir._delta
     errors = 0
     for octx in _table1_octxs(a2_fixture):
         sw, dim = octx.seaweed, octx.ambient.dim
@@ -609,19 +764,25 @@ def test_certificate_image_forged_escape_same_error(a2_fixture, monkeypatch):
         for q in range(1, len(sw.nilradical) + 1):
             for f in invariant_cocycles(octx, q):
                 for tup in combinations(sw.nilradical, q - 1):
+                    mask = sum(1 << octx._nil_pos[i] for i in tup)
                     for k in range(dim):
                         def forged(o, F, tup=tup, k=k):
-                            extra = Cochain(o.gg, F.degree - 1, {tup: {k: D}})
+                            extra = Cochain(o.gg, F.degree - 1, {tup: {k: 1}})
                             return real(o, F).add(extra)
-                        monkeypatch.setattr(casimir, "_scaled_homotopy", forged)
-                        got = outcome(casimir._certificate_image, octx, f)
+
+                        def forged_delta(ctx, kf, key=mask * dim + k):
+                            return real_delta(ctx, vec_add(dict(kf), {key: D}))
+                        monkeypatch.setattr(casimir, "homotopy", forged)
+                        monkeypatch.setattr(casimir, "_delta", forged_delta)
+                        got = outcome(coded_certificate_image, octx, f)
                         assert got == outcome(gg_certificate_image, octx, f)
                         if got[0] == "error":
                             errors += 1
                             assert "lies outside s" in got[1]
                             cert = rigidity_certificate(octx, q)
                             assert not cert.success and cert.failure == got[1]
-    monkeypatch.setattr(casimir, "_scaled_homotopy", real)
+    monkeypatch.setattr(casimir, "homotopy", real)
+    monkeypatch.setattr(casimir, "_delta", real_delta)
     assert errors > 5
 
 
@@ -714,7 +875,7 @@ def test_char_poly_matches_fraction_recurrence_on_certificates():
     for octx in _a4_orbit_octxs():
         D = casimir._dual_brackets(octx.ambient)[0]
         for q in (1, 2):
-            cocycles = invariant_cocycles(octx, q)
+            cocycles = casimir._cocycle_codes(octx, q)
             images = [casimir._certificate_image(octx, f) for f in cocycles]
             mat = casimir._map_matrix(cocycles, images, D)
             got, want = casimir._char_poly(mat), fraction_char_poly(mat)

@@ -509,6 +509,37 @@ def test_impossible_zero_block_rank_raises():
             ctx.cohomology_dims(1)
 
 
+def test_cohomology_dims_memoized_per_degree(monkeypatch):
+    # each degree of a context is counted, guarded and eliminated once,
+    # from degree 0 up whatever degree is asked first, and asked again it
+    # returns the same row; a fresh context asked degree by degree agrees
+    calls, real = Counter(), cochain._cleared_echelon
+
+    def counted(ctx, cache, q, basis):
+        calls[ctx, q] += 1
+        return real(ctx, cache, q, basis)
+
+    monkeypatch.setattr(cochain, "_cleared_echelon", counted)
+    rows = 0
+    for t, r in (("A", 2), ("B", 2)):
+        for spec in _all_specs(t, r):
+            if spec.rank != r:
+                continue
+            sw = build_seaweed(_ambient(t, r), spec)
+            ctx = adjoint_context(sw)
+            fresh = ComplexContext(sw.ambient, ctx.domain, ctx.module)
+            down = [ctx.cohomology_dims(q) for q in reversed(range(ctx.n + 1))]
+            up = [fresh.cohomology_dims(q) for q in range(ctx.n + 1)]
+            assert down[::-1] == up, spec
+            assert all(ctx.cohomology_dims(q) is row
+                       for q, row in enumerate(down[::-1]))
+            for c in (ctx, fresh):
+                assert {q: n for (i, q), n in calls.items() if i is c} \
+                    == dict.fromkeys(range(ctx.n + 1), 1), spec
+            rows += len(up)
+    assert rows > 100
+
+
 def test_impossible_invariant_rank_raises():
     # the guard on the Levi-invariant rows of C(n, s): a rank cached for
     # degree 2 above the number of invariant 2-cochains makes H^2 < 0.  It
@@ -983,6 +1014,20 @@ def reference_lie_columns(ctx, candidates, generators):
     return cols
 
 
+def decoded_lie_columns(ctx, cols):
+    """Coded L_x columns with their rows decoded to (generator position,
+    tup, k) and their zero entries dropped, in row order."""
+    out = []
+    for col in cols:
+        rows = {}
+        for key, c in col.items():
+            gi, code = divmod(key, ctx.m << ctx.n)
+            if c != 0:
+                rows[(gi, *ctx.cell(code))] = c
+        out.append(rows)
+    return out
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("G", 2)])
 def test_lie_columns_match_lie_derivative(type_label, rank):
     # every basis cochain of C^q, q <= 2, under the Levi generators, all of
@@ -1001,8 +1046,8 @@ def test_lie_columns_match_lie_derivative(type_label, rank):
                 cells = [(tup, k) for tup in combinations(range(ctx.n), q)
                          for k in range(ctx.m)]
                 tables = [action_tables(ctx, g) for g in gens]
-                got = [{key: c for key, c in col.items() if c != 0}
-                       for col in _lie_columns(ctx, cells, tables)]
+                got = decoded_lie_columns(ctx, _lie_columns(
+                    ctx, [ctx.code(*cell) for cell in cells], tables))
                 want = reference_lie_columns(ctx, cells, gens)
                 assert [sorted(c.items()) for c in got] == \
                     [sorted(c.items()) for c in want], (spec, q)
@@ -1013,6 +1058,36 @@ def test_lie_columns_match_lie_derivative(type_label, rank):
                 for g in gens:
                     assert lie_derivative(g, f) == reference_lie_derivative(g, f)
     assert checked > 1000
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("A", 4)])
+def test_coded_lie_columns_match_reference(type_label, rank):
+    # the L_x columns that the invariants are the kernel of: the coded rows
+    # of C(n, s)'s candidates under its non-diagonal Levi generators,
+    # decoded, give the reference columns entry for entry, signs, value
+    # types and row order included, in every degree (A4: its orbits)
+    specs = (orbit_representatives("A", 4) if rank == 4 else
+             [s for s in _all_specs(type_label, rank) if s.rank == rank])
+    checked = 0
+    for spec in specs:
+        ctx = nilradical_context(build_seaweed(_ambient(type_label, rank),
+                                               spec))
+        general = [x for x in ctx.levi
+                   if not _acts_diagonally(*action_tables(ctx, x))]
+        assert len(general) == len(_levi_grading(ctx)[2])
+        for q in range(ctx.n + 1):
+            candidates = _invariant_candidates(ctx, q)
+            got = decoded_lie_columns(ctx, _lie_columns(
+                ctx, candidates, _levi_grading(ctx)[2]))
+            want = reference_lie_columns(ctx, list(map(ctx.cell, candidates)),
+                                         general)
+            assert [list(c.items()) for c in got] == \
+                [list(c.items()) for c in want], (spec, q)
+            assert [list(map(type, c.values())) for c in got] == \
+                [list(map(type, c.values())) for c in want]
+            checked += sum(map(len, got))
+    assert checked > 20
 
 
 def levi_cohomology(ctx, cap):
@@ -1103,20 +1178,21 @@ def test_levi_tables_built_twice_per_generator(monkeypatch):
 # -- B^q cap invariants, spanned from weight zero ------------------------------
 
 def full_span_coboundaries_in_invariants(ctx, q, inv_q):
-    """dim(B^q cap span(inv_q)) as first computed: every delta column of
-    C^(q-1) on the blocks of the context's own grading that inv_q touches
-    (all of C^(q-1) in a nilradical context, which has no diagonal
-    elements)."""
+    """dim(B^q cap span(inv_q)) as first computed, for invariants given
+    by their codes: every delta column of C^(q-1) on the blocks of the
+    context's own grading that inv_q touches (all of C^(q-1) in a
+    nilradical context, which has no diagonal elements), and the rank of
+    inv_q eliminated."""
     if not inv_q:
         return 0
     grade_of = {code: g for g, basis in ctx.basis_by_grade(q).items()
                 for code in basis}
-    grades = {grade_of[code] for f in inv_q for code in f.coded()}
+    grades = {grade_of[code] for f in inv_q for code in f}
     span = Echelon(ctx.delta_column(code) for g in sorted(grades)
                    for code in ctx.basis_by_grade(q - 1).get(g, []))
     r_b0 = span.rank
     for f in inv_q:
-        span.add(f.coded())
+        span.add(f)
     return r_b0 + sparse_rank(inv_q) - span.rank
 
 
@@ -1131,6 +1207,11 @@ def orbit_representatives(type_label, rank):
         fa, fb = (tuple(sorted(rank + 1 - i for i in pi)) for pi in (a, b))
         reps.setdefault(min((a, b), (b, a), (fa, fb), (fb, fa)), spec)
     return list(reps.values())
+
+
+def ordered_cells(ctx, f):
+    """The items of a coded cochain with their codes decoded, in order."""
+    return [(ctx.cell(code), c) for code, c in f.items()]
 
 
 @pytest.mark.parametrize("type_label,rank",
@@ -1148,7 +1229,9 @@ def test_weight_zero_coboundary_span(type_label, rank):
         sw = build_seaweed(_ambient(type_label, rank), spec)
         ctx = nilradical_context(sw)
         for q in range(1, ctx.n + 1):
-            inv_q = invariant_cochains(ctx, q)
+            inv_q = _invariant_entry(ctx, q)[0]
+            assert [ordered_cells(ctx, f) for f in inv_q] == \
+                [list(f.items()) for f in invariant_cochains(ctx, q)]
             full = full_span_coboundaries_in_invariants(ctx, q, inv_q)
             assert _coboundary_consistency(ctx, q, inv_q, full), (spec, q)
 

@@ -6,7 +6,7 @@ import pytest
 
 from seaweedcoh.chevalley import direct_sum
 from seaweedcoh.cli import _all_specs, _ambient
-from seaweedcoh.cochain import (Cochain, _invariant_block, _relation_cochain,
+from seaweedcoh.cochain import (Cochain, _decoded, _invariant_block,
                                 adjoint_context, coboundary, quotient_context)
 from seaweedcoh.exactlin import Echelon, InvariantError, sparse_kernel_basis
 from seaweedcoh.gerstenhaber import (_class_representatives, cg_dims,
@@ -165,7 +165,7 @@ def reference_cocycle_basis(ctx, q):
     out = []
     for grade, basis in sorted(ctx.basis_by_grade(q).items()):
         cols = list(map(ctx.delta_column, basis))
-        out += [_relation_cochain(ctx, q, basis, rel)
+        out += [_decoded(ctx, q, {basis[p]: c for p, c in rel.items()})
                 for rel in sparse_kernel_basis(cols)]
     return out
 

@@ -98,6 +98,33 @@ def test_split_cartan_only():
     assert split.quotient.dim == 0
 
 
+def test_split_quotient_built_on_first_use(g2_fixture):
+    # split_over_center builds the quotient context, which checks that the
+    # complement is closed, but not the quotient algebra; the first read
+    # builds it from that context's domain brackets, once
+    sws = [build_seaweed(_ambient("A", 2), s) for s in _all_specs("A", 2)]
+    for sw in sws + [seaweed_from_algebra(g2_fixture)]:
+        split = split_over_center(sw)
+        assert "quotient" not in vars(split)
+        q = split.quotient
+        assert split.quotient is q
+        ref = dense.subalgebra(sw.ambient, split.complement_basis, check=False)
+        assert (q.dim, q.brackets) == (ref.dim, ref.brackets), sw.spec
+    # a complement that is not closed is still refused by the split itself:
+    # in p({1}|{1}) the roots of s with one Cartan unit complement Z(s),
+    # and they are closed only with the coroot of alpha_1
+    sw = build_seaweed(_ambient("A", 2), spec("A", 2, [1], [1]))
+    cartan = [i for i in sw.member if i in sw.ambient.cartan]
+    roots = [i for i in sw.member if i not in cartan]
+    refused = []
+    for h in cartan:
+        try:
+            split_over_center(sw, section_indices=roots + [h])
+        except ValueError as exc:
+            refused.append(str(exc))
+    assert refused == ["the domain is not closed under the bracket"]
+
+
 def test_split_bracket_reconstruction(g2_fixture):
     sw = seaweed_from_algebra(g2_fixture)
     split = split_over_center(sw)
