@@ -113,7 +113,9 @@ def _casimir_columns(g: LieAlgebra):
 
 def extend_by_zero(octx: OperatorContext, f: Cochain) -> Cochain:
     """Continuation with zero: C^q(n, s) -> C^q(g, g)."""
-    if f.context is not octx.ns and f.context.domain != octx.ns.domain:
+    ctx = f.context
+    if ctx is not octx.ns and (ctx.domain != octx.ns.domain
+                               or ctx.module != octx.ns.module):
         raise ValueError("cochain is not over (n, s)")
     sw = octx.seaweed
     data = {}

@@ -15,18 +15,21 @@ L_x = delta i_x + i_x delta each isotypic component is a subcomplex; on a
 nontrivial one a central element of r, or the Casimir of [r, r], acts by a
 nonzero scalar and is null-homotopic, so it is acyclic, and
 H^*(a, V) = H^*(C^*(a, V)^r) (Chevalley-Eilenberg, Trans. AMS 63, 1948;
-Hochschild-Serre, Ann. of Math. 57, 1953).  Two are used, with Z^q and
-B^q by rank-nullity:
-- r = h, the diagonal domain elements: the weight-zero block `zero_basis`,
-  with no kernel step.  `cohomology_dims` counts every complex on it
+Hochschild-Serre, Ann. of Math. 57, 1953).  A context grades itself once,
+by the generators of r that act diagonally, r being the `levi` it is built
+with, else its domain; Z^q and B^q follow by rank-nullity:
+- without `levi`, r = h, the diagonal domain elements, acts through the
+  domain: the weight-zero block `zero_basis` carries H^*, with no kernel
+  step.  `cohomology_dims` counts every such complex on it
   (`_invariant_block`), and class representatives and B^q membership
   (`gerstenhaber`) are read from it too;
-- the `levi` a context is built with: the kernel of L_x for its generators
-  among the weight-zero cochains of its diagonal ones.  Only a seaweed's
-  C(n, s) carries one, r itself (the Cartan and the e_(alpha_i),
-  `reductive_generators`), for its invariant rows and the certificates.
-  Its invariants, L_x columns and coboundary echelon are all on codes;
-  `invariant_cochains` decodes for its caller.
+- with `levi` (only a seaweed's C(n, s), r itself: the Cartan and the
+  e_(alpha_i), `reductive_generators`) the invariants are the kernel of L_x
+  on `zero_basis`, x over the generators kept as `_general`, for the
+  invariant rows and the certificates.  r does not act through n, so
+  `cohomology_dims` refuses such a context.  Its invariants, L_x columns
+  and coboundary echelon are all on codes; `invariant_cochains` decodes
+  for its caller.
 
 The weight-zero rank is cleared (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear
@@ -36,11 +39,10 @@ of rows with the square minor W|_P invertible.  For p in P some combination
 w' of W has w'|_P = e_p, so e_p = w' - (w' off P) and delta e_p lies in the
 span of the columns off P: rank delta_q|_0 is theirs.  The pivot rows of an
 echelon of delta_(q-1)|_0 give a triangular minor with a nonzero diagonal,
-and one nonzero column w any row p with w_p != 0, so a block of 0 or 1 kept
-columns needs no engine.  The lemma names rows only to skip them, so it
-holds on codes, and on any block closed under delta, such as the `levi`
-candidates (L_h commutes with delta).  `gerstenhaber` keeps every column
-(class representatives, B^q).
+and one nonzero column w its first row.  The lemma names rows only to skip
+them, so it holds on codes, and on every weight-zero block (L_h commutes
+with delta).  The kept columns span delta(C^q_0), so `gerstenhaber` screens
+class representatives and B^q membership against them too.
 
 Weights are packed: scaled by the lcm L of their denominators, w is the int
 sum_c L w_c B^c, so codes add as the vectors do.  If M bounds every
@@ -67,10 +69,9 @@ Integral values stay plain ints and invariant bases come from primitive int
 kernel relations, so for a spec seaweed every complex runs in integer
 arithmetic; Fractions enter only through rescaled or non-unit bases
 (fixtures) and the class representatives.  Per context, `delta_column`
-reads the rows indexed by module vector; `levi` is graded once, keeping
-the action tables of its generators that do not act diagonally, and the
-invariant cochains and their coboundary echelon are computed once per
-degree; `_weights` grades the blocks and the invariant candidates.
+reads the rows indexed by module vector, r is graded at construction, and
+`zero_basis`, the invariant cochains and their coboundary echelon are
+computed once per degree.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ from .exactlin import (Echelon, InvariantError, SpanSolver,
 
 
 class ComplexContext:
-    """C^*(domain, module) inside an ambient algebra, with `levi` the
-    generators of r for the invariant API, or None (module docstring)."""
+    """C^*(domain, module) inside an ambient algebra, graded by r: the
+    generators `levi`, which the invariant API needs, else the domain."""
 
     def __init__(self, ambient: LieAlgebra, domain, module, act=None,
                  levi=None, mod_solver=None):
@@ -127,18 +128,21 @@ class ComplexContext:
                     (1 << a | 1 << b, (1 << b) - (1 << a), c))
             ad[a][b] = vec
             ad[b][a] = {t: -c for t, c in vec.items()}
-        self._diag = [i for i in range(self.n)
-                      if _acts_diagonally(ad[i], self.act[i])]
-        self._dom_weights, self._mod_weights = _weights(
-            self, [(ad[i], self.act[i]) for i in self._diag])
+        # r = `levi`, else the domain, graded by its generators that act
+        # diagonally; the (a_dom, a_mod) tables of the others are `_general`
         self.levi = levi
-        self._grading = None        # `_levi_grading(self)`
+        tables = ([(ad[i], self.act[i]) for i in range(self.n)] if levi is None
+                  else [tuple(_bracket_coords(self, x, w) for w in
+                              ("domain", "module")) for x in levi])
+        diag = [_acts_diagonally(*pair) for pair in tables]
+        self._dom_weights, self._mod_weights = _weights(
+            self, [pair for pair, d in zip(tables, diag) if d])
+        self._general = [pair for pair, d in zip(tables, diag) if not d]
         self._rank_cache = {}       # q -> weight zero (dim, rank, pivots)
         self._dims = []             # `cohomology_dims` of degrees 0, 1, ..
         self._basis_cache = {}
+        self._zero_cache = {}
         self._invariant_cache = {}
-        self._candidate_cache = {}
-        self._candidate_ranks = {}  # q -> candidates (dim, rank, pivots)
 
     # -- basis bookkeeping --------------------------------------------------
 
@@ -213,10 +217,14 @@ class ComplexContext:
 
     def zero_basis(self, q):
         """The codes of the weight-zero basis cochains of C^q, in increasing
-        (tup, k) order; [] outside 0..n."""
+        (tup, k) order; [] outside 0..n.  Cached per degree; callers must
+        not mutate it."""
         if not 0 <= q <= self.n:
             return []
-        return _weight_matches(self.n, q, self._dom_weights, self._mod_weights)
+        if q not in self._zero_cache:
+            self._zero_cache[q] = _weight_matches(
+                self.n, q, self._dom_weights, self._mod_weights)
+        return self._zero_cache[q]
 
     def cohomology_dims(self, q):
         """(dim Z^q, dim B^q, dim H^q), memoized per degree.
@@ -226,8 +234,11 @@ class ComplexContext:
         rank delta_(q-1) = dim C^(q-1) - dim Z^(q-1) by rank-nullity, with
         Z^i = H^i + B^i from B^0 = 0.  Block i-1 is built before block i,
         so block i is cleared by its pivots; each degree is counted, and
-        guarded, once.
+        guarded, once.  ValueError on a context built with `levi`, which
+        is graded by it and not by its domain.
         """
+        if self.levi is not None:
+            raise ValueError("the complex is graded by its levi generators")
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
         dims = self._dims
@@ -499,37 +510,12 @@ def _invariant_entry(ctx, q):
     return ctx._invariant_cache[q]
 
 
-def _levi_grading(ctx):
-    """(domain weights, module weights, general): `ctx.levi` graded once per
-    context by its generators that act diagonally, and the (a_dom, a_mod)
-    action tables of the others."""
-    if ctx._grading is None:
-        diag, general = [], []
-        for x in ctx.levi:
-            tables = tuple(_bracket_coords(ctx, x, w)
-                           for w in ("domain", "module"))
-            (diag if _acts_diagonally(*tables) else general).append(tables)
-        ctx._grading = (*_weights(ctx, diag), general)
-    return ctx._grading
-
-
-def _invariant_candidates(ctx, q):
-    """The codes of the basis cochains of C^q, in increasing (tup, k)
-    order, of weight zero for every diagonally acting Levi generator (only
-    they can carry an invariant).  Cached per degree; callers must not
-    mutate it."""
-    if q not in ctx._candidate_cache:
-        dom_weights, mod_weights, _ = _levi_grading(ctx)
-        ctx._candidate_cache[q] = _weight_matches(ctx.n, q, dom_weights,
-                                                  mod_weights)
-    return ctx._candidate_cache[q]
-
-
 def _invariant_basis(ctx, q):
     """The invariant q-cochains as {code: int}: one per primitive int kernel
-    relation of the candidates' L_x columns, over the candidate codes; with
-    no generator acting non-diagonally every candidate is one."""
-    candidates, general = _invariant_candidates(ctx, q), _levi_grading(ctx)[2]
+    relation of the L_x columns of the weight-zero codes (only they can
+    carry an invariant), x over `_general`, over those codes; with no
+    generator acting non-diagonally every weight-zero code is one."""
+    candidates, general = ctx.zero_basis(q), ctx._general
     if not general or not candidates:
         return [{code: 1} for code in candidates]
     return [{candidates[p]: c for p, c in rel.items()} for rel in
@@ -572,35 +558,27 @@ def _lie_columns(ctx, candidates, generators):
 
 
 def _invariant_block(ctx, q):
-    """(dim, rank of delta_q) of the weight-zero block of the context's
-    diagonal domain elements in degree q, with no kernel step, cleared by
-    `_cleared_echelon`; a missing or forged block q-1 (no pivot rows) clears
-    nothing."""
+    """(dim, rank of delta_q) of the weight-zero block in degree q, with no
+    kernel step, cleared by `_cleared_echelon`."""
     if q not in ctx._rank_cache:
-        _cleared_echelon(ctx, ctx._rank_cache, q, ctx.zero_basis(q))
+        _cleared_echelon(ctx, q)
     return ctx._rank_cache[q][:2]
 
 
-def _cleared_echelon(ctx, cache, q, basis):
-    """Echelon of delta over the codes of `basis`, a block of C^q closed
-    under delta with the blocks cached beside it, off the pivot rows of
-    cache[q - 1] (module docstring); cache[q] becomes (dim, rank, pivot
-    rows) before the caller may add to the echelon.  Fewer than two kept
-    columns are answered without the engine, a nonzero column clearing by
-    its first row, and returned as a list."""
-    prev = cache.get(q - 1, ())
+def _cleared_echelon(ctx, q):
+    """Echelon of delta over the weight-zero codes of C^q off the pivot rows
+    of _rank_cache[q - 1], if cached with them: its span is delta(C^q_0)
+    (module docstring).  _rank_cache[q] becomes (dim, rank, pivot rows)
+    before the caller may add to the echelon."""
+    basis, prev = ctx.zero_basis(q), ctx._rank_cache.get(q - 1, ())
     cleared = set(*prev[2:])        # the pivot rows of block q-1, if any
     kept = [c for c in basis if c not in cleared]
     if prev[2:] and not len(cleared) == prev[1] == len(basis) - len(kept):
         raise InvariantError(f"the pivot rows of delta_{q - 1} are not "
                              f"{prev[1]} block {q}-cochains")
-    cols = list(map(ctx.delta_column, kept))
-    if len(cols) > 1:
-        span = Echelon(cols)
-        rows = span.pivot_rows()
-    else:
-        span, rows = cols, [next(iter(col)) for col in cols if col]
-    cache[q] = (len(basis), len(rows), rows)
+    span = Echelon(map(ctx.delta_column, kept))
+    rows = span.pivot_rows()
+    ctx._rank_cache[q] = (len(basis), len(rows), rows)
     return span
 
 
@@ -634,18 +612,15 @@ def _coboundary_consistency(ctx, q, inv_q, b_dim):
     maps the joint h-weight spaces C^(q-1)_lambda into C^q_lambda.  The invariants
     lie in weight zero; if delta(c) is invariant, its components of nonzero
     weight, delta(c_lambda), vanish, so delta(c) = delta(c_0).  Hence
-    B^q cap invariants = delta(C^(q-1)_0) cap invariants, and C^(q-1)_0 is
-    spanned by the candidates of degree q-1, cleared by the pivot rows of
-    degree q-2, cached before the invariant codes inv_q are added (module
-    docstring).  inv_q has rank len(inv_q): each kernel relation has its own
-    dependent column, on which the others vanish, and distinct candidates
-    are distinct basis cochains.
+    B^q cap invariants = delta(C^(q-1)_0) cap invariants, the span of
+    `_cleared_echelon`, whose pivot rows are cached before the invariant
+    codes inv_q are added.  inv_q has rank len(inv_q): each kernel relation
+    has its own dependent column, on which the others vanish, and distinct
+    codes are distinct basis cochains.
     """
     if not inv_q:
         return b_dim == 0
-    span = _cleared_echelon(ctx, ctx._candidate_ranks, q - 1,
-                            _invariant_candidates(ctx, q - 1))
-    span = span if isinstance(span, Echelon) else Echelon(span)
+    span = _cleared_echelon(ctx, q - 1)
     r_b0 = span.rank
     for f in inv_q:
         span.add(f)

@@ -139,11 +139,13 @@ class Echelon:
         self.count = 0         # columns added
         columns = [c if isinstance(c, dict) else dict(c.items())
                    for c in columns]
-        counts = {}     # a plain dict beats Counter on the many tiny inputs
-        for r in chain.from_iterable(columns):
-            counts[r] = counts.get(r, 0) + 1
-        self._pos = {r: p for p, r in
-                     enumerate(sorted(counts, key=counts.__getitem__))}
+        rows = chain.from_iterable(columns)
+        if len(columns) > 1:    # else every count is 1: first-seen order
+            counts = {}         # a plain dict beats Counter on tiny inputs
+            for r in rows:
+                counts[r] = counts.get(r, 0) + 1
+            rows = sorted(counts, key=counts.__getitem__)
+        self._pos = {r: p for p, r in enumerate(rows)}
         for col in columns:
             self.add(col)
 
@@ -233,24 +235,12 @@ class Echelon:
 
 def sparse_rank(columns) -> int:
     """Rank of a matrix given as an iterable of {row: value} columns."""
-    columns = list(columns)
-    if len(columns) > 1:
-        return Echelon(columns).rank
-    return sum(map(_nonzero, columns))
+    return Echelon(columns).rank
 
 
 def sparse_kernel_basis(columns, primitive=False):
     """Kernel basis of sparse columns as {column index: coefficient}
     relations (`Echelon.kernel`), sorted by column index: made dense, they
     are the vectors of the dense reference `kernel_basis`, in its order and
-    normalization, or with `primitive` their primitive int multiples.  No
-    column, or one, is answered without the engine."""
-    columns = list(columns)
-    if len(columns) > 1:
-        return Echelon(columns, track=True).kernel(primitive)
-    one = 1 if primitive else Fraction(1)
-    return [{0: one} for col in columns if not _nonzero(col)]
-
-
-def _nonzero(col):
-    return any(v != 0 for _, v in col.items())
+    normalization, or with `primitive` their primitive int multiples."""
+    return Echelon(columns, track=True).kernel(primitive)

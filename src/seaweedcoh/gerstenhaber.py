@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cochain import (Cochain, ComplexContext, _decoded, adjoint_context,
-                      coboundary, quotient_context)
-from .exactlin import Echelon, InvariantError, sparse_kernel_basis, vec_add
+from .cochain import (Cochain, ComplexContext, _cleared_echelon, _decoded,
+                      adjoint_context, coboundary, quotient_context)
+from .exactlin import InvariantError, sparse_kernel_basis, vec_add
 from .seaweed import CenterSplit, split_over_center
 
 
@@ -45,14 +45,15 @@ def _class_representatives(ctx, q, expect):
     delta keeps the weight grading and blocks of nonzero weight are acyclic
     (see `cochain`).  Blocks have disjoint supports, so a weight-zero cocycle
     is independent of B^q and the representatives before it iff it is
-    independent of delta(C^(q-1)_0) and them, and a cocycle of nonzero
-    weight, a coboundary, is never kept: screening every block against B^q
-    gives these representatives, in this order.
+    independent of delta(C^(q-1)_0), the span of `_cleared_echelon`, and
+    them, and a cocycle of nonzero weight, a coboundary, is never kept:
+    screening every block against B^q gives these representatives, in this
+    order.
     """
     basis = ctx.zero_basis(q)
-    span = Echelon(map(ctx.delta_column, ctx.zero_basis(q - 1)))
     cocycles = [{basis[p]: c for p, c in rel.items()} for rel in
                 sparse_kernel_basis(list(map(ctx.delta_column, basis)))]
+    span = _cleared_echelon(ctx, q - 1)
     reps = [_decoded(ctx, q, z) for z in cocycles if span.add(z)]
     if len(reps) != expect:
         raise InvariantError(
@@ -175,13 +176,18 @@ def cup_with_center(split: CenterSplit, f1: Cochain,
 
 def is_coboundary(ctx: ComplexContext, f: Cochain) -> bool:
     """f is in B^q iff delta f = 0 and its weight-zero part is in
-    delta(C^(q-1)_0): cocycles of nonzero weight are coboundaries."""
+    delta(C^(q-1)_0), the span of `_cleared_echelon`: cocycles of nonzero
+    weight are coboundaries.  ValueError unless f lives over ctx, a complex
+    graded by its domain (built without `levi`)."""
+    if f.context is not ctx:
+        raise ValueError("the cochain does not live over this complex")
+    if ctx.levi is not None:
+        raise ValueError("the complex is graded by its levi generators")
     if not coboundary(f).is_zero():
         return False
     zero = set(ctx.zero_basis(f.degree))
-    span = Echelon(map(ctx.delta_column, ctx.zero_basis(f.degree - 1)))
-    return span.contains({key: c for key, c in f.coded().items()
-                          if key in zero})
+    return _cleared_echelon(ctx, f.degree - 1).contains(
+        {key: c for key, c in f.coded().items() if key in zero})
 
 
 def cohomologous(ctx: ComplexContext, f: Cochain, g: Cochain) -> bool:

@@ -163,7 +163,10 @@ class CenterSplit:
 
         `z` is center_basis[which], or `vector` (any vector spanning the same
         center direction, e.g. a published normalization of it).
+        ValueError unless 0 <= which < dim Z.
         """
+        if not 0 <= which < len(self.center_basis):
+            raise ValueError(f"no center basis vector {which}")
         basis = list(self.center_basis)
         if vector is not None:
             basis[which] = dict(vector)

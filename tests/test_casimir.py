@@ -21,7 +21,8 @@ from seaweedcoh.cli import _all_specs, _ambient
 from seaweedcoh.cochain import (Cochain, ComplexContext, coboundary,
                                 full_context, invariant_coboundaries,
                                 invariant_cochains, invariant_cohomology_dims,
-                                nilradical_context, reductive_generators)
+                                nilradical_ambient_context, nilradical_context,
+                                reductive_generators)
 from seaweedcoh.exactlin import (InvariantError, sparse_kernel_basis,
                                  sparse_rank, vec_add)
 from seaweedcoh.rootsystem import build
@@ -58,6 +59,23 @@ def test_extend_by_zero(a2_octx, a2_generator):
     assert restrict(a2_octx, fbar) == a2_generator
     zero = a2_octx.ns.zero(2)
     assert extend_by_zero(a2_octx, zero).is_zero()
+
+
+def test_extend_by_zero_rejects_other_modules(a2_fixture):
+    # C(n, g) shares the domain of C(n, s) but not its module: its values
+    # read through sw.member named the wrong vector (e_0 as e_4 on
+    # p(empty|{1})) or none (index 7), so the cochain is refused
+    sw = build_seaweed(a2_fixture, SeaweedSpec.make("A", 2, [], [1]))
+    octx = OperatorContext(a2_fixture, sw)
+    ng = nilradical_ambient_context(sw)
+    assert ng.domain == octx.ns.domain and ng.module != octx.ns.module
+    for k in (0, 7):
+        with pytest.raises(ValueError, match="not over"):
+            extend_by_zero(octx, Cochain(ng, 1, {(0,): {k: 1}}))
+    # a complex rebuilt on the same n and s is accepted
+    same = ComplexContext(sw.ambient, octx.ns.domain, octx.ns.module)
+    assert extend_by_zero(octx, Cochain(same, 1, {(0,): {0: 1}})).data == \
+        {(sw.nilradical[0],): {sw.member[0]: 1}}
 
 
 def test_restrict_round_trip_random(a2_octx):

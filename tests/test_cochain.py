@@ -15,8 +15,7 @@ from seaweedcoh.cli import _all_specs, _ambient, _degree_cap, verify_report
 from seaweedcoh.cochain import (Cochain, ComplexContext, _acts_diagonally,
                                 _bracket_coords, _coboundary_consistency,
                                 _int_units, _invariant_block,
-                                _invariant_candidates, _invariant_entry,
-                                _levi_grading, _lie_columns, _pack,
+                                _invariant_entry, _lie_columns, _pack,
                                 _weights,
                                 adjoint_context, coboundary, full_context,
                                 invariant_coboundaries, invariant_cochains,
@@ -80,8 +79,8 @@ def delta_cells(ctx, tup, k):
 def fraction_weights(ctx):
     """Whether some weight of the context's grading is a Fraction: the
     diagonal entry of a diagonal element's action on the module."""
-    return any(isinstance(ctx.act[i][k][k], F) for i in ctx._diag
-               for k in ctx.act[i])
+    return any(isinstance(ctx.act[i][k][k], F)
+               for i in reference_grading(ctx)[0] for k in ctx.act[i])
 
 
 @pytest.fixture(scope="module")
@@ -515,9 +514,9 @@ def test_cohomology_dims_memoized_per_degree(monkeypatch):
     # returns the same row; a fresh context asked degree by degree agrees
     calls, real = Counter(), cochain._cleared_echelon
 
-    def counted(ctx, cache, q, basis):
+    def counted(ctx, q):
         calls[ctx, q] += 1
-        return real(ctx, cache, q, basis)
+        return real(ctx, q)
 
     monkeypatch.setattr(cochain, "_cleared_echelon", counted)
     rows = 0
@@ -747,9 +746,18 @@ def same_pattern(codes, weights):
 
 
 def assert_grading_matches_reference(ctx):
-    grading = reference_grading(ctx)
+    """The grading of ctx against the reference one: its diagonal domain
+    elements without levi, whose others' tables are `_general`, and the
+    diagonally acting Levi generators with it."""
+    if ctx.levi is None:
+        grading = reference_grading(ctx)
+        assert [a_mod for _, a_mod in ctx._general] == \
+            [ctx.act[i] for i in range(ctx.n) if i not in grading[0]]
+    else:
+        dom, mod, width = reference_levi_weights(ctx)
+        grading = (range(width), dom, mod)
+        assert len(ctx._general) == len(ctx.levi) - width
     diag, dom, mod = grading
-    assert ctx._diag == diag
     assert same_pattern(ctx._dom_weights + ctx._mod_weights, dom + mod)
     zero = (0,) * len(diag)
     for q in range(min(ctx.n, 3) + 1):
@@ -832,7 +840,7 @@ def assert_walk_matches_reference(sw, max_degree):
         assert list(map(adj.cell, adj.zero_basis(q))) == \
             reference_weight_matches(adj.n, q, dom, mod, len(diag)), q
     for q in range(nil.n + 1):
-        assert list(map(nil.cell, _invariant_candidates(nil, q))) == \
+        assert list(map(nil.cell, nil.zero_basis(q))) == \
             reference_weight_matches(nil.n, q, *levi), q
 
 
@@ -948,10 +956,10 @@ def test_invariant_candidates_match_brute_force(type_label, rank):
         for ctx in (nilradical_context(sw), levi_adjoint_context(sw)):
             assert ctx.levi == reductive_generators(sw)
             for q in range(min(3, ctx.n) + 1):
-                got = list(map(ctx.cell, _invariant_candidates(ctx, q)))
+                got = list(map(ctx.cell, ctx.zero_basis(q)))
                 assert got == brute_force_candidates(ctx, q), (spec, q)
             # the Cartan acts diagonally
-            assert len(_levi_grading(ctx)[2]) < len(ctx.levi)
+            assert len(ctx._general) < len(ctx.levi)
 
 
 def test_invariant_candidates_rescaled_fixture(a2_fixture):
@@ -963,7 +971,7 @@ def test_invariant_candidates_rescaled_fixture(a2_fixture):
     assert fraction_weights(adjoint_context(sw))
     for ctx in (nilradical_context(sw), levi_adjoint_context(sw)):
         for q in range(ctx.n + 1):
-            assert list(map(ctx.cell, _invariant_candidates(ctx, q))) == \
+            assert list(map(ctx.cell, ctx.zero_basis(q))) == \
                 brute_force_candidates(ctx, q), q
 
 
@@ -1075,11 +1083,11 @@ def test_coded_lie_columns_match_reference(type_label, rank):
                                                spec))
         general = [x for x in ctx.levi
                    if not _acts_diagonally(*action_tables(ctx, x))]
-        assert len(general) == len(_levi_grading(ctx)[2])
+        assert len(general) == len(ctx._general)
         for q in range(ctx.n + 1):
-            candidates = _invariant_candidates(ctx, q)
+            candidates = ctx.zero_basis(q)
             got = decoded_lie_columns(ctx, _lie_columns(
-                ctx, candidates, _levi_grading(ctx)[2]))
+                ctx, candidates, ctx._general))
             want = reference_lie_columns(ctx, list(map(ctx.cell, candidates)),
                                          general)
             assert [list(c.items()) for c in got] == \
@@ -1133,7 +1141,8 @@ def test_levi_rows_match_weight_zero_rows(type_label, rank, whole_only):
 def test_invariant_api_needs_levi(a2_seaweed):
     # a complex built without levi carries no invariance algebra: the
     # invariant API refuses it in every degree with a ValueError, and its
-    # own cohomology still counts on weight zero
+    # own cohomology still counts on weight zero.  Mirrored, a complex
+    # built with levi is graded by it, and cohomology_dims refuses it
     ns = nilradical_context(a2_seaweed)
     bare = ComplexContext(ns.ambient, ns.domain, ns.module)
     for ctx in (bare, nilradical_ambient_context(a2_seaweed)):
@@ -1143,19 +1152,20 @@ def test_invariant_api_needs_levi(a2_seaweed):
             for q in (-1, 0, 1, ctx.n + 1):
                 with pytest.raises(ValueError, match="without levi"):
                     api(ctx, q)
-        assert ctx._invariant_cache == {} and ctx._grading is None
-    assert [tuple(bare.cohomology_dims(q)) for q in range(bare.n + 1)] == \
-        [tuple(ns.cohomology_dims(q)) for q in range(ns.n + 1)]
+        assert ctx._invariant_cache == {} and ctx._zero_cache == {}
+    for q in (-1, 0, 1, ns.n + 1):
+        with pytest.raises(ValueError, match="graded by its levi"):
+            ns.cohomology_dims(q)
+    assert ns._dims == []
+    # H^*(n, s) of the bare complex, against every delta column eliminated
+    assert_dims_match_ungraded(bare, bare.n)
 
 
 def test_levi_tables_built_twice_per_generator(monkeypatch):
-    # once built, a context brackets each generator of its levi with its
-    # domain and with its module once each, over every degree and read of
-    # a verify run; a context whose levi is never graded brackets nothing
-    seaweeds = [build_seaweed(_ambient(t, r), spec) for t, r in (("A", 2),
-                ("G", 2)) for spec in _all_specs(t, r) if spec.rank == r]
-    contexts = [f(sw) for sw in seaweeds for f in (
-        adjoint_context, nilradical_context, nilradical_ambient_context)]
+    # a context brackets each generator of its levi with its domain and
+    # with its module once each, when it is built, and never again over
+    # every degree and read of a verify run; a context without levi
+    # brackets only its own domain vectors, when it is built
     calls, real = Counter(), cochain._bracket_coords
 
     def coords(ctx, x, where, *rest):
@@ -1163,16 +1173,27 @@ def test_levi_tables_built_twice_per_generator(monkeypatch):
         return real(ctx, x, where, *rest)
 
     monkeypatch.setattr(cochain, "_bracket_coords", coords)
+    seaweeds = [build_seaweed(_ambient(t, r), spec) for t, r in (("A", 2),
+                ("G", 2)) for spec in _all_specs(t, r) if spec.rank == r]
+    contexts = [f(sw) for sw in seaweeds for f in (
+        adjoint_context, nilradical_context, nilradical_ambient_context)]
+
+    def made_by(ctx):
+        return {k: c for k, c in calls.items() if k[0] == id(ctx)}
+
+    built = list(map(made_by, contexts))
     for sw in seaweeds:
         assert verify_report(sw, sw.spec)["ok"]
-    graded = [ctx for ctx in contexts if ctx._grading is not None]
-    for ctx in contexts:
+    graded = [ctx for ctx in contexts if ctx.levi is not None]
+    for ctx, made in zip(contexts, built):
+        assert made_by(ctx) == made
+        own = {tuple(x.items()) for x in ctx.domain}
         want = Counter((id(ctx), tuple(x.items()), w) for x in ctx.levi
                        for w in ("domain", "module")) if ctx in graded else {}
-        assert {k: c for k, c in calls.items() if k[0] == id(ctx)} == want
-    # C(n, s) of the 12 specs of each type with pi1 != pi2, and no other
+        assert {k: c for k, c in made.items() if k[1] not in own} == want
+    # C(n, s) of the 16 specs of each type, and no other
     nilradicals = [nilradical_context(sw) for sw in seaweeds]
-    assert len(graded) == 2 * 12 and all(ctx in nilradicals for ctx in graded)
+    assert len(graded) == 2 * 16 and all(ctx in nilradicals for ctx in graded)
 
 
 # -- B^q cap invariants, spanned from weight zero ------------------------------
@@ -1251,13 +1272,12 @@ def test_candidate_span_is_cleared(type_label, rank):
                                                spec))
         for q in range(1, ctx.n + 1):
             invariant_cohomology_dims(ctx, q)
-            if q - 1 in ctx._candidate_ranks:
-                dim, rank_q, _ = ctx._candidate_ranks[q - 1]
-                columns = list(map(ctx.delta_column,
-                                   _invariant_candidates(ctx, q - 1)))
+            if q - 1 in ctx._rank_cache:
+                dim, rank_q, _ = ctx._rank_cache[q - 1]
+                columns = list(map(ctx.delta_column, ctx.zero_basis(q - 1)))
                 assert (dim, rank_q) == (len(columns),
                                          sparse_rank(columns)), (spec, q)
-                cleared += ctx._candidate_ranks.get(q - 2, (0, 0))[1]
+                cleared += ctx._rank_cache.get(q - 2, (0, 0))[1]
     assert cleared > 0
 
 
@@ -1306,8 +1326,11 @@ def reference_tables(ctx):
                 (1 << a | 1 << b, (1 << b) - (1 << a), c))
         ad[a][b] = vec
         ad[b][a] = {t: -c for t, c in vec.items()}
-    diag = [i for i in range(ctx.n) if _acts_diagonally(ad[i], act[i])]
-    return dbr, act, hitting, _weights(ctx, [(ad[i], act[i]) for i in diag])
+    # r = the levi, else the domain
+    tables = ([(ad[i], act[i]) for i in range(ctx.n)] if ctx.levi is None
+              else [reference_action_tables(ctx, x) for x in ctx.levi])
+    return dbr, act, hitting, _weights(
+        ctx, [pair for pair in tables if _acts_diagonally(*pair)])
 
 
 def identical(a, b):
@@ -1493,7 +1516,10 @@ def test_unit_brackets_do_not_rescan_the_bases(monkeypatch):
                 basis = ctx.domain if where == "domain" else ctx.module
                 assert identical(got, reference_bracket_coords(
                     ctx, x, basis, where)), (x, where)
-    assert _levi_grading(nilradical_context(sw))
+    ns = nilradical_context(sw)
+    tables = [action_tables(ns, x) for x in ns.levi]
+    assert ns._general and identical(ns._general, [
+        pair for pair in tables if not _acts_diagonally(*pair)])
 
 
 # -- unit bases out of ambient order --------------------------------------------
@@ -1633,8 +1659,8 @@ def assert_rows_match_generic(ctx, rows):
     its differential on C^q, q <= 2, is the reference loop's, item order
     included."""
     assert all(a is b for a, b in zip(ctx.act, rows)) and len(ctx.act) == ctx.n
-    ref = ComplexContext(ctx.ambient, ctx.domain, ctx.module)
-    for name in ("dbr", "act", "pairs_hitting", "_diag", "_dom_weights",
+    ref = ComplexContext(ctx.ambient, ctx.domain, ctx.module, levi=ctx.levi)
+    for name in ("dbr", "act", "pairs_hitting", "_general", "_dom_weights",
                  "_mod_weights", "_acting"):
         assert identical(getattr(ctx, name), getattr(ref, name)), name
     for q in range(3):
@@ -1723,8 +1749,8 @@ def test_sliced_contexts_share_the_module_solver(g2_fixture):
 
 
 def test_weights_built_once_per_generator_list(monkeypatch):
-    # a context grades its domain once, and its Levi generators once for
-    # all the degrees its invariant candidates are listed in
+    # a context grades r, its domain or its Levi generators, once for all
+    # the degrees its weight-zero codes are listed in
     calls = []
     real = cochain._weights
     monkeypatch.setattr(cochain, "_weights", lambda ctx, tables: (
@@ -1737,9 +1763,10 @@ def test_weights_built_once_per_generator_list(monkeypatch):
     assert len(contexts) > 3 * 76
     graded = listed = 0
     for i, ctx in contexts.items():
-        levi = ctx._grading is not None
-        assert counts[i] == 1 + levi
-        assert levi or not ctx._candidate_cache
+        levi = ctx.levi is not None and ctx.n > 0
+        assert counts[i] == 1
         graded += levi
-        listed += len(ctx._candidate_cache)
+        listed += levi and len(ctx._zero_cache)
+        assert all(ctx.zero_basis(q) is codes
+                   for q, codes in ctx._zero_cache.items())
     assert graded > 60 and listed > 4 * graded

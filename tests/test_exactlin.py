@@ -198,28 +198,40 @@ def test_primitive_relations_are_positive_multiples(m):
             [lead * v for v in vec]
 
 
-def test_small_inputs_match_the_engine(monkeypatch):
-    # no column or one: sparse_rank and sparse_kernel_basis answer without
-    # building an Echelon, with its outputs, value types and key order
+def closed_rank(columns):
+    """Rank of no column or one, as the wrappers once answered it."""
+    return sum(any(v != 0 for _, v in col.items()) for col in columns)
+
+
+def closed_kernel(columns, primitive=False):
+    """Kernel relations of no column or one, as once answered."""
+    one = 1 if primitive else F(1)
+    return [{0: one} for col in columns
+            if not any(v != 0 for _, v in col.items())]
+
+
+def test_small_inputs_match_the_engine():
+    # no column or one: sparse_rank and sparse_kernel_basis, now the
+    # engine, give the closed forms' outputs, value types and key order;
+    # the rows keep their first-seen order and a nonzero column's pivot is
+    # its first nonzero row
     cases = [[], [{}], [{0: 0}], [{3: 0, 1: 0}], [{0: 2}], [{0: 0, 5: -1}],
              [{1: F(1, 3), 2: 0}], [{7: 2**130 + 1}],
              [Cochain(None, 1, {})], [Cochain(None, 1, {(0,): {2: F(5)}})]]
-    want = [(Echelon(cols).rank, repr(Echelon(cols, track=True).kernel()),
-             repr(Echelon(cols, track=True).kernel(primitive=True)))
-            for cols in cases]
-    assert [w[0] for w in want] == [0, 0, 0, 0, 1, 1, 1, 1, 0, 1]
-
-    def no_engine(*args, **kwargs):
-        raise AssertionError("Echelon built for a 0- or 1-column input")
-
-    monkeypatch.setattr(exactlin, "Echelon", no_engine)
-    for cols, (rank, kernel, primitive) in zip(cases, want):
+    assert [closed_rank(cols) for cols in cases] == [0, 0, 0, 0, 1, 1, 1, 1,
+                                                     0, 1]
+    for cols in cases:
         for arg in (cols, iter(cols)):
-            assert sparse_rank(arg) == rank, cols
-        for arg in (cols, iter(cols)):
-            assert repr(sparse_kernel_basis(arg)) == kernel, cols
-        for arg in (cols, iter(cols)):
-            assert repr(sparse_kernel_basis(arg, True)) == primitive, cols
+            assert sparse_rank(arg) == closed_rank(cols), cols
+        for primitive in (False, True):
+            want = repr(closed_kernel(cols, primitive))
+            for arg in (cols, iter(cols)):
+                assert repr(sparse_kernel_basis(arg, primitive)) == want, cols
+        rows = [r for col in cols for r, _ in col.items()]
+        echelon = Echelon(cols)
+        assert list(echelon._pos) == rows
+        assert echelon.pivot_rows() == [r for col in cols for r, v in
+                                        col.items() if v != 0][:1]
 
 
 def dense_coords(m, v):

@@ -7,7 +7,9 @@ import pytest
 from seaweedcoh.chevalley import direct_sum
 from seaweedcoh.cli import _all_specs, _ambient
 from seaweedcoh.cochain import (Cochain, _decoded, _invariant_block,
-                                adjoint_context, coboundary, quotient_context)
+                                adjoint_context, coboundary,
+                                invariant_cochains, nilradical_context,
+                                quotient_context)
 from seaweedcoh.exactlin import Echelon, InvariantError, sparse_kernel_basis
 from seaweedcoh.gerstenhaber import (_class_representatives, cg_dims,
                                      cohomologous, cup_with_center,
@@ -119,6 +121,46 @@ def test_cup_zero(g2):
     zero = qctx.zero(1)
     phi = cup_with_center(split, zero)
     assert phi.is_zero()
+
+
+def test_center_functional_needs_a_center_vector(g2):
+    # z* exists only for 0 <= which < dim Z: past the center basis it would
+    # be the dual of a complement vector.  Whole A2 has no center, so there
+    # is no z* to cup with, not even for the zero cocycle
+    _, split = g2
+    assert len(split.center_basis) == 1 and split.center_functional(0)
+    for which in (-1, 1):
+        with pytest.raises(ValueError, match="no center basis vector"):
+            split.center_functional(which)
+    whole = split_over_center(build_seaweed(
+        _ambient("A", 2), SeaweedSpec.make("A", 2, [1, 2], [1, 2])))
+    assert whole.center_basis == []
+    with pytest.raises(ValueError, match="no center basis vector 0"):
+        whole.center_functional()
+    with pytest.raises(ValueError, match="no center basis vector 0"):
+        cup_with_center(whole, quotient_context(whole).zero(1))
+
+
+def test_coboundary_tests_need_cochains_over_the_complex(g2):
+    # the codes of a cochain over another complex name other basis
+    # cochains: a C(n, s) cocycle is refused by C(s, s), not read against
+    # its basis.  C(n, s) itself is graded by its levi, not by its domain:
+    # a 0-cocycle of nonzero weight there is no coboundary (B^0 = 0), yet
+    # its weight-zero part, empty, lies in any span, so it is refused
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1, 2]))
+    adj, ns = adjoint_context(sw), nilradical_context(sw)
+    f = invariant_cochains(ns, 2)[0]
+    for check in (lambda: is_coboundary(adj, f),
+                  lambda: cohomologous(adj, f, ns.zero(2))):
+        with pytest.raises(ValueError, match="does not live over"):
+            check()
+    top = Cochain(ns, 0, {(): {2: 1}})
+    assert coboundary(top).is_zero() and ns.code((), 2) not in ns.zero_basis(0)
+    with pytest.raises(ValueError, match="graded by its levi"):
+        is_coboundary(ns, top)
+    ctx = adjoint_context(g2[0])
+    gen = Cochain(ctx, 2, {(1, 2): {1: F(2), 2: F(3)}})
+    assert not is_coboundary(ctx, gen) and cohomologous(ctx, gen, gen)
 
 
 def test_cg_sweep_decomposable(sweep_reports):
@@ -273,7 +315,10 @@ def test_representatives_match_per_grade_rescaled_fixture(a2_fixture):
     seaweeds = [build_seaweed(L2, SeaweedSpec.make("A", 2, [], pi2))
                 for pi2 in ([1, 2], [1], [])]
     adj = adjoint_context(seaweeds[0])
-    assert any(isinstance(adj.act[i][k][k], F) for i in adj._diag
+    # the diagonal domain elements: those whose tables are not `_general`
+    diag = [i for i in range(adj.n)
+            if not any(a_mod is adj.act[i] for _, a_mod in adj._general)]
+    assert any(isinstance(adj.act[i][k][k], F) for i in diag
                for k in adj.act[i])
     counts = [0, 0, 0]
     for sw in seaweeds:
