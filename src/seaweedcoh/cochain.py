@@ -234,11 +234,12 @@ class ComplexContext:
         rank delta_(q-1) = dim C^(q-1) - dim Z^(q-1) by rank-nullity, with
         Z^i = H^i + B^i from B^0 = 0.  Block i-1 is built before block i,
         so block i is cleared by its pivots; each degree is counted, and
-        guarded, once.  ValueError on a context built with `levi`, which
-        is graded by it and not by its domain.
+        guarded, once.  ValueError on a context built with `levi`, graded by
+        it: ComplexContext(ambient, domain, module) counts over the domain.
         """
         if self.levi is not None:
-            raise ValueError("the complex is graded by its levi generators")
+            raise ValueError("the complex is graded by its levi generators; "
+                             "use ComplexContext(ambient, domain, module)")
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
         dims = self._dims

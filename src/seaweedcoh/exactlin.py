@@ -139,13 +139,11 @@ class Echelon:
         self.count = 0         # columns added
         columns = [c if isinstance(c, dict) else dict(c.items())
                    for c in columns]
-        rows = chain.from_iterable(columns)
-        if len(columns) > 1:    # else every count is 1: first-seen order
-            counts = {}         # a plain dict beats Counter on tiny inputs
-            for r in rows:
-                counts[r] = counts.get(r, 0) + 1
-            rows = sorted(counts, key=counts.__getitem__)
-        self._pos = {r: p for p, r in enumerate(rows)}
+        counts = {}     # a plain dict beats Counter on the many tiny inputs
+        for r in chain.from_iterable(columns):
+            counts[r] = counts.get(r, 0) + 1
+        self._pos = {r: p for p, r in
+                     enumerate(sorted(counts, key=counts.__getitem__))}
         for col in columns:
             self.add(col)
 

@@ -18,6 +18,8 @@ from seaweedcoh.gerstenhaber import (_class_representatives, cg_dims,
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed,
                                 seaweed_from_algebra, split_over_center)
 
+from test_cochain import reference_grading
+
 
 @pytest.fixture(scope="module")
 def g2(g2_fixture):
@@ -315,9 +317,7 @@ def test_representatives_match_per_grade_rescaled_fixture(a2_fixture):
     seaweeds = [build_seaweed(L2, SeaweedSpec.make("A", 2, [], pi2))
                 for pi2 in ([1, 2], [1], [])]
     adj = adjoint_context(seaweeds[0])
-    # the diagonal domain elements: those whose tables are not `_general`
-    diag = [i for i in range(adj.n)
-            if not any(a_mod is adj.act[i] for _, a_mod in adj._general)]
+    diag = reference_grading(adj)[0]    # the diagonal domain elements
     assert any(isinstance(adj.act[i][k][k], F) for i in diag
                for k in adj.act[i])
     counts = [0, 0, 0]
