@@ -49,7 +49,7 @@ for q in range(6):
     z, b, h = ctx.cohomology_dims(q)
     print(f"  q={q}: dim Z={z:3d} dim B={b:3d} dim H={h}")
 
-octx = OperatorContext(L, sw)
+octx = OperatorContext(sw)
 f2 = invariant_cochains(octx.ns, 2)[0]
 print("\nthe invariant 2-cocycle on the nilradical:")
 show("f2", f2, sw.algebra())

@@ -8,7 +8,7 @@ Gamma = delta k + k delta, which the test suite checks coefficient-wise.
 
 What depends on the ambient algebra alone is computed once per algebra and
 kept on it, on first use (never while the algebra is constructed): the
-complex C^*(g, g) every `OperatorContext` shares, the sparse dual basis, the
+complex C^*(g, g) (`cochain.full_context`), the sparse dual basis, the
 brackets [e^j, e_k] that `homotopy` reads, the Casimir columns
 sum_j [e^j, [e_j, e_k]] that `casimir_action` reads, the form ratio, and
 the string terms of the predicted entry scalars per pair of simple-root
@@ -23,7 +23,7 @@ n-tuples and brackets inside n, which is the differential of C(n, g) (n the
 domain, all of g the module).  `restrict` keeps only n-tuples, so the image
 is the same cochain (`_certificate_image`).  The certificate runs on the
 packed codes of `cochain`, from the cocycles to the restricted image;
-`invariant_cocycles`, `homotopy` and `restrict` keep Cochains for callers.
+`homotopy`, `restrict` and the other operators keep Cochains for callers.
 
 The brackets are kept as D [e^j, e_k] in ints, D the lcm of their
 denominators (3 for the published A2 table), so the certificate works on
@@ -45,31 +45,21 @@ from .cochain import (Cochain, _decoded, _delta, _invariant_entry, coboundary,
                       full_context, invariant_coboundaries,
                       nilradical_ambient_context, nilradical_context)
 from .exactlin import Echelon, InvariantError, sparse_rank, vec_add
-from .rootsystem import RootSystem
 
 CASIMIR_READING = "value_action"
 
 
 class OperatorContext:
-    """Ambient semisimple algebra with dual basis, plus a seaweed inside it."""
+    """A seaweed with its ambient semisimple algebra's dual basis."""
 
-    def __init__(self, ambient: LieAlgebra, sw):
-        if sw.ambient is not ambient:
-            raise ValueError("seaweed does not live in the given ambient algebra")
-        self.ambient = ambient
+    def __init__(self, sw):
+        self.ambient = sw.ambient
         self.seaweed = sw
-        self.dual = _sparse_dual(ambient)
-        self.gg = _ambient_context(ambient)
+        self.dual = _sparse_dual(sw.ambient)
+        self.gg = full_context(sw.ambient)
         self.ns = nilradical_context(sw)
         self._nil_pos = {idx: p for p, idx in enumerate(sw.nilradical)}
         self._mem_pos = {idx: p for p, idx in enumerate(sw.member)}
-
-
-def _ambient_context(g: LieAlgebra):
-    """C^*(g, g), which depends on the ambient alone: built once per algebra."""
-    if not hasattr(g, "_full_context"):
-        g._full_context = full_context(g)
-    return g._full_context
 
 
 def _sparse_dual(g: LieAlgebra):
@@ -194,12 +184,6 @@ def modified_casimir(octx: OperatorContext, F: Cochain) -> Cochain:
     return casimir_action(octx, F).add(homotopy(octx, coboundary(F)), -1)
 
 
-def string_eigenvalue(rs: RootSystem, alpha, beta) -> Fraction:
-    """(alpha,alpha) q (r+1) / 2 for the alpha-string through beta."""
-    r, q = rs.root_string(alpha, beta)
-    return rs.pairing(alpha, alpha) * q * (r + 1) / 2
-
-
 # -- certificate -------------------------------------------------------------
 
 
@@ -255,11 +239,6 @@ class RigidityCertificate:
                 for w in self.witnesses
             ],
         }
-
-
-def invariant_cocycles(octx: OperatorContext, q):
-    """Basis of Z^q(n, s)^r, the invariant cocycles the certificate tests."""
-    return [_decoded(octx.ns, q, f) for f in _cocycle_codes(octx, q)]
 
 
 def _cocycle_codes(octx, q):
@@ -464,8 +443,9 @@ def _alternating_signs(coeffs):
     return True
 
 
-def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
-    """Entry scalars of the modified Casimir predicted from root strings.
+def _predicted_scalars(octx, masks):
+    """Entry scalars of the modified Casimir predicted from root strings,
+    for the entries on the n-tuples with these bit masks.
 
     Each entry of an invariant cocycle takes its value in the root space of
     beta = sum of the argument roots; the predicted scalar is (beta,beta) plus
@@ -474,11 +454,6 @@ def predicted_entry_scalars(octx: OperatorContext, f: Cochain):
     once per seaweed, as the per-algebra sum over all roots less the terms
     of n.  Returns None when root data is missing.
     """
-    return _predicted_scalars(octx, [sum(1 << t for t in tup) for tup in f.data])
-
-
-def _predicted_scalars(octx, masks):
-    """`predicted_entry_scalars` of the n-tuples with these bit masks."""
     g = octx.ambient
     rs = g.root_system
     if rs is None or not g.root_of:

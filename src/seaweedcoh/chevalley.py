@@ -26,6 +26,10 @@ class JacobiError(ValueError):
     pass
 
 
+class DegenerateFormError(ValueError):
+    """The Killing form is degenerate, so the algebra has no dual basis."""
+
+
 def _num(x):
     """Keep integers as plain ints; exact rationals otherwise."""
     if isinstance(x, int):
@@ -207,7 +211,8 @@ class LieAlgebra:
                            for col in self.killing_matrix()),
                           track=True)
             if ech.rank < self.dim:
-                raise ValueError("Killing form is degenerate; no dual basis")
+                raise DegenerateFormError(
+                    "Killing form is degenerate; no dual basis")
             zero = Fraction(0)
             self._dual = []
             for j in range(self.dim):
@@ -443,15 +448,3 @@ def load_fixture(path) -> LieAlgebra:
     """
     return loads_fixture(Path(path).read_text())
 
-
-# -- derived algebras --------------------------------------------------------
-
-def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    brackets = {}
-    for (i, j), vec in a.brackets.items():
-        brackets[(i, j)] = dict(vec)
-    for (i, j), vec in b.brackets.items():
-        brackets[(i + a.dim, j + a.dim)] = {k + a.dim: v for k, v in vec.items()}
-    labels = tuple(f"a.{s}" for s in a.labels) + tuple(f"b.{s}" for s in b.labels)
-    cartan = a.cartan + tuple(i + a.dim for i in b.cartan)
-    return LieAlgebra(a.dim + b.dim, brackets, labels, cartan, check=False)

@@ -16,11 +16,12 @@ from functools import lru_cache
 
 from . import chevalley, rootsystem
 from .casimir import OperatorContext, rigidity_certificate
+from .chevalley import DegenerateFormError
 from .cochain import (adjoint_context, invariant_cohomology_dims,
                       nilradical_context)
 from .gerstenhaber import cg_dims
-from .seaweed import (SeaweedSpec, Seaweed, build_seaweed, center,
-                      is_indecomposable, quotient_components,
+from .seaweed import (SeaweedSpec, Seaweed, _cached_build, build_seaweed,
+                      center, is_indecomposable, quotient_components,
                       render_split_dynkin, seaweed_from_algebra,
                       split_over_center)
 
@@ -32,7 +33,8 @@ ERROR = "error"
 
 @lru_cache(maxsize=None)
 def _ambient(type_label, rank):
-    return chevalley.construct(rootsystem.build(type_label, rank))
+    """The Chevalley basis of a type, on `seaweed`'s root system of it."""
+    return chevalley.construct(_cached_build(type_label, rank))
 
 
 def _parse_pi(text):
@@ -200,8 +202,8 @@ def verify_report(sw, spec, max_degree=None, strict_paper=False,
     # rigidity certificates, where the ambient admits dual bases
     certs = []
     try:
-        octx = OperatorContext(sw.ambient, sw)
-    except ValueError:
+        octx = OperatorContext(sw)
+    except DegenerateFormError:
         octx = None
     if octx is not None:
         for q in range(1, len(sw.nilradical) + 1):

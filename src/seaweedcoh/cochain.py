@@ -58,13 +58,16 @@ re-index the ambient's cached ad(e_i) columns when the domain and module
 are int unit bases in any order; a basis out of ambient order (the default
 center complement, Cartan first) has them sorted by position, as the
 `bracket_vec` loop that any other basis takes builds them (both decided
-once per context).  A seaweed's complexes share these rows: C(a, a) reads
-`dbr` off its `act`, C(n, s) and C(Q, s) on units of s take C(s, s)'s rows
-(their module is s at the same positions; every C(n, s) and C(Q, s) takes
-its module solver), and C(n, g) the ad(e_i) columns (its module is g in
-ambient order).  Each is the table the loop builds, key
-order included, so nothing is approximated; no row is mutated, and every
-context builds its own `dbr`, which checks that its domain is closed.
+once per context).  C(a, a) reads `dbr` off its `act`.  One rule shares
+tables between complexes: a complex built `within` w acts on w's module,
+the same list, with w's module solver and unit flag, and the action row of
+each domain vector that is an int unit of w's domain is w's row, the same
+dict; any other domain vector (a non-unit complement of a fixture) has its
+row built.  C(n, s) and C(Q, s) are built within C(s, s)
+(`adjoint_context`), C(n, g) within C(g, g) (`full_context`, one per
+algebra).  A shared row is the table the loop builds, key order included,
+so nothing is approximated; no row is mutated, and every context builds
+its own `dbr`, which checks that its domain is closed.
 Integral values stay plain ints and invariant bases come from primitive int
 kernel relations, so for a spec seaweed every complex runs in integer
 arithmetic; Fractions enter only through rescaled or non-unit bases
@@ -77,7 +80,6 @@ computed once per degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, lcm
 from operator import attrgetter, itemgetter
 
@@ -88,20 +90,23 @@ from .exactlin import (Echelon, InvariantError, SpanSolver,
 
 class ComplexContext:
     """C^*(domain, module) inside an ambient algebra, graded by r: the
-    generators `levi`, which the invariant API needs, else the domain."""
+    generators `levi`, which the invariant API needs, else the domain; built
+    `within` w, on w's module (`module` None) with w's tables."""
 
-    def __init__(self, ambient: LieAlgebra, domain, module, act=None,
-                 levi=None, mod_solver=None):
+    def __init__(self, ambient: LieAlgebra, domain, module, levi=None,
+                 within=None):
         self.ambient = ambient
         self.domain = [dict(v) for v in domain]
-        self.module = [dict(v) for v in module]
+        self.module = within.module if within else [dict(v) for v in module]
         self.n = len(self.domain)
         self.m = len(self.module)
         self._dom_solver = SpanSolver(self.domain)
-        self._mod_solver = mod_solver or SpanSolver(self.module)
+        self._mod_solver = (within._mod_solver if within
+                            else SpanSolver(self.module))
         # unit bases read their brackets off the ambient's ad columns; the
         # tables of a basis out of ambient order are put in position order
-        self._unit = _int_units(self.domain) and _int_units(self.module)
+        self._unit = _int_units(self.domain) and (
+            within._unit if within else _int_units(self.module))
         self._unsorted = {where for where, basis in (
             ("domain", self.domain), ("module", self.module))
             if self._unit and basis != sorted(basis, key=min)}
@@ -111,8 +116,10 @@ class ComplexContext:
                 for i, x in enumerate(self.domain)]
         self.dbr = {(i, j): c for i, row in enumerate(rows)
                     for j, c in row.items() if j > i}
-        self.act = act or (rows if same else [
-            _bracket_coords(self, x, "module") for x in self.domain])
+        shared = within._dom_solver.unit if within and within._unit else {}
+        self.act = rows if same else [
+            within.act[shared[min(x)]] if _int_units([x]) and min(x) in shared
+            else _bracket_coords(self, x, "module") for x in self.domain]
         self._acting = {}           # module k -> [(1 << mdx, act[mdx][k])]
         for mdx, row in enumerate(self.act):
             for k, col in row.items():
@@ -170,12 +177,6 @@ class ComplexContext:
         """The basis cochain (tup, k) of an int code."""
         mask, k = divmod(code, self.m)
         return tuple(i for i in range(mask.bit_length()) if mask >> i & 1), k
-
-    def basis_cochain(self, tup, k):
-        return Cochain(self, len(tup), {tuple(tup): {k: 1}})
-
-    def zero(self, q):
-        return Cochain(self, q, {})
 
     # -- the differential ----------------------------------------------------
 
@@ -433,19 +434,6 @@ class Cochain:
         return (isinstance(other, Cochain) and self.degree == other.degree
                 and self.data == other.data)
 
-    def evaluate(self, indices):
-        """Value on domain basis indices in any order; {} on repeats."""
-        if len(indices) != self.degree:
-            raise ValueError("wrong arity")
-        if len(set(indices)) != len(indices):
-            return {}
-        order = sorted(range(len(indices)), key=lambda i: indices[i])
-        inversions = sum(1 for a, b in combinations(range(len(indices)), 2)
-                         if order[a] > order[b])
-        sign = -1 if inversions % 2 else 1
-        vec = self.data.get(tuple(sorted(indices)), {})
-        return {k: sign * v for k, v in vec.items()}
-
 
 def coboundary(f: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential: `delta_column`, extended linearly.
@@ -463,21 +451,6 @@ def _delta(ctx, f):
         if c:
             vec_add(acc, ctx.delta_column(code), c)
     return acc
-
-
-def lie_derivative(x_vec, f: Cochain) -> Cochain:
-    """(x . f)(x_1..x_q) = [x, f(..)] - sum_i f(.., [x, x_i], ..): the
-    `_lie_columns` of f's basis cochains, extended linearly.
-
-    `x_vec` is an ambient coordinate vector whose action must close on the
-    domain and the module.
-    """
-    ctx, coded = f.context, f.coded()
-    tables = tuple(_bracket_coords(ctx, x_vec, w) for w in ("domain", "module"))
-    acc = {}
-    for col, c in zip(_lie_columns(ctx, coded, [tables]), coded.values()):
-        vec_add(acc, col, c)
-    return _decoded(ctx, f.degree, acc)
 
 
 def invariant_cochains(ctx: ComplexContext, q):
@@ -641,22 +614,12 @@ def adjoint_context(sw) -> ComplexContext:
     return sw._adjoint_ctx
 
 
-def _adjoint_rows(sw, domain):
-    """C(s, s)'s rows of the domain vectors if they are int units of s,
-    else None (the module docstring)."""
-    adj = adjoint_context(sw)
-    pos = adj._dom_solver.unit
-    if _int_units(domain) and all(min(v) in pos for v in domain):
-        return [adj.act[pos[min(v)]] for v in domain]
-
-
 def nilradical_context(sw) -> ComplexContext:
     """C^*(n, s) for a seaweed, carrying r (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ctx"):
-        domain = _units(sw.nilradical)
         sw._nilradical_ctx = ComplexContext(
-            sw.ambient, domain, _units(sw.member), _adjoint_rows(sw, domain),
-            reductive_generators(sw), adjoint_context(sw)._mod_solver)
+            sw.ambient, _units(sw.nilradical), None, reductive_generators(sw),
+            adjoint_context(sw))
     return sw._nilradical_ctx
 
 
@@ -665,15 +628,17 @@ def nilradical_ambient_context(sw) -> ComplexContext:
     the rigidity certificate differentiates in (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ambient_ctx"):
         sw._nilradical_ambient_ctx = ComplexContext(
-            sw.ambient, _units(sw.nilradical), _units(range(sw.ambient.dim)),
-            list(map(sw.ambient.ad, sw.nilradical)))
+            sw.ambient, _units(sw.nilradical), None,
+            within=full_context(sw.ambient))
     return sw._nilradical_ambient_ctx
 
 
 def full_context(L: LieAlgebra) -> ComplexContext:
-    """C^*(g, g) for a whole algebra."""
-    units = _units(range(L.dim))
-    return ComplexContext(L, units, units)
+    """C^*(g, g) for a whole algebra (cached on the algebra)."""
+    if not hasattr(L, "_full_context"):
+        units = _units(range(L.dim))
+        L._full_context = ComplexContext(L, units, units)
+    return L._full_context
 
 
 def quotient_context(split) -> ComplexContext:
@@ -687,9 +652,8 @@ def quotient_context(split) -> ComplexContext:
         return adjoint_context(sw)
     if not hasattr(split, "_quotient_ctx"):
         split._quotient_ctx = ComplexContext(
-            sw.ambient, split.complement_basis, _units(sw.member),
-            _adjoint_rows(sw, split.complement_basis),
-            mod_solver=adjoint_context(sw)._mod_solver)
+            sw.ambient, split.complement_basis, None,
+            within=adjoint_context(sw))
     return split._quotient_ctx
 
 

@@ -261,17 +261,6 @@ def build(type_label: str, rank: int) -> RootSystem:
                       coeffs, form_scale)
 
 
-ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
-}
-
-
 def dynkin_edges(rs: RootSystem):
     """Edges (i, j, multiplicity) of the Dynkin diagram, 0-based node indices."""
     edges = []

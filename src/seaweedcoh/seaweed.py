@@ -17,7 +17,12 @@ from .chevalley import LieAlgebra
 from .cochain import adjoint_context, quotient_context
 from .exactlin import Echelon, InvariantError, sparse_kernel_basis
 
-_cached_build = lru_cache(maxsize=None)(rootsystem.build)
+
+@lru_cache(maxsize=None)
+def _cached_build(type_label, rank):
+    """One root system per type per process; `rootsystem.build` is read at
+    call time, so a wrapper installed on it sees every build."""
+    return rootsystem.build(type_label, rank)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
+import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from seaweedcoh import casimir, cli, seaweed
+from seaweedcoh.chevalley import load_fixture
 from seaweedcoh.cli import main
+from seaweedcoh.exactlin import InvariantError
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(args, check=True):
@@ -285,3 +291,77 @@ def test_enumerate_keeps_going_past_a_raising_spec(tmp_path, monkeypatch,
             "error": "ValueError: simple-root index out of range: [5]",
             "ok": False}
         assert "simple-root index out of range" in captured.err
+
+
+def test_verify_report_propagates_invariant_error(monkeypatch, capsys):
+    # only a degenerate Killing form (no dual basis) leaves a report without
+    # certificates; an internal invariant failing while the operators are
+    # set up is an error: verify exits 2 and enumerate writes an error
+    # record.  A fresh ambient, so no C(g, g) is cached on it
+    def broken(g):
+        raise InvariantError("forged C(g, g) failure")
+    monkeypatch.setattr(casimir, "full_context", broken)
+    spec = seaweed.SeaweedSpec.make("A", 2, [], [1, 2])
+    sw = seaweed.build_seaweed(cli._ambient.__wrapped__("A", 2), spec)
+    with pytest.raises(InvariantError, match="forged"):
+        cli.verify_report(sw, spec)
+    assert main(["verify", "--type", "A", "--rank", "2", "--pi1", "",
+                 "--pi2", "1,2"]) == 2
+    assert "forged C(g, g) failure" in capsys.readouterr().err
+    assert cli._enumerate_one(("A", 2, (), (1, 2), 3, False)) == {
+        "spec": {"type": "A", "rank": 2, "pi1": [], "pi2": [1, 2]},
+        "error": "InvariantError: forged C(g, g) failure", "ok": False}
+    g2 = seaweed.seaweed_from_algebra(load_fixture(FIXTURES / "g2_seaweed"))
+    report = cli.verify_report(g2, None)
+    assert report["ok"] and report["certificates"] == []
+
+
+def test_one_root_system_per_type():
+    # the ambient algebra is built on the root system that
+    # quotient_components and render_split_dynkin read
+    for t, r in [("A", 2), ("B", 3), ("G", 2), ("D", 4)]:
+        assert cli._ambient(t, r).root_system is seaweed._cached_build(t, r)
+
+
+def _public_definitions(tree):
+    """(name, node) of each module-level public function, class and
+    assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def _names_used(tree):
+    """Each identifier a tree reads, imports or spells as a dotted part of
+    a string (perfbench names the functions it traces in strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_public_names_have_callers_outside_the_tests():
+    # every module-level public name of the package is used in src/, demos/
+    # or perfbench/ outside its own definition; a helper only the tests
+    # call belongs in tests/
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "demos", "perfbench")
+             for path in (ROOT / folder).rglob("*.py")}
+    used = Counter(name for tree in trees.values()
+                   for name in _names_used(tree))
+    package = sorted((ROOT / "src" / "seaweedcoh").glob("*.py"))
+    assert len(package) > 8
+    unused = [f"{path.stem}.{name}" for path in package
+              for name, node in _public_definitions(trees[path])
+              if used[name] == Counter(_names_used(node))[name]]
+    assert unused == []
