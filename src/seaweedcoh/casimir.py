@@ -8,13 +8,12 @@ Gamma = delta k + k delta, which the test suite checks coefficient-wise.
 
 What depends on the ambient algebra alone is computed once per algebra and
 kept on it, on first use (never while the algebra is constructed): the
-complex C^*(g, g) (`cochain.full_context`), the sparse dual basis, the
-brackets [e^j, e_k] that `homotopy` reads, the Casimir columns
-sum_j [e^j, [e_j, e_k]] that `casimir_action` reads, the form ratio, and
-the string terms of the predicted entry scalars per pair of simple-root
-coefficient tuples and their sums over all roots, whose squared lengths
-and root strings the `RootSystem` answers.  Per seaweed, the predicted
-scalar of each root is computed once.
+complex C^*(g, g) (`cochain.full_context`), the brackets [e^j, e_k] that
+`homotopy` reads, the Casimir columns sum_j [e^j, [e_j, e_k]] that
+`casimir_action` reads, the Casimir constant 2h^v and the string terms of
+the predicted entry scalars per pair of simple-root coefficient tuples,
+whose squared lengths and root strings the `RootSystem` answers.  Per
+seaweed, the predicted scalar of each root is computed once.
 
 The certificate takes its coboundary in C(n, g), not C(g, g): psi f is
 supported on n-tuples, so k psi f is too, and n is closed under the bracket;
@@ -50,25 +49,17 @@ CASIMIR_READING = "value_action"
 
 
 class OperatorContext:
-    """A seaweed with its ambient semisimple algebra's dual basis."""
+    """A seaweed with its ambient semisimple algebra, whose invariant form
+    must be nondegenerate (`DegenerateFormError` otherwise)."""
 
     def __init__(self, sw):
+        sw.ambient.dual_basis()
         self.ambient = sw.ambient
         self.seaweed = sw
-        self.dual = _sparse_dual(sw.ambient)
         self.gg = full_context(sw.ambient)
         self.ns = nilradical_context(sw)
         self._nil_pos = {idx: p for p, idx in enumerate(sw.nilradical)}
         self._mem_pos = {idx: p for p, idx in enumerate(sw.member)}
-
-
-def _sparse_dual(g: LieAlgebra):
-    """The dual basis e^j as sparse {index: coefficient} dicts, built once
-    per algebra; callers must not mutate them."""
-    if not hasattr(g, "_sparse_dual"):
-        g._sparse_dual = [{i: c for i, c in enumerate(col) if c != 0}
-                          for col in g.dual_basis()]
-    return g._sparse_dual
 
 
 def _dual_brackets(g: LieAlgebra):
@@ -77,7 +68,8 @@ def _dual_brackets(g: LieAlgebra):
     mutate them."""
     if not hasattr(g, "_dual_brackets"):
         table = [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
-                 for d in _sparse_dual(g)]
+                 for d in ({i: c for i, c in enumerate(col) if c}
+                           for col in g.dual_basis())]
         D = lcm(*(v.denominator
                   for row in table for b in row for v in b.values()))
         g._dual_brackets = D, [[{i: int(v * D) for i, v in b.items()}
@@ -448,24 +440,26 @@ def _predicted_scalars(octx, masks):
     for the entries on the n-tuples with these bit masks.
 
     Each entry of an invariant cocycle takes its value in the root space of
-    beta = sum of the argument roots; the predicted scalar is (beta,beta) plus
-    string terms over the root vectors outside n and the Cartan, all in the
-    invariant form the dual basis uses.  The scalar of each beta is computed
-    once per seaweed, as the per-algebra sum over all roots less the terms
-    of n.  Returns None when root data is missing.
+    beta = sum of the argument roots; its scalar is (beta, beta) plus the
+    string terms T(gamma, beta) of `_string_term` over the roots gamma
+    outside n, in the invariant form the dual basis uses.  On g the Casimir
+    element of the normalized form acts by C = 2h^v (Kac, *Infinite-
+    dimensional Lie algebras*, Sec. 6), so (beta, beta) plus T(gamma, beta)
+    summed over every root gamma is C for every root beta, and the Killing
+    form is 1/C times the normalized one.  With B = form_scale * kappa the
+    scalar is therefore (C - sum over gamma in n of T(gamma, beta)) /
+    (form_scale * C): root data and the declared scale alone.  The scalar
+    of each beta is computed once per seaweed.  Returns None when root data
+    is missing.
     """
     g = octx.ambient
-    rs = g.root_system
-    if rs is None or not g.root_of:
+    if g.root_system is None or not g.root_of:
         return None
-    kappa_ratio = _form_ratio(g)
-    if kappa_ratio is None:
-        return None
+    C = _casimir_constant(g)
     sw = octx.seaweed
     if not hasattr(sw, "_entry_scalars"):
         sw._entry_scalars = {}      # beta -> predicted scalar
     memo = sw._entry_scalars
-    totals = g.__dict__.setdefault("_string_totals", {})   # over all roots
     out = []
     for mask in masks:
         beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in
@@ -474,14 +468,23 @@ def _predicted_scalars(octx, masks):
             return None  # value in the Cartan: the string formula does not apply
         scalar = memo.get(beta)
         if scalar is None:
-            if beta not in totals:
-                totals[beta] = sum(_string_term(g, gamma, beta) for i, gamma
-                                   in g.root_of.items() if i not in g.cartan)
-            scalar = rs.sq(beta) + totals[beta] - sum(
+            scalar = memo[beta] = (C - sum(
                 _string_term(g, g.root_of[i], beta) for i in sw.nilradical)
-            scalar = memo[beta] = scalar * kappa_ratio
+            ) / (g.form_scale * C)
         out.append(scalar)
     return out
+
+
+def _casimir_constant(g: LieAlgebra):
+    """C = (beta, beta) + sum of `_string_term`(gamma, beta) over every root
+    gamma, the same for every root beta (`_predicted_scalars`); summed once
+    per algebra at the first simple root."""
+    if not hasattr(g, "_casimir_constant"):
+        rs = g.root_system
+        beta = (1,) + (0,) * (rs.rank - 1)
+        g._casimir_constant = rs.sq(beta) + sum(
+            _string_term(g, gamma, beta) for gamma in rs.root_coeffs)
+    return g._casimir_constant
 
 
 def _string_term(g: LieAlgebra, gamma, beta):
@@ -502,40 +505,3 @@ def _string_term(g: LieAlgebra, gamma, beta):
             val = rs.sq(gamma) * r * (q + 1) / 2
         g._string_terms[(gamma, beta)] = val
     return val
-
-
-def _form_ratio(g: LieAlgebra):
-    """Ratio between the dual-basis form on roots and the root-system pairing.
-
-    The invariant form B = form_scale * kappa induces a Weyl-invariant form on
-    the root space, necessarily proportional to the normalized pairing; the
-    ratio is (theta, theta)_B / 2 for a long root theta.  It depends on the
-    ambient algebra alone, so it is computed once per algebra.
-    """
-    if not hasattr(g, "_form_ratio"):
-        g._form_ratio = _compute_form_ratio(g)
-    return g._form_ratio
-
-
-def _compute_form_ratio(g: LieAlgebra):
-    rs = g.root_system
-    # (alpha, alpha)_B from the Cartan block: B(t_a, t_a) with B t_a = alpha
-    cartan = list(g.cartan)
-    if not cartan:
-        return None
-    # alpha as a functional on the Cartan basis, read off the adjoint action
-    long_root_idx = max(g.root_of, key=lambda i: rs.sq(g.root_of[i]))
-    best = rs.sq(g.root_of[long_root_idx])
-    alpha_vals = []
-    for h in cartan:
-        b = g.bracket(h, long_root_idx)
-        alpha_vals.append(b.get(long_root_idx, 0))
-    kappa = g.killing_matrix()
-    block = Echelon(({p: g.form_scale * kappa[a][b]
-                      for p, a in enumerate(cartan)} for b in cartan),
-                    track=True)
-    if block.rank < len(cartan):
-        return None
-    t = block.coords(dict(enumerate(alpha_vals)))
-    sq_b = sum((alpha_vals[p] * c for p, c in t.items()), Fraction(0))
-    return sq_b / best

@@ -95,10 +95,6 @@ def build_from_args(args):
             if args.rank is None:
                 raise SystemExit("--type needs --rank")
             spec = SeaweedSpec.make(args.type, args.rank, args.pi1, args.pi2)
-            if L.root_system is not None and (
-                    L.root_system.type_label != args.type
-                    or L.root_system.rank != args.rank):
-                raise SystemExit("fixture type does not match --type/--rank")
             return build_seaweed(L, spec), spec, fixture_name
         if args.pi1 or args.pi2 or args.rank is not None:
             raise SystemExit("--pi1, --pi2 and --rank need --type")

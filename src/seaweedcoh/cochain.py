@@ -191,13 +191,9 @@ class ComplexContext:
                 continue
             row = (mask | bit) * m
             odd = (mask & bit - 1).bit_count() & 1
+            # each (bit, k2) is a distinct row, and no action value is 0
             for k2, v in acted.items():
-                key = row + k2
-                nv = out.get(key, 0) + (-v if odd else v)
-                if nv == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
+                out[row + k2] = -v if odd else v
         tpos, bits = 0, mask
         while bits:
             t = bits & -bits            # the bits of the mask, increasing

@@ -10,37 +10,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .chevalley import LieAlgebra, jacobi_violation
-from .cochain import Cochain, coboundary
+from .cochain import Cochain, adjoint_context, coboundary
 from .exactlin import Echelon, vec_add
 from .seaweed import Seaweed, center, seaweed_from_algebra
 
 
-def _f2_member_table(sw: Seaweed, f2: Cochain):
-    """f2 values re-indexed to the member basis of s."""
-    pos = {idx: p for p, idx in enumerate(sw.member)}
-    ctx = f2.context
-    dom_amb = [next(iter(v)) for v in ctx.domain]
-    mod_amb = [next(iter(v)) for v in ctx.module]
-    table = {}
-    for (a, b), vec in f2.data.items():
-        key = (pos[dom_amb[a]], pos[dom_amb[b]])
-        table[key] = {pos[mod_amb[k]]: v for k, v in vec.items()}
-    return table
+def _check_direction(sw: Seaweed, f2: Cochain):
+    """Refuse all but a 2-cochain of C(s, s): in the member basis of s its
+    data {(i, j): f2(e_i, e_j)} is then a bracket table."""
+    if f2.context is not adjoint_context(sw) or f2.degree != 2:
+        raise ValueError("deformation direction must be a 2-cochain of "
+                         "adjoint_context(sw)")
 
 
 @dataclass
 class DeformedAlgebra:
     base: LieAlgebra          # s in its member basis
-    direction: Cochain        # degree-2 cochain over (s, s)
+    direction: Cochain        # 2-cochain of adjoint_context(s)
     parameter: Fraction
 
-    @property
+    @cached_property
     def algebra(self) -> LieAlgebra:
-        if not hasattr(self, "_algebra"):
-            self._algebra = _materialize(self.base, self._table, self.parameter)
-        return self._algebra
+        return _materialize(self.base, self.direction.data, self.parameter)
 
 
 def _materialize(base: LieAlgebra, table, t) -> LieAlgebra:
@@ -56,40 +50,21 @@ def _materialize(base: LieAlgebra, table, t) -> LieAlgebra:
 
 def deform(sw: Seaweed, f2: Cochain, t) -> DeformedAlgebra:
     """Materialize the deformed structure constants; Jacobi is NOT assumed."""
-    if f2.degree != 2:
-        raise ValueError("deformation direction must have degree 2")
-    base = sw.algebra()
-    out = DeformedAlgebra(base, f2, Fraction(t))
-    out._table = _f2_member_table(sw, f2)
-    return out
+    _check_direction(sw, f2)
+    return DeformedAlgebra(sw.algebra(), f2, Fraction(t))
 
 
 def jacobi_in_t(sw: Seaweed, f2: Cochain):
     """(linear_term_zero, quadratic_term_zero) of the Jacobi polynomial in t.
 
     The t coefficient vanishes iff delta f2 = 0; the t^2 coefficient iff the
-    cyclic sum of f2(f2(x,y), z) vanishes on every basis triple.
+    cyclic sum of f2(f2(x,y), z) vanishes on every basis triple, the Jacobi
+    sums of f2 read as a bracket table.
     """
-    if f2.degree != 2:
-        raise ValueError("need a 2-cochain")
+    _check_direction(sw, f2)
     linear = coboundary(f2).is_zero()
-    # values live in the module = s; in domain coordinates f2 is a bracket
-    # table whose Jacobi sums are the t^2 coefficients
-    table = {pair: _module_to_domain(f2.context, vec)
-             for pair, vec in f2.data.items()}
-    quadratic = jacobi_violation(len(f2.context.domain), table) is None
+    quadratic = jacobi_violation(sw.dim, f2.data) is None
     return linear, quadratic
-
-
-def _module_to_domain(ctx, vec):
-    """Convert module coordinates to domain coordinates (same span for (s,s))."""
-    amb = {}
-    for k, c in vec.items():
-        vec_add(amb, ctx.module[k], c)
-    out = ctx._dom_solver.coords(amb)
-    if out is None:
-        raise ValueError("deformation direction leaves the domain span")
-    return out
 
 
 @dataclass

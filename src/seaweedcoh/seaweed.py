@@ -77,9 +77,16 @@ def _support(coeffs):
 
 
 def build_seaweed(g: LieAlgebra, spec: SeaweedSpec) -> Seaweed:
-    """Realize p(pi1 | pi2) inside g; g needs root annotations."""
+    """Realize p(pi1 | pi2) inside g; g needs root annotations of the
+    spec's type and rank (its rank alone when g has no root system)."""
     if not g.root_of:
         raise ValueError("ambient algebra has no root annotations")
+    rs = g.root_system
+    fits = ((rs.type_label, rs.rank) == (spec.type_label, spec.rank) if rs
+            else all(len(c) == spec.rank for c in g.root_of.values()))
+    if not fits:
+        raise ValueError(f"spec of type {spec.type_label}{spec.rank} does not "
+                         f"fit the root data of the ambient algebra")
     member = list(g.cartan)
     for i, coeffs in sorted(g.root_of.items()):
         positive = all(c >= 0 for c in coeffs)

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seaweedcoh import casimir
-from seaweedcoh.casimir import (OperatorContext, _cocycle_codes,
-                                _compute_form_ratio, _predicted_scalars,
-                                casimir_action, extend_by_zero, homotopy,
-                                modified_casimir, restrict,
+from seaweedcoh.casimir import (OperatorContext, _casimir_constant,
+                                _cocycle_codes, _predicted_scalars,
+                                _string_term, casimir_action, extend_by_zero,
+                                homotopy, modified_casimir, restrict,
                                 rigidity_certificate)
 from seaweedcoh.chevalley import construct
 from seaweedcoh.cli import _all_specs, _ambient
@@ -24,8 +24,8 @@ from seaweedcoh.cochain import (Cochain, ComplexContext, _decoded, coboundary,
                                 invariant_cochains, invariant_cohomology_dims,
                                 nilradical_ambient_context, nilradical_context,
                                 reductive_generators)
-from seaweedcoh.exactlin import (InvariantError, sparse_kernel_basis,
-                                 sparse_rank, vec_add)
+from seaweedcoh.exactlin import (Echelon, InvariantError,
+                                 sparse_kernel_basis, sparse_rank, vec_add)
 from seaweedcoh.rootsystem import build
 from seaweedcoh.seaweed import SeaweedSpec, build_seaweed
 
@@ -525,6 +525,25 @@ def reference_entry_scalars(octx, f, kappa_ratio):
     return out
 
 
+def reference_form_ratio(g):
+    """(theta, theta)_B / 2 for a long root theta, B = form_scale * kappa:
+    the ratio of the dual-basis form on roots to the normalized pairing,
+    read off the Cartan block of the Killing matrix."""
+    rs = g.root_system
+    cartan = list(g.cartan)
+    long_root = max(g.root_of, key=lambda i: rs.sq(g.root_of[i]))
+    # theta as a functional on the Cartan basis, read off the adjoint action
+    theta = {p: g.bracket(h, long_root).get(long_root, 0)
+             for p, h in enumerate(cartan)}
+    kappa = g.killing_matrix()
+    block = Echelon(({p: g.form_scale * kappa[a][b]
+                      for p, a in enumerate(cartan)} for b in cartan),
+                    track=True)
+    assert block.rank == len(cartan)
+    t = block.coords(theta)
+    return sum(theta[p] * c for p, c in t.items()) / rs.sq(g.root_of[long_root])
+
+
 def test_predicted_scalars_match_ambient_reference():
     octxs = [o for t, r in [("A", 2), ("B", 2), ("G", 2)]
              for o in _sweep_octxs(t, r)]
@@ -534,13 +553,53 @@ def test_predicted_scalars_match_ambient_reference():
     for octx in octxs:
         g = octx.ambient
         if g not in ratios:
-            ratios[g] = _compute_form_ratio(g)
+            ratios[g] = reference_form_ratio(g)
         for q in range(1, len(octx.seaweed.nilradical) + 1):
             for f in invariant_cocycles(octx, q):
                 got = predicted_entry_scalars(octx, f)
                 assert got == reference_entry_scalars(octx, f, ratios[g])
                 compared += got is not None
     assert compared > 100
+
+
+# dual Coxeter numbers h^v (Kac, Infinite-dimensional Lie algebras, Sec. 6)
+DUAL_COXETER = {("A", 1): 2, ("A", 2): 3, ("A", 3): 4, ("A", 4): 5,
+                ("B", 2): 3, ("B", 3): 5, ("B", 4): 7, ("C", 3): 4,
+                ("C", 4): 5, ("D", 4): 6, ("D", 5): 8, ("E", 6): 12,
+                ("E", 7): 18, ("E", 8): 30, ("F", 4): 9, ("G", 2): 4}
+
+
+def _root_data_only(type_label, rank):
+    """An object with root data and nothing else: no structure constant."""
+    return SimpleNamespace(root_system=build(type_label, rank))
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(DUAL_COXETER))
+def test_casimir_constant_is_twice_the_dual_coxeter_number(type_label, rank):
+    g = _root_data_only(type_label, rank)
+    assert _casimir_constant(g) == 2 * DUAL_COXETER[type_label, rank]
+    assert _casimir_constant(g) is g._casimir_constant
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(DUAL_COXETER))
+def test_casimir_constant_is_the_same_at_every_root(type_label, rank):
+    g = _root_data_only(type_label, rank)
+    rs = g.root_system
+    assert {rs.sq(beta) + sum(_string_term(g, gamma, beta)
+                              for gamma in rs.root_coeffs)
+            for beta in rs.root_coeffs} == {_casimir_constant(g)}
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(DUAL_COXETER))
+def test_casimir_constant_gives_the_killing_block_ratio(type_label, rank):
+    # a fresh algebra, so no Killing matrix stays on the cached ambients
+    g = construct(build(type_label, rank))
+    assert F(1, g.form_scale * _casimir_constant(g)) == reference_form_ratio(g)
+
+
+def test_casimir_constant_gives_the_killing_block_ratio_fixture(a2_fixture):
+    ratio = 1 / (a2_fixture.form_scale * _casimir_constant(a2_fixture))
+    assert ratio == reference_form_ratio(a2_fixture) == F(2, 3)
 
 
 def test_operator_contexts_share_one_ambient_context(a2_fixture):
@@ -925,7 +984,7 @@ def test_char_poly_matches_fraction_recurrence_on_certificates():
     assert seen > 50
 
 
-TABLES = ("_sparse_dual", "_dual_brackets", "_casimir_columns")
+TABLES = ("_dual_brackets", "_casimir_columns")
 
 
 def reference_homotopy(octx, Fc):
@@ -973,20 +1032,18 @@ def test_operator_tables_built_per_ambient_on_first_use(a2_fixture):
         octx = OperatorContext(build_seaweed(
             g, SeaweedSpec.make(t, r, pi1, pi2)))
         # each table appears with the first operator that reads it
-        assert [hasattr(g, name) for name in TABLES] == [True, False, False]
+        assert not any(hasattr(g, name) for name in TABLES), (t, r)
         homotopy(octx, random_gg_cochain(octx, 1, 0))
-        assert [hasattr(g, name) for name in TABLES] == [True, True, False]
+        assert [hasattr(g, name) for name in TABLES] == [True, False]
         casimir_action(octx, random_gg_cochain(octx, 1, 0))
         assert all(hasattr(g, name) for name in TABLES)
         cases.append((g, (t, r, pi1, pi2)))
     for g, spec in cases:
         octx = OperatorContext(build_seaweed(g, SeaweedSpec.make(*spec)))
-        assert octx.dual is casimir._sparse_dual(g)
-        assert octx.dual == _dense_dual(g)
         table = casimir._dual_brackets(g)
         D, rows = table
         want = [[g.bracket_vec(d, {k: 1}) for k in range(g.dim)]
-                for d in octx.dual]
+                for d in _dense_dual(g)]
         # D [e^j, e_k] in ints, D the lcm of the denominators
         assert D == lcm(*(v.denominator for row in want for b in row
                           for v in b.values()))
@@ -998,8 +1055,8 @@ def test_operator_tables_built_per_ambient_on_first_use(a2_fixture):
         unit = partial(basis_cochain, octx.gg)
         assert cols == [reference_casimir_action(octx, unit((0,), k)).data
                         .get((0,), {}) for k in range(g.dim)]
-        again = OperatorContext(octx.seaweed)
-        assert casimir._dual_brackets(g) is table and again.dual is octx.dual
+        OperatorContext(octx.seaweed)       # a second context rebuilds none
+        assert casimir._dual_brackets(g) is table
         for q in (1, 2):
             for seed in range(3):
                 f = random_gg_cochain(octx, q, seed)

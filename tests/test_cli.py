@@ -121,6 +121,19 @@ def test_fixture_spec_flags_without_type_rejected():
     assert json.loads(proc.stdout)["dims"]["s"] == 8
 
 
+def test_spec_of_other_root_data_exits_2():
+    # a spec that does not fit the fixture's root data is an error (exit 2),
+    # whether the fixture declares its type or only its root coefficients
+    for cmd, fixture, flags in [
+            ("info", "g2_seaweed", ["--type", "A", "--rank", "3", "--pi1", "1"]),
+            ("verify", "a2_table1", ["--type", "B", "--rank", "2"])]:
+        proc = run_cli([cmd, "--fixture", str(FIXTURES / fixture)] + flags,
+                       check=False)
+        assert proc.returncode == 2, (fixture, proc.stderr)
+        assert proc.stdout == "" and proc.stderr.startswith("error: spec of")
+        assert "Traceback" not in proc.stderr
+
+
 def test_verify_exit_codes():
     proc = run_cli(["verify", "--type", "A", "--rank", "2",
                     "--pi1", "", "--pi2", "1,2"])

@@ -4,9 +4,12 @@ import pytest
 
 from seaweedcoh.chevalley import loads_fixture
 from seaweedcoh.cli import _ambient
-from seaweedcoh.cochain import Cochain, adjoint_context
+from seaweedcoh.cochain import (Cochain, adjoint_context, nilradical_context,
+                                quotient_context)
 from seaweedcoh.deform import deform, invariant_profile, jacobi_in_t
-from seaweedcoh.seaweed import SeaweedSpec, build_seaweed, seaweed_from_algebra
+from seaweedcoh.exactlin import vec_add
+from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed,
+                                seaweed_from_algebra, split_over_center)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,24 @@ def test_jacobi_obstructed_direction():
     linear, quadratic = jacobi_in_t(sw, f)
     assert linear is True
     assert quadratic is True  # only two basis directions: no triples exist
+
+
+def test_deform_refuses_other_complexes():
+    # only a 2-cochain of C(s, s) is a bracket table in s's member basis; on
+    # A2 p({1}|{}) a 2-cochain of C(Q, s) indexes the center complement
+    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], []))
+    f_q = Cochain(quotient_context(split_over_center(sw)), 2,
+                  {(0, 1): {0: F(1)}})
+    f_1 = Cochain(adjoint_context(sw), 1, {(0,): {0: F(1)}})
+    f_n = Cochain(nilradical_context(sw), 1, {(0,): {0: F(1)}})
+    for f in (f_q, f_1, f_n):
+        with pytest.raises(ValueError, match="adjoint_context"):
+            deform(sw, f, 1)
+        with pytest.raises(ValueError, match="adjoint_context"):
+            jacobi_in_t(sw, f)
+    f = Cochain(adjoint_context(sw), 2, {(0, 1): {0: F(1)}})
+    assert deform(sw, f, 1).algebra.bracket(0, 1) == \
+        vec_add(dict(sw.algebra().bracket(0, 1)), {0: F(1)})
 
 
 def test_invariant_profile_published(g2):

@@ -98,11 +98,25 @@ def test_split_cartan_only():
     assert split.quotient.dim == 0
 
 
+def test_build_seaweed_refuses_other_root_data(g2_fixture, a2_fixture):
+    # the spec's (type, rank) must be the root system's; without one (the
+    # G2 fixture) its rank must be the length of every root coefficient tuple
+    a3 = _ambient("A", 3)
+    for g, bad in [(a3, spec("B", 3, [1], [2])), (a3, spec("A", 2, [1], [2])),
+                   (a2_fixture, spec("G", 2, [1], [])),
+                   (g2_fixture, spec("A", 3, [1], []))]:
+        with pytest.raises(ValueError, match=f"spec of type {bad.type_label}"
+                           f"{bad.rank} does not fit the root data"):
+            build_seaweed(g, bad)
+    assert build_seaweed(g2_fixture, spec("G", 2, [1], [])).dim == 3
+
+
 def test_split_quotient_built_on_first_use(g2_fixture):
     # split_over_center builds the quotient context, which checks that the
     # complement is closed, but not the quotient algebra; the first read
     # builds it from that context's domain brackets, once
-    sws = [build_seaweed(_ambient("A", 2), s) for s in _all_specs("A", 2)]
+    sws = [build_seaweed(_ambient("A", 2), s) for s in _all_specs("A", 2)
+           if s.rank == 2]
     for sw in sws + [seaweed_from_algebra(g2_fixture)]:
         split = split_over_center(sw)
         assert "quotient" not in vars(split)
