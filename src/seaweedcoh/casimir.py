@@ -19,10 +19,14 @@ The certificate takes its coboundary in C(n, g), not C(g, g): psi f is
 supported on n-tuples, so k psi f is too, and n is closed under the bracket;
 on an n-tuple both terms of delta(k psi f) then read k psi f only on
 n-tuples and brackets inside n, which is the differential of C(n, g) (n the
-domain, all of g the module).  `restrict` keeps only n-tuples, so the image
-is the same cochain (`_certificate_image`).  The certificate runs on the
-packed codes of `cochain`, from the cocycles to the restricted image;
-`homotopy`, `restrict` and the other operators keep Cochains for callers.
+domain, all of g the module): the restriction lemma of `cochain`, delta of
+C(g, g) with insertions limited to n.  `restrict` keeps only n-tuples, so
+the image is the same cochain (`_certificate_image`).  C(n, s) and C(n, g)
+are views of C(g, g) and share its codes, so the certificate runs on one
+code space from the cocycles to the restricted image, with nothing
+re-indexed: psi, restriction and the membership of a value in s read the
+code itself.  `homotopy`, `restrict` and the other operators keep Cochains
+for callers.
 
 The brackets are kept as D [e^j, e_k] in ints, D the lcm of their
 denominators (3 for the published A2 table), so the certificate works on
@@ -58,8 +62,6 @@ class OperatorContext:
         self.seaweed = sw
         self.gg = full_context(sw.ambient)
         self.ns = nilradical_context(sw)
-        self._nil_pos = {idx: p for p, idx in enumerate(sw.nilradical)}
-        self._mem_pos = {idx: p for p, idx in enumerate(sw.member)}
 
 
 def _dual_brackets(g: LieAlgebra):
@@ -94,43 +96,37 @@ def _casimir_columns(g: LieAlgebra):
 
 
 def extend_by_zero(octx: OperatorContext, f: Cochain) -> Cochain:
-    """Continuation with zero: C^q(n, s) -> C^q(g, g)."""
-    ctx = f.context
-    if ctx is not octx.ns and (ctx.domain != octx.ns.domain
-                               or ctx.module != octx.ns.module):
+    """Continuation with zero: C^q(n, s) -> C^q(g, g), through the codes that
+    C(n, s) shares with C(g, g)."""
+    ctx, ns = f.context, octx.ns
+    if ctx is not ns and (ctx.domain != ns.domain or ctx.module != ns.module):
         raise ValueError("cochain is not over (n, s)")
-    sw = octx.seaweed
-    data = {}
-    for tup, vec in f.data.items():
-        amb_tup = tuple(sw.nilradical[t] for t in tup)
-        data[amb_tup] = {sw.member[k]: c for k, c in vec.items()}
-    return Cochain(octx.gg, f.degree, data)
+    codes = {ns.code(tup, k): c for (tup, k), c in f.items()}
+    return _decoded(octx.gg, f.degree, codes)
 
 
 def restrict(octx: OperatorContext, F: Cochain) -> Cochain:
-    """Coordinate restriction C^q(g, g) -> C^q(n, s).
+    """Coordinate restriction C^q(g, g) -> C^q(n, s), through the codes that
+    they share.
 
     Rejects the input (naming the offending tuple) when some value on an
     n-tuple escapes the seaweed.  Tuples are checked in increasing order,
     so the tuple named does not depend on how F was computed.
     """
-    sw = octx.seaweed
-    nil = set(sw.nilradical)
-    member = set(sw.member)
-    data = {}
+    ns, gg = octx.ns, octx.gg
+    codes = {}
     for tup in sorted(F.data):
-        if not set(tup) <= nil:
+        if not all(i in ns._dom_pos for i in tup):
             continue
         vec = F.data[tup]
-        outside = set(vec) - member
+        outside = [k for k in vec if k not in ns._mod_pos]
         if outside:
             labels = [octx.ambient.labels[i] for i in tup]
             raise ValueError(
                 f"value on ({', '.join(labels)}) lies outside s "
                 f"(components {sorted(outside)})")
-        data[tuple(octx._nil_pos[i] for i in tup)] = {
-            octx._mem_pos[k]: c for k, c in vec.items()}
-    return Cochain(octx.ns, F.degree, data)
+        codes.update((gg.code(tup, k), c) for k, c in vec.items())
+    return _decoded(ns, F.degree, codes)
 
 
 def homotopy(octx: OperatorContext, F: Cochain) -> Cochain:
@@ -238,7 +234,7 @@ def _cocycle_codes(octx, q):
     the primitive kernel relations of their coboundaries, the codes of a
     tuple together."""
     ns = octx.ns
-    inv, m = _invariant_entry(ns, q)[0], ns.m
+    inv, m = _invariant_entry(ns, q)[0], ns._stride
     cocycles = []
     for rel in invariant_coboundaries(ns, q).kernel(primitive=True):
         # a tuple that cancels is dropped after its term: the tuple order
@@ -283,7 +279,7 @@ def rigidity_certificate(octx: OperatorContext, q) -> RigidityCertificate:
             cert.failure = str(exc)
             return cert
         images.append(image)
-        ratios, proportional = _witness_ratios(f, image, octx.ns.m, D)
+        ratios, proportional = _witness_ratios(f, image, octx.ns._stride, D)
         scalars = list(ratios.values())
         uniform = proportional and len(set(scalars)) <= 1
         eigenvalue = scalars[0] if uniform and scalars else None
@@ -345,32 +341,29 @@ def _certificate_image(octx: OperatorContext, f):
     inside n: that is the differential of C(n, g), with n the domain and all
     of g the module.  `restrict` keeps only n-tuples, so this is D times the
     cochain restrict(coboundary(homotopy(octx, extend_by_zero(octx, f)))),
-    with no tuple of C(g, g) outside n computed.  C(n, g) and C(n, s) share
-    the domain n, so a mask names the same n-tuple in both, and restricting
-    maps each module index through `_mem_pos`.
+    with no tuple of C(g, g) outside n computed.  C(n, s), C(n, g) and
+    C(g, g) share one code space, so nothing is re-indexed.
     """
-    sw, m, dim = octx.seaweed, octx.ns.m, octx.ambient.dim
-    ng, table = nilradical_ambient_context(sw), _dual_brackets(octx.ambient)[1]
+    ns, dim = octx.ns, octx.ambient.dim
+    table = _dual_brackets(octx.ambient)[1]
     kf = {}
     for code, c in f.items():
-        mask, k = divmod(code, m)
+        mask, k = divmod(code, dim)
         if not mask:
             raise ValueError("homotopy needs degree >= 1")
-        col, tpos, bits = sw.member[k], 0, mask
+        tpos, bits = 0, mask
         while bits:
             t = bits & -bits        # the bits of the mask, increasing
             bits ^= t
             row, sc = (mask ^ t) * dim, -c if tpos & 1 else c
-            for i, v in table[sw.nilradical[t.bit_length() - 1]][col].items():
+            for i, v in table[t.bit_length() - 1][k].items():
                 kf[row + i] = kf.get(row + i, 0) + sc * v
             tpos += 1
-    dkf, pos = _delta(ng, kf), octx._mem_pos
-    if not all(code % dim in pos for code in dkf):
+    dkf = _delta(nilradical_ambient_context(octx.seaweed), kf)
+    if not all(code % dim in ns._mod_pos for code in dkf):
         # a value outside s: `restrict` raises, naming the least n-tuple
-        restrict(octx, Cochain(octx.gg, None, {
-            tuple(sw.nilradical[t] for t in tup): vec
-            for tup, vec in _decoded(ng, None, dkf).data.items()}))
-    return {code // dim * m + pos[code % dim]: v for code, v in dkf.items()}
+        restrict(octx, _decoded(octx.gg, None, dkf))
+    return dkf
 
 
 def _map_matrix(basis, images, scale):
@@ -462,7 +455,7 @@ def _predicted_scalars(octx, masks):
     memo = sw._entry_scalars
     out = []
     for mask in masks:
-        beta = tuple(map(sum, zip(*(g.root_of[sw.nilradical[t]] for t in
+        beta = tuple(map(sum, zip(*(g.root_of[t] for t in
                                     range(mask.bit_length()) if mask >> t & 1))))
         if not any(beta):
             return None  # value in the Cartan: the string formula does not apply

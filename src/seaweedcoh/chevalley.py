@@ -181,21 +181,22 @@ class LieAlgebra:
 
     def killing_matrix(self):
         """kappa(i,j) = Tr(ad e_i . ad e_j), the literal Killing form, as a
-        tuple of Fraction row tuples, built once; it is symmetric, so each
-        row is also a column."""
+        tuple of row tuples, built once; integral entries are plain ints,
+        as in the bracket tables, others Fractions.  It is symmetric, so
+        each row is also a column."""
         if self._killing is None:
             ads = [self.ad(i) for i in range(self.dim)]
-            m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+            m = [[0] * self.dim for _ in range(self.dim)]
             for i in range(self.dim):
                 for j in range(i, self.dim):
-                    s = Fraction(0)
+                    s = 0
                     for u, col in ads[j].items():
                         adi = ads[i]
                         for v, c in col.items():
                             back = adi.get(v)
                             if back:
                                 s += back.get(u, 0) * c
-                    m[i][j] = m[j][i] = s
+                    m[i][j] = m[j][i] = _num(s)
             self._killing = tuple(map(tuple, m))
         return self._killing
 

@@ -2,34 +2,51 @@
 
 A complex is described by a bracket-closed `domain` and a `module` closed
 under the domain action, both given as vectors in an ambient algebra.
-Cochains are stored sparsely on strictly increasing index tuples.  Inside
-the complex a basis cochain (tup, k) is one int code mask * m + k, mask the
-bitset of tup (`code`, `cell`).  `delta_column` inserts index i by
-mask | 1 << i, signed by the parity of the bits below i (a bracket term,
-which drops the t-th bit and inserts a < b, by that of t + 1 + the bits
-between a and b), the sign of sorting the arguments.
+Cochains are stored sparsely on strictly increasing tuples of positions in
+those bases; a basis cochain (tup, k) is also one int code mask * m + k
+(`code`, `cell`).  `delta_column` inserts index i by mask | 1 << i, signed
+by the parity of the bits below i (a bracket term, which drops the t-th bit
+and inserts a < b, by that of t + 1 + the bits between a and b).
+
+One code space.  C(g, g) is built once per algebra (`full_context`); every
+unit-basis complex of a seaweed, C(s, s), C(n, s), C(Q, s) and C(n, g), is
+a `ComplexView` of it: the base's tables, a domain bitmask and a module
+index set, with the codes of C(g, g) (bit i for e_i, k the ambient index
+of the value), so C(n, s) and C(n, g) share codes.  Positions, in
+increasing ambient order, are only what `code`, `cell` and `_decoded`
+translate for Cochains.  The restriction lemma makes this exact: for a
+spanned by unit vectors and closed under the bracket, and an a-stable V
+spanned by unit vectors, delta of C(a, V) on a tuple of a reads only
+sub-tuples and brackets inside a (Chevalley-Eilenberg, Trans. AMS 63,
+1948): the delta of C(g, g) with insertions limited to a.  `delta_column`
+skips action bits and bracket pairs outside the domain mask, for bases and
+views alike.
 
 Cohomology is counted on an invariant subcomplex.  Let r act on the complex
 through a, with each C^q a semisimple r-module.  By the Cartan formula
 L_x = delta i_x + i_x delta each isotypic component is a subcomplex; on a
 nontrivial one a central element of r, or the Casimir of [r, r], acts by a
 nonzero scalar and is null-homotopic, so it is acyclic, and
-H^*(a, V) = H^*(C^*(a, V)^r) (Chevalley-Eilenberg, Trans. AMS 63, 1948;
-Hochschild-Serre, Ann. of Math. 57, 1953).  A context grades itself once,
-by the generators of r that act diagonally, r being the `levi` it is built
-with, else its domain; Z^q and B^q follow by rank-nullity:
-- without `levi`, r = h, the diagonal domain elements, acts through the
-  domain: the weight-zero block `zero_basis` carries H^*, with no kernel
-  step.  `cohomology_dims` counts every such complex on it
-  (`_invariant_block`), and class representatives and B^q membership
-  (`gerstenhaber`) are read from it too;
+H^*(a, V) = H^*(C^*(a, V)^r) (Hochschild-Serre, Ann. of Math. 57, 1953).
+A base grades itself once, by its torus T: the generators of r that act
+diagonally, r being the `levi` it is built with, else its domain.  A view
+takes the weights of C(g, g), graded by the diagonal units T of g.  Z^q and
+B^q follow by rank-nullity:
+- without `levi`, the weight-zero block `zero_basis` carries H^*, with no
+  kernel step, when every weight of the complex that is nonzero is nonzero
+  on T cap a: T acts diagonally on unit spans, so its weight blocks are
+  subcomplexes, and L_t, t in T cap a, is null-homotopic.  A view checks
+  this once (`_weight_zero_carries_h`).  It holds on C(s, s), where T lies
+  in s, and on C(Q, s): h = Z(s) + (h cap Q), and the roots of s vanish on
+  Z(s).  C(n, g) holds none of T, so `cohomology_dims` and `is_coboundary`
+  refuse it.  `gerstenhaber` reads class representatives and B^q
+  membership from weight zero too;
 - with `levi` (only a seaweed's C(n, s), r itself: the Cartan and the
   e_(alpha_i), `reductive_generators`) the invariants are the kernel of L_x
-  on `zero_basis`, x over the generators kept as `_general`, for the
+  on `zero_basis`, x over the generators off T (`_general`), for the
   invariant rows and the certificates.  r does not act through n, so
   `cohomology_dims` refuses such a context.  Its invariants, L_x columns
-  and coboundary echelon are all on codes; `invariant_cochains` decodes
-  for its caller.
+  and coboundary echelon are all on codes.
 
 The weight-zero rank is cleared (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear
@@ -53,35 +70,22 @@ A weight-zero test compares two such vectors, and so does a grade
 comparison (m_k - S = m_k' - S' iff m_k + S' = m_k' + S).  `_subset_sums`
 walks every tuple depth first (incremental, not output-sensitive).
 
-The tables of a context (`dbr`, `act` and each Levi generator's tables)
-re-index the ambient's cached ad(e_i) columns when the domain and module
-are int unit bases in any order; a basis out of ambient order (the default
-center complement, Cartan first) has them sorted by position, as the
-`bracket_vec` loop that any other basis takes builds them (both decided
-once per context).  C(a, a) reads `dbr` off its `act`.  One rule shares
-tables between complexes: a complex built `within` w acts on w's module,
-the same list, with w's module solver and unit flag, and the action row of
-each domain vector that is an int unit of w's domain is w's row, the same
-dict; any other domain vector (a non-unit complement of a fixture) has its
-row built.  C(n, s) and C(Q, s) are built within C(s, s)
-(`adjoint_context`), C(n, g) within C(g, g) (`full_context`, one per
-algebra).  A shared row is the table the loop builds, key order included,
-so nothing is approximated; no row is mutated, and every context builds
-its own `dbr`, which checks that its domain is closed.
-Integral values stay plain ints and invariant bases come from primitive int
-kernel relations, so for a spec seaweed every complex runs in integer
-arithmetic; Fractions enter only through rescaled or non-unit bases
-(fixtures) and the class representatives.  Per context, `delta_column`
-reads the rows indexed by module vector, r is graded at construction, and
-`zero_basis`, the invariant cochains and their coboundary echelon are
-computed once per degree.
+A base reads its tables (`dbr`, `act`, the Levi generators') off the
+ambient's cached ad(e_i) columns when its bases are int units in
+increasing order; any other basis (a fixture's Killing complement,
+Fraction units) gets them from the `bracket_vec` loop, the same tables,
+key order included.  A view builds none: C(n, s) reads the base's rows of
+its generators off T, filtered by the masks, on first use.  Integral
+values stay plain ints and invariant bases come from primitive int kernel
+relations, so every complex of a spec seaweed runs in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .chevalley import LieAlgebra
 from .exactlin import (Echelon, InvariantError, SpanSolver,
@@ -89,55 +93,48 @@ from .exactlin import (Echelon, InvariantError, SpanSolver,
 
 
 class ComplexContext:
-    """C^*(domain, module) inside an ambient algebra, graded by r: the
-    generators `levi`, which the invariant API needs, else the domain; built
-    `within` w, on w's module (`module` None) with w's tables."""
+    """C^*(domain, module) inside an ambient algebra, built with its own
+    tables and graded by r: the generators `levi`, which the invariant API
+    needs, else the domain.  A seaweed's unit-basis complexes are
+    `ComplexView`s of one of these, the ambient's C(g, g)."""
 
-    def __init__(self, ambient: LieAlgebra, domain, module, levi=None,
-                 within=None):
-        self.ambient = ambient
+    def __init__(self, ambient: LieAlgebra, domain, module, levi=None):
+        self.ambient, self.base, self.levi = ambient, self, levi
         self.domain = [dict(v) for v in domain]
-        self.module = within.module if within else [dict(v) for v in module]
-        self.n = len(self.domain)
-        self.m = len(self.module)
+        self.module = [dict(v) for v in module]
+        self.n, self.m = len(self.domain), len(self.module)
         self._dom_solver = SpanSolver(self.domain)
-        self._mod_solver = (within._mod_solver if within
-                            else SpanSolver(self.module))
-        # unit bases read their brackets off the ambient's ad columns; the
-        # tables of a basis out of ambient order are put in position order
-        self._unit = _int_units(self.domain) and (
-            within._unit if within else _int_units(self.module))
-        self._unsorted = {where for where, basis in (
-            ("domain", self.domain), ("module", self.module))
-            if self._unit and basis != sorted(basis, key=min)}
+        self._mod_solver = SpanSolver(self.module)
+        # int units in increasing order read their brackets off the ad columns
+        self._unit = _int_units(self.domain) and _int_units(self.module)
         # domain bracket table and action rows (see the module docstring)
         same = self.domain == self.module
         rows = [_bracket_coords(self, x, "domain", 0 if same else i + 1)
                 for i, x in enumerate(self.domain)]
         self.dbr = {(i, j): c for i, row in enumerate(rows)
                     for j, c in row.items() if j > i}
-        shared = within._dom_solver.unit if within and within._unit else {}
-        self.act = rows if same else [
-            within.act[shared[min(x)]] if _int_units([x]) and min(x) in shared
-            else _bracket_coords(self, x, "module") for x in self.domain]
+        self.act = rows if same else [_bracket_coords(self, x, "module")
+                                      for x in self.domain]
         self._acting = {}           # module k -> [(1 << mdx, act[mdx][k])]
         for mdx, row in enumerate(self.act):
             for k, col in row.items():
                 self._acting.setdefault(k, []).append((1 << mdx, col))
         # bracket pairs by target bit 1 << t: which [d_a, d_b] hit d_t, with
-        # what, as (bits a and b, bits a..b-1, c); and ad(d_i) on the
-        # domain, for the grading
-        self.pairs_hitting = {}
+        # what, as (bits a and b, bits a..b-1, c); by a, (bit b, the bits
+        # [d_a, d_b] hits) for b > a; and ad(d_i) on the domain, to grade
+        self.pairs_hitting, self._reach = {}, [[] for _ in range(self.n)]
         ad = [{} for _ in range(self.n)]
         for (a, b), vec in self.dbr.items():
             for t, c in vec.items():
                 self.pairs_hitting.setdefault(1 << t, []).append(
                     (1 << a | 1 << b, (1 << b) - (1 << a), c))
+            self._reach[a].append((1 << b, sum(1 << t for t in vec)))
             ad[a][b] = vec
             ad[b][a] = {t: -c for t, c in vec.items()}
         # r = `levi`, else the domain, graded by its generators that act
-        # diagonally; the (a_dom, a_mod) tables of the others are `_general`
-        self.levi = levi
+        # diagonally, the torus (`_torus` lists their indices, domain
+        # positions without `levi`); the others' (a_dom, a_mod) tables are
+        # `_general`
         tables = ([(ad[i], self.act[i]) for i in range(self.n)] if levi is None
                   else [tuple(_bracket_coords(self, x, w) for w in
                               ("domain", "module")) for x in levi])
@@ -145,6 +142,16 @@ class ComplexContext:
         self._dom_weights, self._mod_weights = _weights(
             self, [pair for pair, d in zip(tables, diag) if d])
         self._general = [pair for pair, d in zip(tables, diag) if not d]
+        self._torus = [i for i, d in enumerate(diag) if d]
+        self._weight_zero_carries_h = True
+        # codes: position i is bit i, module position k is k
+        self._stride, self._outside = self.m, 0
+        self._bits = [1 << i for i in range(self.n)]
+        self._dom_pos = range(self.n)
+        self._mod_codes = self._mod_pos = range(self.m)
+        self._new_caches()
+
+    def _new_caches(self):
         self._rank_cache = {}       # q -> weight zero (dim, rank, pivots)
         self._dims = []             # `cohomology_dims` of degrees 0, 1, ..
         self._basis_cache = {}
@@ -164,30 +171,37 @@ class ComplexContext:
         cached = self._basis_cache.get(q)
         if cached is None:
             cached = self._basis_cache[q] = {}
-            for mask, total in _subset_sums(self.n, q, self._dom_weights):
-                for k, w in enumerate(self._mod_weights):
-                    cached.setdefault(w - total, []).append(mask * self.m + k)
+            for mask, total in _subset_sums(self._bits, q, self._dom_weights):
+                for k, w in zip(self._mod_codes, self._mod_weights):
+                    cached.setdefault(w - total, []).append(
+                        mask * self._stride + k)
         return cached
 
     def code(self, tup, k):
-        """The int code of the basis cochain (tup, k) (module docstring)."""
-        return sum(1 << i for i in tup) * self.m + k
+        """The int code of the basis cochain (tup, k) of positions (module
+        docstring)."""
+        return (sum(self._bits[i] for i in tup) * self._stride
+                + self._mod_codes[k])
 
     def cell(self, code):
-        """The basis cochain (tup, k) of an int code."""
-        mask, k = divmod(code, self.m)
-        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1), k
+        """The basis cochain (tup, k) of positions of an int code."""
+        mask, k = divmod(code, self._stride)
+        pos = self._dom_pos
+        return (tuple(pos[i] for i in range(mask.bit_length()) if mask >> i & 1),
+                self._mod_pos[k])
 
     # -- the differential ----------------------------------------------------
 
     def delta_column(self, code):
         """delta of the basis cochain with this code, as {row code: coeff}:
         bits are inserted by `|` and signed by the parity of the bits below
-        them (module docstring), so no tuple is built."""
-        m, out = self.m, {}
+        them, and action bits and bracket pairs outside the domain are
+        skipped (module docstring), so no tuple is built."""
+        m, outside, out = self._stride, self._outside, {}
         mask, k = divmod(code, m)
+        blocked = mask | outside
         for bit, acted in self._acting.get(k, ()):
-            if mask & bit:
+            if blocked & bit:
                 continue
             row = (mask | bit) * m
             odd = (mask & bit - 1).bit_count() & 1
@@ -199,8 +213,9 @@ class ComplexContext:
             t = bits & -bits            # the bits of the mask, increasing
             bits ^= t
             rest = mask ^ t
+            blocked = rest | outside
             for pair, between, c in self.pairs_hitting.get(t, ()):
-                if rest & pair:
+                if blocked & pair:
                     continue
                 key = (rest | pair) * m + k
                 odd = (tpos + (rest & between).bit_count()) & 1
@@ -219,9 +234,18 @@ class ComplexContext:
         if not 0 <= q <= self.n:
             return []
         if q not in self._zero_cache:
-            self._zero_cache[q] = _weight_matches(
-                self.n, q, self._dom_weights, self._mod_weights)
+            self._zero_cache[q] = _weight_matches(self, q)
         return self._zero_cache[q]
+
+    def _require_weight_zero(self):
+        """ValueError unless weight zero carries H^* (module docstring)."""
+        if self.levi is not None:
+            raise ValueError("the complex is graded by its levi generators; "
+                             "use ComplexContext(ambient, domain, module)")
+        if not self._weight_zero_carries_h:
+            raise ValueError("the domain holds too little of the grading "
+                             "torus for weight zero to carry H^*; "
+                             "use ComplexContext(ambient, domain, module)")
 
     def cohomology_dims(self, q):
         """(dim Z^q, dim B^q, dim H^q), memoized per degree.
@@ -231,12 +255,12 @@ class ComplexContext:
         rank delta_(q-1) = dim C^(q-1) - dim Z^(q-1) by rank-nullity, with
         Z^i = H^i + B^i from B^0 = 0.  Block i-1 is built before block i,
         so block i is cleared by its pivots; each degree is counted, and
-        guarded, once.  ValueError on a context built with `levi`, graded by
-        it: ComplexContext(ambient, domain, module) counts over the domain.
+        guarded, once.  ValueError where weight zero does not carry H^*: a
+        context built with `levi`, graded by it, or a view whose domain
+        does not hold enough of the grading torus;
+        ComplexContext(ambient, domain, module) counts over the domain.
         """
-        if self.levi is not None:
-            raise ValueError("the complex is graded by its levi generators; "
-                             "use ComplexContext(ambient, domain, module)")
+        self._require_weight_zero()
         if q < 0 or q > self.n:
             return CohomologyDims(0, 0, 0)
         dims = self._dims
@@ -253,16 +277,91 @@ class ComplexContext:
         return dims[q]
 
 
+class ComplexView(ComplexContext):
+    """C^*(a, V) for a bracket-closed a and a subalgebra V holding it, each
+    spanned by the unit vectors of g at increasing indices: a view of the
+    one C(g, g), `full_context(g)`.  It keeps the base's action index,
+    bracket pairs and packed weights, and adds a domain mask and a module
+    index set; its codes are codes of the base (module docstring).  The
+    `levi` tables are the base's rows of those generators, read on first
+    use."""
+
+    def __init__(self, g: LieAlgebra, domain, module, levi=None):
+        base = full_context(g)
+        domain, module = tuple(domain), tuple(module)
+        inside, mod, reach = sum(1 << i for i in domain), set(module), 0
+        for a in domain:
+            for b, hit in base._reach[a]:
+                if inside & b:
+                    reach |= hit
+        if reach & ~inside:
+            raise ValueError("the domain is not closed under the bracket")
+        for a in domain:        # V is a subalgebra: only a outside it can
+            if a not in mod and any(not mod.issuperset(col) for k, col in
+                                    base.act[a].items() if k in mod):
+                raise ValueError("the module is not closed under the bracket")
+        self.ambient, self.base, self.levi = g, base, levi
+        self.domain, self.module = _units(domain), _units(module)
+        self.n, self.m = len(domain), len(module)
+        self._stride = base.m
+        self._outside = inside ^ ((1 << base.n) - 1)
+        self._bits = [1 << i for i in domain]
+        self._dom_pos = {i: p for p, i in enumerate(domain)}
+        self._mod_codes, self._mod_pos = module, {
+            k: p for p, k in enumerate(module)}
+        self._acting, self.pairs_hitting = base._acting, base.pairs_hitting
+        self._dom_weights = [base._dom_weights[i] for i in domain]
+        self._mod_weights = [base._mod_weights[k] for k in module]
+        self._new_caches()
+
+    @cached_property
+    def dbr(self):
+        """The domain bracket table in positions, from the base's."""
+        pos = self._dom_pos
+        return {(pos[a], pos[b]): {pos[t]: c for t, c in vec.items()}
+                for (a, b), vec in self.base.dbr.items()
+                if a in pos and b in pos}
+
+    @cached_property
+    def _general(self):
+        """The (a_dom, a_mod) tables of the `levi` generators off the
+        grading torus: the base's rows, filtered by the masks.  The torus
+        must be among the generators, so the joint kernel is r's."""
+        base = self.base
+        gens = [next(iter(x)) for x in self.levi if _int_units([x])]
+        if len(gens) < len(self.levi) or not set(base._torus) <= set(gens):
+            raise ValueError("the levi generators of a view must be unit "
+                             "vectors that include the grading torus")
+        dom, mod = self._dom_pos, self._mod_pos
+        return [({u: col for u, col in base.act[i].items() if u in dom},
+                 {k: col for k, col in base.act[i].items() if k in mod})
+                for i in gens if i not in base._torus]
+
+    @cached_property
+    def _weight_zero_carries_h(self):
+        """Whether the weights of the units of a and V are determined by
+        their values on the torus units inside a: whether each torus unit's
+        column of weights lies in the span of those inside a (module
+        docstring)."""
+        base, inside = self.base, self._dom_pos
+        if all(t in inside for t in base._torus):
+            return True
+        units = inside.keys() | self._mod_pos.keys()
+        cols = {t: {u: col[u] for u, col in base.act[t].items() if u in units}
+                for t in base._torus}
+        span = Echelon(col for t, col in cols.items() if t in inside)
+        return all(t in inside or span.contains(col) for t, col in cols.items())
+
+
 def _bracket_coords(ctx, x, where, start=0):
     """{position p: coordinates of [x, b_p]} over the vectors b_p, p >= start,
     of ctx's `where` basis ("domain" or "module") whose bracket with x is
     nonzero, in the span of that basis; ValueError when one leaves it.
 
-    On unit bases a unit x = e_i reads its brackets off the ambient's cached
-    ad(e_i), re-indexed by the solver's unit map and, for a basis out of
-    ambient order, sorted by position.  The values are those of
-    `bracket_vec`, so the table is the one the `bracket_vec` loop builds,
-    key order included.
+    On int unit bases in increasing order a unit x = e_i reads its brackets
+    off the ambient's cached ad(e_i), re-indexed by the solver's unit map.
+    The values and key order are those of `bracket_vec`, so the table is the
+    one the `bracket_vec` loop builds.
     """
     if where == "domain":
         basis, solver = ctx.domain, ctx._dom_solver
@@ -273,8 +372,6 @@ def _bracket_coords(ctx, x, where, start=0):
         pos = solver.unit
         brackets = [(pos[j], b) for j, b in ctx.ambient.ad(next(iter(x))).items()
                     if pos.get(j, -1) >= start]
-        if where in ctx._unsorted:
-            brackets.sort(key=itemgetter(0))
     else:
         brackets = ((p, ctx.ambient.bracket_vec(x, basis[p]))
                     for p in range(start, len(basis)))
@@ -290,16 +387,16 @@ def _bracket_coords(ctx, x, where, start=0):
 
 
 def _int_units(vectors):
-    """Whether `vectors` are distinct unit vectors e_i, in any order, with
-    int coefficient 1 (Fraction units make `bracket_vec` values Fractions)."""
-    seen = set()
+    """Whether `vectors` are unit vectors e_i at increasing i, with int
+    coefficient 1 (Fraction units make `bracket_vec` values Fractions)."""
+    last = -1
     for v in vectors:
         if len(v) != 1:
             return False
         (i, c), = v.items()
-        if type(c) is not int or c != 1 or i in seen:
+        if type(c) is not int or c != 1 or i <= last:
             return False
-        seen.add(i)
+        last = i
     return True
 
 
@@ -341,29 +438,32 @@ def _pack(ctx, tables, scale, base):
     return dom, mod
 
 
-def _subset_sums(n, q, weights, start=0, mask=0, total=0):
-    """(bitset, sum of weights over it) of each q-subset of range(start, n)
-    joined to mask, in increasing tuple order: a depth-first walk over
-    increasing indices that carries the partial int sum."""
+def _subset_sums(bits, q, weights, start=0, mask=0, total=0):
+    """(bitset, sum of weights over it) of each q-subset of the positions
+    range(start, len(bits)), position j being bit bits[j], joined to mask,
+    in increasing tuple order: a depth-first walk over increasing positions
+    that carries the partial int sum."""
     if q > 1:
-        for j in range(start, n - q + 1):
-            yield from _subset_sums(n, q - 1, weights, j + 1, mask | 1 << j,
-                                    total + weights[j])
+        for j in range(start, len(bits) - q + 1):
+            yield from _subset_sums(bits, q - 1, weights, j + 1,
+                                    mask | bits[j], total + weights[j])
     elif q:
-        for j in range(start, n):
-            yield mask | 1 << j, total + weights[j]
+        for j in range(start, len(bits)):
+            yield mask | bits[j], total + weights[j]
     else:
         yield mask, total
 
 
-def _weight_matches(n, q, dom_weights, mod_weights):
+def _weight_matches(ctx, q):
     """The codes of the basis cochains (tup, k) of C^q, in increasing
-    (tup, k) order, whose packed module weight mod_weights[k] is the sum of
-    dom_weights over tup, looked up per tuple among the module weights."""
-    m, mod_by_weight = len(mod_weights), {}
-    for k, w in enumerate(mod_weights):
+    (tup, k) order, whose packed module weight is the sum of the domain
+    weights over tup, looked up per tuple among the module weights."""
+    mod_by_weight = {}
+    for k, w in zip(ctx._mod_codes, ctx._mod_weights):
         mod_by_weight.setdefault(w, []).append(k)
-    return [mask * m + k for mask, total in _subset_sums(n, q, dom_weights)
+    m = ctx._stride
+    return [mask * m + k for mask, total in
+            _subset_sums(ctx._bits, q, ctx._dom_weights)
             for k in mod_by_weight.get(total, ())]
 
 
@@ -485,8 +585,9 @@ def _invariant_basis(ctx, q):
     relation of the L_x columns of the weight-zero codes (only they can
     carry an invariant), x over `_general`, over those codes; with no
     generator acting non-diagonally every weight-zero code is one."""
-    candidates, general = ctx.zero_basis(q), ctx._general
-    if not general or not candidates:
+    candidates = ctx.zero_basis(q)
+    general = candidates and ctx._general
+    if not general:
         return [{code: 1} for code in candidates]
     return [{candidates[p]: c for p, c in rel.items()} for rel in
             sparse_kernel_basis(_lie_columns(ctx, candidates, general), True)]
@@ -495,16 +596,17 @@ def _invariant_basis(ctx, q):
 def _lie_columns(ctx, candidates, generators):
     """L_x of each candidate code, stacked over the generators x, given by
     their (a_dom, a_mod) action tables, as {row: coefficient}, the row of
-    code c under generator gi being gi * (m << n) + c.  An index replaces
-    another by `|` and is signed by popcount parity, as in `delta_column`;
-    zero entries may remain (no relation changes)."""
-    m, tables = ctx.m, []
+    code c under generator gi being gi * (m << n) + c, for the code stride m
+    and the base's n.  An index replaces another by `|` and is signed by
+    popcount parity, as in `delta_column`; zero entries may remain (no
+    relation changes)."""
+    m, tables = ctx._stride, []
     for gi, (a_dom, a_mod) in enumerate(generators):
         into = {}       # bit of t -> [(bit of u, c)]: [x, d_u] has c on d_t
         for u in sorted(a_dom):
             for t, c in a_dom[u].items():
                 into.setdefault(1 << t, []).append((1 << u, c))
-        tables.append((gi * (m << ctx.n), a_mod, into))
+        tables.append((gi * (m << ctx.base.n), a_mod, into))
     cols = []
     for code in candidates:
         mask, k = divmod(code, m)
@@ -605,17 +707,15 @@ def adjoint_context(sw) -> ComplexContext:
     """C^*(s, s) for a seaweed (cached on the seaweed), counted on weight
     zero; it carries no `levi` (see the module docstring)."""
     if not hasattr(sw, "_adjoint_ctx"):
-        sw._adjoint_ctx = ComplexContext(
-            sw.ambient, _units(sw.member), _units(sw.member))
+        sw._adjoint_ctx = ComplexView(sw.ambient, sw.member, sw.member)
     return sw._adjoint_ctx
 
 
 def nilradical_context(sw) -> ComplexContext:
     """C^*(n, s) for a seaweed, carrying r (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ctx"):
-        sw._nilradical_ctx = ComplexContext(
-            sw.ambient, _units(sw.nilradical), None, reductive_generators(sw),
-            adjoint_context(sw))
+        sw._nilradical_ctx = ComplexView(sw.ambient, sw.nilradical, sw.member,
+                                         reductive_generators(sw))
     return sw._nilradical_ctx
 
 
@@ -623,14 +723,14 @@ def nilradical_ambient_context(sw) -> ComplexContext:
     """C^*(n, g): the nilradical acting on the whole ambient algebra, which
     the rigidity certificate differentiates in (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ambient_ctx"):
-        sw._nilradical_ambient_ctx = ComplexContext(
-            sw.ambient, _units(sw.nilradical), None,
-            within=full_context(sw.ambient))
+        sw._nilradical_ambient_ctx = ComplexView(
+            sw.ambient, sw.nilradical, range(sw.ambient.dim))
     return sw._nilradical_ambient_ctx
 
 
 def full_context(L: LieAlgebra) -> ComplexContext:
-    """C^*(g, g) for a whole algebra (cached on the algebra)."""
+    """C^*(g, g) for a whole algebra (cached on the algebra): the base of
+    every view on it."""
     if not hasattr(L, "_full_context"):
         units = _units(range(L.dim))
         L._full_context = ComplexContext(L, units, units)
@@ -640,16 +740,19 @@ def full_context(L: LieAlgebra) -> ComplexContext:
 def quotient_context(split) -> ComplexContext:
     """C^*(Q, s): the center-complement acting on all of s (cached).
 
-    When the complement is the unit basis of s (a trivial center), the
-    adjoint context is reused rather than rebuilt.
+    The adjoint context when the complement is the unit basis of s (a
+    trivial center), a view when it is another unit basis (always for a
+    spec), else a complex built on the complement.
     """
     sw = split.seaweed
-    if split.complement_basis == _units(sw.member):
+    comp = split.complement_basis
+    if comp == _units(sw.member):
         return adjoint_context(sw)
     if not hasattr(split, "_quotient_ctx"):
-        split._quotient_ctx = ComplexContext(
-            sw.ambient, split.complement_basis, None,
-            within=adjoint_context(sw))
+        split._quotient_ctx = (
+            ComplexView(sw.ambient, map(min, comp), sw.member)
+            if _int_units(comp) else
+            ComplexContext(sw.ambient, comp, _units(sw.member)))
     return split._quotient_ctx
 
 

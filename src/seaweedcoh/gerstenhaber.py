@@ -178,12 +178,10 @@ def is_coboundary(ctx: ComplexContext, f: Cochain) -> bool:
     """f is in B^q iff delta f = 0 and its weight-zero part is in
     delta(C^(q-1)_0), the span of `_cleared_echelon`: cocycles of nonzero
     weight are coboundaries.  ValueError unless f lives over ctx, a complex
-    built without `levi`, as ComplexContext(ambient, domain, module) is."""
+    whose weight zero carries H^*, as for `cohomology_dims`."""
     if f.context is not ctx:
         raise ValueError("the cochain does not live over this complex")
-    if ctx.levi is not None:
-        raise ValueError("the complex is graded by its levi generators; "
-                         "use ComplexContext(ambient, domain, module)")
+    ctx._require_weight_zero()
     if not coboundary(f).is_zero():
         return False
     zero = set(ctx.zero_basis(f.degree))

@@ -202,10 +202,12 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
     center inside the Cartan of s (which contains [s,s] cap h); a coordinate
     complement is used when the restricted Killing form cannot separate, and
     `section_indices` picks an explicit complement basis instead.  For a spec
-    it is span{h_i : i in pi1 u pi2} in unit vectors, Cartan first: the
-    column of h_i vanishes, as kappa(h_i, z) is proportional to
-    alpha_i(z) = 0 on Z(s), and the other dim Z(s) columns have rank
-    dim Z(s), so each kernel relation is the unit of a zero column.
+    it is span{h_i : i in pi1 u pi2} in unit vectors: the column of h_i
+    vanishes, as kappa(h_i, z) is proportional to alpha_i(z) = 0 on Z(s),
+    and the other dim Z(s) columns have rank dim Z(s), so each kernel
+    relation is the unit of a zero column.  The complement is listed by
+    least ambient index, so a unit one is in ambient order, as a view of
+    C(g, g) takes it (`cochain.quotient_context`).
     """
     g = sw.ambient
     zs = center(sw)
@@ -218,7 +220,7 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
         comp = [{i: 1} for i in sw.member]
     else:
         kappa = g.killing_matrix()
-        pair = [{k: sum((z.get(i, 0) * kappa[i][h] for i in z), Fraction(0))
+        pair = [{k: sum(z.get(i, 0) * kappa[i][h] for i in z)
                  for k, z in enumerate(zs)} for h in cartan_like]
         hbasis = [{cartan_like[p]: c for p, c in rel.items()}
                   for rel in sparse_kernel_basis(pair, primitive=True)]
@@ -228,7 +230,7 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
             zech = Echelon()
             hbasis = [{h: 1} for h in cartan_like
                       if not zech.add({k: z.get(h, 0) for k, z in enumerate(zs)})]
-        comp = hbasis + [{i: 1} for i in roots_in_s]
+        comp = sorted(hbasis + [{i: 1} for i in roots_in_s], key=min)
 
     full = zs + comp
     ech = Echelon(full, track=True)

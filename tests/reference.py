@@ -1,11 +1,26 @@
 """Helpers that only the tests need, kept out of the package: basis
-cochains, pointwise evaluation of a cochain and the direct sum of two
-algebras."""
+cochains, pointwise evaluation of a cochain, the direct sum of two
+algebras and the complex built with its own tables on a view's bases."""
 
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from seaweedcoh.chevalley import LieAlgebra
-from seaweedcoh.cochain import Cochain
+from seaweedcoh.cochain import Cochain, ComplexContext
+
+_BUILT = WeakKeyDictionary()
+
+
+def built(ctx):
+    """ctx itself if it holds its own tables, else the ComplexContext built
+    on the same unit bases and levi, with its own tables in positions (one
+    per view): the reference that a view of C(g, g) is checked against."""
+    if ctx.base is ctx:
+        return ctx
+    if ctx not in _BUILT:
+        _BUILT[ctx] = ComplexContext(ctx.ambient, ctx.domain, ctx.module,
+                                     levi=ctx.levi)
+    return _BUILT[ctx]
 
 
 def basis_cochain(ctx, tup, k):

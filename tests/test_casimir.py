@@ -41,7 +41,8 @@ def invariant_cocycles(octx, q):
 
 def predicted_entry_scalars(octx, f):
     """`_predicted_scalars` of the tuples of a cocycle of C(n, s)."""
-    return _predicted_scalars(octx, [sum(1 << t for t in tup)
+    ns = octx.ns
+    return _predicted_scalars(octx, [ns.code(tup, 0) // ns._stride
                                      for tup in f.data])
 
 
@@ -690,11 +691,12 @@ def reference_witness_ratios(f, image, D):
     return scalars, proportional
 
 
-def forged_images(f, image, m):
-    """(kind, image) variants of a cocycle's coded image: as computed; D f
-    scaled by 2; that with one entry changed; with the first entry of f
-    missing; and with an entry added at f's first tuple, off f."""
+def forged_images(f, image, ns):
+    """(kind, image) variants of a cocycle's coded image in C(n, s): as
+    computed; D f scaled by 2; that with one entry changed; with the first
+    entry of f missing; and with an entry added at f's first tuple, off f."""
     first, c0 = next(iter(f.items()))
+    m = ns._stride
     mask = first // m
     scaled = {code: 2 * c for code, c in f.items()}
     yield "real", image
@@ -702,7 +704,7 @@ def forged_images(f, image, m):
     if len(f) > 1:
         yield "changed", {**scaled, list(f)[-1]: 3 * list(f.values())[-1]}
     yield "missing", {code: v for code, v in scaled.items() if code != first}
-    free = [k for k in range(m) if mask * m + k not in f]
+    free = [k for k in ns._mod_codes if mask * m + k not in f]
     if free:
         yield "extra", {**scaled, mask * m + free[0]: 1}
 
@@ -722,14 +724,15 @@ def test_witness_ratios_match_fraction_reference(a2_fixture):
         for q in range(1, len(octx.seaweed.nilradical) + 1):
             for f in casimir._cocycle_codes(octx, q):
                 image = casimir._certificate_image(octx, f)
-                for kind, im in forged_images(f, image, ns.m):
-                    ratios, prop = casimir._witness_ratios(f, im, ns.m, D)
+                for kind, im in forged_images(f, image, ns):
+                    ratios, prop = casimir._witness_ratios(f, im, ns._stride,
+                                                           D)
                     want = reference_witness_ratios(
                         casimir._decoded(ns, q, f), casimir._decoded(ns, q, im),
                         D)
                     assert (list(ratios.values()), prop) == want, kind
                     assert list(ratios) == list(dict.fromkeys(
-                        code // ns.m for code in f))
+                        code // ns._stride for code in f))
                     seen[kind] += 1
                     flags[kind, prop] += 1
     assert min(seen.values()) > 20 and len(seen) == 5
@@ -738,8 +741,10 @@ def test_witness_ratios_match_fraction_reference(a2_fixture):
     sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1]))
     octx = OperatorContext(sw)
     (f,) = casimir._cocycle_codes(octx, 0)
+    code = octx.ns.code
     for im in ({0: 4, 1: 8, 2: 6}, {1: 8, 2: 16}, {1: 3, 2: 2}, {2: 2}):
-        ratios, prop = casimir._witness_ratios(f, im, octx.ns.m, 2)
+        im = {code((), k): v for k, v in im.items()}
+        ratios, prop = casimir._witness_ratios(f, im, octx.ns._stride, 2)
         assert (list(ratios.values()), prop) == reference_witness_ratios(
             casimir._decoded(octx.ns, 0, f), casimir._decoded(octx.ns, 0, im),
             2), im
@@ -864,7 +869,7 @@ def test_certificate_image_forged_escape_same_error(a2_fixture, monkeypatch):
         for q in range(1, len(sw.nilradical) + 1):
             for f in invariant_cocycles(octx, q):
                 for tup in combinations(sw.nilradical, q - 1):
-                    mask = sum(1 << octx._nil_pos[i] for i in tup)
+                    mask = sum(1 << i for i in tup)
                     for k in range(dim):
                         def forged(o, F, tup=tup, k=k):
                             extra = Cochain(o.gg, F.degree - 1, {tup: {k: 1}})

@@ -317,14 +317,15 @@ def test_span_solver_repeated_unit_vectors():
 
 def test_reports_need_no_dense_elimination():
     # the package has one elimination engine: no dense matrix class, and the
-    # Killing form is immutable rows, built once per algebra.  Verify
-    # reports and the cup product run on the algebras built here.
+    # Killing form is immutable rows of plain ints on the integral Chevalley
+    # tables, built once per algebra.  Verify reports and the cup product
+    # run on the algebras built here.
     assert not hasattr(exactlin, "Matrix")
     for t, r in [("A", 2), ("B", 2), ("G", 2)]:
         g = construct(rootsystem.build(t, r))
         kappa = g.killing_matrix()
         assert type(kappa) is tuple and len(kappa) == g.dim
-        assert all(type(row) is tuple and all(type(x) is F for x in row)
+        assert all(type(row) is tuple and all(type(x) is int for x in row)
                    for row in kappa)
         assert g.killing_matrix() is kappa
         for sp in _all_specs(t, r):
@@ -332,6 +333,13 @@ def test_reports_need_no_dense_elimination():
                 assert verify_report(build_seaweed(g, sp), sp)["ok"]
     a2 = load_fixture(FIXTURES / "a2_table1")
     g2 = load_fixture(FIXTURES / "g2_seaweed")
+    # both fixtures are integral too; a Fraction rescaling keeps its
+    # integral entries as ints and the others as Fractions
+    rescaled = a2.rescaled([F(1, 2), F(2, 3), 1, 1, 3, 1, F(1, 5), 1])
+    for L, kinds in ((a2, {int}), (g2, {int}), (rescaled, {int, F})):
+        entries = [x for row in L.killing_matrix() for x in row]
+        assert {type(x) for x in entries} == kinds
+        assert all(type(x) is int or x.denominator > 1 for x in entries)
     a2_spec = SeaweedSpec.make("A", 2, [], [1, 2])
     assert verify_report(build_seaweed(a2, a2_spec), a2_spec)["ok"]
     assert verify_report(seaweed_from_algebra(a2), None)["ok"]

@@ -17,7 +17,7 @@ from seaweedcoh.gerstenhaber import (_class_representatives, cg_dims,
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed,
                                 seaweed_from_algebra, split_over_center)
 
-from reference import basis_cochain, direct_sum
+from reference import basis_cochain, built, direct_sum
 from test_cochain import reference_grading
 
 
@@ -317,7 +317,7 @@ def test_representatives_match_per_grade_rescaled_fixture(a2_fixture):
     L2 = a2_fixture.rescaled(scalars)
     seaweeds = [build_seaweed(L2, SeaweedSpec.make("A", 2, [], pi2))
                 for pi2 in ([1, 2], [1], [])]
-    adj = adjoint_context(seaweeds[0])
+    adj = built(adjoint_context(seaweeds[0]))
     diag = reference_grading(adj)[0]    # the diagonal domain elements
     assert any(isinstance(adj.act[i][k][k], F) for i in diag
                for k in adj.act[i])
