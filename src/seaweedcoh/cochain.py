@@ -296,7 +296,7 @@ class ComplexView(ComplexContext):
                     reach |= hit
         if reach & ~inside:
             raise ValueError("the domain is not closed under the bracket")
-        for a in domain:        # V is a subalgebra: only a outside it can
+        for a in domain:    # V is a subalgebra: only e_a outside V can move V
             if a not in mod and any(not mod.issuperset(col) for k, col in
                                     base.act[a].items() if k in mod):
                 raise ValueError("the module is not closed under the bracket")
