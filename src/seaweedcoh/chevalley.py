@@ -6,20 +6,36 @@ structure-constant files for reproducing published bases that use their own
 normalizations.
 
 The construction works on integer coefficient tuples over the simple roots,
-whose Cartan pairings, squared lengths and root strings the `RootSystem`
-answers, so no ambient root vector is rebuilt.  Every constructed or loaded
-table is checked for the Jacobi identity on all basis triples by
-`jacobi_violation`, which sums only the products of nonzero brackets.
+packed into one int code per root so that adding roots is adding codes, and
+computes every structure constant in int arithmetic: squared lengths are
+scaled to ints and each division is checked exact.
+
+Every constructed or loaded table is checked for the Jacobi identity by
+`jacobi_violation`, which sums only the products of nonzero brackets.  The
+elements x for which ad x is a derivation form a subalgebra: Jacobi on
+(x, y, .) says ad [x, y] = [ad x, ad y], and the commutator of two
+derivations is a derivation (Jacobson, *Lie Algebras*, Ch. I).  So Jacobi
+holds on every triple iff it holds on every triple containing a generator.
+The e_(+-alpha_i) generate a simple algebra in its Chevalley basis
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*, §18),
+but a table is trusted only when it certifies this itself: every basis
+vector is a root vector or a Cartan unit; every root vector that is not an
+e_(+-alpha_i) is, in order of |height|, a single-entry nonzero bracket of an
+already reached root vector with an e_(+-alpha_i); and the brackets
+[e_alpha_i, e_-alpha_i] span the Cartan units.  With the certificate only the
+2r generator slices are summed; without it (fixtures without root data,
+`deform`'s f2 tables) every triple is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 
 from . import rootsystem
-from .exactlin import Echelon, vec_add
-from .rootsystem import RootSystem
+from .exactlin import Echelon, InvariantError, vec_add
+from .rootsystem import RootSystem, pack
 
 
 class JacobiError(ValueError):
@@ -38,7 +54,7 @@ def _num(x):
     return int(f) if f.denominator == 1 else f
 
 
-def jacobi_violation(dim, table):
+def jacobi_violation(dim, table, generators=None):
     """Lexicographically first basis triple (i, j, k), i < j < k, on which
     the Jacobi identity fails, or None.
 
@@ -47,12 +63,21 @@ def jacobi_violation(dim, table):
 
         J(i,j,k) = [[e_i,e_j],e_k] - [[e_i,e_k],e_j] - [e_i,[e_j,e_k]],
 
-    the cyclic sum rearranged by antisymmetry.  For each i the first two
-    terms come from the adjoint column of i and then the columns of each l
-    in [e_i, e_x]; the last from the pairs (j, k) whose bracket has an e_l
-    component, for each l with [e_i, e_l] != 0.  Every triple is covered
-    and only products with a zero bracket factor are skipped, so each sum
-    is the exact sum of the triple loop; one i-slice is held at a time.
+    the cyclic sum rearranged by antisymmetry; J(i, ., .) = 0 says that
+    ad e_i is a derivation.  For each i the first two terms come from the
+    adjoint column of i and then the columns of each l in [e_i, e_x]; the
+    last from the pairs (j, k) whose bracket has an e_l component, for each
+    l with [e_i, e_l] != 0.  Every triple is covered and only products with
+    a zero bracket factor are skipped, so each sum is the exact sum of the
+    triple loop; one i-slice is held at a time.
+
+    `generators`, if given, are basis indices that the caller has certified
+    to generate the algebra (`LieAlgebra.check_jacobi` certifies the
+    e_(+-alpha_i) from the table's own root data and brackets).  The elements whose ad is a derivation form a
+    subalgebra (Jacobson, *Lie Algebras*, Ch. I), so Jacobi holds iff the
+    generators' whole slices, over every pair (j, k) without the generator,
+    vanish, and only those are summed.  A nonzero one is a violation; the
+    scan over every triple then names the first.
     """
     cols = [{} for _ in range(dim)]     # cols[l][y] = [e_l, e_y]
     hits = [[] for _ in range(dim)]     # hits[l]: (j, k, c) with c e_l in [e_j, e_k]
@@ -61,28 +86,39 @@ def jacobi_violation(dim, table):
         cols[k][j] = {t: -c for t, c in vec.items()}
         for t, c in vec.items():
             hits[t].append((j, k, c))
+    if generators is not None:
+        if not any(_failing_pairs(cols, hits, s, -1) for s in generators):
+            return None
     for i in range(dim):
-        acc = {}
-        adi = cols[i]
-        for x, bx in adi.items():
-            if x < i:
-                continue
-            for l, a in bx.items():
-                for y, by in cols[l].items():
-                    if y <= i or y == x:
-                        continue
-                    if x < y:
-                        vec_add(acc.setdefault((x, y), {}), by, a)
-                    else:
-                        vec_add(acc.setdefault((y, x), {}), by, -a)
-        for l, bl in adi.items():
-            for j, k, c in hits[l]:
-                if j > i:
-                    vec_add(acc.setdefault((j, k), {}), bl, -c)
-        bad = [key for key, vec in acc.items() if vec]
+        bad = _failing_pairs(cols, hits, i, i)
         if bad:
             return (i,) + min(bad)
+    if generators is not None:
+        raise InvariantError("a generator slice fails Jacobi, no triple does")
     return None
+
+
+def _failing_pairs(cols, hits, i, lo):
+    """The pairs (j, k), lo < j < k, both other than i, with J(i, j, k)
+    nonzero; `cols` and `hits` as in `jacobi_violation`."""
+    acc = {}
+    adi = cols[i]
+    for x, bx in adi.items():
+        if x <= lo:
+            continue
+        for l, a in bx.items():
+            for y, by in cols[l].items():
+                if y <= lo or y == x or y == i:
+                    continue
+                if x < y:
+                    vec_add(acc.setdefault((x, y), {}), by, a)
+                else:
+                    vec_add(acc.setdefault((y, x), {}), by, -a)
+    for l, bl in adi.items():
+        for j, k, c in hits[l]:
+            if j > lo and i != j and i != k:
+                vec_add(acc.setdefault((j, k), {}), bl, -c)
+    return [key for key, vec in acc.items() if vec]
 
 
 class LieAlgebra:
@@ -101,9 +137,14 @@ class LieAlgebra:
             raise ValueError("label count != dim")
         self.cartan = tuple(cartan)
         self.root_of = dict(root_of or {})
+        marked = self.cartan + tuple(self.root_of)
+        if not all(0 <= i < dim for i in marked):
+            raise ValueError("cartan or root index out of range")
+        if len(set(marked)) != len(marked):
+            raise ValueError("cartan and root indices must be distinct")
         self.root_system = root_system
         self.form_scale = Fraction(form_scale)
-        self.brackets = {}
+        entries = {}
         for (i, j), vec in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: ({i+1},{j+1})")
@@ -118,10 +159,9 @@ class LieAlgebra:
             for k in vec:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target out of range: {k+1}")
-            if (i, j) in self.brackets and self.brackets[(i, j)] != vec:
+            if entries.setdefault((i, j), vec) != vec:
                 raise ValueError(f"conflicting entries for bracket ({i+1},{j+1})")
-            if vec:
-                self.brackets[(i, j)] = vec
+        self.brackets = {key: vec for key, vec in entries.items() if vec}
         self._ad_cache = {}
         self._ad_shared = {}        # negated brackets by their items
         self._root_index = None
@@ -170,12 +210,47 @@ class LieAlgebra:
         return cached
 
     def check_jacobi(self):
-        bad = jacobi_violation(self.dim, self.brackets)
+        """Raise JacobiError naming the first basis triple that violates
+        Jacobi.  The elements whose ad is a derivation form a subalgebra
+        (Jacobson), so only the slices of the e_(+-alpha_i) are summed when
+        the table certifies that they generate (`_generators`; Humphreys,
+        §18): every basis vector is a root vector or a Cartan unit, every
+        other root vector is reached, in order of |height|, as a
+        single-entry nonzero bracket of a reached one with a generator, and
+        the [e_alpha_i, e_-alpha_i] span the Cartan units.  Otherwise every
+        triple is summed."""
+        bad = jacobi_violation(self.dim, self.brackets, self._generators())
         if bad is not None:
             i, j, k = bad
             raise JacobiError(
                 f"Jacobi identity fails on basis triple "
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
+
+    def _generators(self):
+        """The indices of the e_(+-alpha_i) when the table certifies that
+        they generate the algebra (module docstring), else None."""
+        roots = self.root_of
+        if len(roots) + len(self.cartan) != self.dim:
+            return None
+        gens = [i for i, c in roots.items() if sum(map(abs, c)) == 1]
+        reached = set(gens)
+        for k in sorted(roots, key=lambda k: abs(sum(roots[k]))):
+            if k in reached:
+                continue
+            for g in gens:
+                j = self._index_of_root(tuple(map(sub, roots[k], roots[g])))
+                if j in reached and self.bracket(j, g).keys() == {k}:
+                    reached.add(k)
+                    break
+            else:
+                return None
+        units = set(self.cartan)
+        coroots = [self.bracket(g, self.opposite_index(g)) for g in gens
+                   if sum(roots[g]) == 1 and self.opposite_index(g) in reached]
+        if (any(h.keys() - units for h in coroots)
+                or Echelon(coroots).rank != len(units)):
+            return None
+        return gens
 
     # -- Killing form and dual basis ----------------------------------------
 
@@ -225,16 +300,18 @@ class LieAlgebra:
 
     def opposite_index(self, i):
         """Index of the root vector with negated root, if annotated (the
-        first such index in `root_of` order, from a root -> index map built
-        on first use)."""
+        first such index in `root_of` order)."""
         r = self.root_of.get(i)
-        if r is None:
-            return None
+        return None if r is None else self._index_of_root(tuple(-c for c in r))
+
+    def _index_of_root(self, c):
+        """The first index in `root_of` order whose root is the coefficient
+        tuple c, or None; from a root -> index map built on first use."""
         if self._root_index is None:
             self._root_index = {}
             for j, rj in self.root_of.items():
                 self._root_index.setdefault(rj, j)
-        return self._root_index.get(tuple(-c for c in r))
+        return self._root_index.get(c)
 
     def rescaled(self, scalars):
         """Same algebra in the basis (scalars[i] * e_i)."""
@@ -255,126 +332,132 @@ def construct(rs: RootSystem) -> LieAlgebra:
 
     Basis layout: positive root vectors in the root system's order, then the
     negative ones in matching order, then the simple coroots.  Signs follow
-    the extraspecial-pair convention, so the table is reproducible.
+    the extraspecial-pair convention, so the table is reproducible.  Root
+    pairs are matched by their packed codes (`rootsystem.pack`): [e_a, e_b]
+    is a root vector exactly when code(a) + code(b) is a root's code.
     """
-    consts = _ChevalleyConstants(rs)
-    m = len(rs.positive_roots)
+    pos = sorted(rs.coeffs.values())        # the order of rs.positive_roots
+    consts = _ChevalleyConstants(rs, pos)
+    m = len(pos)
     rank = rs.rank
     dim = 2 * m + rank
 
-    pos_coeff = [rs.coefficients(b) for b in rs.positive_roots]
-    index_of = {}
-    for i, c in enumerate(pos_coeff):
-        index_of[c] = i
-        index_of[tuple(-x for x in c)] = m + i
-    root_at = {i: c for c, i in index_of.items()}
+    root_at = {}
+    for i, c in enumerate(pos):
+        root_at[i] = c
+        root_at[m + i] = tuple(-x for x in c)
+    codes = [pack(c) for c in pos]
+    codes += [-k for k in codes]
+    index_of = {k: i for i, k in enumerate(codes)}
 
     cartan = rs.cartan_matrix()
     brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if i in root_at and j in root_at:
-                x, y = root_at[i], root_at[j]
-                s = tuple(a + b for a, b in zip(x, y))
-                if all(c == 0 for c in s):
-                    brackets[(i, j)] = consts.coroot(x, 2 * m)
-                elif s in index_of:
-                    n = _num(consts.N(x, y))
-                    if abs(n) != rs.string(x, y)[0] + 1:
-                        raise JacobiError(
-                            f"structure constant for {x}+{y} is not +/-(p+1)")
-                    brackets[(i, j)] = {index_of[s]: n}
-            elif i in root_at and j >= 2 * m:
-                h = j - 2 * m
-                c = rootsystem._coroot_pairing(cartan, root_at[i], h)
-                if c != 0:
-                    brackets[(i, j)] = {i: -c}
+    for i, x in enumerate(codes):
+        for j in range(i + 1, 2 * m):
+            y = codes[j]
+            if x + y == 0:
+                brackets[(i, j)] = consts.coroot(root_at[i], 2 * m)
+            elif (k := index_of.get(x + y)) is not None:
+                n = consts.N(x, y)
+                if abs(n) != consts.down(x, y) + 1:
+                    raise JacobiError(f"structure constant for {root_at[i]}"
+                                      f"+{root_at[j]} is not +/-(p+1)")
+                brackets[(i, j)] = {k: n}
+        for h in range(rank):
+            c = rootsystem._coroot_pairing(cartan, root_at[i], h)
+            if c != 0:
+                brackets[(i, 2 * m + h)] = {i: -c}
     labels = ([f"x{i+1}" for i in range(m)] + [f"y{i+1}" for i in range(m)]
               + [f"h{i+1}" for i in range(rank)])
     return LieAlgebra(dim, brackets, labels, tuple(range(2 * m, dim)),
                       root_at, rs)
 
 
-class _ChevalleyConstants:
-    """Structure constants N(a, b) via the extraspecial-pair recursion."""
+def _exact(num, den):
+    """num / den, which must be an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise InvariantError(f"{num}/{den} is not an integer")
+    return q
 
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.pos = set(rs.coeffs.values())
-        # by height, then lexicographically; iterating gives that order
-        self.order = {c: i for i, c in enumerate(
-            sorted(self.pos, key=lambda c: (sum(c), c)))}
+
+class _ChevalleyConstants:
+    """Structure constants N(a, b) via the extraspecial-pair recursion, on
+    packed root codes (`rootsystem.pack`) in int arithmetic: the squared
+    lengths are `RootSystem.lengths`, all scaled by one constant, and every
+    division is checked exact."""
+
+    def __init__(self, rs: RootSystem, pos):
+        self.sq = rs.lengths
+        self.order = {}         # positive codes, by height then lexicographically
+        for c in sorted(pos, key=lambda c: (sum(c), c)):
+            self.order[pack(c)] = len(self.order)
         self._memo = {}
         self._extra = {}
+
+    def down(self, a, b):
+        """r of the a-string through b, for root codes a != +-b."""
+        return rootsystem._steps(self.sq, b, -a)
 
     def extraspecial(self, gamma):
         pair = self._extra.get(gamma)
         if pair is None:
             for a in self.order:
-                b = tuple(g - x for g, x in zip(gamma, a))
-                if b in self.pos and self.order[a] < self.order[b]:
+                b = gamma - a
+                if b in self.order and self.order[a] < self.order[b]:
                     pair = (a, b)
                     break
             else:
-                raise ValueError(f"no special pair for {gamma}")
+                raise ValueError(f"no special pair for root code {gamma}")
             self._extra[gamma] = pair
         return pair
 
     def coroot(self, c, offset):
         """Coordinates of the coroot of the root with coefficients c."""
-        sq = self.rs.sq(c)
-        out = {}
-        for i, ci in enumerate(c):
-            if ci != 0:
-                out[offset + i] = _num(Fraction(ci) * self.rs.gram[i][i] / sq)
-        return out
+        sq = self.sq[pack(c)]
+        return {offset + i: _exact(ci * self.sq[rootsystem.CODE_BASE ** i], sq)
+                for i, ci in enumerate(c) if ci}
 
     def N(self, a, b):
-        """[e_a, e_b] = N(a,b) e_{a+b}; requires a+b to be a root."""
-        key = (a, b)
-        if key in self._memo:
-            return self._memo[key]
-        val = self._compute(a, b)
-        self._memo[key] = val
+        """[e_a, e_b] = N(a,b) e_{a+b} for root codes a, b; requires a+b to
+        be a root."""
+        val = self._memo.get((a, b))
+        if val is None:
+            val = self._memo[(a, b)] = self._compute(a, b)
         return val
 
-    def _neg(self, c):
-        return tuple(-x for x in c)
-
     def _compute(self, a, b):
-        apos, bpos = a in self.pos, b in self.pos
-        if apos and bpos:
+        pos = self.order
+        if a in pos and b in pos:
             return self._positive_pair(a, b)
-        if not apos and not bpos:
-            return -self.N(self._neg(a), self._neg(b))
-        if not apos:
+        if a not in pos and b not in pos:
+            return -self.N(-a, -b)
+        if a not in pos:
             return -self.N(b, a)
         # a positive, b negative
-        s = tuple(x + y for x, y in zip(a, b))
-        if s in self.pos:
+        s = a + b
+        if s in pos:
             # rotate a + b + (-s) = 0:  N(a,b) = (s,s)/(a,a) N(b,-s)
-            return -self.rs.sq(s) / self.rs.sq(a) * self.N(self._neg(b), s)
-        return -self.N(self._neg(a), self._neg(b))
+            return _exact(-self.sq[s] * self.N(-b, s), self.sq[a])
+        return -self.N(-a, -b)
 
     def _positive_pair(self, a, b):
         if self.order[a] > self.order[b]:
             return -self.N(b, a)
-        gamma = tuple(x + y for x, y in zip(a, b))
+        gamma = a + b
         a1, b1 = self.extraspecial(gamma)
         if (a, b) == (a1, b1):
-            return Fraction(self.rs.string(a, b)[0] + 1)
+            return self.down(a, b) + 1
         # Jacobi on (e_{a1}, e_{b1}, e_{-a}) determines N(a, b) from pairs
         # whose sums have smaller height.
-        roots = self.rs.root_coeffs
-        total = Fraction(0)
-        d1 = tuple(x - y for x, y in zip(b1, a))
-        if d1 in roots:
-            total += self.N(b1, self._neg(a)) * self.N(d1, a1)
-        d2 = tuple(x - y for x, y in zip(a1, a))
-        if d2 in roots:
-            total += self.N(self._neg(a), a1) * self.N(d2, b1)
-        n11 = self.N(a1, b1)
-        return total * self.rs.sq(gamma) / (self.rs.sq(b) * n11)
+        total = 0
+        d1 = b1 - a
+        if d1 in self.sq:
+            total += self.N(b1, -a) * self.N(d1, a1)
+        d2 = a1 - a
+        if d2 in self.sq:
+            total += self.N(-a, a1) * self.N(d2, b1)
+        return _exact(total * self.sq[gamma], self.sq[b] * self.N(a1, b1))
 
 
 # -- fixture files ----------------------------------------------------------
@@ -408,6 +491,8 @@ def loads_fixture(text: str) -> LieAlgebra:
                 form_scale = Fraction(rest)
             elif head == "root":
                 idx_s, _, coeff_s = rest.partition(":")
+                if int(idx_s) - 1 in root_of:
+                    raise ValueError(f"duplicate root {idx_s.strip()}")
                 root_of[int(idx_s) - 1] = tuple(int(t) for t in coeff_s.split())
             elif head == "bracket":
                 pair_s, _, terms_s = rest.partition(":")

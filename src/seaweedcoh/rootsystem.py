@@ -5,9 +5,11 @@ The invariant form is the ambient dot product rescaled so that long roots have
 squared length 2 in every type; Cartan integers are independent of that scale.
 
 Root data in integer simple-root coefficient tuples is answered here alone
-(`build`, `RootSystem.sq`, `string`, `root_coeffs`, `gram`); such tuples
-compare exactly as root vectors do.  The vector methods (`pairing`,
-`root_string`, `is_root`, `cartan_integer`) are the tested reference.
+(`build`, `RootSystem.sq`, `string`, `root_coeffs`, `gram`, and `lengths`
+over packed codes, `pack`); such tuples compare exactly as root vectors do,
+and root closure and strings step over their codes in ints.  The vector
+methods (`pairing`, `root_string`, `is_root`, `cartan_integer`) are the
+tested reference.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import lcm
 from operator import add, mul
 
 from .exactlin import InvariantError
@@ -92,18 +95,27 @@ def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def _integral(vectors):
+    """(den, rows): the rational vectors times their common denominator den,
+    as int rows; dot products of the rows are den**2 times the ambient ones."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return den, [[int(x * den) for x in v] for v in vectors]
+
+
 def _cartan_rows(simples):
     """Cartan integers 2(a, b)/(b, b) as int rows; the form's scale cancels."""
-    rows = []
-    for a in simples:
+    rows = _integral(simples)[1]
+    out = []
+    for a in rows:
         row = []
-        for b in simples:
-            c = 2 * _dot(a, b) / _dot(b, b)
-            if c.denominator != 1:
-                raise InvariantError(f"non-integral Cartan entry {c}")
-            row.append(int(c))
-        rows.append(tuple(row))
-    return tuple(rows)
+        for b in rows:
+            num, sq = 2 * sum(map(mul, a, b)), sum(map(mul, b, b))
+            if num % sq:
+                raise InvariantError(
+                    f"non-integral Cartan entry {Fraction(num, sq)}")
+            row.append(num // sq)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _coroot_pairing(cartan, c, i):
@@ -112,14 +124,26 @@ def _coroot_pairing(cartan, c, i):
     return sum(cj * row[i] for cj, row in zip(c, cartan) if cj)
 
 
+# A coefficient tuple c packs into the int sum(c_i * CODE_BASE**i).  The map
+# is linear, so adding roots is adding codes, and it is injective on tuples
+# with entries below CODE_BASE / 2 in absolute value.  A root's entries are at
+# most 6 (E8), and a code looked up is at most a root plus 4 multiples of a
+# root (a root string has at most 4 roots): entries of at most 30.
+CODE_BASE = 64
+
+
+def pack(c):
+    return sum(x * CODE_BASE ** p for p, x in enumerate(c))
+
+
 def _steps(roots, start, step):
     """How many of start + step, start + 2 step, ... lie in `roots` before
-    the first that does not; coefficient tuples throughout."""
+    the first that does not; packed codes throughout."""
     n = 0
-    cur = tuple(map(add, start, step))
+    cur = start + step
     while cur in roots:
         n += 1
-        cur = tuple(map(add, cur, step))
+        cur += step
     return n
 
 
@@ -173,10 +197,30 @@ class RootSystem:
         return [list(row) for row in self._cartan]
 
     @cached_property
+    def _int_gram(self):
+        """(den, G): G the int Gram matrix of the simple roots' integral rows
+        (`_integral`), so that `gram` is G * form_scale / den**2."""
+        den, rows = _integral(self.simple_roots)
+        return den, [[sum(map(mul, a, b)) for b in rows] for a in rows]
+
+    @cached_property
     def gram(self):
         """(alpha_i, alpha_j) over the simple roots, in the normalized form."""
-        return tuple(tuple(self.pairing(a, b) for b in self.simple_roots)
-                     for a in self.simple_roots)
+        den, g = self._int_gram
+        unit = self.form_scale / (den * den)
+        return tuple(tuple(unit * x for x in row) for row in g)
+
+    @cached_property
+    def lengths(self):
+        """{pack(c): c^T G c} over the roots c of both signs, G the int Gram
+        matrix: the squared lengths times one positive constant, in ints."""
+        g = self._int_gram[1]
+        out = {}
+        for c in self.coeffs.values():
+            out[pack(c)] = out[-pack(c)] = sum(
+                ca * cb * g[a][b] for a, ca in enumerate(c) if ca
+                for b, cb in enumerate(c) if cb)
+        return out
 
     @cached_property
     def root_coeffs(self):
@@ -201,11 +245,10 @@ class RootSystem:
     def string(self, alpha, beta):
         """`root_string` over coefficient tuples: (r, q) with the
         alpha-string through beta equal to beta-r*alpha ... beta+q*alpha."""
-        down = tuple(-x for x in alpha)
-        if beta == alpha or beta == down:
+        a, b = pack(alpha), pack(beta)
+        if b == a or b == -a:
             raise ValueError("string through +/-alpha is degenerate")
-        return (_steps(self.root_coeffs, beta, down),
-                _steps(self.root_coeffs, beta, alpha))
+        return _steps(self.lengths, b, -a), _steps(self.lengths, b, a)
 
     def root_string(self, alpha, beta):
         """(r, q) with the alpha-string through beta equal to beta-r*alpha ... beta+q*alpha."""
@@ -232,31 +275,35 @@ def build(type_label: str, rank: int) -> RootSystem:
     simples = _simple_roots(type_label, rank)
     cartan = canonical_cartan(type_label, rank)
 
-    # Extend by height over coefficient tuples: beta + alpha_i is a root iff
+    # Extend by height over packed codes: beta + alpha_i is a root iff
     # q > 0, with q = r - <beta, alpha_i^vee> and r read off the part
     # already generated.
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    downs = [tuple(-x for x in e) for e in units]
-    found = dict.fromkeys(units)
-    frontier = units
+    found = {CODE_BASE ** i: e for i, e in enumerate(units)}
+    frontier = list(found)
     while frontier:
         new = []
-        for c in frontier:
+        for k in frontier:
+            c = found[k]
             for i, e in enumerate(units):
-                if _steps(found, c, downs[i]) > _coroot_pairing(cartan, c, i):
-                    cand = tuple(map(add, c, e))
-                    if cand not in found:
-                        found[cand] = None
-                        new.append(cand)
+                step = CODE_BASE ** i
+                if _steps(found, k, -step) > _coroot_pairing(cartan, c, i):
+                    if k + step not in found:
+                        found[k + step] = tuple(map(add, c, e))
+                        new.append(k + step)
         frontier = new
+    if 5 * max(map(max, found.values())) >= CODE_BASE // 2:
+        raise InvariantError("root coefficients too large to pack")
 
     # ambient vectors, derived once: simple roots as given, the rest summed
-    cols = list(zip(*simples))
+    # in ints over the simple roots' common denominator
+    den, rows = _integral(simples)
+    cols = list(zip(*rows))
     coeffs = dict(zip(simples, units))
-    for c in list(found)[rank:]:
-        coeffs[tuple(sum(map(mul, c, col)) for col in cols)] = c
+    for c in list(found.values())[rank:]:
+        coeffs[tuple(Fraction(sum(map(mul, c, col)), den) for col in cols)] = c
     positive = sorted(coeffs, key=lambda root: coeffs[root])
-    form_scale = Fraction(2) / max(_dot(a, a) for a in simples)
+    form_scale = Fraction(2 * den * den, max(sum(map(mul, a, a)) for a in rows))
     return RootSystem(type_label, rank, tuple(simples), tuple(positive),
                       coeffs, form_scale)
 

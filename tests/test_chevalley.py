@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -11,7 +12,7 @@ from seaweedcoh import chevalley, rootsystem
 from seaweedcoh.chevalley import (JacobiError, LieAlgebra, construct,
                                   jacobi_violation, load_fixture,
                                   loads_fixture)
-from seaweedcoh.exactlin import vec_add
+from seaweedcoh.exactlin import InvariantError, vec_add
 
 import dense
 from reference import direct_sum
@@ -260,7 +261,7 @@ def test_construct_and_load_always_check_jacobi(monkeypatch):
     for build in (construct, loads_fixture, load_fixture):
         assert "check" not in inspect.signature(build).parameters
     monkeypatch.setattr(chevalley, "jacobi_violation",
-                        lambda dim, brackets: (0, 1, 2))
+                        lambda dim, brackets, generators=None: (0, 1, 2))
     with pytest.raises(JacobiError, match=r"\(x1, y1, h1\)"):
         construct(rootsystem.build("A", 1))
     with pytest.raises(JacobiError, match=r"\(e1, e2, e3\)"):
@@ -316,6 +317,120 @@ def test_jacobi_first_failure_matches_brute_force(t, r):
         names = ", ".join(L.labels[i] for i in want)
         assert str(err.value).endswith(f"({names})")
     assert failing >= 9
+
+
+def simple_root_indices(L):
+    """The e_(+-alpha_i): indices whose root is plus or minus a unit."""
+    return sorted(i for i, c in L.root_of.items() if sum(map(abs, c)) == 1)
+
+
+@pytest.mark.parametrize("t,r", [
+    pytest.param(t, r, id=f"{t}-{r}") for t, r, _ in ROOT_DATA_DIGESTS])
+def test_generator_slices_match_full_scan(t, r):
+    # the table certifies its e_(+-alpha_i) as generators, and on every
+    # perturbed table the generator slices find a violation exactly when
+    # the full scan does; LieAlgebra names the full scan's triple
+    base = construct(rootsystem.build(t, r))
+    gens = base._generators()
+    assert sorted(gens) == simple_root_indices(base)
+    assert jacobi_violation(base.dim, base.brackets, gens) is None
+    rng = random.Random(f"slices-{t}{r}")
+    rounds = 3 if t == "E" else 12
+    certified = 0
+    for _ in range(rounds):
+        table = perturbed(base.brackets, base.dim, rng)
+        want = jacobi_violation(base.dim, table)
+        L = LieAlgebra(base.dim, table, base.labels, base.cartan,
+                       base.root_of, check=False)
+        own = L._generators()
+        if own is not None:
+            certified += 1
+            assert own == gens
+            assert jacobi_violation(L.dim, L.brackets, own) == want
+        if want is None:
+            L.check_jacobi()
+        else:
+            names = ", ".join(L.labels[i] for i in want)
+            with pytest.raises(JacobiError, match=re.escape(f"({names})")):
+                L.check_jacobi()
+    assert certified >= rounds // 2
+
+
+# A1 (+) a 3-dimensional bracket that fails Jacobi on (u, v, w): the
+# e_(+-alpha) slices vanish, so only the certificate keeps the check exact
+SPLIT_A1 = """
+dim 6
+labels e f h u v w
+root 1 : 1
+root 2 : -1
+bracket 1 2 : 3 1
+bracket 3 1 : 1 2
+bracket 3 2 : 2 -2
+bracket 4 5 : 4 1
+bracket 4 6 : 5 1
+"""
+
+
+@pytest.mark.parametrize("marks", [
+    pytest.param("cartan 3", id="unmarked"),
+    pytest.param("cartan 3\nroot 4 : 2\nroot 5 : 3\nroot 6 : -2",
+                 id="unreached-roots"),
+    pytest.param("cartan 3 4 5 6", id="unspanned-cartan")])
+def test_jacobi_checked_where_generators_are_not_certified(marks, monkeypatch):
+    seen = []
+    check = chevalley.jacobi_violation
+    monkeypatch.setattr(chevalley, "jacobi_violation",
+                        lambda *args: seen.append(args[2:]) or check(*args))
+    with pytest.raises(JacobiError, match=r"\(u, v, w\)"):
+        loads_fixture(SPLIT_A1 + marks)
+    assert seen == [(None,)]
+
+
+def test_check_jacobi_passes_the_certified_generators(monkeypatch):
+    seen = []
+    check = chevalley.jacobi_violation
+    monkeypatch.setattr(chevalley, "jacobi_violation",
+                        lambda *args: seen.append(args[2] and sorted(args[2]))
+                        or check(*args))
+    algebras = [construct(rootsystem.build("B", 3)),
+                load_fixture(FIXTURES / "a2_table1"),
+                loads_fixture(SPLIT_A1.replace("bracket 4 6 : 5 1", "")
+                              + "cartan 3")]
+    assert seen == [simple_root_indices(L) for L in algebras[:2]] + [None]
+
+
+def test_inexact_structure_constant_raises():
+    # construct divides scaled squared lengths in ints and checks each
+    # division; a forged length makes one inexact
+    rs = rootsystem.build("B", 2)
+    k = sorted(k for k in rs.lengths if k > 0)[2]
+    rs.lengths[k] = rs.lengths[-k] = 3 * rs.lengths[k]
+    with pytest.raises(InvariantError, match="not an integer"):
+        construct(rs)
+
+
+def test_out_of_range_or_shared_indices_refused():
+    # the certificate reads these annotations, so LieAlgebra checks them
+    text = (FIXTURES / "a2_table1").read_text()
+    for old, new, msg in [("cartan 7 8", "cartan 7 9", "out of range"),
+                          ("root 6 : -1 -1", "root 9 : -1 -1", "out of range"),
+                          ("cartan 7 8", "cartan 7 7", "distinct"),
+                          ("cartan 7 8", "cartan 6 8", "distinct"),
+                          ("root 6 : -1 -1", "root 5 : -1 -1", "duplicate")]:
+        assert old in text
+        with pytest.raises(ValueError, match=msg):
+            loads_fixture(text.replace(old, new))
+    with pytest.raises(ValueError, match="out of range"):
+        LieAlgebra(2, {}, cartan=(-1,), check=False)
+
+
+def test_conflicting_brackets_refused_in_either_order():
+    # a zero entry and a nonzero one for the same pair conflict whichever
+    # comes first
+    for lines in (["bracket 1 2 :", "bracket 2 1 : 3 1"],
+                  ["bracket 2 1 : 3 1", "bracket 1 2 :"]):
+        with pytest.raises(ValueError, match="conflicting entries"):
+            loads_fixture("\n".join(["dim 3"] + lines))
 
 
 def test_parse_errors():

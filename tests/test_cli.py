@@ -173,6 +173,20 @@ def test_broken_fixture_load_error(tmp_path):
     assert proc.returncode != 0
 
 
+def test_out_of_range_cartan_index_exits_2(tmp_path):
+    # a Cartan index past dim is refused on load, by every command; info
+    # printed a report and verify died with an IndexError before
+    bad = tmp_path / "a2_cartan_9"
+    bad.write_text((FIXTURES / "a2_table1").read_text()
+                   .replace("cartan 7 8", "cartan 7 9"))
+    for cmd in ("info", "verify"):
+        proc = run_cli([cmd, "--fixture", str(bad), "--type", "A", "--rank",
+                        "2", "--pi1", "1", "--pi2", ""], check=False)
+        assert proc.returncode == 2, (cmd, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cartan or root index out of range\n"
+
+
 def test_reports_deterministic():
     args = ["verify", "--type", "B", "--rank", "2", "--pi1", "1", "--pi2", "2"]
     out1 = run_cli(args).stdout
