@@ -48,6 +48,7 @@ from .cochain import (Cochain, _decoded, _delta, _invariant_entry, coboundary,
                       full_context, invariant_coboundaries,
                       nilradical_ambient_context, nilradical_context)
 from .exactlin import Echelon, InvariantError, sparse_rank, vec_add
+from .rootsystem import pack
 
 CASIMIR_READING = "value_action"
 
@@ -475,7 +476,7 @@ def _casimir_constant(g: LieAlgebra):
     if not hasattr(g, "_casimir_constant"):
         rs = g.root_system
         beta = (1,) + (0,) * (rs.rank - 1)
-        g._casimir_constant = rs.sq(beta) + sum(
+        g._casimir_constant = _sq_length(rs, beta) + sum(
             _string_term(g, gamma, beta) for gamma in rs.root_coeffs)
     return g._casimir_constant
 
@@ -490,11 +491,18 @@ def _string_term(g: LieAlgebra, gamma, beta):
     if val is None:
         rs = g.root_system
         if beta == gamma:
-            val = rs.sq(gamma)
+            val = _sq_length(rs, gamma)
         elif beta == tuple(-x for x in gamma):
             val = Fraction(0)
         else:
             r, q = rs.string(gamma, beta)
-            val = rs.sq(gamma) * r * (q + 1) / 2
+            val = _sq_length(rs, gamma) * r * (q + 1) / 2
         g._string_terms[(gamma, beta)] = val
     return val
+
+
+def _sq_length(rs, c):
+    """(gamma, gamma) for the root gamma with coefficient tuple c: its int
+    `lengths` entry c^T G c times form_scale / den^2, as `gram` is G."""
+    den = rs._int_gram[0]
+    return rs.lengths[pack(c)] * rs.form_scale / (den * den)

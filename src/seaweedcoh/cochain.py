@@ -1,26 +1,28 @@
 """The Chevalley-Eilenberg complex C^q(a, V) with exact coefficients.
 
-A complex is described by a bracket-closed `domain` and a `module` closed
-under the domain action, both given as vectors in an ambient algebra.
+A complex is a bracket-closed `domain` and a `module` closed under the
+domain action, both given as increasing index sets of an algebra g.
 Cochains are stored sparsely on strictly increasing tuples of positions in
-those bases; a basis cochain (tup, k) is also one int code mask * m + k
+those sets; a basis cochain (tup, k) is also one int code mask * m + k
 (`code`, `cell`).  `delta_column` inserts index i by mask | 1 << i, signed
 by the parity of the bits below i (a bracket term, which drops the t-th bit
 and inserts a < b, by that of t + 1 + the bits between a and b).
 
-One code space.  C(g, g) is built once per algebra (`full_context`); every
-unit-basis complex of a seaweed, C(s, s), C(n, s), C(Q, s) and C(n, g), is
-a `ComplexView` of it: the base's tables, a domain bitmask and a module
-index set, with the codes of C(g, g) (bit i for e_i, k the ambient index
-of the value), so C(n, s) and C(n, g) share codes.  Positions, in
-increasing ambient order, are only what `code`, `cell` and `_decoded`
-translate for Cochains.  The restriction lemma makes this exact: for a
-spanned by unit vectors and closed under the bracket, and an a-stable V
-spanned by unit vectors, delta of C(a, V) on a tuple of a reads only
-sub-tuples and brackets inside a (Chevalley-Eilenberg, Trans. AMS 63,
-1948): the delta of C(g, g) with insertions limited to a.  `delta_column`
-skips action bits and bracket pairs outside the domain mask, for bases and
-views alike.
+One code space.  The tables of C(g, g) are read once per algebra off its
+ad columns (`_Tables`).  Every complex on g, C(g, g) itself
+(`full_context`) and a seaweed's C(s, s), C(n, s), C(Q, s) and C(n, g), is
+a domain bitmask and a module index set over them, with the codes of
+C(g, g) (bit i for e_i, k the index of the value), so C(n, s) and C(n, g)
+share codes.  Positions, in increasing index order, are only what `code`,
+`cell` and `_decoded` translate for Cochains.  The restriction lemma makes
+this exact: for a spanned by unit vectors and closed under the bracket, and
+an a-stable V spanned by unit vectors, delta of C(a, V) on a tuple of a
+reads only sub-tuples and brackets inside a (Chevalley-Eilenberg, Trans.
+AMS 63, 1948): the delta of C(g, g) with insertions limited to a.
+`delta_column` skips action bits and bracket pairs outside the domain mask.
+A center complement that is not a unit basis of s is made one: s is
+rebuilt as its own algebra on the center and the complement
+(`quotient_context`).
 
 Cohomology is counted on an invariant subcomplex.  Let r act on the complex
 through a, with each C^q a semisimple r-module.  By the Cartan formula
@@ -28,19 +30,17 @@ L_x = delta i_x + i_x delta each isotypic component is a subcomplex; on a
 nontrivial one a central element of r, or the Casimir of [r, r], acts by a
 nonzero scalar and is null-homotopic, so it is acyclic, and
 H^*(a, V) = H^*(C^*(a, V)^r) (Hochschild-Serre, Ann. of Math. 57, 1953).
-A base grades itself once, by its torus T: the generators of r that act
-diagonally, r being the `levi` it is built with, else its domain.  A view
-takes the weights of C(g, g), graded by the diagonal units T of g.  Z^q and
-B^q follow by rank-nullity:
+Every complex takes the weights of C(g, g), graded by the torus T of g: its
+units whose ad is diagonal.  Z^q and B^q follow by rank-nullity:
 - without `levi`, the weight-zero block `zero_basis` carries H^*, with no
   kernel step, when every weight of the complex that is nonzero is nonzero
   on T cap a: T acts diagonally on unit spans, so its weight blocks are
-  subcomplexes, and L_t, t in T cap a, is null-homotopic.  A view checks
-  this once (`_weight_zero_carries_h`).  It holds on C(s, s), where T lies
-  in s, and on C(Q, s): h = Z(s) + (h cap Q), and the roots of s vanish on
-  Z(s).  C(n, g) holds none of T, so `cohomology_dims` and `is_coboundary`
-  refuse it.  `gerstenhaber` reads class representatives and B^q
-  membership from weight zero too;
+  subcomplexes, and L_t, t in T cap a, is null-homotopic.  A complex checks
+  this once (`_weight_zero_carries_h`).  It holds on C(g, g) and C(s, s),
+  where T lies in s, and on C(Q, s): h = Z(s) + (h cap Q), and the roots of
+  s vanish on Z(s).  C(n, g) holds none of T, so `cohomology_dims` and
+  `is_coboundary` refuse it.  `gerstenhaber` reads class representatives
+  and B^q membership from weight zero too;
 - with `levi` (only a seaweed's C(n, s), r itself: the Cartan and the
   e_(alpha_i), `reductive_generators`) the invariants are the kernel of L_x
   on `zero_basis`, x over the generators off T (`_general`), for the
@@ -70,14 +70,10 @@ A weight-zero test compares two such vectors, and so does a grade
 comparison (m_k - S = m_k' - S' iff m_k + S' = m_k' + S).  `_subset_sums`
 walks every tuple depth first (incremental, not output-sensitive).
 
-A base reads its tables (`dbr`, `act`, the Levi generators') off the
-ambient's cached ad(e_i) columns when its bases are int units in
-increasing order; any other basis (a fixture's Killing complement,
-Fraction units) gets them from the `bracket_vec` loop, the same tables,
-key order included.  A view builds none: C(n, s) reads the base's rows of
-its generators off T, filtered by the masks, on first use.  Integral
-values stay plain ints and invariant bases come from primitive int kernel
-relations, so every complex of a spec seaweed runs in integer arithmetic.
+C(n, s) reads g's rows of its generators off T, filtered by the masks, on
+first use.  Integral values stay plain ints and invariant bases come from
+primitive int kernel relations, so every complex of a spec seaweed runs in
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -85,70 +81,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, lcm
-from operator import attrgetter
+from operator import attrgetter, ge
 
 from .chevalley import LieAlgebra
-from .exactlin import (Echelon, InvariantError, SpanSolver,
-                       sparse_kernel_basis, vec_add)
+from .exactlin import Echelon, InvariantError, sparse_kernel_basis, vec_add
 
 
 class ComplexContext:
-    """C^*(domain, module) inside an ambient algebra, built with its own
-    tables and graded by r: the generators `levi`, which the invariant API
-    needs, else the domain.  A seaweed's unit-basis complexes are
-    `ComplexView`s of one of these, the ambient's C(g, g)."""
+    """C^*(a, V) for a bracket-closed a and a subalgebra V, given as
+    strictly increasing index sets of the unit vectors of g that span them.
+    It keeps g's tables (`_tables`) and adds a domain mask and a module
+    index set; its codes are those of C(g, g) (module docstring).  `levi`,
+    unit vectors that hold the grading torus, is the r of the invariant
+    API; their rows are read on first use."""
 
-    def __init__(self, ambient: LieAlgebra, domain, module, levi=None):
-        self.ambient, self.base, self.levi = ambient, self, levi
-        self.domain = [dict(v) for v in domain]
-        self.module = [dict(v) for v in module]
-        self.n, self.m = len(self.domain), len(self.module)
-        self._dom_solver = SpanSolver(self.domain)
-        self._mod_solver = SpanSolver(self.module)
-        # int units in increasing order read their brackets off the ad columns
-        self._unit = _int_units(self.domain) and _int_units(self.module)
-        # domain bracket table and action rows (see the module docstring)
-        same = self.domain == self.module
-        rows = [_bracket_coords(self, x, "domain", 0 if same else i + 1)
-                for i, x in enumerate(self.domain)]
-        self.dbr = {(i, j): c for i, row in enumerate(rows)
-                    for j, c in row.items() if j > i}
-        self.act = rows if same else [_bracket_coords(self, x, "module")
-                                      for x in self.domain]
-        self._acting = {}           # module k -> [(1 << mdx, act[mdx][k])]
-        for mdx, row in enumerate(self.act):
-            for k, col in row.items():
-                self._acting.setdefault(k, []).append((1 << mdx, col))
-        # bracket pairs by target bit 1 << t: which [d_a, d_b] hit d_t, with
-        # what, as (bits a and b, bits a..b-1, c); by a, (bit b, the bits
-        # [d_a, d_b] hits) for b > a; and ad(d_i) on the domain, to grade
-        self.pairs_hitting, self._reach = {}, [[] for _ in range(self.n)]
-        ad = [{} for _ in range(self.n)]
-        for (a, b), vec in self.dbr.items():
-            for t, c in vec.items():
-                self.pairs_hitting.setdefault(1 << t, []).append(
-                    (1 << a | 1 << b, (1 << b) - (1 << a), c))
-            self._reach[a].append((1 << b, sum(1 << t for t in vec)))
-            ad[a][b] = vec
-            ad[b][a] = {t: -c for t, c in vec.items()}
-        # r = `levi`, else the domain, graded by its generators that act
-        # diagonally, the torus (`_torus` lists their indices, domain
-        # positions without `levi`); the others' (a_dom, a_mod) tables are
-        # `_general`
-        tables = ([(ad[i], self.act[i]) for i in range(self.n)] if levi is None
-                  else [tuple(_bracket_coords(self, x, w) for w in
-                              ("domain", "module")) for x in levi])
-        diag = [_acts_diagonally(*pair) for pair in tables]
-        self._dom_weights, self._mod_weights = _weights(
-            self, [pair for pair, d in zip(tables, diag) if d])
-        self._general = [pair for pair, d in zip(tables, diag) if not d]
-        self._torus = [i for i, d in enumerate(diag) if d]
-        self._weight_zero_carries_h = True
-        # codes: position i is bit i, module position k is k
-        self._stride, self._outside = self.m, 0
-        self._bits = [1 << i for i in range(self.n)]
-        self._dom_pos = range(self.n)
-        self._mod_codes = self._mod_pos = range(self.m)
+    def __init__(self, g: LieAlgebra, domain, module, levi=None):
+        tables = _tables(g)
+        domain, module = tuple(domain), tuple(module)
+        if any(map(ge, domain, domain[1:])) or any(map(ge, module, module[1:])):
+            raise ValueError("the index sets must be strictly increasing")
+        inside, mod, reach = sum(1 << i for i in domain), set(module), 0
+        for a in domain:
+            for b, hit in tables.reach[a]:
+                if inside & b:
+                    reach |= hit
+        if reach & ~inside:
+            raise ValueError("the domain is not closed under the bracket")
+        for a in domain:    # V is a subalgebra: only e_a outside V can move V
+            if a not in mod and any(not mod.issuperset(col) for k, col in
+                                    tables.act[a].items() if k in mod):
+                raise ValueError("the module is not closed under the bracket")
+        self.ambient, self.levi, self._tables = g, levi, tables
+        self.n, self.m = len(domain), len(module)
+        self._stride = g.dim
+        self._outside = inside ^ ((1 << g.dim) - 1)
+        self._bits = [1 << i for i in domain]
+        self._dom_pos = {i: p for p, i in enumerate(domain)}
+        self._mod_codes, self._mod_pos = module, {
+            k: p for p, k in enumerate(module)}
+        self._acting, self.pairs_hitting = tables.acting, tables.pairs_hitting
+        self._dom_weights = [tables.weights[i] for i in domain]
+        self._mod_weights = [tables.weights[k] for k in module]
         self._new_caches()
 
     def _new_caches(self):
@@ -240,12 +213,11 @@ class ComplexContext:
     def _require_weight_zero(self):
         """ValueError unless weight zero carries H^* (module docstring)."""
         if self.levi is not None:
-            raise ValueError("the complex is graded by its levi generators; "
-                             "use ComplexContext(ambient, domain, module)")
+            raise ValueError("the complex carries levi generators for its "
+                             "invariant rows; count on one built without")
         if not self._weight_zero_carries_h:
             raise ValueError("the domain holds too little of the grading "
-                             "torus for weight zero to carry H^*; "
-                             "use ComplexContext(ambient, domain, module)")
+                             "torus for weight zero to carry H^*")
 
     def cohomology_dims(self, q):
         """(dim Z^q, dim B^q, dim H^q), memoized per degree.
@@ -256,9 +228,8 @@ class ComplexContext:
         Z^i = H^i + B^i from B^0 = 0.  Block i-1 is built before block i,
         so block i is cleared by its pivots; each degree is counted, and
         guarded, once.  ValueError where weight zero does not carry H^*: a
-        context built with `levi`, graded by it, or a view whose domain
-        does not hold enough of the grading torus;
-        ComplexContext(ambient, domain, module) counts over the domain.
+        context built with `levi`, for its invariant rows, or one whose
+        domain does not hold enough of the grading torus.
         """
         self._require_weight_zero()
         if q < 0 or q > self.n:
@@ -276,66 +247,39 @@ class ComplexContext:
             dims.append(CohomologyDims(h + b, b, h))
         return dims[q]
 
+    @cached_property
+    def domain(self):
+        """The domain basis as unit vectors of g."""
+        return _units(self._dom_pos)
 
-class ComplexView(ComplexContext):
-    """C^*(a, V) for a bracket-closed a and a subalgebra V holding it, each
-    spanned by the unit vectors of g at increasing indices: a view of the
-    one C(g, g), `full_context(g)`.  It keeps the base's action index,
-    bracket pairs and packed weights, and adds a domain mask and a module
-    index set; its codes are codes of the base (module docstring).  The
-    `levi` tables are the base's rows of those generators, read on first
-    use."""
-
-    def __init__(self, g: LieAlgebra, domain, module, levi=None):
-        base = full_context(g)
-        domain, module = tuple(domain), tuple(module)
-        inside, mod, reach = sum(1 << i for i in domain), set(module), 0
-        for a in domain:
-            for b, hit in base._reach[a]:
-                if inside & b:
-                    reach |= hit
-        if reach & ~inside:
-            raise ValueError("the domain is not closed under the bracket")
-        for a in domain:    # V is a subalgebra: only e_a outside V can move V
-            if a not in mod and any(not mod.issuperset(col) for k, col in
-                                    base.act[a].items() if k in mod):
-                raise ValueError("the module is not closed under the bracket")
-        self.ambient, self.base, self.levi = g, base, levi
-        self.domain, self.module = _units(domain), _units(module)
-        self.n, self.m = len(domain), len(module)
-        self._stride = base.m
-        self._outside = inside ^ ((1 << base.n) - 1)
-        self._bits = [1 << i for i in domain]
-        self._dom_pos = {i: p for p, i in enumerate(domain)}
-        self._mod_codes, self._mod_pos = module, {
-            k: p for p, k in enumerate(module)}
-        self._acting, self.pairs_hitting = base._acting, base.pairs_hitting
-        self._dom_weights = [base._dom_weights[i] for i in domain]
-        self._mod_weights = [base._mod_weights[k] for k in module]
-        self._new_caches()
+    @cached_property
+    def module(self):
+        """The module basis as unit vectors of g."""
+        return _units(self._mod_codes)
 
     @cached_property
     def dbr(self):
-        """The domain bracket table in positions, from the base's."""
+        """The domain bracket table in positions, from g's."""
         pos = self._dom_pos
         return {(pos[a], pos[b]): {pos[t]: c for t, c in vec.items()}
-                for (a, b), vec in self.base.dbr.items()
+                for (a, b), vec in self._tables.dbr.items()
                 if a in pos and b in pos}
 
     @cached_property
     def _general(self):
         """The (a_dom, a_mod) tables of the `levi` generators off the
-        grading torus: the base's rows, filtered by the masks.  The torus
-        must be among the generators, so the joint kernel is r's."""
-        base = self.base
-        gens = [next(iter(x)) for x in self.levi if _int_units([x])]
-        if len(gens) < len(self.levi) or not set(base._torus) <= set(gens):
-            raise ValueError("the levi generators of a view must be unit "
-                             "vectors that include the grading torus")
+        grading torus: g's rows, filtered by the masks.  The torus must be
+        among the generators, so the joint kernel is r's."""
+        tables = self._tables
+        gens = [i for x in self.levi for i, c in x.items()
+                if len(x) == 1 and c == 1]
+        if len(gens) < len(self.levi) or not set(tables.torus) <= set(gens):
+            raise ValueError("the levi generators must be unit vectors that "
+                             "include the grading torus")
         dom, mod = self._dom_pos, self._mod_pos
-        return [({u: col for u, col in base.act[i].items() if u in dom},
-                 {k: col for k, col in base.act[i].items() if k in mod})
-                for i in gens if i not in base._torus]
+        return [({u: col for u, col in tables.act[i].items() if u in dom},
+                 {k: col for k, col in tables.act[i].items() if k in mod})
+                for i in gens if i not in tables.torus]
 
     @cached_property
     def _weight_zero_carries_h(self):
@@ -343,61 +287,52 @@ class ComplexView(ComplexContext):
         their values on the torus units inside a: whether each torus unit's
         column of weights lies in the span of those inside a (module
         docstring)."""
-        base, inside = self.base, self._dom_pos
-        if all(t in inside for t in base._torus):
+        tables, inside = self._tables, self._dom_pos
+        if all(t in inside for t in tables.torus):
             return True
         units = inside.keys() | self._mod_pos.keys()
-        cols = {t: {u: col[u] for u, col in base.act[t].items() if u in units}
-                for t in base._torus}
+        cols = {t: {u: col[u] for u, col in tables.act[t].items() if u in units}
+                for t in tables.torus}
         span = Echelon(col for t, col in cols.items() if t in inside)
         return all(t in inside or span.contains(col) for t, col in cols.items())
 
 
-def _bracket_coords(ctx, x, where, start=0):
-    """{position p: coordinates of [x, b_p]} over the vectors b_p, p >= start,
-    of ctx's `where` basis ("domain" or "module") whose bracket with x is
-    nonzero, in the span of that basis; ValueError when one leaves it.
+class _Tables:
+    """The tables of C(g, g), read off g's ad columns, which they keep
+    rather than copy: `act`, ad(e_i) by i; `dbr`, [e_i, e_j] by (i, j),
+    i < j; `acting`, by module index k, (1 << i, [e_i, e_k]);
+    `pairs_hitting`, by target bit 1 << t, (bits a and b, bits a..b-1, c)
+    for each c e_t in [e_a, e_b]; `reach`, by a, (bit b, the bits
+    [e_a, e_b] hits) for b > a; the grading `torus`, the units whose ad is
+    diagonal, and the packed `weights` of every index under it (as domain
+    and as module index alike, since g is both)."""
 
-    On int unit bases in increasing order a unit x = e_i reads its brackets
-    off the ambient's cached ad(e_i), re-indexed by the solver's unit map.
-    The values and key order are those of `bracket_vec`, so the table is the
-    one the `bracket_vec` loop builds.
-    """
-    if where == "domain":
-        basis, solver = ctx.domain, ctx._dom_solver
-    else:
-        basis, solver = ctx.module, ctx._mod_solver
-    one = len(x) == 1 and next(iter(x.values()))    # False unless one entry
-    if ctx._unit and type(one) is int and one == 1:  # `_int_units([x])`
-        pos = solver.unit
-        brackets = [(pos[j], b) for j, b in ctx.ambient.ad(next(iter(x))).items()
-                    if pos.get(j, -1) >= start]
-    else:
-        brackets = ((p, ctx.ambient.bracket_vec(x, basis[p]))
-                    for p in range(start, len(basis)))
-    out = {}
-    for p, b in brackets:
-        if b:
-            c = solver.coords(b)
-            if c is None:
-                raise ValueError(f"the {where} is not closed under the bracket")
-            if c:
-                out[p] = c
-    return out
+    def __init__(self, g: LieAlgebra):
+        self.n = self.m = g.dim        # C(g, g)'s sizes, which `_weights` reads
+        self.act = [g.ad(i) for i in range(g.dim)]
+        self.dbr = {(i, j): c for i, row in enumerate(self.act)
+                    for j, c in row.items() if j > i}
+        self.acting = {}
+        for i, row in enumerate(self.act):
+            for k, col in row.items():
+                self.acting.setdefault(k, []).append((1 << i, col))
+        self.pairs_hitting, self.reach = {}, [[] for _ in range(g.dim)]
+        for (a, b), vec in self.dbr.items():
+            for t, c in vec.items():
+                self.pairs_hitting.setdefault(1 << t, []).append(
+                    (1 << a | 1 << b, (1 << b) - (1 << a), c))
+            self.reach[a].append((1 << b, sum(1 << t for t in vec)))
+        self.torus = [i for i, row in enumerate(self.act)
+                      if _acts_diagonally(row, row)]
+        self.weights = _weights(self, [(self.act[i], self.act[i])
+                                       for i in self.torus])[0]
 
 
-def _int_units(vectors):
-    """Whether `vectors` are unit vectors e_i at increasing i, with int
-    coefficient 1 (Fraction units make `bracket_vec` values Fractions)."""
-    last = -1
-    for v in vectors:
-        if len(v) != 1:
-            return False
-        (i, c), = v.items()
-        if type(c) is not int or c != 1 or i <= last:
-            return False
-        last = i
-    return True
+def _tables(g: LieAlgebra) -> _Tables:
+    """g's `_Tables`, built on first use and kept on g."""
+    if not hasattr(g, "_complex_tables"):
+        g._complex_tables = _Tables(g)
+    return g._complex_tables
 
 
 def _acts_diagonally(a_dom, a_mod):
@@ -596,8 +531,8 @@ def _invariant_basis(ctx, q):
 def _lie_columns(ctx, candidates, generators):
     """L_x of each candidate code, stacked over the generators x, given by
     their (a_dom, a_mod) action tables, as {row: coefficient}, the row of
-    code c under generator gi being gi * (m << n) + c, for the code stride m
-    and the base's n.  An index replaces another by `|` and is signed by
+    code c under generator gi being gi * (m << dim g) + c, for the code
+    stride m.  An index replaces another by `|` and is signed by
     popcount parity, as in `delta_column`; zero entries may remain (no
     relation changes)."""
     m, tables = ctx._stride, []
@@ -606,7 +541,7 @@ def _lie_columns(ctx, candidates, generators):
         for u in sorted(a_dom):
             for t, c in a_dom[u].items():
                 into.setdefault(1 << t, []).append((1 << u, c))
-        tables.append((gi * (m << ctx.base.n), a_mod, into))
+        tables.append((gi * (m << ctx.ambient.dim), a_mod, into))
     cols = []
     for code in candidates:
         mask, k = divmod(code, m)
@@ -707,15 +642,15 @@ def adjoint_context(sw) -> ComplexContext:
     """C^*(s, s) for a seaweed (cached on the seaweed), counted on weight
     zero; it carries no `levi` (see the module docstring)."""
     if not hasattr(sw, "_adjoint_ctx"):
-        sw._adjoint_ctx = ComplexView(sw.ambient, sw.member, sw.member)
+        sw._adjoint_ctx = ComplexContext(sw.ambient, sw.member, sw.member)
     return sw._adjoint_ctx
 
 
 def nilradical_context(sw) -> ComplexContext:
     """C^*(n, s) for a seaweed, carrying r (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ctx"):
-        sw._nilradical_ctx = ComplexView(sw.ambient, sw.nilradical, sw.member,
-                                         reductive_generators(sw))
+        sw._nilradical_ctx = ComplexContext(
+            sw.ambient, sw.nilradical, sw.member, reductive_generators(sw))
     return sw._nilradical_ctx
 
 
@@ -723,36 +658,39 @@ def nilradical_ambient_context(sw) -> ComplexContext:
     """C^*(n, g): the nilradical acting on the whole ambient algebra, which
     the rigidity certificate differentiates in (cached on the seaweed)."""
     if not hasattr(sw, "_nilradical_ambient_ctx"):
-        sw._nilradical_ambient_ctx = ComplexView(
+        sw._nilradical_ambient_ctx = ComplexContext(
             sw.ambient, sw.nilradical, range(sw.ambient.dim))
     return sw._nilradical_ambient_ctx
 
 
 def full_context(L: LieAlgebra) -> ComplexContext:
-    """C^*(g, g) for a whole algebra (cached on the algebra): the base of
-    every view on it."""
+    """C^*(g, g) for a whole algebra (cached on the algebra): the complex
+    with full masks."""
     if not hasattr(L, "_full_context"):
-        units = _units(range(L.dim))
-        L._full_context = ComplexContext(L, units, units)
+        L._full_context = ComplexContext(L, range(L.dim), range(L.dim))
     return L._full_context
 
 
 def quotient_context(split) -> ComplexContext:
-    """C^*(Q, s): the center-complement acting on all of s (cached).
+    """C^*(Q, s): the center complement acting on all of s (cached).
 
     The adjoint context when the complement is the unit basis of s (a
-    trivial center), a view when it is another unit basis (always for a
-    spec), else a complex built on the complement.
+    trivial center), and C(Q, s) on the units of g when it is another unit
+    basis (always for a spec).  Otherwise it is C(Q, s) in s rebuilt as its
+    own algebra on center_basis + complement_basis (`CenterSplit.algebra`),
+    where the complement is the last units: its values are then in that
+    basis, not in the member units of s.
     """
     sw = split.seaweed
     comp = split.complement_basis
     if comp == _units(sw.member):
         return adjoint_context(sw)
     if not hasattr(split, "_quotient_ctx"):
+        z = len(split.center_basis)
         split._quotient_ctx = (
-            ComplexView(sw.ambient, map(min, comp), sw.member)
-            if _int_units(comp) else
-            ComplexContext(sw.ambient, comp, _units(sw.member)))
+            ComplexContext(sw.ambient, map(min, comp), sw.member)
+            if all(v == {min(v): 1} for v in comp) else
+            ComplexContext(split.algebra, range(z, sw.dim), range(sw.dim)))
     return split._quotient_ctx
 
 

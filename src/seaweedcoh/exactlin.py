@@ -4,11 +4,9 @@
 over the integers.  It answers rank, kernel relations, span membership and
 coordinates.  It pivots in the rows that the fewest columns touch, which
 keeps fill-in low; its outputs depend only on the order of the columns,
-never on the row order.  `SpanSolver` reads coordinates in a list of unit
-vectors directly and factors any other spanning list once.  The tests
-compare both against a dense Gauss-Jordan reference (`tests/dense.py`).
-Pivoting is deterministic throughout, so kernel bases and coordinates are
-reproducible across runs.
+never on the row order.  The tests compare it against a dense Gauss-Jordan
+reference (`tests/dense.py`).  Pivoting is deterministic throughout, so
+kernel bases and coordinates are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -21,36 +19,6 @@ from math import gcd
 
 class InvariantError(ValueError):
     """An internal invariant of an exact computation does not hold."""
-
-
-class SpanSolver:
-    """Coordinates of sparse vectors in a fixed spanning list, exactly.
-
-    A list of distinct unit vectors is read off directly through `unit`,
-    the map {index of the unit vector: list index}; any other list is
-    factored once by a tracked `Echelon` (and `unit` is None).  The answer
-    is the one the dense reference `solve` gives: free coordinates zero.
-    """
-
-    def __init__(self, vectors):
-        self.unit = {next(iter(v)): i for i, v in enumerate(vectors)
-                     if len(v) == 1 and next(iter(v.values())) == 1}
-        if len(self.unit) < len(vectors):
-            self.unit = None
-            self._echelon = Echelon(vectors, track=True)
-
-    def coords(self, vec):
-        """{list index: coefficient} with sum = vec, or None outside the span."""
-        if self.unit is None:
-            return self._echelon.coords(vec)
-        out = {}
-        for i, c in vec.items():
-            j = self.unit.get(i)
-            if j is None:
-                return None
-            if c != 0:
-                out[j] = c
-        return out
 
 
 def vec_add(acc, other, scale=1):

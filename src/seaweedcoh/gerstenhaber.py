@@ -143,7 +143,9 @@ def cup_with_center(split: CenterSplit, f1: Cochain,
 
     `f1` is a 1-cocycle over the (Q, s) context; bars project to the quotient
     along the center.  The result lives over (s, s) and is checked to be a
-    cocycle.
+    cocycle.  When C(Q, s) is built on s as its own algebra
+    (`quotient_context`), f1's values are in the basis center_basis +
+    complement_basis, and are mapped back to the member units of s.
     """
     if f1.degree != 1:
         raise ValueError("need a 1-cochain on Q")
@@ -155,11 +157,21 @@ def cup_with_center(split: CenterSplit, f1: Cochain,
     member = sw.member
     proj = [split.project_to_quotient({i: Fraction(1)}) for i in member]
     zstar = [z_functional[i] for i in member]
+    units = None        # f1's value units in member positions, if not those
+    if f1.context.ambient is not sw.ambient:
+        pos = {i: p for p, i in enumerate(member)}
+        units = [{pos[i]: c for i, c in v.items()}
+                 for v in split.center_basis + split.complement_basis]
     f1_on = []
     for p in proj:
         val = {}
         for qi, c in p.items():
             vec_add(val, f1.data.get((qi,), {}), c)
+        if units is not None:
+            mapped = {}
+            for k, c in val.items():
+                vec_add(mapped, units[k], c)
+            val = mapped
         f1_on.append(val)
     data = {}
     for a in range(len(member)):

@@ -5,8 +5,8 @@ The invariant form is the ambient dot product rescaled so that long roots have
 squared length 2 in every type; Cartan integers are independent of that scale.
 
 Root data in integer simple-root coefficient tuples is answered here alone
-(`build`, `RootSystem.sq`, `string`, `root_coeffs`, `gram`, and `lengths`
-over packed codes, `pack`); such tuples compare exactly as root vectors do,
+(`build`, `string`, `root_coeffs`, `gram`, and `lengths` over packed
+codes, `pack`); such tuples compare exactly as root vectors do,
 and root closure and strings step over their codes in ints.  The vector
 methods (`pairing`, `root_string`, `is_root`, `cartan_integer`) are the
 tested reference.
@@ -227,20 +227,6 @@ class RootSystem:
         """Coefficient tuples of the roots of both signs."""
         pos = set(self.coeffs.values())
         return frozenset(pos | {tuple(-x for x in c) for c in pos})
-
-    @cached_property
-    def _sq_memo(self):
-        return {}
-
-    def sq(self, c):
-        """(beta, beta) = c^T G c for beta = sum_i c_i alpha_i over the Gram
-        matrix G; any integer tuple, memoized."""
-        val = self._sq_memo.get(c)
-        if val is None:
-            val = self._sq_memo[c] = sum(
-                (ca * cb * self.gram[a][b] for a, ca in enumerate(c) if ca
-                 for b, cb in enumerate(c) if cb), Fraction(0))
-        return val
 
     def string(self, alpha, beta):
         """`root_string` over coefficient tuples: (r, q) with the

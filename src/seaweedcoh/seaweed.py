@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from . import rootsystem
 from .chevalley import LieAlgebra
@@ -162,6 +163,21 @@ class CenterSplit:
         return LieAlgebra(len(self.complement_basis),
                           quotient_context(self).dbr, check=False)
 
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """s as its own algebra in the basis center_basis + complement_basis,
+        each bracket in the coordinates of the tracked echelon (Jacobi
+        holds, as in the ambient)."""
+        basis, g = self.center_basis + self.complement_basis, self.seaweed.ambient
+        brackets = {}
+        for (i, u), (j, v) in combinations(enumerate(basis), 2):
+            b = g.bracket_vec(u, v)
+            if b:
+                brackets[(i, j)] = self.echelon.coords(b)
+                if brackets[(i, j)] is None:
+                    raise InvariantError("s is not closed under the bracket")
+        return LieAlgebra(len(basis), brackets, check=False)
+
     def project_to_quotient(self, vec):
         """Quotient coordinates of the projection along the center."""
         sol = self.echelon.coords(vec)
@@ -206,8 +222,8 @@ def split_over_center(sw: Seaweed, section_indices=None) -> CenterSplit:
     vanishes, as kappa(h_i, z) is proportional to alpha_i(z) = 0 on Z(s),
     and the other dim Z(s) columns have rank dim Z(s), so each kernel
     relation is the unit of a zero column.  The complement is listed by
-    least ambient index, so a unit one is in ambient order, as a view of
-    C(g, g) takes it (`cochain.quotient_context`).
+    least ambient index, so a unit one is in ambient order, as a complex on
+    the units of g takes it (`cochain.quotient_context`).
     """
     g = sw.ambient
     zs = center(sw)

@@ -22,6 +22,11 @@ def g2_fixture():
 
 
 @pytest.fixture(scope="session")
+def a2_cartan_mixed():
+    return chevalley.load_fixture(FIXTURES / "a2_cartan_mixed")
+
+
+@pytest.fixture(scope="session")
 def ambient():
     return _ambient
 

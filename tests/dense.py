@@ -1,13 +1,14 @@
 """Dense Gauss-Jordan elimination over the rationals on lists of rows: the
-reference that the tests compare the sparse `Echelon` against; and the
-structure constants of a span, bracket by bracket, the reference for
-`Seaweed.algebra` and the split quotient."""
+reference that the tests compare the sparse `Echelon` against; coordinates
+in a spanning list (`SpanSolver`); and the structure constants of a span,
+bracket by bracket, the reference for `Seaweed.algebra` and the split
+quotient."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from seaweedcoh.chevalley import LieAlgebra
-from seaweedcoh.exactlin import SpanSolver
+from seaweedcoh.exactlin import Echelon
 
 
 def rref(rows):
@@ -68,6 +69,36 @@ def solve(rows, v):
 
 def matvec(rows, v):
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
+
+
+class SpanSolver:
+    """Coordinates of sparse vectors in a fixed spanning list, exactly.
+
+    A list of distinct unit vectors is read off directly through `unit`,
+    the map {index of the unit vector: list index}; any other list is
+    factored once by a tracked `Echelon` (and `unit` is None).  The answer
+    is the one the dense reference `solve` gives: free coordinates zero.
+    """
+
+    def __init__(self, vectors):
+        self.unit = {next(iter(v)): i for i, v in enumerate(vectors)
+                     if len(v) == 1 and next(iter(v.values())) == 1}
+        if len(self.unit) < len(vectors):
+            self.unit = None
+            self._echelon = Echelon(vectors, track=True)
+
+    def coords(self, vec):
+        """{list index: coefficient} with sum = vec, or None outside the span."""
+        if self.unit is None:
+            return self._echelon.coords(vec)
+        out = {}
+        for i, c in vec.items():
+            j = self.unit.get(i)
+            if j is None:
+                return None
+            if c != 0:
+                out[j] = c
+        return out
 
 
 def subalgebra(parent, vectors, labels=None, check=True):

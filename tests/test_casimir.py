@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from seaweedcoh import casimir
 from seaweedcoh.casimir import (OperatorContext, _casimir_constant,
                                 _cocycle_codes, _predicted_scalars,
-                                _string_term, casimir_action, extend_by_zero,
+                                _sq_length, _string_term, casimir_action,
+                                extend_by_zero,
                                 homotopy, modified_casimir, restrict,
                                 rigidity_certificate)
 from seaweedcoh.chevalley import construct
@@ -94,7 +95,7 @@ def test_extend_by_zero_rejects_other_modules(a2_fixture):
         with pytest.raises(ValueError, match="not over"):
             extend_by_zero(octx, Cochain(ng, 1, {(0,): {k: 1}}))
     # a complex rebuilt on the same n and s is accepted
-    same = ComplexContext(sw.ambient, octx.ns.domain, octx.ns.module)
+    same = ComplexContext(sw.ambient, sw.nilradical, sw.member)
     assert extend_by_zero(octx, Cochain(same, 1, {(0,): {0: 1}})).data == \
         {(sw.nilradical[0],): {sw.member[0]: 1}}
 
@@ -532,7 +533,7 @@ def reference_form_ratio(g):
     read off the Cartan block of the Killing matrix."""
     rs = g.root_system
     cartan = list(g.cartan)
-    long_root = max(g.root_of, key=lambda i: rs.sq(g.root_of[i]))
+    long_root = max(g.root_of, key=lambda i: _sq_length(rs, g.root_of[i]))
     # theta as a functional on the Cartan basis, read off the adjoint action
     theta = {p: g.bracket(h, long_root).get(long_root, 0)
              for p, h in enumerate(cartan)}
@@ -542,7 +543,7 @@ def reference_form_ratio(g):
                     track=True)
     assert block.rank == len(cartan)
     t = block.coords(theta)
-    return sum(theta[p] * c for p, c in t.items()) / rs.sq(g.root_of[long_root])
+    return sum(theta[p] * c for p, c in t.items()) / _sq_length(rs, g.root_of[long_root])
 
 
 def test_predicted_scalars_match_ambient_reference():
@@ -586,7 +587,10 @@ def test_casimir_constant_is_twice_the_dual_coxeter_number(type_label, rank):
 def test_casimir_constant_is_the_same_at_every_root(type_label, rank):
     g = _root_data_only(type_label, rank)
     rs = g.root_system
-    assert {rs.sq(beta) + sum(_string_term(g, gamma, beta)
+    # the int squared lengths, scaled, are the normalized pairing
+    assert all(_sq_length(rs, rs.coefficients(b)) == rs.pairing(b, b)
+               for b in rs.roots)
+    assert {_sq_length(rs, beta) + sum(_string_term(g, gamma, beta)
                               for gamma in rs.root_coeffs)
             for beta in rs.root_coeffs} == {_casimir_constant(g)}
 
@@ -613,9 +617,8 @@ def test_operator_contexts_share_one_ambient_context(a2_fixture):
         octx, again = OperatorContext(sw), OperatorContext(sw)
         assert octx.gg is again.gg is full_context(g) and octx.gg.ambient is g
         # against a genuinely fresh C(g, g), not the one cached on g
-        units = [{i: 1} for i in range(g.dim)]
         fresh = copy.copy(octx)
-        fresh.gg = ComplexContext(g, units, units)
+        fresh.gg = ComplexContext(g, range(g.dim), range(g.dim))
         assert fresh.gg is not octx.gg
         chains = 0
         for q in range(1, len(sw.nilradical) + 1):
@@ -1087,7 +1090,7 @@ def test_levi_generators_give_the_same_invariants(g2_fixture):
     for octx in octxs:
         sw, ns = octx.seaweed, octx.ns
         gens, full = ns.levi, all_of_r(sw)
-        wide = ComplexContext(sw.ambient, ns.domain, ns.module, levi=full)
+        wide = ComplexContext(sw.ambient, sw.nilradical, sw.member, levi=full)
         both = sw.spec.pi1 & sw.spec.pi2
         assert gens == reductive_generators(sw)
         assert len(gens) == len(sw.ambient.cartan) + len(both), sw.spec

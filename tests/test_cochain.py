@@ -13,17 +13,16 @@ from seaweedcoh import cochain, rootsystem
 from seaweedcoh.chevalley import construct
 from seaweedcoh.cli import _all_specs, _ambient, _degree_cap, verify_report
 from seaweedcoh.cochain import (Cochain, ComplexContext, _acts_diagonally,
-                                _bracket_coords, _coboundary_consistency,
-                                _decoded, _int_units, _invariant_block,
-                                _invariant_entry, _lie_columns, _pack,
-                                _weights,
+                                _coboundary_consistency, _decoded,
+                                _invariant_block, _invariant_entry,
+                                _lie_columns, _pack, _tables, _units,
                                 adjoint_context, coboundary, full_context,
                                 invariant_coboundaries, invariant_cochains,
                                 invariant_cohomology_dims,
                                 nilradical_ambient_context,
                                 nilradical_context, quotient_context,
                                 reductive_generators)
-from seaweedcoh.exactlin import (Echelon, InvariantError, SpanSolver,
+from seaweedcoh.exactlin import (Echelon, InvariantError,
                                  sparse_kernel_basis, sparse_rank, vec_add)
 from seaweedcoh.gerstenhaber import _class_representatives, is_coboundary
 from seaweedcoh.seaweed import (SeaweedSpec, _cached_build,
@@ -32,7 +31,7 @@ from seaweedcoh.seaweed import (SeaweedSpec, _cached_build,
                                 split_over_center)
 
 import dense
-from reference import basis_cochain, built, evaluate
+from reference import Built, basis_cochain, bracket_coords, built, evaluate
 
 
 def lie_derivative(x_vec, f):
@@ -288,7 +287,7 @@ def test_invariant_cochains_examples(a2_seaweed):
     assert len(inv2) == 1
     assert inv2[0].data == {(0, 1): {2: F(1)}}
     # with no generators every cochain is invariant
-    bare = ComplexContext(nctx.ambient, nctx.domain, nctx.module, levi=[])
+    bare = Built(nctx.ambient, nctx.domain, nctx.module, levi=[])
     assert len(invariant_cochains(bare, 1)) == nctx.dim_cochains(1)
 
 
@@ -344,9 +343,15 @@ def test_basis_independence_rescaled(a2_fixture):
 
 
 def test_action_closure_rejected(a2_fixture):
-    # a module not closed under the domain action is refused
-    with pytest.raises(ValueError):
-        ComplexContext(a2_fixture, [{0: F(1)}], [{1: F(1)}])
+    # a module not closed under the domain action is refused, and so are
+    # index sets out of order
+    with pytest.raises(ValueError, match="module is not closed"):
+        ComplexContext(a2_fixture, [0], [1])
+    with pytest.raises(ValueError, match="module is not closed"):
+        Built(a2_fixture, [{0: F(1)}], [{1: F(1)}])
+    for domain, module in (([6, 0], [6, 0]), ([0, 6], [6, 0]), ([0, 0], [0])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ComplexContext(a2_fixture, domain, module)
 
 
 def test_indecomposable_vanishing_sweep(sweep_reports):
@@ -545,7 +550,7 @@ def test_cohomology_dims_memoized_per_degree(monkeypatch):
                 continue
             sw = build_seaweed(_ambient(t, r), spec)
             ctx = adjoint_context(sw)
-            fresh = ComplexContext(sw.ambient, ctx.domain, ctx.module)
+            fresh = ComplexContext(sw.ambient, sw.member, sw.member)
             down = [ctx.cohomology_dims(q) for q in reversed(range(ctx.n + 1))]
             up = [fresh.cohomology_dims(q) for q in range(ctx.n + 1)]
             assert down[::-1] == up, spec
@@ -667,8 +672,7 @@ def test_clearing_is_sound_whole_algebra(type_label, rank):
 def levi_adjoint_context(sw):
     """C^*(s, s) carrying the Levi generators of sw, which `adjoint_context`
     does not: the Hochschild-Serre oracle for its weight-zero rows."""
-    units = [{i: 1} for i in sw.member]
-    return ComplexContext(sw.ambient, units, units,
+    return ComplexContext(sw.ambient, sw.member, sw.member,
                           levi=reductive_generators(sw))
 
 
@@ -1051,7 +1055,7 @@ def decoded_lie_columns(ctx, cols):
     for col in cols:
         rows = {}
         for key, c in col.items():
-            gi, code = divmod(key, ctx._stride << ctx.base.n)
+            gi, code = divmod(key, ctx._stride << ctx.ambient.dim)
             if c != 0:
                 rows[(gi, *ctx.cell(code))] = c
         out.append(rows)
@@ -1162,12 +1166,14 @@ def test_levi_rows_match_weight_zero_rows(type_label, rank, whole_only):
 
 def test_invariant_api_needs_levi(a2_seaweed):
     # a complex built without levi carries no invariance algebra: the
-    # invariant API refuses it in every degree with a ValueError, and its
-    # own cohomology still counts on weight zero.  Mirrored, a complex
-    # built with levi is graded by it, and cohomology_dims refuses it
+    # invariant API refuses it in every degree with a ValueError, and the
+    # reference complex graded over its own domain still counts H^*(n, s).
+    # Mirrored, a complex built with levi is for its invariant rows, and
+    # cohomology_dims refuses it
     ns = nilradical_context(a2_seaweed)
-    bare = ComplexContext(ns.ambient, ns.domain, ns.module)
-    for ctx in (bare, nilradical_ambient_context(a2_seaweed)):
+    bare = Built(ns.ambient, ns.domain, ns.module)
+    plain = ComplexContext(ns.ambient, a2_seaweed.nilradical, a2_seaweed.member)
+    for ctx in (bare, plain, nilradical_ambient_context(a2_seaweed)):
         assert ctx.levi is None
         for api in (invariant_cochains, invariant_coboundaries,
                     invariant_cohomology_dims):
@@ -1176,7 +1182,7 @@ def test_invariant_api_needs_levi(a2_seaweed):
                     api(ctx, q)
         assert ctx._invariant_cache == {} and ctx._zero_cache == {}
     for q in (-1, 0, 1, ns.n + 1):
-        with pytest.raises(ValueError, match="graded by its levi"):
+        with pytest.raises(ValueError, match="carries levi generators"):
             ns.cohomology_dims(q)
     assert ns._dims == []
     # H^*(n, s) of the bare complex, against every delta column eliminated
@@ -1184,33 +1190,36 @@ def test_invariant_api_needs_levi(a2_seaweed):
 
 
 def test_levi_tables_built_twice_per_generator(monkeypatch):
-    # a seaweed's complexes are views of C(g, g): building one brackets
-    # nothing, and C(n, s) reads the base's rows of its non-diagonal Levi
-    # generators once, on first use, over every degree and read of a
-    # verify run.  With pi1 = pi2, n = 0 and no invariant row is asked, so
-    # those rows are never read
-    bracketed, reads = [], Counter()
-    real_coords = cochain._bracket_coords
-    monkeypatch.setattr(cochain, "_bracket_coords", lambda ctx, *args: (
-        bracketed.append(ctx), real_coords(ctx, *args))[1])
-    real = cochain.ComplexView._general.func
+    # a seaweed's complexes read the one table set of their algebra: the
+    # tables are built once per algebra, and C(n, s) reads the rows of its
+    # non-diagonal Levi generators once, on first use, over every degree
+    # and read of a verify run.  With pi1 = pi2, n = 0 and no invariant row
+    # is asked, so those rows are never read
+    made, reads = [], Counter()
+    init = cochain._Tables.__init__
+    monkeypatch.setattr(cochain._Tables, "__init__", lambda self, g: (
+        made.append(g), init(self, g))[1])
+    real = ComplexContext._general.func
 
     def general(ctx):
         reads[id(ctx)] += 1
         return real(ctx)
 
     rows = cached_property(general)
-    rows.__set_name__(cochain.ComplexView, "_general")
-    monkeypatch.setattr(cochain.ComplexView, "_general", rows)
-    seaweeds = [build_seaweed(_ambient(t, r), spec) for t, r in (("A", 2),
-                ("G", 2)) for spec in _all_specs(t, r) if spec.rank == r]
+    rows.__set_name__(ComplexContext, "_general")
+    monkeypatch.setattr(ComplexContext, "_general", rows)
+    algebras = [construct(rootsystem.build(t, r)) for t, r in (("A", 2),
+                                                               ("G", 2))]
+    seaweeds = [build_seaweed(g, spec) for g in algebras
+                for spec in _all_specs(g.root_system.type_label,
+                                       g.root_system.rank)
+                if spec.rank == g.root_system.rank]
     contexts = [f(sw) for sw in seaweeds for f in (
         adjoint_context, nilradical_context, nilradical_ambient_context)]
-    assert not any(isinstance(ctx, cochain.ComplexView) for ctx in bracketed)
-    assert not reads
+    assert made == algebras and not reads
     for sw in seaweeds:
         assert verify_report(sw, sw.spec)["ok"]
-    assert not any(isinstance(ctx, cochain.ComplexView) for ctx in bracketed)
+    assert made == algebras
     graded = [ctx for ctx in contexts if id(ctx) in reads]
     assert set(reads.values()) == {1}
     # C(n, s) of the 12 specs of each type with pi1 != pi2, and no other
@@ -1306,34 +1315,17 @@ def test_candidate_span_is_cleared(type_label, rank):
 
 # -- tables read off the ambient's ad columns ----------------------------------
 
-def reference_bracket_coords(ctx, x, vectors, where):
-    """{p: coordinates of [x, vectors[p]]} as first computed: one
-    `bracket_vec` and one `SpanSolver.coords` per pair."""
-    solver = SpanSolver(ctx.domain if where == "domain" else ctx.module)
-    out = {}
-    for p, v in enumerate(vectors):
-        b = ctx.ambient.bracket_vec(x, v)
-        if b:
-            c = solver.coords(b)
-            if c is None:
-                raise ValueError(f"the {where} is not closed under the bracket")
-            if c:
-                out[p] = c
-    return out
-
-
 def reference_action_tables(ctx, x):
-    return (reference_bracket_coords(ctx, x, ctx.domain, "domain"),
-            reference_bracket_coords(ctx, x, ctx.module, "module"))
+    """(a_dom, a_mod) of x in positions of ctx's bases, bracket by bracket."""
+    return (bracket_coords(ctx, x, "domain"), bracket_coords(ctx, x, "module"))
 
 
 def action_tables(ctx, x):
-    """(a_dom, a_mod): the action tables of x that the complex built on
-    ctx's bases makes, in the indices of ctx's codes (a view's are the
-    ambient's), as `_lie_columns` reads them."""
-    ref = built(ctx)
-    tables = tuple(_bracket_coords(ref, x, w) for w in ("domain", "module"))
-    if ref is ctx:
+    """(a_dom, a_mod): the reference action tables of x in the indices of
+    ctx's codes (g's for a complex on g's tables, positions for `Built`),
+    as `_lie_columns` reads them."""
+    tables = reference_action_tables(ctx, x)
+    if isinstance(ctx, Built):
         return tables
     return tuple(in_base_indices(table, index) for table, index in
                  zip(tables, (list(ctx._dom_pos), ctx._mod_codes)))
@@ -1344,30 +1336,6 @@ def in_base_indices(table, index):
     `index`, key order kept."""
     return {index[p]: {index[t]: c for t, c in col.items()}
             for p, col in table.items()}
-
-
-def reference_tables(ctx):
-    """(dbr, act, pairs_hitting, (domain weights, module weights)) built
-    from the reference brackets."""
-    dbr = {}
-    for i, x in enumerate(ctx.domain):
-        for p, c in reference_bracket_coords(ctx, x, ctx.domain[i + 1:],
-                                             "domain").items():
-            dbr[(i, i + 1 + p)] = c
-    act = [reference_bracket_coords(ctx, x, ctx.module, "module")
-           for x in ctx.domain]
-    hitting, ad = {}, [{} for _ in range(ctx.n)]
-    for (a, b), vec in dbr.items():
-        for t, c in vec.items():
-            hitting.setdefault(1 << t, []).append(
-                (1 << a | 1 << b, (1 << b) - (1 << a), c))
-        ad[a][b] = vec
-        ad[b][a] = {t: -c for t, c in vec.items()}
-    # r = the levi, else the domain
-    tables = ([(ad[i], act[i]) for i in range(ctx.n)] if ctx.levi is None
-              else [reference_action_tables(ctx, x) for x in ctx.levi])
-    return dbr, act, hitting, _weights(
-        ctx, [pair for pair in tables if _acts_diagonally(*pair)])
 
 
 def identical(a, b):
@@ -1389,23 +1357,16 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
-def assert_tables_match_reference(ctx, unit, generators):
-    """The tables of ctx against the reference loop; for a view, its own
-    position table `dbr` and the tables of the complex built on its bases,
-    which read the ad columns as C(g, g) does."""
-    ref = built(ctx)
-    assert unit is None or ref._unit == unit
-    dbr, act, hitting, weights = reference_tables(ref)
-    assert identical(ctx.dbr, dbr) and identical(ref.dbr, dbr)
-    assert identical(ref.act, act)
-    assert identical(ref.pairs_hitting, hitting)
-    assert identical((ref._dom_weights, ref._mod_weights), weights)
-    # unit generators, and two that keep the general path
-    dim = ctx.ambient.dim
-    extra = [{0: 1, dim - 1: 1}, {dim - 1: 2}]
-    for g in list(generators) + extra:
-        assert identical(outcome(action_tables, ref, g),
-                         outcome(reference_action_tables, ref, g)), g
+def assert_tables_match_reference(ctx):
+    """The tables that ctx reads off the ad columns of its algebra against
+    the `Built` complex on its bases, bracket by bracket: the position
+    table `dbr`, and g's action rows of the domain on the module, in
+    positions, value types and key order included."""
+    ref, tables = built(ctx), ctx._tables
+    dom, mod = ctx._dom_pos, ctx._mod_pos
+    act = [{mod[k]: {mod[t]: c for t, c in col.items()}
+            for k, col in tables.act[i].items() if k in mod} for i in dom]
+    assert identical(ctx.dbr, ref.dbr) and identical(act, ref.act)
 
 
 def _primitive(vec):
@@ -1439,13 +1400,12 @@ def assert_seaweed_tables_match(sw, section=None):
     """The center, the tables of every context of sw and the split quotient
     against the replaced code."""
     assert identical(center(sw), reference_center(sw))
-    gens = reductive_generators(sw)
     for ctx in (adjoint_context(sw), nilradical_context(sw),
                 nilradical_ambient_context(sw)):
-        assert_tables_match_reference(ctx, True, gens)
+        assert_tables_match_reference(ctx)
     split = split_over_center(sw, section_indices=section)
-    # the complement is a unit basis only for some centers: either path
-    assert_tables_match_reference(quotient_context(split), None, gens)
+    # on the units of g, or of s rebuilt on its center and complement
+    assert_tables_match_reference(quotient_context(split))
     ref = dense.subalgebra(sw.ambient, split.complement_basis, check=False)
     assert (split.quotient.dim, split.quotient.labels) == (ref.dim, ref.labels)
     assert identical(split.quotient.brackets, ref.brackets)
@@ -1459,26 +1419,26 @@ def test_ad_tables_match_reference(type_label, rank):
         specs = orbit_representatives("A", 4)
     else:
         specs = [s for s in _all_specs(type_label, rank) if s.rank == rank]
-    units = [{i: 1} for i in range(g.dim)]
-    assert_tables_match_reference(full_context(g), True, units)
+    assert_tables_match_reference(full_context(g))
     for spec in specs:
         assert_seaweed_tables_match(build_seaweed(g, spec))
 
 
-def test_ad_tables_match_reference_fixtures(a2_fixture, g2_fixture):
+def test_ad_tables_match_reference_fixtures(a2_fixture, g2_fixture,
+                                            a2_cartan_mixed):
     sw = seaweed_from_algebra(g2_fixture)
     for section in (None, [0, 1]):      # degenerate Killing; published
         assert_seaweed_tables_match(sw, section)
-    assert_tables_match_reference(full_context(g2_fixture), True,
-                                  [{i: 1} for i in range(g2_fixture.dim)])
+    assert_tables_match_reference(full_context(g2_fixture))
     rng = random.Random(5)
     scalars = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(8)]
-    L2 = a2_fixture.rescaled(scalars)
-    for spec in _all_specs("A", 2):
-        if spec.rank == 2:
-            assert_seaweed_tables_match(build_seaweed(L2, spec))
-    assert_tables_match_reference(full_context(L2), True,
-                                  [{i: 1} for i in range(L2.dim)])
+    # the rescaled fixture, and the mixed Cartan one whose complements of
+    # the center are not all unit bases
+    for L in (a2_fixture.rescaled(scalars), a2_cartan_mixed):
+        for spec in _all_specs("A", 2):
+            if spec.rank == 2:
+                assert_seaweed_tables_match(build_seaweed(L, spec))
+        assert_tables_match_reference(full_context(L))
 
 
 def test_center_matches_reference_e6_sample():
@@ -1493,28 +1453,25 @@ def test_center_matches_reference_e6_sample():
 
 
 def test_unit_closure_errors_match_reference(a2_fixture):
-    # int units read the ad columns; a bracket leaving the basis is refused
-    # with the text of the bracket_vec path
+    # index sets read the ad columns; a bracket leaving them is refused with
+    # the text of the bracket-by-bracket reference
     g = a2_fixture
     i, j = next((i, j) for i, j in combinations(range(g.dim), 2)
                 if set(g.bracket(i, j)) - {i, j})
-    for domain, module, where in (([{i: 1}, {j: 1}], [{i: 1}, {j: 1}], "domain"),
-                                  ([{i: 1}], [{j: 1}], "module")):
-        assert _int_units(domain) and _int_units(module)
+    for domain, module, where in (([i, j], [i, j], "domain"),
+                                  ([i], [j], "module")):
         text = f"the {where} is not closed under the bracket"
         with pytest.raises(ValueError) as exc:
             ComplexContext(g, domain, module)
         assert str(exc.value) == text
-        probe = SimpleNamespace(ambient=g, domain=domain, module=module)
-        assert outcome(reference_tables, probe) == ("ValueError", text)
+        assert outcome(Built, g, _units(domain), _units(module)) == (
+            "ValueError", text)
     # a generator that does not normalize the domain
     sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1, 2]))
     ctx = nilradical_context(sw)
     x = {sw.dual_nilradical[0]: 1}
     assert outcome(action_tables, ctx, x) == (
         "ValueError", "the domain is not closed under the bracket")
-    assert outcome(reference_action_tables, ctx, x) == outcome(
-        action_tables, ctx, x)
 
 
 @pytest.mark.parametrize("type_label,rank",
@@ -1530,36 +1487,6 @@ def test_sweep_leaves_ad_columns_unchanged(type_label, rank):
     after = [g._ad_cache[i] for i in range(g.dim)], g.brackets
     assert identical(after, before)
 
-
-
-def test_unit_brackets_do_not_rescan_the_bases(monkeypatch):
-    # _int_units runs when a context is built, never per bracket: whether
-    # x itself is an int unit is tested inline.  An int unit e_i reads the
-    # ad columns; {i: Fraction(1)}, {i: 2}, {i: True} and two entries take
-    # the bracket_vec loop, and every table equals the reference's
-    sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [1], [1, 2]))
-    contexts = [built(f(sw)) for f in (adjoint_context, nilradical_context,
-                                       nilradical_ambient_context)]
-    ns = nilradical_context(sw)
-    tables = [action_tables(ns, x) for x in ns.levi]
-    assert ns._general and identical(ns._general, [
-        pair for pair in tables if not _acts_diagonally(*pair)])
-    g = sw.ambient
-    monkeypatch.setattr(cochain, "_int_units", None)    # a call would fail
-    looped = []
-    monkeypatch.setattr(g, "bracket_vec", lambda x, y: looped.append(x) or
-                        type(g).bracket_vec(g, x, y))
-    i, j = sw.reductive[0], sw.reductive[-1]
-    for ctx in contexts:
-        for x, ad in (({i: 1}, True), ({i: F(1)}, False), ({i: 2}, False),
-                      ({i: True}, False), ({i: 1, j: 1}, False)):
-            for where in ("domain", "module"):
-                looped.clear()
-                got = _bracket_coords(ctx, x, where)
-                assert bool(looped) != ad, x
-                basis = ctx.domain if where == "domain" else ctx.module
-                assert identical(got, reference_bracket_coords(
-                    ctx, x, basis, where)), (x, where)
 
 
 # -- unit bases out of ambient order --------------------------------------------
@@ -1593,7 +1520,7 @@ def test_default_split_is_coroots_and_root_vectors():
             assert split.complement_basis == [{i: 1} for i in sw.member]
             assert sorted(map(min, coroots)) == list(g.cartan)
         ctx = quotient_context(split)
-        assert ctx.base is full_context(g) and _int_units(ctx.domain), spec
+        assert ctx.ambient is g and ctx._tables is _tables(g), spec
     assert decomposable == 1 + 7 + 7 + 7 + 51
 
 
@@ -1610,22 +1537,28 @@ def same_in_order(a, b):
 
 
 def assert_unit_path_matches_bracket_path(g, domain, module):
-    """The tables and the class representatives of int units in the given
-    order against those of the same basis as Fraction(1) units, which
-    brackets with `bracket_vec`."""
-    fast = ComplexContext(g, [{i: 1} for i in domain], [{i: 1} for i in module])
-    slow = ComplexContext(g, [{i: F(1)} for i in domain],
-                          [{i: F(1)} for i in module])
-    assert fast._unit == (list(domain) == sorted(domain) and
-                          list(module) == sorted(module)) and not slow._unit
-    for name in ("dbr", "act", "pairs_hitting", "_dom_weights", "_mod_weights"):
-        assert same_in_order(getattr(fast, name), getattr(slow, name)), name
-    for q in range(min(fast.n, 2) + 1):
-        h = fast.cohomology_dims(q).cohomology
-        assert h == slow.cohomology_dims(q).cohomology
-        reps = [[f.data for f in _class_representatives(ctx, q, h)]
-                for ctx in (fast, slow)]
-        assert same_in_order(*reps), q
+    """The complex on the index sets, sorted, against `Built` on the same
+    unit vectors in the given order, as int and as Fraction(1) units,
+    bracket by bracket: the bracket tables agree under the permutation,
+    and where weight zero carries H^*, so do the rows and, in ambient
+    order, the class representatives."""
+    ctx = ComplexContext(g, sorted(domain), sorted(module))
+    perm = [ctx._dom_pos[i] for i in domain]    # Built position -> ctx's
+    counts = ctx._weight_zero_carries_h
+    for one in (1, F(1)):
+        ref = Built(g, [{i: one} for i in domain], [{i: one} for i in module])
+        assert len(ref.dbr) == len(ctx.dbr)
+        for (a, b), vec in ref.dbr.items():
+            sign = 1 if perm[a] < perm[b] else -1
+            assert {perm[t]: sign * c for t, c in vec.items()} == \
+                ctx.dbr[min(perm[a], perm[b]), max(perm[a], perm[b])]
+        for q in range(min(ctx.n, 2) + 1 if counts else 0):
+            h = ctx.cohomology_dims(q).cohomology
+            assert ref.cohomology_dims(q) == ctx.cohomology_dims(q)
+            if list(domain) == sorted(domain) and list(module) == sorted(module):
+                reps = [[f.data for f in _class_representatives(c, q, h)]
+                        for c in (ctx, ref)]
+                assert same_in_order(*reps), q
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -1697,7 +1630,7 @@ def assert_view_matches_built(ctx):
     """A view of C(g, g) against the complex built on its bases: its
     differential on C^q, q <= 2, decoded, is the reference loop's on the
     built tables, item order and value types included."""
-    assert ctx.base is full_context(ctx.ambient) is not ctx
+    assert ctx._tables is _tables(ctx.ambient) and isinstance(built(ctx), Built)
     ref = built(ctx)
     for q in range(min(ctx.n, 2) + 1):
         for tup, k in product(combinations(range(ctx.n), q), range(ctx.m)):
@@ -1711,7 +1644,7 @@ def assert_slices_match_generic(sw, sections):
     are `test_views_match_built_contexts`)."""
     adj = adjoint_context(sw)
     for ctx in (adj, nilradical_context(sw), nilradical_ambient_context(sw)):
-        assert ctx.base is full_context(sw.ambient) is not ctx
+        assert ctx._tables is _tables(sw.ambient)
     quotients = 0
     for section in sections:
         ctx = quotient_context(split_over_center(sw, section_indices=section))
@@ -1722,7 +1655,7 @@ def assert_slices_match_generic(sw, sections):
 
 
 def test_slices_match_generic_contexts(g2_fixture):
-    # after a verify run, so the base's tables were read by every check;
+    # after a verify run, so g's tables were read by every check;
     # the A4 orbits also differ in the section of their C(Q, s)
     quotients = 0
     for sw in acceptance_and_a4_seaweeds():
@@ -1767,8 +1700,8 @@ def test_coded_columns_match_reference(a2_fixture, g2_fixture):
 
 
 def test_sliced_contexts_share_the_module_solver(g2_fixture):
-    # C(s, s), C(n, s), C(n, g) and C(Q, s) are views of the one C(g, g):
-    # they hold no solver or table of their own, unit complements or not
+    # C(s, s), C(n, s), C(n, g) and C(Q, s) read the one table set of g,
+    # as C(g, g) does: they hold no solver or table of their own
     seaweeds = list(acceptance_and_a4_seaweeds())
     seaweeds.append(seaweed_from_algebra(g2_fixture))
     quotients = 0
@@ -1783,15 +1716,15 @@ def test_sliced_contexts_share_the_module_solver(g2_fixture):
             quotients += ctx is not views[0]
             views.append(ctx)
         for ctx in views:
-            assert ctx.base is gg is not ctx
+            assert ctx._tables is gg._tables and ctx is not gg
             assert not {"_mod_solver", "_dom_solver", "act"} & set(vars(ctx))
     assert quotients > 50
 
 
 def test_weights_built_once_per_generator_list(monkeypatch):
-    # the weights are graded once per algebra, by C(g, g) over its torus;
-    # a view grades nothing, and lists its weight-zero codes once for all
-    # the degrees they are read in
+    # the weights are graded once per algebra, over the torus of g, by
+    # `_Tables`; a complex grades nothing, and lists its weight-zero codes
+    # once for all the degrees they are read in
     calls = []
     real = cochain._weights
     monkeypatch.setattr(cochain, "_weights", lambda ctx, tables: (
@@ -1802,7 +1735,7 @@ def test_weights_built_once_per_generator_list(monkeypatch):
         sw = build_seaweed(g, spec)
         assert verify_report(sw, spec, max_degree=1)["ok"]
         views += [adjoint_context(sw), nilradical_context(sw)]
-    assert calls == [full_context(g)]
+    assert calls == [_tables(g)]
     graded = listed = 0
     for ctx in views:
         levi = ctx.levi is not None and ctx.n > 0
@@ -1826,8 +1759,8 @@ def view_seaweeds():
 
 
 def test_views_match_built_contexts():
-    # each view against the ComplexContext built with its own tables on the
-    # same unit bases: its delta columns, decoded, item order and value
+    # each complex on g's tables against the `Built` complex with tables of
+    # its own on the same unit bases: its delta columns, decoded, item order and value
     # types included (q <= 2); its zero_basis order wherever weight zero is
     # read (every view but C(n, g), q <= 3); and C(n, s)'s Levi tables.  A
     # Cochain round-trips through code and cell
@@ -1838,7 +1771,7 @@ def test_views_match_built_contexts():
                                quotient_context(split_over_center(sw))])
         for ctx in views:
             ref = built(ctx)
-            assert ctx.base is full_context(sw.ambient) and ref.base is ref
+            assert ctx._tables is _tables(sw.ambient) and isinstance(ref, Built)
             for q in range(min(ctx.n, 2) + 1):
                 for tup, k in product(combinations(range(ctx.n), q),
                                       range(ctx.m)):
@@ -1860,21 +1793,28 @@ def test_views_match_built_contexts():
 
 
 def test_seaweed_builds_no_tables(monkeypatch):
-    # verifying the A4 orbits builds the one C(g, g) of the algebra and no
-    # other ComplexContext: every complex of a seaweed is a view of it
-    made, init = [], ComplexContext.__init__
+    # verifying the A4 orbits builds the tables of the algebra once, and
+    # each of its complexes, C(g, g) included, reads them: no seaweed
+    # builds tables of its own
+    made, init = [], cochain._Tables.__init__
+    monkeypatch.setattr(cochain._Tables, "__init__", lambda self, g: (
+        made.append(g), init(self, g))[1])
+    contexts, real = [], ComplexContext.__init__
     monkeypatch.setattr(ComplexContext, "__init__", lambda self, *args, **kw: (
-        made.append(self), init(self, *args, **kw))[1])
+        contexts.append(self), real(self, *args, **kw))[1])
     g = construct(rootsystem.build("A", 4))
     for spec in orbit_representatives("A", 4):
         assert verify_report(build_seaweed(g, spec), spec, max_degree=1)["ok"]
-    assert made == [full_context(g)]
+    assert made == [g] and full_context(g) in contexts
+    assert len(contexts) > 3 * 76
+    assert all(ctx._tables is _tables(g) for ctx in contexts)
 
 
 def test_counting_refused_where_weight_zero_misses_h():
     # C(n, g) holds none of the grading torus of C(g, g), whose weights
     # grade it, so weight zero does not carry H^*: both counts refuse it,
-    # naming the bare complex, which counts.  C(Q, s) holds only h cap Q
+    # and the reference complex graded over its own domain counts it.
+    # C(Q, s) holds only h cap Q
     # and still counts (the roots of s vanish on Z(s)): its rows are those
     # of the complex built on Q, over the decomposable specs of the sweeps
     sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1, 2]))
@@ -1882,11 +1822,11 @@ def test_counting_refused_where_weight_zero_misses_h():
     for count in (ng.cohomology_dims, lambda q: is_coboundary(
             ng, Cochain(ng, q, {}))):
         for q in (-1, 0, 1, ng.n + 1):
-            with pytest.raises(ValueError, match=r"grading torus .* use "
-                               r"ComplexContext\(ambient, domain, module\)"):
+            with pytest.raises(ValueError, match=r"too little of the grading "
+                               r"torus for weight zero to carry H"):
                 count(q)
     assert ng._dims == [] and ng._zero_cache == {}
-    bare = ComplexContext(ng.ambient, ng.domain, ng.module)
+    bare = Built(ng.ambient, ng.domain, ng.module)
     assert_dims_match_ungraded(bare, 2)
     partial = 0
     for t, r in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:

@@ -9,13 +9,13 @@ from seaweedcoh import exactlin, rootsystem
 from seaweedcoh.chevalley import construct, load_fixture
 from seaweedcoh.cli import _all_specs, verify_report
 from seaweedcoh.cochain import Cochain
-from seaweedcoh.exactlin import (Echelon, SpanSolver, sparse_kernel_basis,
-                                 sparse_rank)
+from seaweedcoh.exactlin import Echelon, sparse_kernel_basis, sparse_rank
 from seaweedcoh.gerstenhaber import cup_with_center, quotient_cohomology
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 seaweed_from_algebra, split_over_center)
 
 import dense
+from dense import SpanSolver
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 

@@ -143,12 +143,35 @@ def test_center_functional_needs_a_center_vector(g2):
         cup_with_center(whole, Cochain(quotient_context(whole), 1, {}))
 
 
+def test_cup_with_center_maps_values_to_member_units(a2_cartan_mixed):
+    # on the fixture whose Cartan units are e7 and e7 + e8 of the published
+    # A2 basis, the complement of the center z = e7 + e8 of p(empty|{2}) and
+    # p({2}|empty) is a root vector and e7 - e8, not a unit basis.  C(Q, s)
+    # then runs on s rebuilt as its own algebra, where f1(e7 - e8) = z is
+    # the unit 0 of its basis z, complement.  Mapped back to the member
+    # units of s, phi(e7, e8) = -z/2, as the complex built on the
+    # complement computed it, and phi is not a coboundary
+    for pi1, pi2 in (([], [2]), ([2], [])):
+        sw = build_seaweed(a2_cartan_mixed, SeaweedSpec.make("A", 2, pi1, pi2))
+        split = split_over_center(sw)
+        assert split.center_basis == [{6: 1, 7: 1}]
+        assert split.complement_basis[1:] == [{6: 1, 7: -1}]
+        assert quotient_context(split).ambient is split.algebra
+        h1, reps = quotient_cohomology(sw, 1, split=split)
+        assert h1 == 1 and reps[0].data == {(1,): {0: 1}}
+        phi = cup_with_center(split, reps[0])
+        assert sw.member[1:] == (6, 7)
+        assert phi.data == {(1, 2): {1: F(-1, 2), 2: F(-1, 2)}}
+        assert not is_coboundary(adjoint_context(sw), phi)
+
+
 def test_coboundary_tests_need_cochains_over_the_complex(g2):
     # the codes of a cochain over another complex name other basis
     # cochains: a C(n, s) cocycle is refused by C(s, s), not read against
-    # its basis.  C(n, s) itself is graded by its levi, not by its domain:
-    # a 0-cocycle of nonzero weight there is no coboundary (B^0 = 0), yet
-    # its weight-zero part, empty, lies in any span, so it is refused
+    # its basis.  C(n, s) itself carries its levi for the invariant rows,
+    # and holds none of the grading torus: a 0-cocycle of nonzero weight
+    # there is no coboundary (B^0 = 0), yet its weight-zero part, empty,
+    # lies in any span, so it is refused
     sw = build_seaweed(_ambient("A", 2), SeaweedSpec.make("A", 2, [], [1, 2]))
     adj, ns = adjoint_context(sw), nilradical_context(sw)
     f = invariant_cochains(ns, 2)[0]
@@ -158,7 +181,7 @@ def test_coboundary_tests_need_cochains_over_the_complex(g2):
             check()
     top = Cochain(ns, 0, {(): {2: 1}})
     assert coboundary(top).is_zero() and ns.code((), 2) not in ns.zero_basis(0)
-    with pytest.raises(ValueError, match="graded by its levi"):
+    with pytest.raises(ValueError, match="carries levi generators"):
         is_coboundary(ns, top)
     ctx = adjoint_context(g2[0])
     gen = Cochain(ctx, 2, {(1, 2): {1: F(2), 2: F(3)}})

@@ -5,7 +5,7 @@ import pytest
 from seaweedcoh import rootsystem
 from seaweedcoh.exactlin import InvariantError
 from seaweedcoh.rootsystem import (RootSystem, build, canonical_cartan,
-                                   dynkin_edges)
+                                   dynkin_edges, pack)
 
 # |roots| of each type as a function of the rank
 ROOT_COUNTS = {
@@ -144,12 +144,15 @@ def test_root_string_examples():
 def test_string_cartan_identity(t, r):
     rs = build(t, r)
     neg = lambda v: tuple(-x for x in v)
+    unit = rs.form_scale / rs._int_gram[0] ** 2     # `gram` over the int G
     for alpha in rs.roots:
         a = rs.coefficients(alpha)
         for beta in rs.roots:
             b = rs.coefficients(beta)
-            # the coefficient-tuple answers against the vector reference
-            assert rs.sq(b) == rs.pairing(beta, beta)
+            # the coefficient-tuple answers against the vector reference:
+            # the int squared lengths of both signs are the pairing / unit
+            for c in (b, neg(b)):
+                assert rs.lengths[pack(c)] * unit == rs.pairing(beta, beta)
             if beta in (alpha, neg(alpha)):
                 with pytest.raises(ValueError):
                     rs.string(a, b)

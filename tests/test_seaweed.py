@@ -6,9 +6,9 @@ import pytest
 
 from seaweedcoh import rootsystem, seaweed
 from seaweedcoh.cli import _all_specs, _ambient, main, verify_report
-from seaweedcoh.cochain import adjoint_context
+from seaweedcoh.cochain import adjoint_context, quotient_context
 from seaweedcoh.chevalley import load_fixture
-from seaweedcoh.exactlin import InvariantError
+from seaweedcoh.exactlin import Echelon, InvariantError, vec_add
 from seaweedcoh.seaweed import (SeaweedSpec, build_seaweed, center,
                                 is_indecomposable, quotient_components,
                                 render_split_dynkin, seaweed_from_algebra,
@@ -137,6 +137,28 @@ def test_split_quotient_built_on_first_use(g2_fixture):
         except ValueError as exc:
             refused.append(str(exc))
     assert refused == ["the domain is not closed under the bracket"]
+
+
+def test_split_algebra_off_s_raises_invariant_error(a2_cartan_mixed):
+    # s rebuilt on center_basis + complement_basis, the algebra of C(Q, s)
+    # when the complement is not a unit basis (p({2}|{2}) on the
+    # mixed-Cartan fixture), has the brackets of s in that basis.  A forged
+    # split whose basis misses e8 - e7, which [e2, e5] hits, raises an
+    # InvariantError, which fires under python -O too
+    sw = build_seaweed(a2_cartan_mixed, spec("A", 2, [2], [2]))
+    split = split_over_center(sw)
+    assert quotient_context(split).ambient is split.algebra
+    basis = split.center_basis + split.complement_basis
+    for (i, u), (j, v) in combinations(enumerate(basis), 2):
+        rebuilt = {}
+        for k, c in split.algebra.bracket(i, j).items():
+            vec_add(rebuilt, basis[k], c)
+        assert rebuilt == sw.ambient.bracket_vec(u, v), (i, j)
+    roots = [{i: 1} for i in sw.member if i in sw.ambient.root_of]
+    forged = seaweed.CenterSplit(sw, split.center_basis, roots, Echelon(
+        split.center_basis + roots, track=True))
+    with pytest.raises(InvariantError, match="s is not closed"):
+        forged.algebra
 
 
 def test_split_bracket_reconstruction(g2_fixture):
